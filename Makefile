@@ -125,7 +125,7 @@ bench:
 		-bench 'BenchmarkAdvisorNext' . \
 		> /tmp/arrow-bench-advisor.txt
 	$(GO) test -run xxx -benchmem -benchtime 20x \
-		-bench 'BenchmarkForestFitParallel|BenchmarkForestPredictBatch|BenchmarkForestRefit' ./internal/forest \
+		-bench 'BenchmarkForestFitParallel|BenchmarkForestPredictPairs|BenchmarkForestRefit' ./internal/forest \
 		> /tmp/arrow-bench-forest.txt
 	$(GO) test -run xxx -benchmem -benchtime 50x \
 		-bench 'BenchmarkGPExtend' ./internal/gp \

@@ -270,15 +270,16 @@ func (a *AugmentedBO) selectByDelta(st *searchState, remaining []int, treeSeed i
 		}
 	}
 
-	// Score every remaining candidate in one batched pass: the query rows
-	// [src || lowlevel(src) || candidate] are built once into the cache's
-	// reusable slab and serve both the objective and the time model (their
-	// feature space is identical). Each candidate's per-source predictions
-	// are averaged in log space, matching the paper's "Surrogate Model
-	// Update" design of pooling every (src -> dst) estimate.
+	// Score every remaining candidate in one batched pass over the query
+	// rows [src || lowlevel(src) || candidate]: the cached source halves
+	// and the candidate halves serve both the objective and the time model
+	// (their feature space is identical). Each candidate's per-source
+	// predictions are averaged in log space, matching the paper's
+	// "Surrogate Model Update" design of pooling every (src -> dst)
+	// estimate.
 	cache := a.pairs(st)
-	rows := cache.predictionRows(st, remaining)
-	cache.rawPreds, err = model.PredictBatch(rows, cache.rawPreds)
+	srcs, dsts := cache.queryHalves(st, remaining)
+	cache.rawPreds, err = model.PredictPairs(srcs, dsts, cache.rawPreds)
 	if err != nil {
 		return 0, 0, fmt.Errorf("core: surrogate prediction: %w", err)
 	}
@@ -286,7 +287,7 @@ func (a *AugmentedBO) selectByDelta(st *searchState, remaining []int, treeSeed i
 	preds := cache.objMeans
 	var predTimes []float64
 	if timeModel != nil {
-		cache.rawPreds, err = timeModel.PredictBatch(rows, cache.rawPreds)
+		cache.rawPreds, err = timeModel.PredictPairs(srcs, dsts, cache.rawPreds)
 		if err != nil {
 			return 0, 0, fmt.Errorf("core: surrogate time prediction: %w", err)
 		}

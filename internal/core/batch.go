@@ -321,9 +321,9 @@ func (a *AugmentedBO) fantasize(st *searchState, pending []PendingPoint, exclude
 		return model, err
 	}
 	predict := func(model *forest.Regressor, remaining []int) ([]float64, error) {
-		rows := cache.predictionRows(st, remaining)
+		srcs, dsts := cache.queryHalves(st, remaining)
 		var err error
-		cache.rawPreds, err = model.PredictBatch(rows, cache.rawPreds)
+		cache.rawPreds, err = model.PredictPairs(srcs, dsts, cache.rawPreds)
 		if err != nil {
 			return nil, err
 		}
@@ -331,9 +331,9 @@ func (a *AugmentedBO) fantasize(st *searchState, pending []PendingPoint, exclude
 		return cache.objMeans, nil
 	}
 	predictTimes := func(model *forest.Regressor, remaining []int) ([]float64, error) {
-		rows := cache.predictionRows(st, remaining)
+		srcs, dsts := cache.queryHalves(st, remaining)
 		var err error
-		cache.rawPreds, err = model.PredictBatch(rows, cache.rawPreds)
+		cache.rawPreds, err = model.PredictPairs(srcs, dsts, cache.rawPreds)
 		if err != nil {
 			return nil, err
 		}

@@ -22,7 +22,6 @@ var zeroMetrics lowlevel.Vector
 // per row, since the objective and time models train on identical feature
 // rows and differ only in ys.
 type pairCache struct {
-	width           int // pair-row length: 2*numFeat + NumMetrics
 	disableLowLevel bool
 
 	// slab backs every cached row. Its capacity is exact for the worst
@@ -54,10 +53,15 @@ type pairCache struct {
 	prevObj  *forest.Regressor
 	prevTime *forest.Regressor
 
-	// Batched-prediction scratch: one row per (candidate, source) pair,
-	// the raw per-row model output, and the per-candidate reductions.
-	predSlab  []float64
-	predRows  [][]float64
+	// Prediction query halves: one [features(src) || lowlevel(src)] row
+	// per synced observation, appended by sync like the pair rows, and the
+	// candidate halves, which are views of the candidates' features.
+	srcSlab []float64
+	srcRows [][]float64
+	dstRows [][]float64
+
+	// The raw per-(candidate, source) model output and the per-candidate
+	// reductions.
 	rawPreds  []float64
 	objMeans  []float64
 	timeMeans []float64
@@ -78,7 +82,6 @@ func newPairCache(numCandidates, numFeat int, disableLowLevel bool) *pairCache {
 		initRows = maxRows
 	}
 	return &pairCache{
-		width:           width,
 		disableLowLevel: disableLowLevel,
 		slab:            make([]float64, 0, initRows*width),
 		rows:            make([][]float64, 0, initRows),
@@ -111,12 +114,19 @@ func (c *pairCache) addWarm(priors []PriorObservation) {
 }
 
 // sync appends the rows introduced by observations the cache has not seen
-// yet: for the k-th observation, pairs (j -> k) and (k -> j) for every
-// j < k. Row order is append order, which is deterministic given the
-// measurement sequence.
+// yet: for the k-th observation, its source half and the pairs (j -> k)
+// and (k -> j) for every j < k. Row order is append order, which is
+// deterministic given the measurement sequence.
 func (c *pairCache) sync(st *searchState) {
 	for k := c.synced; k < len(st.obs); k++ {
 		dst := &st.obs[k]
+		metrics := &dst.Outcome.Metrics
+		if c.disableLowLevel {
+			metrics = &zeroMetrics
+		}
+		start := len(c.srcSlab)
+		c.srcSlab = append(append(c.srcSlab, st.features[dst.Index]...), metrics[:]...)
+		c.srcRows = append(c.srcRows, c.srcSlab[start:len(c.srcSlab):len(c.srcSlab)])
 		for j := 0; j < k; j++ {
 			src := &st.obs[j]
 			c.appendObsPair(st, src, dst, j, k)
@@ -209,29 +219,18 @@ func (c *pairCache) trainingSet(target pairTarget, withHistory bool) ([][]float6
 	return xs, ys, units
 }
 
-// predictionRows builds the batched query matrix: for every remaining
-// candidate, one row per measured source VM, in (candidate-major, source
-// order) layout. The slab and row headers are reused across iterations.
-func (c *pairCache) predictionRows(st *searchState, remaining []int) [][]float64 {
-	need := len(remaining) * len(st.obs) * c.width
-	if cap(c.predSlab) < need {
-		c.predSlab = make([]float64, 0, need)
-	}
-	c.predSlab = c.predSlab[:0]
-	c.predRows = c.predRows[:0]
+// queryHalves returns the halves of the batched query: the source half
+// of every measured source VM, in observation order, and the candidate
+// half of every remaining candidate. Row (source s, candidate i) of the
+// pairwise model is their concatenation, so forest.PredictPairs lays its
+// output out candidate-major in source order. Call after sync; fantasized
+// destinations are never sources.
+func (c *pairCache) queryHalves(st *searchState, remaining []int) (srcs, dsts [][]float64) {
+	c.dstRows = c.dstRows[:0]
 	for _, idx := range remaining {
-		for s := range st.obs {
-			src := &st.obs[s]
-			metrics := &src.Outcome.Metrics
-			if c.disableLowLevel {
-				metrics = &zeroMetrics
-			}
-			start := len(c.predSlab)
-			c.predSlab = appendPairRow(c.predSlab, st.features[src.Index], metrics, st.features[idx])
-			c.predRows = append(c.predRows, c.predSlab[start:len(c.predSlab):len(c.predSlab)])
-		}
+		c.dstRows = append(c.dstRows, st.features[idx])
 	}
-	return c.predRows
+	return c.srcRows[:len(st.obs)], c.dstRows
 }
 
 // reduceMeans folds the raw per-(candidate, source) log predictions into

@@ -17,6 +17,13 @@
 // out column-major so split scoring scans contiguous memory, node
 // partitions reuse per-worker scratch buffers, and fitted trees are
 // flattened into index-based arrays instead of pointer-linked nodes.
+//
+// Predict walks each tree once for one query row. The optimizer's real
+// workload is a cross product — every candidate against every measured
+// source — and PredictPairs scores it without walking a tree per row:
+// growth numbers each tree's leaves and records every split's leaf range,
+// so one leaf bitmask per source and one per candidate, ANDed, name every
+// pair's leaf (see pairs.go). Both return bit-identical results.
 package forest
 
 import (
@@ -80,15 +87,33 @@ type Regressor struct {
 }
 
 // tree is one fitted extra-tree, flattened into index-based parallel
-// arrays (struct-of-arrays). Node i is a split on feature[i] at
-// threshold[i] with children left[i]/right[i], or a leaf when feature[i]
-// is leafMarker — leaves store their mean target in threshold[i]. The
-// root is node 0. The layout keeps eval pointer-free and cache-friendly.
+// arrays (struct-of-arrays). Nodes are numbered in preorder from the root
+// at 0. Node i is a split on feature[i] at threshold[i] whose left child
+// is node i+1 — preorder puts it there — and right child right[i], or a
+// leaf when feature[i] is leafMarker — leaves store their mean target in
+// threshold[i]. The layout keeps eval pointer-free and cache-friendly.
+//
+// Growth also records the leaf-mask layout PredictPairs scores with:
+// leafValue holds the leaves' values numbered in preorder, and splits
+// lists every split node with the leaf range of its left subtree,
+// bucketed by feature: splits[splitStart[f]:splitStart[f+1]] test
+// feature f, so one query half's splits form a contiguous run.
 type tree struct {
 	feature   []int32
 	threshold []float64
-	left      []int32
 	right     []int32
+
+	leafValue  []float64
+	splits     []split
+	splitStart []int32
+}
+
+// split is one split node in leaf-mask form: a query whose value for the
+// split's feature is <= threshold goes left; otherwise it cannot reach
+// the leaves [lo, mid) of the node's left subtree.
+type split struct {
+	lo, mid   int32
+	threshold float64
 }
 
 // leafMarker flags a leaf in tree.feature.
@@ -98,15 +123,16 @@ const leafMarker = int32(-1)
 func (t *tree) add() int32 {
 	t.feature = append(t.feature, 0)
 	t.threshold = append(t.threshold, 0)
-	t.left = append(t.left, 0)
 	t.right = append(t.right, 0)
 	return int32(len(t.feature) - 1)
 }
 
-// setLeaf turns node i into a leaf predicting value.
+// setLeaf turns node i into a leaf predicting value and numbers it as
+// the next leaf in preorder.
 func (t *tree) setLeaf(i int32, value float64) {
 	t.feature[i] = leafMarker
 	t.threshold[i] = value
+	t.leafValue = append(t.leafValue, value)
 }
 
 func (t *tree) eval(x []float64) float64 {
@@ -117,7 +143,7 @@ func (t *tree) eval(x []float64) float64 {
 			return t.threshold[i]
 		}
 		if x[f] <= t.threshold[i] {
-			i = t.left[i]
+			i++
 		} else {
 			i = t.right[i]
 		}
@@ -228,6 +254,7 @@ func newGrower(cfg Config, cols, ys []float64, n, dims int) *grower {
 		indices:     make([]int, n),
 		aux:         make([]int, n),
 		featOrder:   make([]int, dims),
+		bucketFill:  make([]int32, dims),
 	}
 }
 
@@ -275,9 +302,12 @@ type grower struct {
 	rng *splitmix // current tree's RNG
 	t   *tree     // current tree under construction
 
-	indices   []int // row indices, partitioned in place during growth
-	aux       []int // stable-partition staging buffer
-	featOrder []int // partial Fisher-Yates scratch for feature sampling
+	indices    []int   // row indices, partitioned in place during growth
+	aux        []int   // stable-partition staging buffer
+	featOrder  []int   // partial Fisher-Yates scratch for feature sampling
+	splits     []split // the current tree's split nodes in growth order,
+	splitFeat  []int32 // with their features
+	bucketFill []int32 // counting-sort cursors, one per feature
 }
 
 // growTree grows one tree over the full training set with its own RNG
@@ -309,13 +339,36 @@ func (g *grower) growPrepared(out *tree, rng *splitmix, n int) {
 	maxNodes := 2*n - 1
 	out.feature = make([]int32, 0, maxNodes)
 	out.threshold = make([]float64, 0, maxNodes)
-	out.left = make([]int32, 0, maxNodes)
 	out.right = make([]int32, 0, maxNodes)
+	out.leafValue = make([]float64, 0, n)
+	g.splits, g.splitFeat = g.splits[:0], g.splitFeat[:0]
 	g.rng = rng
 	g.t = out
 	g.grow(0, n, 0)
 	g.rng = nil
 	g.t = nil
+	out.splits, out.splitStart = g.splitsByFeature()
+}
+
+// splitsByFeature buckets the grown tree's splits by feature with a
+// stable counting sort (d is small) and returns them with the bucket
+// offsets.
+func (g *grower) splitsByFeature() ([]split, []int32) {
+	start := make([]int32, g.dims+1)
+	for _, f := range g.splitFeat {
+		start[f+1]++
+	}
+	for f := 1; f < len(start); f++ {
+		start[f] += start[f-1]
+	}
+	fill := g.bucketFill
+	copy(fill, start)
+	out := make([]split, len(g.splits))
+	for i, f := range g.splitFeat {
+		out[fill[f]] = g.splits[i]
+		fill[f]++
+	}
+	return out, start
 }
 
 // grow builds the subtree over g.indices[lo:hi] and returns its node
@@ -392,14 +445,17 @@ func (g *grower) grow(lo, hi, depth int) int32 {
 		t.setLeaf(idx, g.meanTarget(seg))
 		return idx
 	}
-	left := g.grow(lo, lo+nL, depth+1)
+	leafLo := int32(len(t.leafValue))
+	g.grow(lo, lo+nL, depth+1) // node idx+1
+	leafMid := int32(len(t.leafValue))
 	right := g.grow(lo+nL, hi, depth+1)
 	// t.add may have grown the arrays since idx was reserved; write
 	// through g.t, not a stale slice header.
 	g.t.feature[idx] = int32(bestFeature)
 	g.t.threshold[idx] = bestThreshold
-	g.t.left[idx] = left
 	g.t.right[idx] = right
+	g.splits = append(g.splits, split{lo: leafLo, mid: leafMid, threshold: bestThreshold})
+	g.splitFeat = append(g.splitFeat, int32(bestFeature))
 	return idx
 }
 
@@ -513,32 +569,6 @@ func (r *Regressor) PredictWithVariance(x []float64) (mean, variance float64, er
 		variance = 0
 	}
 	return mean, variance, nil
-}
-
-// PredictBatch returns the ensemble mean at every row of xs, spreading
-// rows over the fit-time worker pool. Each row's trees are summed in
-// ensemble order, so the results are bit-identical to per-row Predict
-// calls at any Parallelism. When out has enough capacity it is reused as
-// the result buffer, making steady-state batch prediction allocation-free.
-func (r *Regressor) PredictBatch(xs [][]float64, out []float64) ([]float64, error) {
-	for i, x := range xs {
-		if len(x) != r.numDims {
-			return nil, fmt.Errorf("forest: query row %d dim %d, want %d", i, len(x), r.numDims)
-		}
-	}
-	if cap(out) >= len(xs) {
-		out = out[:len(xs)]
-	} else {
-		out = make([]float64, len(xs))
-	}
-	parallel.Do(len(xs), r.parallelism, func(i int) {
-		sum := 0.0
-		for t := range r.trees {
-			sum += r.trees[t].eval(xs[i])
-		}
-		out[i] = sum / float64(len(r.trees))
-	})
-	return out, nil
 }
 
 // NumTrees returns the ensemble size.

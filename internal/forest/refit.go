@@ -103,39 +103,16 @@ func sampledRows(cfg Config, seeds []int64, units [][2]int32, n int) (perTree []
 	// slice loads instead of two hashes.
 	maxUnit := int32(-1)
 	for _, u := range units {
-		if u[0] > maxUnit {
-			maxUnit = u[0]
-		}
-		if u[1] > maxUnit {
-			maxUnit = u[1]
-		}
+		maxUnit = max(maxUnit, u[0], u[1])
 	}
 	keep := make([]bool, maxUnit+1)
 
-	counts := make([]int, numTrees)
-	total := 0
+	// One walk over the rows per tree appends its kept rows to the slab;
+	// the slab may reallocate as it grows, so trees record their end
+	// offsets and are sliced out once it is complete.
+	slab := make([]int, 0, int(float64(numTrees*n)*cfg.SampleRate*cfg.SampleRate)+n)
+	ends := make([]int, numTrees)
 	for t := 0; t < numTrees; t++ {
-		for u := range keep {
-			keep[u] = keepUnit(seeds[t], int32(u), cfg.SampleRate)
-		}
-		c := 0
-		for _, u := range units {
-			if keep[u[0]] && keep[u[1]] {
-				c++
-			}
-		}
-		counts[t] = c
-		total += c
-	}
-	slab := make([]int, 0, total)
-	for t := 0; t < numTrees; t++ {
-		if counts[t] < 2 {
-			// Too few sampled rows to grow anything useful: fall back to
-			// the full training set for this tree.
-			perTree[t] = identity
-			fps[t] = fullRowsFingerprint(n)
-			continue
-		}
 		for u := range keep {
 			keep[u] = keepUnit(seeds[t], int32(u), cfg.SampleRate)
 		}
@@ -145,8 +122,23 @@ func sampledRows(cfg Config, seeds []int64, units [][2]int32, n int) (perTree []
 				slab = append(slab, i)
 			}
 		}
-		perTree[t] = slab[start:len(slab):len(slab)]
+		if len(slab)-start < 2 {
+			// Too few sampled rows to grow anything useful: fall back to
+			// the full training set for this tree.
+			slab = slab[:start]
+		}
+		ends[t] = len(slab)
+	}
+	start := 0
+	for t, end := range ends {
+		if end == start {
+			perTree[t] = identity
+			fps[t] = fullRowsFingerprint(n)
+			continue
+		}
+		perTree[t] = slab[start:end:end]
 		fps[t] = fingerprintRows(perTree[t])
+		start = end
 	}
 	return perTree, fps
 }

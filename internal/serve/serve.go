@@ -8,7 +8,9 @@ import (
 	"io"
 	"net/http"
 	"os"
+	"slices"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -148,8 +150,11 @@ type session struct {
 	// endOnce guards the single session_end audit event.
 	endOnce sync.Once
 
-	// lastTouch is the idle clock; guarded by the store's mutex.
-	lastTouch time.Time
+	// lastTouch is the idle clock, and idlePrev/idleNext link the
+	// store's idle-ordered list; all three are guarded by the store's
+	// mutex.
+	lastTouch          time.Time
+	idlePrev, idleNext *session
 
 	// jmu serializes journal appends for this session, pairing each
 	// record's seq allocation with its write so chains stay contiguous
@@ -389,11 +394,7 @@ func (s *Server) handleList(w http.ResponseWriter, r *http.Request) int {
 		infos = append(infos, s.infoOf(sess))
 	}
 	// Deterministic order for clients and tests.
-	for i := 1; i < len(infos); i++ {
-		for j := i; j > 0 && infos[j].ID < infos[j-1].ID; j-- {
-			infos[j], infos[j-1] = infos[j-1], infos[j]
-		}
-	}
+	slices.SortFunc(infos, func(a, b SessionInfo) int { return strings.Compare(a.ID, b.ID) })
 	return writeJSON(w, http.StatusOK, infos)
 }
 

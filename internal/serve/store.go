@@ -28,12 +28,20 @@ const (
 // The store only tracks membership and idle time; finalizing an evicted
 // session (aborting its advisor) is the server's job, on the list sweep
 // returns.
+//
+// Live sessions are also linked in idle order, least recently touched
+// first: a touch stamps the clock and moves the session to the back, so
+// with a clock that never runs backwards the list is sorted by lastTouch
+// and a sweep only pops the expired prefix instead of scanning the table.
 type store struct {
 	mu    sync.Mutex
 	max   int
 	ttl   time.Duration
 	now   func() time.Time
 	table map[string]*session
+
+	// oldest and newest are the ends of the idle-ordered list.
+	oldest, newest *session
 
 	// tombs remembers evicted ids; ring bounds it to cap(ring) entries,
 	// overwriting the oldest.
@@ -66,8 +74,11 @@ func (st *store) add(sess *session) (evicted []*session, err error) {
 	if len(st.table) >= st.max {
 		return evicted, ErrStoreFull
 	}
-	sess.lastTouch = st.now()
+	if old, ok := st.table[sess.id]; ok {
+		st.unlinkLocked(old)
+	}
 	st.table[sess.id] = sess
+	st.touchLocked(sess)
 	return evicted, nil
 }
 
@@ -79,7 +90,8 @@ func (st *store) get(id string) (sess *session, status lookupStatus, evicted []*
 	defer st.mu.Unlock()
 	evicted = st.sweepLocked()
 	if s, ok := st.table[id]; ok {
-		s.lastTouch = st.now()
+		st.unlinkLocked(s)
+		st.touchLocked(s)
 		return s, lookupOK, evicted
 	}
 	if _, ok := st.tombs[id]; ok {
@@ -88,22 +100,50 @@ func (st *store) get(id string) (sess *session, status lookupStatus, evicted []*
 	return nil, lookupNotFound, evicted
 }
 
-// sweepLocked evicts every session idle past the TTL. Callers hold the
-// lock.
+// sweepLocked evicts every session idle past the TTL, oldest first.
+// Callers hold the lock.
 func (st *store) sweepLocked() []*session {
 	if st.ttl <= 0 {
 		return nil
 	}
 	cutoff := st.now().Add(-st.ttl)
 	var evicted []*session
-	for id, s := range st.table {
-		if s.lastTouch.Before(cutoff) {
-			delete(st.table, id)
-			st.tombLocked(id)
-			evicted = append(evicted, s)
-		}
+	for s := st.oldest; s != nil && s.lastTouch.Before(cutoff); s = st.oldest {
+		st.unlinkLocked(s)
+		delete(st.table, s.id)
+		st.tombLocked(s.id)
+		evicted = append(evicted, s)
 	}
 	return evicted
+}
+
+// touchLocked stamps a session's idle clock and appends it to the back
+// of the idle list; it must not be linked. Callers hold the lock.
+func (st *store) touchLocked(s *session) {
+	s.lastTouch = st.now()
+	s.idlePrev, s.idleNext = st.newest, nil
+	if st.newest != nil {
+		st.newest.idleNext = s
+	} else {
+		st.oldest = s
+	}
+	st.newest = s
+}
+
+// unlinkLocked takes a session out of the idle list. Callers hold the
+// lock.
+func (st *store) unlinkLocked(s *session) {
+	if s.idlePrev != nil {
+		s.idlePrev.idleNext = s.idleNext
+	} else {
+		st.oldest = s.idleNext
+	}
+	if s.idleNext != nil {
+		s.idleNext.idlePrev = s.idlePrev
+	} else {
+		st.newest = s.idlePrev
+	}
+	s.idlePrev, s.idleNext = nil, nil
 }
 
 // tombLocked remembers an evicted id, overwriting the oldest when the
@@ -136,7 +176,10 @@ func (st *store) tomb(id string) {
 func (st *store) remove(id string) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	delete(st.table, id)
+	if s, ok := st.table[id]; ok {
+		st.unlinkLocked(s)
+		delete(st.table, id)
+	}
 }
 
 // all snapshots the live sessions (for shutdown flushing and listing).
