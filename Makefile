@@ -89,8 +89,9 @@ cover:
 		{ echo "coverage $$total% fell below the $(COVER_BASELINE)% baseline"; exit 1; } || true
 
 # Fuzz the trace decoders, the cache shard loader, the serve-layer
-# request decoders, and the session journal's line decoder, shard
-# recovery scan and CRC'd snapshot payload decoder, FUZZTIME each.
+# request decoders, the session journal's line decoder, shard recovery
+# scan and CRC'd snapshot payload decoder, and the forest's tree growth
+# against its per-candidate reference grower, FUZZTIME each.
 FUZZTIME ?= 30s
 fuzz:
 	$(GO) test -run xxx -fuzz FuzzDecodeLine -fuzztime $(FUZZTIME) ./internal/telemetry
@@ -102,6 +103,7 @@ fuzz:
 	$(GO) test -run xxx -fuzz FuzzDecodeLine -fuzztime $(FUZZTIME) ./internal/journal
 	$(GO) test -run xxx -fuzz FuzzScanShard -fuzztime $(FUZZTIME) ./internal/journal
 	$(GO) test -run xxx -fuzz FuzzDecodeSnapshot -fuzztime $(FUZZTIME) ./internal/journal
+	$(GO) test -run xxx -fuzz FuzzGrowMatchesReference -fuzztime $(FUZZTIME) ./internal/forest
 
 # The CI-sized fuzz pass: every target for 10s — long enough to catch a
 # decoder regression, short enough for every push.

@@ -14,9 +14,12 @@
 // optimizer runs it in: trees grow concurrently on a worker pool (one
 // deterministically derived seed per tree, so the fitted ensemble is
 // bit-identical at any Parallelism setting), the training matrix is laid
-// out column-major so split scoring scans contiguous memory, node
-// partitions reuse per-worker scratch buffers, and fitted trees are
-// flattened into index-based arrays instead of pointer-linked nodes.
+// out column-major so split scoring scans contiguous memory, and a node
+// scores its K candidate splits in two fused passes over its rows — every
+// candidate's range, then every candidate's left-child sums — rather than
+// two loops per candidate. Trees grow in per-worker scratch and are then
+// copied into index-based arrays of their exact size instead of
+// pointer-linked nodes.
 //
 // Predict walks each tree once for one query row. The optimizer's real
 // workload is a cross product — every candidate against every measured
@@ -30,6 +33,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"sync"
 
 	"repro/internal/parallel"
 )
@@ -240,22 +244,71 @@ func buildColumns(xs [][]float64, dims int) []float64 {
 	return cols
 }
 
-// newGrower assembles a worker's growth state over the shared training
-// data.
-func newGrower(cfg Config, cols, ys []float64, n, dims int) *grower {
-	return &grower{
-		cols:        cols,
-		ys:          ys,
-		n:           n,
-		dims:        dims,
-		minSplit:    cfg.MinSamplesSplit,
-		maxFeatures: cfg.MaxFeatures,
-		maxDepth:    cfg.MaxDepth,
-		indices:     make([]int, n),
-		aux:         make([]int, n),
-		featOrder:   make([]int, dims),
-		bucketFill:  make([]int32, dims),
+// growerPool recycles growth state across fits. A grower keeps the
+// scratch of the largest training set it has served, so a refit chain
+// stops allocating scratch once its history stops growing.
+var growerPool sync.Pool
+
+// growEach runs grow(t, g) for every tree t of the ensemble over at most
+// cfg.Parallelism workers, each with its own grower over the shared
+// training data. The growers are pooled: taken when a worker starts and
+// returned, without the training data, once every tree is done.
+func growEach(cfg Config, cols, ys []float64, n, dims int, grow func(t int, g *grower)) {
+	var mu sync.Mutex
+	var used []*grower
+	parallel.DoWithScratch(cfg.NumTrees, cfg.Parallelism,
+		func() *grower {
+			g, _ := growerPool.Get().(*grower)
+			if g == nil {
+				g = new(grower)
+			}
+			g.reset(cfg, cols, ys, n, dims)
+			mu.Lock()
+			used = append(used, g)
+			mu.Unlock()
+			return g
+		}, grow)
+	for _, g := range used {
+		g.cols, g.ys = nil, nil
+		growerPool.Put(g)
 	}
+}
+
+// reset points the grower at a fit's training data and sizes its
+// scratch for it, reusing what the grower already holds.
+func (g *grower) reset(cfg Config, cols, ys []float64, n, dims int) {
+	g.cols, g.ys, g.n, g.dims = cols, ys, n, dims
+	g.minSplit, g.maxFeatures, g.maxDepth = cfg.MinSamplesSplit, cfg.MaxFeatures, cfg.MaxDepth
+	g.indices = resized(g.indices, n)
+	g.aux = resized(g.aux, n)
+	g.featOrder = resized(g.featOrder, dims)
+	// A binary tree over n rows has at most 2n-1 nodes, so the scratch
+	// tree never regrows.
+	g.t.feature = resized(g.t.feature, 2*n-1)
+	g.t.threshold = resized(g.t.threshold, 2*n-1)
+	g.t.right = resized(g.t.right, 2*n-1)
+	g.t.leafValue = resized(g.t.leafValue, n)
+	g.splits = resized(g.splits, n)
+	g.splitFeat = resized(g.splitFeat, n)
+	// Node-scan slots: K candidates rounded up to whole groups, so the
+	// spare slots of a short last group have room for their results.
+	slots := (cfg.MaxFeatures + scanGroup - 1) / scanGroup * scanGroup
+	g.live = resized(g.live, slots)
+	g.thr = resized(g.thr, slots)
+	g.lo = resized(g.lo, slots)
+	g.hi = resized(g.hi, slots)
+	g.nL = resized(g.nL, slots)
+	g.sumL = resized(g.sumL, slots)
+	g.sumSqL = resized(g.sumSqL, slots)
+}
+
+// resized returns s with length n, reallocating only when its capacity
+// is short. The contents are unspecified.
+func resized[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
 }
 
 // Fit grows the ensemble on feature rows xs and targets ys. Every tree
@@ -278,17 +331,16 @@ func Fit(cfg Config, xs [][]float64, ys []float64) (*Regressor, error) {
 
 	seeds := treeSeeds(cfg.Seed, cfg.NumTrees)
 	trees := make([]tree, cfg.NumTrees)
-	parallel.DoWithScratch(cfg.NumTrees, cfg.Parallelism,
-		func() *grower { return newGrower(cfg, cols, ysCopy, n, dims) },
-		func(t int, g *grower) {
-			g.growTree(&trees[t], &splitmix{state: uint64(seeds[t])})
-		})
+	growEach(cfg, cols, ysCopy, n, dims, func(t int, g *grower) {
+		g.growTree(&trees[t], seeds[t])
+	})
 	return &Regressor{trees: trees, numDims: dims, parallelism: cfg.Parallelism}, nil
 }
 
 // grower holds one worker's reusable growth state. The training data
 // (cols, ys) is shared read-only across workers; the scratch buffers are
-// worker-private and reused for every tree the worker grows.
+// worker-private and reused for every tree the worker grows, and across
+// fits through growerPool.
 type grower struct {
 	cols []float64 // column-major features, shared read-only
 	ys   []float64 // targets, shared read-only
@@ -299,82 +351,95 @@ type grower struct {
 	maxFeatures int
 	maxDepth    int
 
-	rng *splitmix // current tree's RNG
-	t   *tree     // current tree under construction
+	rng splitmix // current tree's RNG
+	// t is the tree under construction. Its arrays are scratch reused
+	// across trees; finish copies each grown tree out at its exact size.
+	t tree
 
-	indices    []int   // row indices, partitioned in place during growth
-	aux        []int   // stable-partition staging buffer
-	featOrder  []int   // partial Fisher-Yates scratch for feature sampling
-	splits     []split // the current tree's split nodes in growth order,
-	splitFeat  []int32 // with their features
-	bucketFill []int32 // counting-sort cursors, one per feature
+	indices   []int   // row indices, partitioned in place during growth
+	aux       []int   // stable-partition staging buffer
+	featOrder []int   // partial Fisher-Yates scratch for feature sampling
+	splits    []split // the current tree's split nodes in growth order,
+	splitFeat []int32 // with their features
+	keep      []uint8 // per-unit membership of the current tree's sample
+
+	// Node-scan scratch, one entry per candidate slot (see bestSplit):
+	// every candidate's range, then the non-constant candidates with
+	// their thresholds and left-child sums.
+	lo, hi           []float64
+	live             []int
+	thr              []float64
+	nL, sumL, sumSqL []float64
 }
 
-// growTree grows one tree over the full training set with its own RNG
-// into out. Scratch state is reset first so the result depends only on
-// the data and the seed, never on which trees this worker grew before.
-func (g *grower) growTree(out *tree, rng *splitmix) {
+// growTree grows one tree over the full training set into out, its RNG
+// seeded with seed. Scratch state is reset first so the result depends
+// only on the data and the seed, never on which trees this worker grew
+// before.
+func (g *grower) growTree(out *tree, seed int64) {
 	for i := range g.indices {
 		g.indices[i] = i
 	}
-	g.growPrepared(out, rng, g.n)
-}
-
-// growTreeOn grows one tree over the given row subset (ascending row
-// indices). The subset is copied into the worker's index scratch, so rows
-// is left untouched for fingerprinting.
-func (g *grower) growTreeOn(out *tree, rng *splitmix, rows []int) {
-	copy(g.indices[:len(rows)], rows)
-	g.growPrepared(out, rng, len(rows))
+	g.growPrepared(out, seed, g.n)
 }
 
 // growPrepared grows a tree over the first n entries of g.indices, which
-// the caller has just filled.
-func (g *grower) growPrepared(out *tree, rng *splitmix, n int) {
+// the caller has just filled. The nodes grow in the worker's scratch
+// tree; finish then copies them into storage sized to the tree.
+func (g *grower) growPrepared(out *tree, seed int64, n int) {
 	for i := range g.featOrder {
 		g.featOrder[i] = i
 	}
-	// A binary tree over n samples has at most 2n-1 nodes; reserving that
-	// up front makes node appends allocation-free.
-	maxNodes := 2*n - 1
-	out.feature = make([]int32, 0, maxNodes)
-	out.threshold = make([]float64, 0, maxNodes)
-	out.right = make([]int32, 0, maxNodes)
-	out.leafValue = make([]float64, 0, n)
+	t := &g.t
+	t.feature, t.threshold, t.right = t.feature[:0], t.threshold[:0], t.right[:0]
+	t.leafValue = t.leafValue[:0]
 	g.splits, g.splitFeat = g.splits[:0], g.splitFeat[:0]
-	g.rng = rng
-	g.t = out
+	g.rng = splitmix{state: uint64(seed)}
 	g.grow(0, n, 0)
-	g.rng = nil
-	g.t = nil
-	out.splits, out.splitStart = g.splitsByFeature()
+	g.finish(out)
 }
 
-// splitsByFeature buckets the grown tree's splits by feature with a
-// stable counting sort (d is small) and returns them with the bucket
-// offsets.
-func (g *grower) splitsByFeature() ([]split, []int32) {
-	start := make([]int32, g.dims+1)
+// finish copies the grown scratch tree into out at its exact size: one
+// int32 slab holds feature, right and the split-bucket offsets, one
+// float64 slab threshold and the leaf values, and the splits are bucketed
+// by feature with a stable counting sort (d is small).
+func (g *grower) finish(out *tree) {
+	s := &g.t
+	nodes, leaves := len(s.feature), len(s.leafValue)
+	ints := make([]int32, 2*nodes+g.dims+1)
+	floats := make([]float64, nodes+leaves)
+	out.feature = ints[:nodes:nodes]
+	out.right = ints[nodes : 2*nodes : 2*nodes]
+	out.splitStart = ints[2*nodes:]
+	out.threshold = floats[:nodes:nodes]
+	out.leafValue = floats[nodes:]
+	copy(out.feature, s.feature)
+	copy(out.right, s.right)
+	copy(out.threshold, s.threshold)
+	copy(out.leafValue, s.leafValue)
+
+	start := out.splitStart
 	for _, f := range g.splitFeat {
 		start[f+1]++
 	}
 	for f := 1; f < len(start); f++ {
 		start[f] += start[f-1]
 	}
-	fill := g.bucketFill
-	copy(fill, start)
-	out := make([]split, len(g.splits))
+	out.splits = make([]split, len(g.splits))
 	for i, f := range g.splitFeat {
-		out[fill[f]] = g.splits[i]
-		fill[f]++
+		// start[f] is bucket f's fill cursor here, so it ends at bucket
+		// f+1's start; the shift below restores the offsets.
+		out.splits[start[f]] = g.splits[i]
+		start[f]++
 	}
-	return out, start
+	copy(start[1:], start[:g.dims])
+	start[0] = 0
 }
 
 // grow builds the subtree over g.indices[lo:hi] and returns its node
 // index. The index segment is partitioned in place as splits are chosen.
 func (g *grower) grow(lo, hi, depth int) int32 {
-	t := g.t
+	t := &g.t
 	idx := t.add()
 	seg := g.indices[lo:hi]
 	if len(seg) < g.minSplit || (g.maxDepth > 0 && depth >= g.maxDepth) || g.constantTargets(seg) {
@@ -385,40 +450,82 @@ func (g *grower) grow(lo, hi, depth int) int32 {
 	// Node target totals, computed once: each candidate split scores by
 	// accumulating its left child only and deriving the right child as
 	// (total - left). Halves the scoring flops versus two-sided sums.
+	// total is also the sum meanTarget would compute, in the same order.
 	var total, totalSq float64
 	for _, i := range seg {
 		y := g.ys[i]
 		total += y
 		totalSq += y * y
 	}
+	mean := total / float64(len(seg))
 
-	bestScore := math.Inf(-1)
-	bestFeature := -1
-	bestThreshold := 0.0
+	feature, threshold := g.bestSplit(seg, total, totalSq)
+	if feature < 0 {
+		t.setLeaf(idx, mean)
+		return idx
+	}
+	nL := g.partition(lo, hi, feature, threshold)
+	if nL == 0 || nL == len(seg) {
+		t.setLeaf(idx, mean)
+		return idx
+	}
+	leafLo := int32(len(t.leafValue))
+	g.grow(lo, lo+nL, depth+1) // node idx+1
+	leafMid := int32(len(t.leafValue))
+	right := g.grow(lo+nL, hi, depth+1)
+	t.feature[idx] = int32(feature)
+	t.threshold[idx] = threshold
+	t.right[idx] = right
+	g.splits = append(g.splits, split{lo: leafLo, mid: leafMid, threshold: threshold})
+	g.splitFeat = append(g.splitFeat, int32(feature))
+	return idx
+}
 
-	// Draw K distinct candidate features (without replacement when K < d).
-	candidates := g.sampleFeatures()
-	for _, f := range candidates {
-		col := g.cols[f*g.n : (f+1)*g.n]
-		flo, fhi := featureRange(col, seg)
-		if fhi <= flo {
+// scanGroup is the number of candidate features one pass over a node's
+// rows serves. Four keeps a pass's accumulators close to the register
+// file; larger K takes more passes, and a short last group is padded.
+const scanGroup = 4
+
+// bestSplit draws the node's K candidate splits and returns the best
+// (feature, threshold) by variance reduction, or feature -1 when every
+// candidate is constant over the node or leaves a side empty.
+//
+// The candidates are scanned in groups of scanGroup slots, a group's
+// slots sharing one pass over the rows: one pass per group finds every
+// candidate's range, then thresholds are drawn, then one pass per group
+// accumulates every candidate's left-child sums. A short last group's
+// spare slots repeat the list's last feature: they are scanned, and
+// their results, stored past the live slots, are never read. Range
+// passes draw nothing, thresholds are drawn in candidate order for the
+// non-constant candidates, every candidate's sums add its rows in row
+// order, and the best is the first candidate with the highest score: the
+// RNG stream and every sum are those of scoring one candidate at a time,
+// so the tree is too.
+func (g *grower) bestSplit(seg []int, total, totalSq float64) (int, float64) {
+	cand := g.sampleFeatures()
+	g.scanRanges(cand, seg)
+
+	live, thr := g.live[:0], g.thr[:0]
+	for c, f := range cand {
+		lo, hi := g.lo[c], g.hi[c]
+		if hi <= lo {
 			continue // constant feature in this node
 		}
-		threshold := flo + g.rng.float64()*(fhi-flo)
-		// Left-child sums, accumulated branchlessly: copysign turns the
-		// comparison into an exact 0/1 mask, so there is no data-dependent
-		// branch to mispredict (the comparison is a coin flip on random
-		// thresholds) and the summation order — hence the result — is
-		// identical to the naive masked loop.
-		var nL, sumL, sumSqL float64
-		for _, i := range seg {
-			m := 0.5 + math.Copysign(0.5, threshold-col[i]) // 1 if col[i] <= threshold, else 0
-			y := m * g.ys[i]
-			nL += m
-			sumL += y
-			sumSqL += y * g.ys[i]
-		}
-		nR := float64(len(seg)) - nL
+		live = append(live, f)
+		thr = append(thr, lo+g.rng.float64()*(hi-lo))
+	}
+	numLive := len(live)
+	if numLive == 0 {
+		return -1, 0
+	}
+	g.scanSums(live, thr, seg)
+
+	bestScore := math.Inf(-1)
+	bestFeature, bestThreshold := -1, 0.0
+	n := float64(len(seg))
+	for c := range numLive {
+		nL, sumL, sumSqL := g.nL[c], g.sumL[c], g.sumSqL[c]
+		nR := n - nL
 		if nL == 0 || nR == 0 {
 			continue
 		}
@@ -430,63 +537,139 @@ func (g *grower) grow(lo, hi, depth int) int32 {
 		score := -((sumSqL - sumL*sumL/nL) + (sumSqR - sumR*sumR/nR))
 		if score > bestScore {
 			bestScore = score
-			bestFeature = f
-			bestThreshold = threshold
+			bestFeature = live[c]
+			bestThreshold = thr[c]
 		}
 	}
-	if bestFeature < 0 {
-		// Every candidate feature was constant in this node.
-		t.setLeaf(idx, g.meanTarget(seg))
-		return idx
-	}
+	return bestFeature, bestThreshold
+}
 
-	nL := g.partition(lo, hi, bestFeature, bestThreshold)
-	if nL == 0 || nL == len(seg) {
-		t.setLeaf(idx, g.meanTarget(seg))
-		return idx
+// scanRanges sets g.lo[s] and g.hi[s] to the minimum and maximum of
+// feature feats[s] over the node's rows, one pass per group of slots.
+//
+// The builtin float min and max are NaN- and signed-zero-safe: each
+// compiles to a MINSD, MINSD, POR sequence (max adds sign flips around
+// it) whose latency sits on the loop-carried chain. Training data is
+// finite, so the scan compares order keys instead — integers whose order
+// is the floats' order with -0 below +0 — and picks the same values with
+// integer compares and conditional moves.
+func (g *grower) scanRanges(feats []int, seg []int) {
+	n, last := g.n, len(feats)-1
+	for s := 0; s <= last; s += scanGroup {
+		c0 := g.cols[feats[s]*n:][:n]
+		c1 := g.cols[feats[min(s+1, last)]*n:][:n]
+		c2 := g.cols[feats[min(s+2, last)]*n:][:n]
+		c3 := g.cols[feats[min(s+3, last)]*n:][:n]
+		i := seg[0]
+		lo0, lo1, lo2, lo3 := orderKey(c0[i]), orderKey(c1[i]), orderKey(c2[i]), orderKey(c3[i])
+		hi0, hi1, hi2, hi3 := lo0, lo1, lo2, lo3
+		for _, i := range seg[1:] {
+			k0, k1, k2, k3 := orderKey(c0[i]), orderKey(c1[i]), orderKey(c2[i]), orderKey(c3[i])
+			lo0, hi0 = min(lo0, k0), max(hi0, k0)
+			lo1, hi1 = min(lo1, k1), max(hi1, k1)
+			lo2, hi2 = min(lo2, k2), max(hi2, k2)
+			lo3, hi3 = min(lo3, k3), max(hi3, k3)
+		}
+		g.lo[s], g.hi[s] = keyValue(lo0), keyValue(hi0)
+		g.lo[s+1], g.hi[s+1] = keyValue(lo1), keyValue(hi1)
+		g.lo[s+2], g.hi[s+2] = keyValue(lo2), keyValue(hi2)
+		g.lo[s+3], g.hi[s+3] = keyValue(lo3), keyValue(hi3)
 	}
-	leafLo := int32(len(t.leafValue))
-	g.grow(lo, lo+nL, depth+1) // node idx+1
-	leafMid := int32(len(t.leafValue))
-	right := g.grow(lo+nL, hi, depth+1)
-	// t.add may have grown the arrays since idx was reserved; write
-	// through g.t, not a stale slice header.
-	g.t.feature[idx] = int32(bestFeature)
-	g.t.threshold[idx] = bestThreshold
-	g.t.right[idx] = right
-	g.splits = append(g.splits, split{lo: leafLo, mid: leafMid, threshold: bestThreshold})
-	g.splitFeat = append(g.splitFeat, int32(bestFeature))
-	return idx
+}
+
+// orderKey maps a non-NaN float to an int64 with the same order, -0
+// ordered just below +0: a non-negative float's bits already order as
+// integers, and flipping all but the sign bit of a negative one reverses
+// its magnitude order. The map is its own inverse (keyValue).
+func orderKey(v float64) int64 {
+	k := int64(math.Float64bits(v))
+	return k ^ int64(uint64(k>>63)>>1)
+}
+
+// keyValue inverts orderKey.
+func keyValue(k int64) float64 {
+	return math.Float64frombits(uint64(k ^ int64(uint64(k>>63)>>1)))
+}
+
+// scanSums accumulates, for every slot s, the left child of the split
+// of feature feats[s] at thr[s] over the node's rows: its row count and
+// target sum and sum of squares, into g.nL, g.sumL and g.sumSqL, one pass
+// per group of slots. The sums are branchless: copysign turns the
+// comparison into an exact 0/1 mask, so there is no data-dependent
+// branch to mispredict (the comparison is a coin flip on random
+// thresholds) and the summation order — hence the result — is identical
+// to the naive masked loop.
+func (g *grower) scanSums(feats []int, thr []float64, seg []int) {
+	n, last := g.n, len(feats)-1
+	ys := g.ys
+	for s := 0; s <= last; s += scanGroup {
+		s1, s2, s3 := min(s+1, last), min(s+2, last), min(s+3, last)
+		c0 := g.cols[feats[s]*n:][:n]
+		c1 := g.cols[feats[s1]*n:][:n]
+		c2 := g.cols[feats[s2]*n:][:n]
+		c3 := g.cols[feats[s3]*n:][:n]
+		t0, t1, t2, t3 := thr[s], thr[s1], thr[s2], thr[s3]
+		var n0, sum0, sq0, n1, sum1, sq1, n2, sum2, sq2, n3, sum3, sq3 float64
+		for _, i := range seg {
+			y := ys[i]
+			m := 0.5 + math.Copysign(0.5, t0-c0[i]) // 1 if c0[i] <= t0, else 0
+			n0 += m
+			m *= y
+			sum0 += m
+			sq0 += m * y
+			m = 0.5 + math.Copysign(0.5, t1-c1[i])
+			n1 += m
+			m *= y
+			sum1 += m
+			sq1 += m * y
+			m = 0.5 + math.Copysign(0.5, t2-c2[i])
+			n2 += m
+			m *= y
+			sum2 += m
+			sq2 += m * y
+			m = 0.5 + math.Copysign(0.5, t3-c3[i])
+			n3 += m
+			m *= y
+			sum3 += m
+			sq3 += m * y
+		}
+		g.nL[s], g.sumL[s], g.sumSqL[s] = n0, sum0, sq0
+		g.nL[s+1], g.sumL[s+1], g.sumSqL[s+1] = n1, sum1, sq1
+		g.nL[s+2], g.sumL[s+2], g.sumSqL[s+2] = n2, sum2, sq2
+		g.nL[s+3], g.sumL[s+3], g.sumSqL[s+3] = n3, sum3, sq3
+	}
 }
 
 // partition stably partitions g.indices[lo:hi] into rows with
 // feature <= threshold followed by the rest, via the worker's staging
 // buffer, and returns the left-side count. Stability keeps the row order
-// inside each child deterministic.
+// inside each child deterministic. Every row is written to both sides
+// and only the matching side's cursor advances, so the loop has no
+// data-dependent branch.
 func (g *grower) partition(lo, hi, feature int, threshold float64) int {
 	col := g.cols[feature*g.n : (feature+1)*g.n]
 	seg := g.indices[lo:hi]
-	aux := g.aux[:0]
-	nL := 0
+	aux := g.aux[:len(seg)]
+	nL, nR := 0, 0
 	for _, i := range seg {
+		left := 0
 		if col[i] <= threshold {
-			seg[nL] = i
-			nL++
-		} else {
-			aux = append(aux, i)
+			left = 1
 		}
+		seg[nL] = i
+		aux[nR] = i
+		nL += left
+		nR += 1 - left
 	}
-	copy(seg[nL:], aux)
+	copy(seg[nL:], aux[:nR])
 	return nL
 }
 
-// sampleFeatures draws maxFeatures distinct features in ascending order.
-// When K < d it runs a partial Fisher-Yates over the worker's persistent
-// permutation scratch — K swaps, no per-node allocation (the old
-// implementation built a full rng.Perm(d) each node and sorted a slice of
-// it). The candidate order is whatever the shuffle produced; it is
-// deterministic given the tree seed, which is all the split selection
-// needs.
+// sampleFeatures draws maxFeatures distinct features. When K < d it runs
+// a partial Fisher-Yates over the worker's persistent permutation
+// scratch — K swaps, no per-node allocation. The candidate order is
+// whatever the shuffle produced; it is deterministic given the tree
+// seed, which is all the split selection needs.
 func (g *grower) sampleFeatures() []int {
 	k, d := g.maxFeatures, g.dims
 	order := g.featOrder
@@ -500,29 +683,6 @@ func (g *grower) sampleFeatures() []int {
 		order[j], order[r] = order[r], order[j]
 	}
 	return order[:k]
-}
-
-// featureRange scans one feature column over the node's rows. The builtin
-// min/max compile to branchless float instructions, and the two-way
-// unroll runs two independent min/max chains so the scan is bounded by
-// throughput, not the latency of one serial chain.
-func featureRange(col []float64, seg []int) (lo, hi float64) {
-	lo0, hi0 := math.Inf(1), math.Inf(-1)
-	lo1, hi1 := lo0, hi0
-	k := 0
-	for ; k+1 < len(seg); k += 2 {
-		v0, v1 := col[seg[k]], col[seg[k+1]]
-		lo0 = min(lo0, v0)
-		hi0 = max(hi0, v0)
-		lo1 = min(lo1, v1)
-		hi1 = max(hi1, v1)
-	}
-	if k < len(seg) {
-		v := col[seg[k]]
-		lo0 = min(lo0, v)
-		hi0 = max(hi0, v)
-	}
-	return min(lo0, lo1), max(hi0, hi1)
 }
 
 func (g *grower) constantTargets(seg []int) bool {

@@ -9,16 +9,13 @@
 // only on rows whose units it kept. A newly measured unit's rows then
 // land only in the trees that keep that unit — the rest of the ensemble
 // is provably unchanged and is reused verbatim. Per-tree fingerprints
-// over the kept row sets make "unchanged" an O(rows) check, and a
+// over the kept row sets make "unchanged" a check over the appended rows
+// only — the fingerprint is a fold that the next Refit resumes — and a
 // fingerprint/config/prefix mismatch falls back to a full re-grow, so
 // Refit is always bit-identical to FitSampled on the same inputs.
 package forest
 
-import (
-	"fmt"
-
-	"repro/internal/parallel"
-)
+import "fmt"
 
 // RefitInfo reports how a Refit call was satisfied, for telemetry.
 type RefitInfo struct {
@@ -43,6 +40,13 @@ type sampleState struct {
 	ys    []float64
 	units [][2]int32
 	fps   []uint64 // per-tree fingerprint of the sampled row set
+
+	// Per tree, the fingerprint fold over its kept rows before the final
+	// mix, and the kept-row count: a compatible Refit resumes the fold
+	// and folds in only the appended rows. Nil without subsampling.
+	chain    []uint64
+	kept     []int32
+	numUnits int // unit ids lie in [0, numUnits)
 }
 
 // keepUnit hashes (tree seed, unit) to a uniform coin with keep
@@ -59,88 +63,83 @@ func keepUnit(seed int64, unit int32, rate float64) bool {
 
 // fingerprintRows chains the kept row indices through a splitmix64-style
 // mix. Two equal fingerprints mean the tree would train on the same rows.
+// It is a left fold (fingerprintStep) plus a final mix, so it can be
+// computed a row at a time and resumed where an earlier fold stopped.
 func fingerprintRows(rows []int) uint64 {
-	h := uint64(0x51_7c_c1_b7_27_22_0a_95)
+	h := fingerprintSeed
 	for _, r := range rows {
-		h += uint64(r) + 0x9e3779b97f4a7c15
-		h = (h ^ (h >> 30)) * 0xbf58476d1ce4e5b9
-		h = (h ^ (h >> 27)) * 0x94d049bb133111eb
+		h = fingerprintStep(h, r)
 	}
-	return h ^ (h >> 31)
+	return fingerprintFinal(h)
 }
 
-// fullRowsFingerprint marks a tree that fell back to the full training
-// set (fewer than two sampled rows). It depends on n, so any append
-// re-grows such a tree.
+// fingerprintSeed starts every fingerprint fold.
+const fingerprintSeed = uint64(0x51_7c_c1_b7_27_22_0a_95)
+
+// fingerprintStep folds one kept row index into a fingerprint chain.
+func fingerprintStep(h uint64, r int) uint64 {
+	h += uint64(r) + 0x9e3779b97f4a7c15
+	h = (h ^ (h >> 30)) * 0xbf58476d1ce4e5b9
+	return (h ^ (h >> 27)) * 0x94d049bb133111eb
+}
+
+// fingerprintFinal is the fold's final mix.
+func fingerprintFinal(h uint64) uint64 { return h ^ (h >> 31) }
+
+// fullRowsFingerprint marks a tree that trains on the full training set:
+// every tree without subsampling, and a sampled tree with fewer than two
+// kept rows. It depends on n, so any append re-grows such a tree.
 func fullRowsFingerprint(n int) uint64 {
-	return fingerprintRows([]int{-1, n})
+	return fingerprintFinal(fingerprintStep(fingerprintStep(fingerprintSeed, -1), n))
 }
 
-// sampledRows computes each tree's kept row list. It returns one backing
-// slab sliced per tree, plus the fingerprints. identity is the [0..n)
-// list shared by trees that fall back to the full set.
-func sampledRows(cfg Config, seeds []int64, units [][2]int32, n int) (perTree [][]int, fps []uint64) {
-	numTrees := cfg.NumTrees
-	perTree = make([][]int, numTrees)
-	fps = make([]uint64, numTrees)
+// sampleTree draws tree t's unit membership from its seed, brings the
+// tree's row-set fingerprint in st up to date, and leaves the tree's kept
+// rows at the front of the worker's index scratch, returning their count.
+// With a compatible prev, the fold resumes from prev's chain state and
+// scans only the appended rows; the full kept set is then gathered only
+// if the fingerprint changed, since an unchanged tree is reused, not
+// re-grown.
+func (g *grower) sampleTree(st, prev *sampleState, t int, seed int64) int {
+	g.keep = resized(g.keep, st.numUnits)
+	for u := range g.keep {
+		g.keep[u] = 0
+		if keepUnit(seed, int32(u), st.cfg.SampleRate) {
+			g.keep[u] = 1
+		}
+	}
+	from, h, kept := 0, fingerprintSeed, 0
+	if prev != nil {
+		from, h, kept = prev.n, prev.chain[t], int(prev.kept[t])
+	}
+	rows := gatherKept(g.indices, st.units, from, g.keep)
+	for _, r := range rows {
+		h = fingerprintStep(h, r)
+	}
+	kept += len(rows)
+	st.chain[t], st.kept[t] = h, int32(kept)
+	st.fps[t] = fullRowsFingerprint(st.n)
+	if kept >= 2 {
+		st.fps[t] = fingerprintFinal(h)
+	}
+	if prev != nil && kept >= 2 && st.fps[t] != prev.fps[t] {
+		gatherKept(g.indices, st.units, 0, g.keep)
+	}
+	return kept
+}
 
-	identity := make([]int, n)
-	for i := range identity {
-		identity[i] = i
+// gatherKept writes to dst the indices of the rows in [from, len(units))
+// whose units are both kept, in order, and returns them. Every row is
+// written and only a kept one advances the cursor, so the loop has no
+// data-dependent branch.
+func gatherKept(dst []int, units [][2]int32, from int, keep []uint8) []int {
+	k := 0
+	for i := from; i < len(units); i++ {
+		u := units[i]
+		dst[k] = i
+		k += int(keep[u[0]] & keep[u[1]])
 	}
-	if cfg.SampleRate == 0 || cfg.SampleRate == 1 {
-		// No subsampling: every tree is the full-set Extra-Tree. Appends
-		// change every fingerprint, so Refit degrades to a full re-grow.
-		fullFP := fullRowsFingerprint(n)
-		for t := range perTree {
-			perTree[t] = identity
-			fps[t] = fullFP
-		}
-		return perTree, fps
-	}
-
-	// Unit membership per tree, precomputed so the per-row check is two
-	// slice loads instead of two hashes.
-	maxUnit := int32(-1)
-	for _, u := range units {
-		maxUnit = max(maxUnit, u[0], u[1])
-	}
-	keep := make([]bool, maxUnit+1)
-
-	// One walk over the rows per tree appends its kept rows to the slab;
-	// the slab may reallocate as it grows, so trees record their end
-	// offsets and are sliced out once it is complete.
-	slab := make([]int, 0, int(float64(numTrees*n)*cfg.SampleRate*cfg.SampleRate)+n)
-	ends := make([]int, numTrees)
-	for t := 0; t < numTrees; t++ {
-		for u := range keep {
-			keep[u] = keepUnit(seeds[t], int32(u), cfg.SampleRate)
-		}
-		start := len(slab)
-		for i, u := range units {
-			if keep[u[0]] && keep[u[1]] {
-				slab = append(slab, i)
-			}
-		}
-		if len(slab)-start < 2 {
-			// Too few sampled rows to grow anything useful: fall back to
-			// the full training set for this tree.
-			slab = slab[:start]
-		}
-		ends[t] = len(slab)
-	}
-	start := 0
-	for t, end := range ends {
-		if end == start {
-			perTree[t] = identity
-			fps[t] = fullRowsFingerprint(n)
-			continue
-		}
-		perTree[t] = slab[start:end:end]
-		fps[t] = fingerprintRows(perTree[t])
-		start = end
-	}
-	return perTree, fps
+	return dst[:k]
 }
 
 // validateUnits checks the per-row unit pairs FitSampled and Refit
@@ -197,10 +196,17 @@ func Refit(prev *Regressor, cfg Config, xs [][]float64, ys []float64, units [][2
 		cols:  buildColumns(xs, dims),
 		ys:    append([]float64(nil), ys...),
 		units: append([][2]int32(nil), units...),
+		fps:   make([]uint64, cfg.NumTrees),
 	}
-	seeds := treeSeeds(cfg.Seed, cfg.NumTrees)
-	rows, fps := sampledRows(cfg, seeds, st.units, n)
-	st.fps = fps
+	// Without subsampling every tree trains on the full set.
+	sampled := cfg.SampleRate > 0 && cfg.SampleRate < 1
+	if sampled {
+		st.chain = make([]uint64, cfg.NumTrees)
+		st.kept = make([]int32, cfg.NumTrees)
+		for _, u := range units {
+			st.numUnits = max(st.numUnits, int(u[0])+1, int(u[1])+1)
+		}
+	}
 
 	info := RefitInfo{TotalTrees: cfg.NumTrees}
 	var prevState *sampleState
@@ -209,25 +215,34 @@ func Refit(prev *Regressor, cfg Config, xs [][]float64, ys []float64, units [][2
 		prevState = prev.state
 	}
 
+	seeds := treeSeeds(cfg.Seed, cfg.NumTrees)
 	trees := make([]tree, cfg.NumTrees)
 	reused := make([]bool, cfg.NumTrees)
-	if prevState != nil {
-		for t := range trees {
-			if fps[t] == prevState.fps[t] {
-				trees[t] = prev.trees[t]
-				reused[t] = true
-				info.ReusedTrees++
-			}
+	growEach(cfg, st.cols, st.ys, n, dims, func(t int, g *grower) {
+		kept := 0
+		if sampled {
+			kept = g.sampleTree(st, prevState, t, seeds[t])
+		} else {
+			st.fps[t] = fullRowsFingerprint(n)
+		}
+		if prevState != nil && st.fps[t] == prevState.fps[t] {
+			trees[t] = prev.trees[t]
+			reused[t] = true
+			return
+		}
+		if kept < 2 {
+			// No subsampling, or too few sampled rows to grow anything
+			// useful: the tree trains on the full set.
+			g.growTree(&trees[t], seeds[t])
+			return
+		}
+		g.growPrepared(&trees[t], seeds[t], kept)
+	})
+	for _, r := range reused {
+		if r {
+			info.ReusedTrees++
 		}
 	}
-	parallel.DoWithScratch(cfg.NumTrees, cfg.Parallelism,
-		func() *grower { return newGrower(cfg, st.cols, st.ys, n, dims) },
-		func(t int, g *grower) {
-			if reused[t] {
-				return
-			}
-			g.growTreeOn(&trees[t], &splitmix{state: uint64(seeds[t])}, rows[t])
-		})
 	return &Regressor{
 		trees:       trees,
 		numDims:     dims,

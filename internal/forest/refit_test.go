@@ -322,3 +322,76 @@ func BenchmarkForestRefitLegacy(b *testing.B) {
 		}
 	}
 }
+
+// searchTraining synthesizes the pairwise training set one augmented
+// search builds as it measures numUnits VMs: row (src, dst) is
+// features(src) ‖ lowlevel(src) ‖ features(dst), 4+6+4 columns, its
+// target is the destination's measured log cost, and the k-th
+// measurement appends (j, k) and (k, j) for every earlier j — the
+// optimizer's pair-cache order. Instance features come from small
+// discrete sets, as catalog attributes do, so their columns repeat
+// values; the low-level metrics are continuous.
+func searchTraining(rng *rand.Rand, numUnits int) (xs [][]float64, ys []float64, units [][2]int32) {
+	feat := make([][]float64, numUnits)
+	metrics := make([][]float64, numUnits)
+	logCost := make([]float64, numUnits)
+	for u := range feat {
+		feat[u] = []float64{
+			float64(int(2) << rng.Intn(4)), // vCPUs
+			float64(int(2) << rng.Intn(3)), // GiB per vCPU
+			float64(rng.Intn(3)),           // family
+			float64(rng.Intn(2)),           // local SSD
+		}
+		metrics[u] = make([]float64, 6)
+		for j := range metrics[u] {
+			metrics[u][j] = rng.Float64()
+		}
+		logCost[u] = 2 + 0.4*feat[u][0]/(1+feat[u][1]) - 0.3*feat[u][2] + 0.2*metrics[u][0] + 0.05*rng.NormFloat64()
+	}
+	addRow := func(s, d int) {
+		row := append(append(append(make([]float64, 0, 14), feat[s]...), metrics[s]...), feat[d]...)
+		xs = append(xs, row)
+		ys = append(ys, logCost[d])
+		units = append(units, [2]int32{int32(s), int32(d)})
+	}
+	for k := 0; k < numUnits; k++ {
+		for j := 0; j < k; j++ {
+			addRow(j, k)
+			addRow(k, j)
+		}
+	}
+	return xs, ys, units
+}
+
+// BenchmarkForestRefitSearch replays one augmented search's refit chain
+// at the traffic's scale rather than the cluster scale of the benchmarks
+// above: 18 units measured one by one, a Refit after each, over 4+6+4
+// columns at SampleRate 0.7 — 17 refits that re-grow 1,252 trees of
+// ~58 rows on average, the size the study and the advisor grow.
+func BenchmarkForestRefitSearch(b *testing.B) {
+	const numUnits = 18
+	xs, ys, units := searchTraining(rand.New(rand.NewSource(23)), numUnits)
+	type step struct {
+		xs    [][]float64
+		ys    []float64
+		units [][2]int32
+	}
+	var steps []step
+	for m := int32(2); m <= numUnits; m++ {
+		fx, fy, fu := rowsForUnits(xs, ys, units, m)
+		steps = append(steps, step{fx, fy, fu})
+	}
+	cfg := Config{Seed: 5, SampleRate: 0.7}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		var prev *Regressor
+		for _, s := range steps {
+			reg, _, err := Refit(prev, cfg, s.xs, s.ys, s.units)
+			if err != nil {
+				b.Fatal(err)
+			}
+			prev = reg
+		}
+	}
+}
