@@ -114,10 +114,11 @@ bench-faults:
 	$(GO) test -run xxx -bench BenchmarkRobustnessFaultInjection -benchtime 1x .
 
 # Hot-path benchmarks with a fixed iteration count, recorded as a JSON
-# report so performance changes land as a reviewable diff. The fixed
+# report so performance changes land as a reviewable diff of the one
+# committed baseline, BENCH.json (git keeps its history). The fixed
 # -benchtime keeps runs comparable across machines with different
 # auto-calibration.
-BENCH_OUT ?= BENCH_PR9.json
+BENCH_OUT ?= BENCH.json
 BENCH_RAW ?= /tmp/arrow-bench-raw.txt
 bench:
 	$(GO) test -run xxx -benchmem -benchtime 20x \
@@ -159,9 +160,10 @@ bench:
 	$(GO) run ./cmd/arrow-bench -o $(BENCH_OUT) < $(BENCH_RAW)
 	@echo "wrote $(BENCH_OUT)"
 
-# Diff the current report against the previous PR's baseline.
+# Diff a fresh run against the committed baseline.
 bench-compare:
-	$(GO) run ./cmd/arrow-bench -compare BENCH_PR8.json BENCH_PR9.json
+	$(MAKE) bench BENCH_OUT=$(BENCH_GUARD_OUT)
+	$(GO) run ./cmd/arrow-bench -compare BENCH.json $(BENCH_GUARD_OUT)
 
 # Quartile summary of the refit-sensitive hot paths: each benchmark runs
 # BENCH_TABLE_COUNT times and the samples render as a q1/median/q3 table
@@ -194,46 +196,30 @@ bench-tables-recover:
 	$(GO) run ./cmd/arrow-bench -tables $(BENCH_TABLE_FLAGS) < /tmp/arrow-bench-tables-recover.txt
 
 # Regression guard: re-measure the hot paths into a scratch report and
-# fail when a headline benchmark regressed more than its budget, with
-# the measured run rendered as a quartile table first so a CI failure
-# shows readable numbers in the job log instead of raw JSON. The
-# budgets are 5% — several PRs of same-machine baselines show the
-# fixed-iteration runs holding well inside that band. BenchmarkForestFit
-# (the plain one-shot fit, untouched by PR 7) still guards against
-# BENCH_PR5.json; the search-loop and refit benchmarks guard against
-# BENCH_PR7.json because PR 7 changed the sampling scheme and made
-# refits incremental, so older entries measure a different computation,
-# and StudyThroughputWarm re-anchors there too because its protocol
-# changed again (50 -> 500 iterations: post-speedup the 50x run timed
-# only ~10 ms, which swung far past any honest budget).
-# BenchmarkAdvisorNext and BenchmarkServeSession re-anchor against
-# BENCH_PR8.json with 5% budgets: PR 8 raised their fixed iteration
-# count to 300x, which tightened the run-to-run spread enough to guard
-# the k=1 serving path (the speculation PR must not tax the sequential
-# loop), and the PR7-era 100x entries measure a different protocol.
+# fail when a headline benchmark regressed more than its budget against
+# BENCH.json, with the measured run rendered as a quartile table first
+# so a CI failure shows readable numbers in the job log instead of raw
+# JSON. The budgets are 5% — several PRs of same-machine baselines show
+# the fixed-iteration runs holding well inside that band. Each guarded
+# entry in BENCH.json is the measurement that anchored it when its
+# protocol last changed: BenchmarkForestFit from PR 5; the search-loop
+# and refit benchmarks and StudyThroughputWarm (500x) from PR 7, which
+# made refits incremental; BenchmarkAdvisorNext and
+# BenchmarkServeSession (300x, speculation off, so they guard the
+# sequential loop) from PR 8, as medians of three runs; the snapshot
+# restore and full replay of a 300-observation session from PR 9 — the
+# recovery-time contract and the baseline that keeps its ≥5x headline
+# honest. The unguarded entries are the PR 9 run.
 # BenchmarkAdvisorNextBatch and BenchmarkServeNextPipelined are
 # recorded but not guarded — their headline numbers are the latency
 # quantile extras, which the guard does not read; track them via
-# bench-compare. The committed BENCH_PR8.json entries are per-benchmark
-# medians of three runs.
-# BenchmarkRecoverSnapshot and BenchmarkRecoverFullReplay are new in
-# PR 9 and guard against BENCH_PR9.json at 5%: the snapshot restore is
-# the recovery-time contract (`p99 bounded by the snapshot interval`)
-# and the full-replay baseline is what keeps the ≥5x headline honest.
-# Everything previously guarded keeps its anchor — PR 9 did not change
-# any measured protocol.
-BENCH_GUARD ?= BenchmarkForestFit=5
-BENCH_GUARD_PR7 ?= BenchmarkAugmentedIteration=5,BenchmarkFullSearchAugmented=5,BenchmarkForestRefitIncremental=5,BenchmarkGPExtend=5,BenchmarkStudyThroughputWarm=5
-BENCH_GUARD_PR8 ?= BenchmarkAdvisorNext=5,BenchmarkServeSession=5
-BENCH_GUARD_PR9 ?= BenchmarkRecoverSnapshot=5,BenchmarkRecoverFullReplay=5
+# bench-compare.
+BENCH_GUARD ?= BenchmarkForestFit=5,BenchmarkAugmentedIteration=5,BenchmarkFullSearchAugmented=5,BenchmarkForestRefitIncremental=5,BenchmarkGPExtend=5,BenchmarkStudyThroughputWarm=5,BenchmarkAdvisorNext=5,BenchmarkServeSession=5,BenchmarkRecoverSnapshot=5,BenchmarkRecoverFullReplay=5
 BENCH_GUARD_OUT ?= /tmp/arrow-bench-guard.json
 bench-guard:
 	$(MAKE) bench BENCH_OUT=$(BENCH_GUARD_OUT)
 	$(GO) run ./cmd/arrow-bench -tables < $(BENCH_RAW)
-	$(GO) run ./cmd/arrow-bench -compare -guard '$(BENCH_GUARD)' BENCH_PR5.json $(BENCH_GUARD_OUT)
-	$(GO) run ./cmd/arrow-bench -compare -guard '$(BENCH_GUARD_PR7)' BENCH_PR7.json $(BENCH_GUARD_OUT)
-	$(GO) run ./cmd/arrow-bench -compare -guard '$(BENCH_GUARD_PR8)' BENCH_PR8.json $(BENCH_GUARD_OUT)
-	$(GO) run ./cmd/arrow-bench -compare -guard '$(BENCH_GUARD_PR9)' BENCH_PR9.json $(BENCH_GUARD_OUT)
+	$(GO) run ./cmd/arrow-bench -compare -guard '$(BENCH_GUARD)' BENCH.json $(BENCH_GUARD_OUT)
 
 # Race-detected end-to-end smoke of the study executor: a cold run fills
 # the cache, a warm run at a different -concurrency must reproduce the

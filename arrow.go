@@ -253,7 +253,6 @@ type config struct {
 	designKind      Design
 	maxMeasurements int
 	disableLowLevel bool
-	fullRefit       bool
 	warmStart       []core.PriorObservation
 	maxTimeSLO      float64
 	retry           *RetryPolicy
@@ -420,54 +419,50 @@ func buildCore(cfg config) (core.Optimizer, error) {
 	switch cfg.method {
 	case MethodNaiveBO:
 		return core.NewNaiveBO(core.NaiveBOConfig{
-			Objective:               cfg.objective.toCore(),
-			Kernel:                  cfg.kernel.toInternal(),
-			AutoKernel:              cfg.autoKernel,
-			ARD:                     cfg.ard,
-			Acquisition:             cfg.acquisition.toInternal(),
-			EIStopFraction:          cfg.eiStop,
-			MaxTimeSLO:              cfg.maxTimeSLO,
-			MaxMeasurements:         cfg.maxMeasurements,
-			Design:                  cfg.designConfig(),
-			Seed:                    cfg.seed,
-			DisableIncrementalRefit: cfg.fullRefit,
-			Tracer:                  cfg.tracer,
+			Objective:       cfg.objective.toCore(),
+			Kernel:          cfg.kernel.toInternal(),
+			AutoKernel:      cfg.autoKernel,
+			ARD:             cfg.ard,
+			Acquisition:     cfg.acquisition.toInternal(),
+			EIStopFraction:  cfg.eiStop,
+			MaxTimeSLO:      cfg.maxTimeSLO,
+			MaxMeasurements: cfg.maxMeasurements,
+			Design:          cfg.designConfig(),
+			Seed:            cfg.seed,
+			Tracer:          cfg.tracer,
 		})
 	case MethodAugmentedBO:
 		return core.NewAugmentedBO(core.AugmentedBOConfig{
-			Objective:               cfg.objective.toCore(),
-			DeltaThreshold:          cfg.delta,
-			MaxTimeSLO:              cfg.maxTimeSLO,
-			MaxMeasurements:         cfg.maxMeasurements,
-			Design:                  cfg.designConfig(),
-			Seed:                    cfg.seed,
-			DisableLowLevel:         cfg.disableLowLevel,
-			DisableIncrementalRefit: cfg.fullRefit,
-			WarmStart:               cfg.warmStart,
-			Tracer:                  cfg.tracer,
+			Objective:       cfg.objective.toCore(),
+			DeltaThreshold:  cfg.delta,
+			MaxTimeSLO:      cfg.maxTimeSLO,
+			MaxMeasurements: cfg.maxMeasurements,
+			Design:          cfg.designConfig(),
+			Seed:            cfg.seed,
+			DisableLowLevel: cfg.disableLowLevel,
+			WarmStart:       cfg.warmStart,
+			Tracer:          cfg.tracer,
 		})
 	case MethodHybridBO:
 		return core.NewHybridBO(core.HybridBOConfig{
 			Naive: core.NaiveBOConfig{
-				Objective:               cfg.objective.toCore(),
-				Kernel:                  cfg.kernel.toInternal(),
-				AutoKernel:              cfg.autoKernel,
-				ARD:                     cfg.ard,
-				Acquisition:             cfg.acquisition.toInternal(),
-				MaxTimeSLO:              cfg.maxTimeSLO,
-				Design:                  cfg.designConfig(),
-				Seed:                    cfg.seed,
-				DisableIncrementalRefit: cfg.fullRefit,
+				Objective:   cfg.objective.toCore(),
+				Kernel:      cfg.kernel.toInternal(),
+				AutoKernel:  cfg.autoKernel,
+				ARD:         cfg.ard,
+				Acquisition: cfg.acquisition.toInternal(),
+				MaxTimeSLO:  cfg.maxTimeSLO,
+				Design:      cfg.designConfig(),
+				Seed:        cfg.seed,
 			},
 			Augmented: core.AugmentedBOConfig{
-				Objective:               cfg.objective.toCore(),
-				DeltaThreshold:          cfg.delta,
-				MaxTimeSLO:              cfg.maxTimeSLO,
-				MaxMeasurements:         cfg.maxMeasurements,
-				Seed:                    cfg.seed,
-				DisableLowLevel:         cfg.disableLowLevel,
-				DisableIncrementalRefit: cfg.fullRefit,
-				WarmStart:               cfg.warmStart,
+				Objective:       cfg.objective.toCore(),
+				DeltaThreshold:  cfg.delta,
+				MaxTimeSLO:      cfg.maxTimeSLO,
+				MaxMeasurements: cfg.maxMeasurements,
+				Seed:            cfg.seed,
+				DisableLowLevel: cfg.disableLowLevel,
+				WarmStart:       cfg.warmStart,
 			},
 			SwitchAfter: cfg.switchAfter,
 			Tracer:      cfg.tracer,

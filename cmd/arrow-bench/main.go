@@ -1,6 +1,6 @@
 // Command arrow-bench converts `go test -bench` output into a JSON report
 // mapping each benchmark to its ns/op, B/op and allocs/op. `make bench`
-// pipes the hot-path benchmarks through it to produce BENCH_PR3.json, so
+// pipes the hot-path benchmarks through it to produce BENCH.json, so
 // performance regressions show up as a reviewable diff. Custom metrics
 // emitted via b.ReportMetric (e.g. the study cache's dedup-ratio) land in
 // each benchmark's "extra" map.
@@ -8,7 +8,7 @@
 // Usage:
 //
 //	go test -run xxx -bench . -benchmem ./... | arrow-bench -o BENCH.json
-//	arrow-bench -compare BENCH_PR2.json BENCH_PR3.json
+//	arrow-bench -compare BENCH.json fresh.json
 package main
 
 import (
@@ -119,8 +119,7 @@ func parseBench(in io.Reader) (map[string]Metrics, error) {
 // runCompare diffs two JSON reports benchmark by benchmark, printing
 // old/new ns/op with the relative change, plus custom metrics and
 // "(new)"/"(gone)" markers for benchmarks present on only one side.
-// `make bench-compare` uses it to diff BENCH_PR3.json against
-// BENCH_PR2.json.
+// `make bench-compare` uses it to diff a fresh run against BENCH.json.
 func runCompare(oldPath, newPath string, out io.Writer) error {
 	oldRep, err := readReport(oldPath)
 	if err != nil {

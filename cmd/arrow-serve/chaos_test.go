@@ -203,8 +203,8 @@ func (c *httpClient) step(id string, target arrow.Target, n int) int {
 		if resp.Next != nil {
 			sug = *resp.Next
 		} else {
-			// The server acked early and is speculating; fetch the
-			// follow-up, which the speculative plan makes a cache hit.
+			// The server acked before the plan finished; fetch the
+			// follow-up the session's search loop planned meanwhile.
 			sug = c.next(id)
 		}
 	}
@@ -264,8 +264,8 @@ func (c *httpClient) finish(id string, target arrow.Target) []byte {
 // journal directory, and finish every session — with zero acknowledged
 // observations lost and the result byte-identical to an uninterrupted
 // run of the same session. Session C dies with batch suggestions
-// pending, one of them observed out of order, and a speculative plan in
-// flight: recovery must replay only the acked history (the batch record
+// pending and one of them observed out of order: recovery must replay
+// only the acked history (the batch record
 // and the one observation — never an unacked fantasy) and still finish
 // byte-identically.
 func TestServeCLIKillNineRecovery(t *testing.T) {
@@ -310,8 +310,8 @@ func TestServeCLIKillNineRecovery(t *testing.T) {
 	ackedB := c1.step(idB, target, 2)
 
 	// Session C: take a batch of concurrent suggestions, observe one out
-	// of order. The ack kicks off a speculative plan that is (at most
-	// milliseconds later) still in flight when the process dies.
+	// of order. The outcome waits in the stepper for the loop to reach
+	// that candidate when the process dies.
 	sugsC := c1.nextBatch(idC, 3)
 	if len(sugsC) != len(refSugs) {
 		t.Fatalf("batch skew breaks the byte comparison: %d vs %d suggestions", len(sugsC), len(refSugs))
@@ -335,7 +335,7 @@ func TestServeCLIKillNineRecovery(t *testing.T) {
 	if report.Recovered != 3 {
 		t.Fatalf("recovered %d sessions, want 3 (report %+v)", report.Recovered, report)
 	}
-	// Only acked observations replay: the speculative plan and the
+	// Only acked observations replay: plans in flight and the
 	// unobserved batch fantasies left no journal records.
 	if report.Observations != ackedA+ackedB+ackedC {
 		t.Fatalf("replayed %d observations, want %d acked (report %+v)", report.Observations, ackedA+ackedB+ackedC, report)

@@ -15,12 +15,12 @@
 //	GET    /metricsz                  aggregated telemetry counters
 //
 // The store holds at most -max-sessions advisors and evicts sessions
-// idle past -session-ttl (evicted ids answer 410 Gone). Planning compute
-// is bounded by -workers. After every acknowledged observation the
-// server speculatively plans the following suggestion while the client
-// is measuring, so the next GET next is a cache hit (-no-speculate
-// restores the synchronous plan-on-demand path); /nextbatch hands out
-// up to -batch concurrent suggestions per request, which the client may
+// idle past -session-ttl (evicted ids answer 410 Gone). A session's
+// search loop plans the next suggestion as soon as an observation
+// reaches it; observe acks once journaled and the next GET next collects
+// the plan, usually done while the client measured (-no-speculate makes
+// observe wait for it and return it inline). /nextbatch hands out up to
+// -batch concurrent suggestions per request, which the client may
 // observe in any order. On SIGINT/SIGTERM the server stops accepting
 // sessions, flushes every in-flight session to a salvaged partial
 // result, drains the listener, then exits.
@@ -134,8 +134,7 @@ func run(args []string, errOut io.Writer, stop <-chan struct{}) error {
 		addr        = fs.String("addr", ":8080", "listen address")
 		maxSessions = fs.Int("max-sessions", serve.DefaultMaxSessions, "live session cap; creates past it answer 429")
 		sessionTTL  = fs.Duration("session-ttl", serve.DefaultSessionTTL, "evict sessions idle longer than this (negative disables)")
-		reqTimeout  = fs.Duration("request-timeout", serve.DefaultRequestTimeout, "per-request planning deadline (negative disables)")
-		workers     = fs.Int("workers", 0, "max concurrent planning computations, 0 = GOMAXPROCS")
+		reqTimeout  = fs.Duration("request-timeout", serve.DefaultRequestTimeout, "per-request deadline on waiting for a plan (negative disables)")
 		auditPath   = fs.String("audit", "", "append a JSONL audit stream (requests, session lifecycle, search events) to this file")
 		drainWait   = fs.Duration("drain", 10*time.Second, "how long shutdown waits for in-flight requests to drain")
 		journalDir  = fs.String("journal-dir", "", "write-ahead session journal directory; empty disables durability")
@@ -143,7 +142,7 @@ func run(args []string, errOut io.Writer, stop <-chan struct{}) error {
 		replica     = fs.String("replica", "", "replica name for journal shard leases (default host-<hostname>)")
 		claimShards = fs.Int("claim-shards", 0, "max journal shards to claim, 0 = all unclaimed; run R replicas with shards/R each")
 		maxBatch    = fs.Int("batch", serve.DefaultMaxBatch, "per-request cap on the /nextbatch batch size k")
-		noSpeculate = fs.Bool("no-speculate", false, "disable speculative planning; observe responses carry the next suggestion synchronously")
+		noSpeculate = fs.Bool("no-speculate", false, "observe waits for the next suggestion and returns it inline instead of acknowledging once journaled")
 
 		snapInterval    = fs.Int("snapshot-interval", 0, "journal a session checkpoint every N accepted observations, 0 disables; recovery replays from the latest snapshot")
 		compactInterval = fs.Duration("compact-interval", 0, "compact owned journal shards this often (drop ended/damaged chains and snapshotted history), 0 disables")
@@ -275,7 +274,6 @@ func run(args []string, errOut io.Writer, stop <-chan struct{}) error {
 		MaxSessions:        *maxSessions,
 		SessionTTL:         *sessionTTL,
 		RequestTimeout:     *reqTimeout,
-		Workers:            *workers,
 		Tracer:             tracer,
 		Journal:            jnl,
 		SnapshotInterval:   *snapInterval,
@@ -397,8 +395,8 @@ func run(args []string, errOut io.Writer, stop <-chan struct{}) error {
 	case reg != nil:
 		mode = fmt.Sprintf("hosting registry (%d shards, lease ttl %v)", reg.Shards(), reg.LeaseTTL())
 	}
-	fmt.Fprintf(errOut, "arrow-serve: listening on %s (max-sessions %d, session-ttl %v, workers %d, %s)\n",
-		ln.Addr(), *maxSessions, *sessionTTL, *workers, mode)
+	fmt.Fprintf(errOut, "arrow-serve: listening on %s (max-sessions %d, session-ttl %v, %s)\n",
+		ln.Addr(), *maxSessions, *sessionTTL, mode)
 
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- hs.Serve(ln) }()

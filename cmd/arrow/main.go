@@ -48,7 +48,6 @@ func run(args []string, out io.Writer) (err error) {
 		maxMeas    = fs.Int("max", 0, "maximum measurements (0 = whole catalog)")
 		batchK     = fs.Int("batch", 1, "concurrent suggestions per planning round: >1 drives the advisor's NextBatch(k) with k measurement workers; 1 is the classic sequential search")
 		slo        = fs.Float64("slo", 0, "maximum execution time SLO in seconds (0 = unconstrained)")
-		increfit   = fs.Bool("incremental-refit", true, "reuse surrogate state across iterations (unchanged trees, extended GP factors); searches are bit-identical either way")
 		list       = fs.Bool("list", false, "list the study workloads and exit")
 		vms        = fs.Bool("vms", false, "list the VM catalog and exit")
 		asJSON     = fs.Bool("json", false, "emit the search result as JSON instead of a table")
@@ -137,9 +136,6 @@ func run(args []string, out io.Writer) (err error) {
 	}
 	if *slo > 0 {
 		opts = append(opts, arrow.WithMaxTimeSLO(*slo))
-	}
-	if !*increfit {
-		opts = append(opts, arrow.WithFullRefit())
 	}
 	if *retries > 0 {
 		opts = append(opts, arrow.WithRetry(arrow.RetryPolicy{

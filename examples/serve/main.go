@@ -51,9 +51,9 @@ func main() {
 	}, &info)
 	fmt.Printf("session %s: %s over %d candidate VMs\n\n", info.ID, info.Method, info.NumCandidates)
 
-	// The advisor loop: next -> measure -> observe. While the client is
-	// measuring, the server speculatively plans the following suggestion,
-	// so the next GET is a cache hit — zero planning latency on the wire.
+	// The advisor loop: next -> measure -> observe. The server acks an
+	// observe once it is journaled and plans the following suggestion
+	// while the client measures, so the next GET usually finds it ready.
 	var sug arrow.Suggestion
 	get(base+"/v1/sessions/"+info.ID+"/next", &sug)
 	for step := 1; !sug.Done; step++ {

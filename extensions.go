@@ -103,18 +103,6 @@ func WithoutLowLevelMetrics() Option {
 	}
 }
 
-// WithFullRefit disables incremental surrogate refits: every iteration
-// re-grows the Extra-Trees ensemble and refactors the GP kernel matrices
-// from scratch instead of reusing the parts the new observation did not
-// change. Searches are bit-identical either way — the switch trades the
-// refit speedup away, as an escape hatch and for benchmarking.
-func WithFullRefit() Option {
-	return func(c *config) error {
-		c.fullRefit = true
-		return nil
-	}
-}
-
 // PriorRun is one historical measurement used to warm-start Augmented BO.
 type PriorRun struct {
 	// Features is the candidate's instance-space encoding, which must use

@@ -47,12 +47,12 @@ type AugmentedBOConfig struct {
 	// the low-level augmentation versus the tree surrogate + pairwise
 	// encoding alone.
 	DisableLowLevel bool
-	// DisableIncrementalRefit forces every surrogate fit to re-grow the
-	// whole ensemble from scratch instead of reusing trees whose sampled
-	// rows did not change. The search itself is bit-identical either way
-	// (forest.Refit guarantees it); the switch exists to measure the
-	// speedup and as an escape hatch.
-	DisableIncrementalRefit bool
+	// fullRefit forces every surrogate fit to re-grow the whole ensemble
+	// from scratch instead of reusing trees whose sampled rows did not
+	// change. The search is bit-identical either way (forest.Refit
+	// guarantees it); only this package's tests set it, as the oracle
+	// the incremental path is checked against.
+	fullRefit bool
 	// WarmStart seeds the surrogate with observations from a previous
 	// run of a *related* workload on the same candidate catalog (the
 	// paper's stated future work: "augment Bayesian Optimizer with
@@ -368,7 +368,7 @@ func (a *AugmentedBO) fitPairModelFor(st *searchState, treeSeed int64, target pa
 		cfg.SampleRate = defaultPairSampleRate
 	}
 	var prev *forest.Regressor
-	if !a.cfg.DisableIncrementalRefit {
+	if !a.cfg.fullRefit {
 		if target == pairTargetTime {
 			prev = cache.prevTime
 		} else {

@@ -19,11 +19,11 @@ import (
 // factors (rolled back with Fitter.Truncate) and the forest appends
 // virtual pair rows to the pairCache slab (rolled back by truncation).
 //
-// Planning is strictly best-effort and side-effect-free: hooks run on
-// the search-loop goroutine while the loop is parked in Measure, emit no
-// trace events (the tracer is detached for the duration), never touch
-// the search's RNG, and leave every piece of search state bit-identical
-// to how they found it. A mispredicted fantasy costs the caller one
+// Planning is strictly best-effort and side-effect-free: hooks run on the
+// NextBatch caller's goroutine while the Stepper holds the search loop
+// parked in Measure, emit no trace events (the tracer is detached for
+// the duration), never touch the search's RNG, and leave every piece of
+// search state bit-identical to how they found it. A mispredicted fantasy costs the caller one
 // wasted measurement at worst — it can never corrupt the search.
 
 // pendingSet builds the exclusion set of candidate indices that already
@@ -85,8 +85,8 @@ func (s *searchState) appendFantasyObs(idx int, val float64, out Outcome) {
 
 // naivePlanner is NaiveBO's plan hook: posterior-mean imputation through
 // the GP's cached Cholesky factors. The post-design fields are filled in
-// by the search loop once the main loop starts; both writer and reader
-// run on the loop goroutine.
+// by the search loop once the main loop starts and read by the hook,
+// which only runs while the loop is held parked.
 type naivePlanner struct {
 	n  *NaiveBO
 	st *searchState
@@ -194,7 +194,7 @@ func (n *NaiveBO) fantasize(st *searchState, scaled [][]float64, sc *gpScratch, 
 		st.bestIdx, st.bestVal = savedBestIdx, savedBestVal
 		st.fastestIdx, st.fastestTime = savedFastIdx, savedFastTime
 		st.tracer = savedTracer
-		if !n.cfg.DisableIncrementalRefit {
+		if !n.cfg.fullRefit {
 			for _, f := range sc.fitters {
 				if f.Len() > savedObs && savedObs > 0 {
 					_ = f.Truncate(savedObs)
@@ -314,7 +314,7 @@ func (a *AugmentedBO) fantasize(st *searchState, pending []PendingPoint, exclude
 		if cfg.SampleRate == 0 {
 			cfg.SampleRate = defaultPairSampleRate
 		}
-		if a.cfg.DisableIncrementalRefit {
+		if a.cfg.fullRefit {
 			prev = nil
 		}
 		model, _, err := forest.Refit(prev, cfg, xs, ys, units)

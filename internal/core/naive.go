@@ -71,12 +71,12 @@ type NaiveBOConfig struct {
 	// log space; CherryPick makes the same transformation.
 	// DisableLogObjective turns it off.
 	DisableLogObjective bool
-	// DisableIncrementalRefit forces every GP fit to refactor the kernel
-	// matrix from scratch instead of extending the previous iteration's
-	// Cholesky factors. The search itself is bit-identical either way
-	// (the extension is prefix-stable); the switch exists to measure the
-	// speedup and as an escape hatch.
-	DisableIncrementalRefit bool
+	// fullRefit forces every GP fit to refactor the kernel matrix from
+	// scratch instead of extending the previous iteration's Cholesky
+	// factors. The search is bit-identical either way (the extension is
+	// prefix-stable); only this package's tests set it, as the oracle
+	// the incremental path is checked against.
+	fullRefit bool
 	// Tracer receives the search's event stream (see internal/telemetry).
 	// Nil disables tracing at zero cost.
 	Tracer telemetry.Tracer
@@ -339,7 +339,7 @@ func (n *NaiveBO) feasibilityProbs(st *searchState, scaled, queries [][]float64,
 // from-scratch path by the prefix stability of the Cholesky recurrence.
 func (n *NaiveBO) fitSurrogate(sc *gpScratch, xs [][]float64, ys []float64) (*gp.GP, gp.FitInfo, error) {
 	fit := func(kind kernel.Kind) (*gp.GP, gp.FitInfo, error) {
-		if n.cfg.DisableIncrementalRefit {
+		if n.cfg.fullRefit {
 			model, err := gp.Fit(gp.Config{Kernel: kind, ARD: n.cfg.ARD}, xs, ys)
 			return model, gp.FitInfo{}, err
 		}

@@ -67,38 +67,38 @@ func TestIncrementalRefitBitIdenticalSearches(t *testing.T) {
 		}},
 		{"naive", func(tr telemetry.Tracer, disable bool) (Optimizer, error) {
 			return NewNaiveBO(NaiveBOConfig{
-				Objective:               MinimizeCost,
-				Seed:                    9,
-				AutoKernel:              true,
-				MaxTimeSLO:              11, // exercise the gp-time fit sharing factors with gp
-				EIStopFraction:          -1, // run long: more extend steps under comparison
-				DisableIncrementalRefit: disable,
-				Tracer:                  tr,
+				Objective:      MinimizeCost,
+				Seed:           9,
+				AutoKernel:     true,
+				MaxTimeSLO:     11, // exercise the gp-time fit sharing factors with gp
+				EIStopFraction: -1, // run long: more extend steps under comparison
+				fullRefit:      disable,
+				Tracer:         tr,
 			})
 		}},
 		{"augmented", func(tr telemetry.Tracer, disable bool) (Optimizer, error) {
 			return NewAugmentedBO(AugmentedBOConfig{
-				Objective:               MinimizeCost,
-				Seed:                    11,
-				MaxTimeSLO:              11, // second pairwise model rides the same cache
-				DeltaThreshold:          -1,
-				WarmStart:               warm,
-				DisableIncrementalRefit: disable,
-				Tracer:                  tr,
+				Objective:      MinimizeCost,
+				Seed:           11,
+				MaxTimeSLO:     11, // second pairwise model rides the same cache
+				DeltaThreshold: -1,
+				WarmStart:      warm,
+				fullRefit:      disable,
+				Tracer:         tr,
 			})
 		}},
 		{"hybrid", func(tr telemetry.Tracer, disable bool) (Optimizer, error) {
 			return NewHybridBO(HybridBOConfig{
 				Naive: NaiveBOConfig{
-					Objective:               MinimizeCost,
-					Seed:                    5,
-					DisableIncrementalRefit: disable,
+					Objective: MinimizeCost,
+					Seed:      5,
+					fullRefit: disable,
 				},
 				Augmented: AugmentedBOConfig{
-					Objective:               MinimizeCost,
-					Seed:                    5,
-					DeltaThreshold:          -1,
-					DisableIncrementalRefit: disable,
+					Objective:      MinimizeCost,
+					Seed:           5,
+					DeltaThreshold: -1,
+					fullRefit:      disable,
 				},
 				Tracer: tr,
 			})
@@ -135,8 +135,8 @@ func TestIncrementalRefitActuallyIncremental(t *testing.T) {
 	run := func(disable bool) (incremental, full int) {
 		rec := telemetry.NewRecorder()
 		opt, err := NewHybridBO(HybridBOConfig{
-			Naive:     NaiveBOConfig{Objective: MinimizeCost, Seed: 5, DisableIncrementalRefit: disable},
-			Augmented: AugmentedBOConfig{Objective: MinimizeCost, Seed: 5, DeltaThreshold: -1, DisableIncrementalRefit: disable},
+			Naive:     NaiveBOConfig{Objective: MinimizeCost, Seed: 5, fullRefit: disable},
+			Augmented: AugmentedBOConfig{Objective: MinimizeCost, Seed: 5, DeltaThreshold: -1, fullRefit: disable},
 			Tracer:    rec,
 		})
 		if err != nil {

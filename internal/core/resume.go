@@ -80,10 +80,10 @@ func (s ResumeScript) clone() ResumeScript {
 }
 
 // resumeState is the stepper-owned script cursor. Positions below the
-// limits consume recorded entries; at the limits the state records. It
-// is only ever touched from the search-loop goroutine (decision
-// consumption in the loops, plan consumption in the plan-hook wrapper,
-// script export in the Measure park), so it needs no lock.
+// limits consume recorded entries; at the limits the state records. The
+// search loop consumes decisions; plan consumption in the plan-hook
+// wrapper and script export run only while the Stepper holds the loop
+// parked, so it needs no lock of its own.
 type resumeState struct {
 	script    ResumeScript
 	decPos    int

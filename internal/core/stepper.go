@@ -73,9 +73,10 @@ type PendingPoint struct {
 
 // PlanHook is an optimizer's fantasization entry point: given the
 // outstanding suggestions, return up to extra additional candidate
-// indices to suggest speculatively. Hooks run on the search-loop
-// goroutine (never concurrently with the loop), must not emit trace
-// events, and must leave the search state exactly as found.
+// indices to suggest speculatively. Hooks run on the NextBatch caller's
+// goroutine while the search loop is held parked on its head suggestion
+// (never concurrently with the loop), must not emit trace events, and
+// must leave the search state exactly as found.
 type PlanHook func(pending []PendingPoint, extra int) []int
 
 // PlanHookSetter is implemented by targets that support batch planning;
@@ -119,14 +120,6 @@ type pendingPoint struct {
 	obs      stepObs
 }
 
-// planReq asks the parked search loop to run the plan hook on its own
-// goroutine, serializing fantasization with the loop and with Abort.
-type planReq struct {
-	pending []PendingPoint
-	extra   int
-	reply   chan []int
-}
-
 // Stepper drives one Optimizer step by step. Construct with NewStepper;
 // all methods are safe for concurrent use. The expected cycle is
 // Next -> Observe -> Next -> ... -> Next returns Done -> Result. Next is
@@ -140,15 +133,20 @@ type Stepper struct {
 
 	suggCh  chan int      // unbuffered: loop's Measure blocks until Next receives
 	obsCh   chan stepObs  // unbuffered: delivery blocks until the loop receives
-	planCh  chan *planReq // unbuffered: served by the loop parked in Measure
 	abortCh chan struct{} // closed by Abort; unblocks the loop's Measure
 	doneCh  chan struct{} // closed when the search goroutine finished
 
 	abortOnce sync.Once
 	cause     error // abort cause, written once before abortCh closes
 
+	// wakeMu guards the two calls that wake the loop once it is parked
+	// on its head suggestion: Observe handing the head over obsCh and
+	// Abort closing abortCh. Holding it while the head is outstanding
+	// keeps the loop parked, so plan hooks and Script run beside it.
+	wakeMu sync.Mutex
+
 	mu        sync.Mutex
-	nextMu    sync.Mutex // serializes blocking Next/NextBatch calls
+	nextMu    sync.Mutex // serializes Next/NextBatch/Script and absorb
 	head      *pendingPoint
 	fantasies []*pendingPoint
 	seq       int // next suggestion ordinal
@@ -158,10 +156,9 @@ type Stepper struct {
 	err       error
 
 	// resume is the decision script: recorded live, consumed on a
-	// snapshot resume. Only the loop goroutine touches it; Script()
-	// exports a copy through scriptCh, serviced in the Measure park.
-	resume   *resumeState
-	scriptCh chan chan ResumeScript
+	// snapshot resume. The loop and plan hooks touch it, never at once;
+	// Script copies it with the loop parked.
+	resume *resumeState
 }
 
 // NewStepper starts the optimizer's search loop against cat and returns
@@ -187,14 +184,12 @@ func ResumeStepper(opt Optimizer, cat Catalog, script ResumeScript) *Stepper {
 
 func newStepper(opt Optimizer, cat Catalog, script ResumeScript) *Stepper {
 	s := &Stepper{
-		cat:      cat,
-		suggCh:   make(chan int),
-		obsCh:    make(chan stepObs),
-		planCh:   make(chan *planReq),
-		abortCh:  make(chan struct{}),
-		doneCh:   make(chan struct{}),
-		resume:   newResumeState(script),
-		scriptCh: make(chan chan ResumeScript),
+		cat:     cat,
+		suggCh:  make(chan int),
+		obsCh:   make(chan stepObs),
+		abortCh: make(chan struct{}),
+		doneCh:  make(chan struct{}),
+		resume:  newResumeState(script),
 	}
 	go func() {
 		res, err := opt.Search(&stepperTarget{cat: cat, s: s})
@@ -206,20 +201,25 @@ func newStepper(opt Optimizer, cat Catalog, script ResumeScript) *Stepper {
 	return s
 }
 
-// Script exports a copy of the decision script recorded so far. It may
-// only be called while the loop is parked on a pending suggestion (the
-// state after Next or NextBatch returned a non-Done suggestion) or
-// after the search finished; called mid-computation it blocks until the
-// loop parks. The serve layer calls it right after journaling a suggest
-// record, when the loop is parked by construction.
+// Script exports a copy of the decision script recorded so far. It is
+// meant for the moments the loop is parked on a pending suggestion (the
+// state after Next or NextBatch returned a non-Done suggestion) or the
+// search has finished; called mid-computation it waits until the loop
+// parks on its next suggestion. The serve layer calls it right after
+// journaling a suggest record, when the loop is parked by construction.
 func (s *Stepper) Script() ResumeScript {
-	req := make(chan ResumeScript, 1)
-	select {
-	case s.scriptCh <- req:
-		return <-req
-	case <-s.doneCh:
-		// The loop exited; nothing mutates the script anymore.
-		return s.resume.script.clone()
+	s.nextMu.Lock()
+	defer s.nextMu.Unlock()
+	for {
+		if _, done, _ := s.ensureHead(nil); done {
+			// The loop exited; nothing mutates the script anymore.
+			return s.resume.script.clone()
+		}
+		if s.lockParked() {
+			s.mu.Unlock()
+			defer s.wakeMu.Unlock()
+			return s.resume.script.clone()
+		}
 	}
 }
 
@@ -251,11 +251,6 @@ func (s *Stepper) NextBatch(ctx context.Context, k int) ([]StepSuggestion, error
 	}
 	s.nextMu.Lock()
 	defer s.nextMu.Unlock()
-
-	var ctxDone <-chan struct{}
-	if ctx != nil {
-		ctxDone = ctx.Done()
-	}
 	for {
 		sug, done, err := s.ensureHead(ctx)
 		if err != nil {
@@ -264,64 +259,69 @@ func (s *Stepper) NextBatch(ctx context.Context, k int) ([]StepSuggestion, error
 		if done {
 			return []StepSuggestion{sug}, nil
 		}
+		if s.lockParked() {
+			break
+		}
+		// A concurrent Observe handed the head over first, or Abort
+		// cleared it; wait for the loop's next suggestion (or its end).
+	}
+	defer s.wakeMu.Unlock()
 
-		s.mu.Lock()
-		outstanding := make([]StepSuggestion, 0, 1+len(s.fantasies))
-		outstanding = append(outstanding, s.head.sug)
-		for _, p := range s.fantasies {
-			if !p.observed {
-				outstanding = append(outstanding, p.sug)
-			}
+	outstanding := make([]StepSuggestion, 0, 1+len(s.fantasies))
+	outstanding = append(outstanding, s.head.sug)
+	for _, p := range s.fantasies {
+		if !p.observed {
+			outstanding = append(outstanding, p.sug)
 		}
-		hook := s.hook
-		extra := k - len(outstanding)
-		if extra <= 0 || hook == nil {
-			s.mu.Unlock()
-			return outstanding, nil
-		}
-		pending := make([]PendingPoint, 0, 1+len(s.fantasies))
-		pending = append(pending, PendingPoint{Index: s.head.sug.Index})
-		for _, p := range s.fantasies {
-			pp := PendingPoint{Index: p.sug.Index, Observed: p.observed}
-			if p.observed {
-				pp.Outcome = p.obs.out
-				pp.Failed = p.obs.err != nil
-			}
-			pending = append(pending, pp)
-		}
-		s.mu.Unlock()
-
-		req := &planReq{pending: pending, extra: extra, reply: make(chan []int, 1)}
-		select {
-		case s.planCh <- req:
-		case idx := <-s.suggCh:
-			// A concurrent Observe released the head and the loop moved
-			// on to its next suggestion; absorb it and re-plan.
-			s.absorb(idx)
-			continue
-		case <-s.doneCh:
-			continue
-		case <-ctxDone:
-			return nil, ctx.Err()
-		}
-		// The hook runs synchronously in the loop's Measure park and
-		// replies to the buffered channel, so this receive cannot block.
-		idxs := <-req.reply
-		s.mu.Lock()
-		for _, idx := range idxs {
-			fsug := StepSuggestion{
-				Index: idx,
-				Name:  s.cat.Name(idx),
-				Step:  s.delivered + 1 + len(s.fantasies),
-				Seq:   s.seq,
-			}
-			s.seq++
-			s.fantasies = append(s.fantasies, &pendingPoint{sug: fsug})
-			outstanding = append(outstanding, fsug)
-		}
+	}
+	hook := s.hook
+	extra := k - len(outstanding)
+	if extra <= 0 || hook == nil {
 		s.mu.Unlock()
 		return outstanding, nil
 	}
+	pending := make([]PendingPoint, 0, 1+len(s.fantasies))
+	pending = append(pending, PendingPoint{Index: s.head.sug.Index})
+	for _, p := range s.fantasies {
+		pp := PendingPoint{Index: p.sug.Index, Observed: p.observed}
+		if p.observed {
+			pp.Outcome = p.obs.out
+			pp.Failed = p.obs.err != nil
+		}
+		pending = append(pending, pp)
+	}
+	s.mu.Unlock()
+
+	idxs := hook(pending, extra)
+	s.mu.Lock()
+	for _, idx := range idxs {
+		fsug := StepSuggestion{
+			Index: idx,
+			Name:  s.cat.Name(idx),
+			Step:  s.delivered + 1 + len(s.fantasies),
+			Seq:   s.seq,
+		}
+		s.seq++
+		s.fantasies = append(s.fantasies, &pendingPoint{sug: fsug})
+		outstanding = append(outstanding, fsug)
+	}
+	s.mu.Unlock()
+	return outstanding, nil
+}
+
+// lockParked takes wakeMu and mu and, if the loop is still parked on its
+// head suggestion, keeps both and reports true; an Observe that clears
+// the head later still waits on wakeMu to hand it over. Callers hold
+// nextMu, so absorb cannot install a new head meanwhile.
+func (s *Stepper) lockParked() bool {
+	s.wakeMu.Lock()
+	s.mu.Lock()
+	if s.head != nil {
+		return true
+	}
+	s.mu.Unlock()
+	s.wakeMu.Unlock()
+	return false
 }
 
 // ensureHead blocks until a loop-realized suggestion is outstanding (or
@@ -354,9 +354,16 @@ func (s *Stepper) ensureHead(ctx context.Context) (StepSuggestion, bool, error) 
 // promoted to head (keeping the provisional suggestion the caller already
 // saw) — or, when the caller observed it out of order, its held outcome
 // is delivered straight back to the loop. An unanticipated index becomes
-// a fresh head. Callers hold nextMu.
+// a fresh head. Callers hold nextMu, which is what keeps this hand-off
+// from racing a plan hook or Script without taking wakeMu.
 func (s *Stepper) absorb(idx int) {
 	s.mu.Lock()
+	select {
+	case <-s.abortCh: // Abort cleared the suggestions; the loop ends itself
+		s.mu.Unlock()
+		return
+	default:
+	}
 	for i, p := range s.fantasies {
 		if p.sug.Index != idx {
 			continue
@@ -388,17 +395,22 @@ func (s *Stepper) absorb(idx int) {
 // treated exactly like a failing Target.Measure — the loop quarantines
 // the candidate and continues (wrap with Fatal to abort the whole search
 // instead). The index may be any outstanding suggestion: observing the
-// head hands the outcome to the loop now, observing a fantasy parks the
-// outcome until the loop demands that candidate. Observing an index with
-// no outstanding suggestion returns ErrNoPendingSuggestion (never asked,
-// already observed, search done) or ErrSuggestionMismatch (a different
-// suggestion is pending).
+// head hands the outcome to the loop now (after any plan hook or Script
+// copy holding the loop parked), observing a fantasy parks the outcome
+// until the loop demands that candidate and never waits. Observing an
+// index with no outstanding suggestion returns ErrNoPendingSuggestion
+// (never asked, already observed, search done) or ErrSuggestionMismatch
+// (a different suggestion is pending).
 func (s *Stepper) Observe(index int, out Outcome, merr error) error {
 	s.mu.Lock()
 	if s.head != nil && s.head.sug.Index == index {
 		s.head = nil
 		s.delivered++
 		s.mu.Unlock()
+		// The loop is parked on obsCh (or ending, closing doneCh), so
+		// holding wakeMu across the hand-off cannot block for long.
+		s.wakeMu.Lock()
+		defer s.wakeMu.Unlock()
 		select {
 		case s.obsCh <- stepObs{out: out, err: merr}:
 			return nil
@@ -467,18 +479,19 @@ func (s *Stepper) Abort(cause error) (*Result, error) {
 	if cause == nil {
 		cause = ErrStepperAborted
 	}
+	s.wakeMu.Lock()
+	s.mu.Lock()
 	s.abortOnce.Do(func() {
 		s.cause = cause
 		close(s.abortCh)
 	})
-	<-s.doneCh
-	s.mu.Lock()
-	// No outstanding suggestion can be observed now.
+	// Nothing outstanding can be observed now; absorb adds no head after.
 	s.head = nil
 	s.fantasies = nil
-	res, err := s.res, s.err
 	s.mu.Unlock()
-	return res, err
+	s.wakeMu.Unlock()
+	<-s.doneCh
+	return s.Result()
 }
 
 // deliveredCount reads the delivery counter under the lock.
@@ -490,8 +503,7 @@ func (s *Stepper) deliveredCount() int {
 
 // stepperTarget is the channel-backed Target the search loop runs
 // against: Measure publishes the candidate as a suggestion and blocks
-// until the caller observes (or aborts). While parked it also services
-// plan requests, so fantasization always runs on the loop goroutine.
+// until the caller observes (or aborts).
 type stepperTarget struct {
 	cat Catalog
 	s   *Stepper
@@ -510,8 +522,8 @@ func (t *stepperTarget) Name(i int) string        { return t.cat.Name(i) }
 // call it once at Search start; it may be called again on a phase
 // switch. The hook is wrapped through the resume state so batch plans
 // are consumed from a resumed script (or recorded into a live one);
-// hooks run on the loop goroutine, which is the only toucher of that
-// state.
+// hooks run only while the loop is held parked, so the two never touch
+// that state at once.
 func (t *stepperTarget) SetPlanHook(h PlanHook) {
 	wrapped := h
 	if h != nil {
@@ -536,25 +548,10 @@ func (t *stepperTarget) Measure(i int) (Outcome, error) {
 	case <-t.s.abortCh:
 		return Outcome{}, &fatalError{err: t.s.cause}
 	}
-	for {
-		select {
-		case m := <-t.s.obsCh:
-			return m.out, m.err
-		case req := <-t.s.planCh:
-			t.s.mu.Lock()
-			h := t.s.hook
-			t.s.mu.Unlock()
-			var idxs []int
-			if h != nil {
-				idxs = h(req.pending, req.extra)
-			}
-			req.reply <- idxs
-		case req := <-t.s.scriptCh:
-			// Script export runs here, on the loop goroutine, so the
-			// copy never races decision recording.
-			req <- t.s.resume.script.clone()
-		case <-t.s.abortCh:
-			return Outcome{}, &fatalError{err: t.s.cause}
-		}
+	select {
+	case m := <-t.s.obsCh:
+		return m.out, m.err
+	case <-t.s.abortCh:
+		return Outcome{}, &fatalError{err: t.s.cause}
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"reflect"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -357,4 +358,224 @@ func TestStepperObserveFailureQuarantines(t *testing.T) {
 	if len(res.Failures) != 1 || res.Failures[0].Index != failed {
 		t.Errorf("failures = %+v, want exactly candidate %d", res.Failures, failed)
 	}
+}
+
+// TestStepperConcurrentBatchObserveScriptAbort drives one stepper from
+// several goroutines at once — batches, observations of heads and
+// fantasies, script exports — and aborts it mid-search. Under -race it
+// checks that plan hooks and script copies never run beside the search
+// loop, and that no interleaving of them with Observe and Abort
+// deadlocks.
+func TestStepperConcurrentBatchObserveScriptAbort(t *testing.T) {
+	for name, opt := range allOptimizers(t, MinimizeTime, 11, true) {
+		t.Run(name, func(t *testing.T) {
+			s := NewStepper(opt, newFakeTarget(exhaustiveValues()))
+			var (
+				wg        sync.WaitGroup
+				observed  atomic.Int64
+				abortOnce sync.Once
+				abortNow  = make(chan struct{})
+			)
+			for range 3 {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					// Each caller measures through its own fake, whose
+					// measurement log is not shared.
+					target := newFakeTarget(exhaustiveValues())
+					for !s.Done() {
+						sugs, err := s.NextBatch(context.Background(), 3)
+						if err != nil {
+							t.Errorf("NextBatch: %v", err)
+							return
+						}
+						for _, sug := range sugs {
+							if sug.Done {
+								abortOnce.Do(func() { close(abortNow) })
+								return
+							}
+							out, merr := target.Measure(sug.Index)
+							// Another caller may have observed it first.
+							if s.Observe(sug.Index, out, merr) == nil && observed.Add(1) == 4 {
+								abortOnce.Do(func() { close(abortNow) })
+							}
+						}
+					}
+				}()
+			}
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for !s.Done() {
+					s.Script()
+				}
+			}()
+
+			select {
+			case <-abortNow:
+			case <-time.After(30 * time.Second):
+				t.Fatal("no caller got four observations accepted")
+			}
+			if res, _ := s.Abort(nil); res == nil {
+				t.Error("Abort returned no result")
+			}
+			finished := make(chan struct{})
+			go func() {
+				wg.Wait()
+				close(finished)
+			}()
+			select {
+			case <-finished:
+			case <-time.After(30 * time.Second):
+				t.Fatal("callers still blocked after Abort")
+			}
+		})
+	}
+}
+
+// hookProbe is a minimal Optimizer whose plan hook blocks until
+// released, so a test can hold a plan in flight and try to wake the
+// loop under it. state is written by the loop after every measurement
+// and on abort and read by the hook without synchronization of its own:
+// only the stepper orders the two. With aborting set, the loop's abort
+// path signals it and then waits for finalize before returning.
+type hookProbe struct {
+	state   int
+	inHook  chan struct{}
+	release chan struct{}
+	sawHook int
+
+	aborting, finalize chan struct{}
+}
+
+func (p *hookProbe) Name() string { return "hook-probe" }
+
+func (p *hookProbe) Search(target Target) (*Result, error) {
+	target.(PlanHookSetter).SetPlanHook(func(pending []PendingPoint, extra int) []int {
+		p.inHook <- struct{}{}
+		<-p.release
+		p.sawHook = p.state
+		return []int{len(pending)}
+	})
+	res := &Result{Method: p.Name(), BestIndex: -1}
+	for i := 0; i < target.NumCandidates(); i++ {
+		out, err := target.Measure(i)
+		if err != nil {
+			p.state = -1
+			if p.aborting != nil {
+				close(p.aborting)
+				<-p.finalize
+			}
+			res.Partial = true
+			return res, err
+		}
+		p.state = i + 1
+		res.Observations = append(res.Observations, Observation{Index: i, Value: out.TimeSec, Outcome: out})
+	}
+	return res, nil
+}
+
+// TestStepperPlanHookHoldsLoopParked pins the one-planner contract: a
+// plan hook runs on the NextBatch caller's goroutine while the loop is
+// parked, and neither an Observe of the head nor an Abort may wake the
+// loop until the hook returns. Under -race the probe's unsynchronized
+// state also shows any overlap between hook and loop.
+func TestStepperPlanHookHoldsLoopParked(t *testing.T) {
+	for _, wake := range []string{"observe", "abort"} {
+		t.Run(wake, func(t *testing.T) {
+			p := &hookProbe{inHook: make(chan struct{}), release: make(chan struct{})}
+			var releaseOnce sync.Once
+			release := func() { releaseOnce.Do(func() { close(p.release) }) }
+			target := newFakeTarget(exhaustiveValues())
+			s := NewStepper(p, target)
+			defer s.Abort(nil)
+			defer release() // before the Abort, which waits for the hook
+			head, err := s.Next(context.Background())
+			if err != nil || head.Index != 0 {
+				t.Fatalf("Next = %+v, %v; want candidate 0", head, err)
+			}
+
+			batch := make(chan []StepSuggestion, 1)
+			go func() {
+				sugs, err := s.NextBatch(context.Background(), 2)
+				if err != nil {
+					t.Errorf("NextBatch: %v", err)
+				}
+				batch <- sugs
+			}()
+			<-p.inHook
+
+			woke := make(chan struct{})
+			go func() {
+				defer close(woke)
+				if wake == "observe" {
+					out, merr := target.Measure(head.Index)
+					if err := s.Observe(head.Index, out, merr); err != nil {
+						t.Errorf("Observe(head): %v", err)
+					}
+					return
+				}
+				s.Abort(nil)
+			}()
+			select {
+			case <-woke:
+				t.Fatalf("%s returned while a plan hook held the loop parked", wake)
+			case <-time.After(50 * time.Millisecond):
+			}
+			release()
+			if sugs := <-batch; len(sugs) != 2 || sugs[0] != head {
+				t.Fatalf("batch = %+v, want the head plus one planned pick", sugs)
+			}
+			<-woke
+			if p.sawHook != 0 {
+				t.Errorf("the hook saw loop state %d, want 0: the loop ran under it", p.sawHook)
+			}
+		})
+	}
+}
+
+// TestStepperNextBatchWaitsOutAbort: once Abort has woken the loop, the
+// head it leaves behind is not a parked loop. A NextBatch racing the
+// loop's abort path must wait for the search to end and report Done,
+// never run a plan hook beside it.
+func TestStepperNextBatchWaitsOutAbort(t *testing.T) {
+	p := &hookProbe{
+		inHook:   make(chan struct{}, 1),
+		release:  make(chan struct{}),
+		aborting: make(chan struct{}),
+		finalize: make(chan struct{}),
+	}
+	close(p.release)
+	var finalizeOnce sync.Once
+	finalize := func() { finalizeOnce.Do(func() { close(p.finalize) }) }
+	defer finalize()
+	s := NewStepper(p, newFakeTarget(exhaustiveValues()))
+	if _, err := s.Next(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	aborted := make(chan struct{})
+	go func() {
+		defer close(aborted)
+		s.Abort(nil)
+	}()
+	<-p.aborting
+
+	batch := make(chan []StepSuggestion, 1)
+	go func() {
+		sugs, err := s.NextBatch(context.Background(), 2)
+		if err != nil {
+			t.Errorf("NextBatch: %v", err)
+		}
+		batch <- sugs
+	}()
+	select {
+	case sugs := <-batch:
+		t.Fatalf("NextBatch returned %+v while the loop was still aborting", sugs)
+	case <-time.After(50 * time.Millisecond):
+	}
+	finalize()
+	if sugs := <-batch; len(sugs) != 1 || !sugs[0].Done {
+		t.Fatalf("NextBatch after abort = %+v, want a lone Done", sugs)
+	}
+	<-aborted
 }

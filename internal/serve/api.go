@@ -10,8 +10,9 @@
 // Search.
 //
 // The server is production-shaped: a bounded in-memory session store
-// with TTL eviction and a max-session cap, a per-session mutex, a
-// server-wide planning semaphore, request-scoped deadlines, graceful
+// with TTL eviction and a max-session cap, a per-session mutex, one
+// planner per session (the advisor's own search loop), request-scoped
+// deadlines on every wait for a plan, graceful
 // shutdown that flushes every in-flight session to a salvaged Partial
 // result, /healthz and /metricsz, and JSONL audit logging through
 // internal/telemetry.
@@ -106,19 +107,18 @@ type SessionInfo struct {
 	Done          bool   `json:"done,omitempty"`
 }
 
-// ObserveResponse acknowledges an observation. By default the server
-// acknowledges as soon as the observation is journaled and plans the
-// follow-up suggestion speculatively in the background, so Next is
-// omitted and the client's next GET next is answered from the already-
-// planned head. With speculation disabled (Config.DisableSpeculation)
-// the server drives the session to its next suggestion before answering
-// and Next carries it, the pre-PR8 synchronous shape.
+// ObserveResponse acknowledges an observation. Handing the observation
+// to the session's search loop starts it planning the follow-up
+// suggestion. By default the server acknowledges as soon as the
+// observation is journaled, so Next is omitted and the client's next GET
+// next collects the plan, usually finished while the client was
+// measuring. With speculation disabled (Config.DisableSpeculation) the
+// observe waits for the next suggestion and Next carries it.
 type ObserveResponse struct {
 	// Step counts the observations accepted so far.
 	Step int `json:"step"`
 	// Next is the follow-up suggestion (Done when the stop rule fired).
-	// Omitted when the server plans speculatively; fetch it with GET
-	// next.
+	// Omitted by default; fetch it with GET next.
 	Next *arrow.Suggestion `json:"next,omitempty"`
 }
 

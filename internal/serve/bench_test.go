@@ -56,7 +56,7 @@ func BenchmarkServeSession(b *testing.B) {
 		// cap on long runs. Speculation is disabled so the bench keeps
 		// measuring the synchronous observe→plan→next loop, comparable
 		// across releases; BenchmarkServeNextPipelined measures the
-		// speculative fast path.
+		// default, early-acknowledging path.
 		s := New(Config{DisableSpeculation: true})
 		var info SessionInfo
 		if st := benchDo(b, s, "POST", "/v1/sessions",
@@ -88,11 +88,12 @@ func BenchmarkServeSession(b *testing.B) {
 	}
 }
 
-// BenchmarkServeNextPipelined measures the speculative fast path: the
-// same advisor session as BenchmarkServeSession, but with speculation on
-// (the default) and a simulated measurement gap between the observe ack
-// and the following GET next — while the "client" measures, the server
-// plans ahead, so the GET is a cache hit. The p50-ns / p99-ns extra
+// BenchmarkServeNextPipelined measures the default, early-acknowledging
+// path: the same advisor session as BenchmarkServeSession, but with
+// speculation on and a simulated measurement gap between the observe ack
+// and the following GET next — while the "client" measures, the
+// session's search loop plans the follow-up, so the GET collects a
+// finished plan. The p50-ns / p99-ns extra
 // metrics time every pipelined GET next; compare against
 // BenchmarkAdvisorNext's p99 (the raw planning latency an unpipelined
 // client pays on the wire). Two nexts per session are reported apart:
@@ -101,7 +102,7 @@ func BenchmarkServeSession(b *testing.B) {
 // session teardown, not suggestion serving).
 func BenchmarkServeNextPipelined(b *testing.B) {
 	// A real measurement takes milliseconds to minutes; 2ms is enough of
-	// a stand-in for the speculative planner (sub-millisecond per step,
+	// a stand-in for the search loop's plan (sub-millisecond per step,
 	// per BenchmarkAdvisorNext) to finish before the client comes back.
 	const measurementGap = 2 * time.Millisecond
 	target, err := arrow.NewSimulatedTarget("als/spark2.1/medium", 1)

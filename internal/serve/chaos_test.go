@@ -32,10 +32,10 @@ func finiteOutcome(out arrow.Outcome) bool {
 // failures reported as failed observations, corrupted outcomes passed
 // through to the server's validation gate), with a graceful shutdown
 // firing while half of them are mid-search. The server must not
-// deadlock, every finished session must return a complete result, and
-// every in-flight session must be flushed to a salvaged Partial that is
-// still readable over HTTP. Run under -race, this also shakes the
-// stepper's channel choreography and the store's locking.
+// deadlock, every session must still return a result over HTTP, and
+// every session whose pending suggestion the shutdown consumed must be
+// a salvaged Partial. Run under -race, this also shakes the stepper's
+// channel choreography and the store's locking.
 func TestServeChaos(t *testing.T) {
 	const sessions = 64
 
@@ -46,12 +46,18 @@ func TestServeChaos(t *testing.T) {
 
 	methods := []string{"naive-bo", "augmented-bo", "hybrid-bo", "random-search"}
 	var (
-		wg          sync.WaitGroup
-		finished    atomic.Int64 // sessions whose client saw Done (naturally or via the abort)
-		flushed     atomic.Int64 // sessions whose client walked away or got cut off
+		wg       sync.WaitGroup
+		finished atomic.Int64 // sessions whose client saw Done (naturally or via the abort)
+		// walked counts clients that walked away at the top of their loop.
+		// Their search may already be over: an acknowledged final observe
+		// leaves nothing for the shutdown to salvage.
+		walked      atomic.Int64
 		shutdownNow = make(chan struct{})
 	)
 	ids := make([]string, sessions)
+	// cutOff marks the sessions whose observe was answered 409: the
+	// shutdown's abort consumed their pending suggestion.
+	cutOff := make([]atomic.Bool, sessions)
 
 	// Create every session up front so the later shutdown races only
 	// the next/observe stepping, never session creation.
@@ -86,8 +92,7 @@ func TestServeChaos(t *testing.T) {
 			for {
 				select {
 				case <-shutdownNow:
-					// Walk away mid-search; the shutdown must salvage us.
-					flushed.Add(1)
+					walked.Add(1)
 					return
 				default:
 				}
@@ -95,7 +100,7 @@ func TestServeChaos(t *testing.T) {
 				switch st := c.do("GET", "/v1/sessions/"+info.ID+"/next", nil, &sug); st {
 				case http.StatusOK:
 				case http.StatusGatewayTimeout:
-					continue // planning queue contention; retry
+					continue // the plan outlived the request deadline; retry
 				default:
 					t.Errorf("session %s: next status %d", info.ID, st)
 					return
@@ -131,7 +136,7 @@ func TestServeChaos(t *testing.T) {
 				switch st {
 				case http.StatusOK:
 					// Under speculation (the default) Next is omitted and
-					// the loop's GET next picks up the precomputed plan.
+					// the loop's GET next collects the plan.
 					if oresp.Next != nil && oresp.Next.Done {
 						finished.Add(1)
 						return
@@ -139,7 +144,7 @@ func TestServeChaos(t *testing.T) {
 				case http.StatusConflict:
 					// The shutdown aborted the session between our next
 					// and observe; the salvage owns it now.
-					flushed.Add(1)
+					cutOff[i].Store(true)
 					return
 				default:
 					t.Errorf("session %s: observe status %d", info.ID, st)
@@ -159,17 +164,22 @@ func TestServeChaos(t *testing.T) {
 	}
 	wg.Wait()
 
-	t.Logf("chaos: %d finished, %d flushed", finished.Load(), flushed.Load())
-	if finished.Load()+flushed.Load() != sessions {
-		t.Fatalf("%d finished + %d flushed != %d sessions", finished.Load(), flushed.Load(), sessions)
+	conflicted := 0
+	for i := range cutOff {
+		if cutOff[i].Load() {
+			conflicted++
+		}
+	}
+	t.Logf("chaos: %d finished, %d walked away, %d cut off", finished.Load(), walked.Load(), conflicted)
+	if finished.Load()+walked.Load()+int64(conflicted) != sessions {
+		t.Fatalf("%d finished + %d walked away + %d cut off != %d sessions", finished.Load(), walked.Load(), conflicted, sessions)
 	}
 
-	// Every session — finished or flushed — must still answer over HTTP
-	// with a coherent result: complete for finished sessions, salvaged
-	// Partial for flushed ones. Nothing may hang or 500.
+	// Every session must still answer over HTTP with a coherent result.
+	// Nothing may hang or 500.
 	c := newClient(t, hs)
 	complete, partial := 0, 0
-	for _, id := range ids {
+	for i, id := range ids {
 		if id == "" {
 			t.Fatal("a session never got an id")
 		}
@@ -186,17 +196,51 @@ func TestServeChaos(t *testing.T) {
 			partial++
 		} else {
 			complete++
+			// A 409 on observe means the abort consumed the pending
+			// suggestion, so the search cannot have finished. (A walk-away
+			// or a client that saw Done may hold either kind: next reports
+			// Done for aborted sessions too.)
+			if cutOff[i].Load() {
+				t.Errorf("session %s: observe answered 409, yet its result is complete", id)
+			}
 		}
 	}
 	if complete+partial != sessions {
 		t.Errorf("%d complete + %d partial != %d", complete, partial, sessions)
 	}
-	// A client that walked away mid-search left a session the shutdown
-	// had to salvage, so the Partial count can never undercount them.
-	// (A client that saw Done may still hold a Partial session: next
-	// reports Done for aborted sessions too.)
-	if int64(partial) < flushed.Load() {
-		t.Errorf("%d partial results but %d sessions were flushed mid-search", partial, flushed.Load())
-	}
 	t.Logf("chaos: %d complete, %d partial results", complete, partial)
+}
+
+// TestShutdownAfterFinalObserveKeepsCompleteResult pins what the chaos
+// test's walk-away clients rely on: the observe response omits the next
+// suggestion, so a client can walk away after an acknowledged final
+// observe without knowing its search already finished. Shutdown's abort
+// then finds nothing to salvage and the result stays complete.
+func TestShutdownAfterFinalObserveKeepsCompleteResult(t *testing.T) {
+	s, c := newTestServer(t, Config{})
+	target, err := arrow.NewSimulatedTarget("als/spark2.1/medium", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	info := c.create(SessionRequest{Method: "random-search", Seed: 3, MaxMeasurements: 2})
+	for range 2 {
+		sug := c.next(info.ID)
+		if sug.Done {
+			t.Fatal("session finished before its second observe")
+		}
+		out, merr := target.Measure(sug.Index)
+		if merr != nil {
+			t.Fatal(merr)
+		}
+		if resp := c.observe(info.ID, ObserveRequest{Index: sug.Index, TimeSec: out.TimeSec, CostUSD: out.CostUSD, Metrics: out.Metrics}); resp.Next != nil {
+			t.Fatalf("observe response carries %+v; the default acknowledges without the next suggestion", resp.Next)
+		}
+	}
+	if err := s.Shutdown(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	res := c.result(info.ID)
+	if res.Result == nil || res.Result.Partial || len(res.Result.Observations) != 2 {
+		t.Fatalf("result after shutdown = %+v, want the complete two-observation search", res.Result)
+	}
 }

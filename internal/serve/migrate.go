@@ -103,17 +103,26 @@ func (s *Server) setDraining(shard int, on bool) {
 	s.drainMu.Unlock()
 }
 
-// drainFence re-checks the draining flag with the session mutex held: a
-// handler that resolved its session just before the drain flag went up
-// would otherwise append into the shard after the migration barrier
-// declared it quiescent.
-func (s *Server) drainFence(w http.ResponseWriter, sess *session) int {
+// fence answers 421 unless this replica may journal the session: it
+// must hold a live lease on the session's shard, and the shard must not
+// be draining. resolve checks it before the store lookup, and handlers
+// check it again with the session mutex held — a handler that resolved
+// its session just before the lease lapsed or the drain flag went up
+// would otherwise append into a shard it no longer owns, or after the
+// migration barrier declared the shard quiescent.
+func (s *Server) fence(w http.ResponseWriter, id string) int {
 	j := s.cfg.Journal
-	if j == nil || !s.shardDraining(journal.ShardOf(sess.id, j.Shards())) {
+	switch {
+	case j == nil:
 		return 0
+	case !j.Owns(id):
+		return writeErr(w, http.StatusMisdirectedRequest,
+			fmt.Sprintf("session %s maps to a journal shard this replica does not own; ask the owning replica", id))
+	case s.shardDraining(journal.ShardOf(id, j.Shards())):
+		return writeErr(w, http.StatusMisdirectedRequest,
+			fmt.Sprintf("session %s maps to a journal shard mid-migration; retry against the cluster", id))
 	}
-	return writeErr(w, http.StatusMisdirectedRequest,
-		fmt.Sprintf("session %s maps to a journal shard mid-migration; retry against the cluster", sess.id))
+	return 0
 }
 
 // handleMigrate is the adopting side: fence via lease transfer,

@@ -8,6 +8,8 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -341,5 +343,160 @@ func TestTrimToSnapshot(t *testing.T) {
 	got, dropped := journal.TrimToSnapshot(chain)
 	if dropped || len(got) != 3 {
 		t.Fatalf("snapshot-less chain was trimmed: %d records, dropped=%v", len(got), dropped)
+	}
+}
+
+// TestLapsedLeaseObserveNotAcked: an observe racing its shard lease's
+// expiry must not be acknowledged unless its record is on disk. A
+// registry lease on a fake clock lapses while an observe is in flight —
+// either before the handler takes the session mutex (the fence refuses
+// it) or between that fence and the append (the failed append drops the
+// session from memory without a terminal record). Either way the reply
+// is not 200, the shard holds no record of the observe, and a fresh
+// journal and server recover exactly the acknowledged observations and
+// finish byte-identical to an uninterrupted run.
+func TestLapsedLeaseObserveNotAcked(t *testing.T) {
+	req := SessionRequest{Method: "augmented-bo", Seed: 42, Trace: true, DeltaThreshold: -1, MaxMeasurements: 8}
+	target, err := arrow.NewSimulatedTarget("als/spark2.1/medium", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, ref := newTestServer(t, Config{})
+	refInfo := ref.create(req)
+	want := mustJSON(t, ref.run(refInfo.ID, target))
+
+	for _, lapse := range []string{"before-fence", "at-append"} {
+		t.Run(lapse, func(t *testing.T) {
+			var clockMu sync.Mutex
+			clock := time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC)
+			now := func() time.Time {
+				clockMu.Lock()
+				defer clockMu.Unlock()
+				return clock
+			}
+			reg, err := registry.New(registry.Config{Shards: 1, LeaseTTL: time.Second, Now: now, Warnf: t.Logf})
+			if err != nil {
+				t.Fatal(err)
+			}
+			dir := t.TempDir()
+			open := func(jnow func() time.Time) *journal.Journal {
+				t.Helper()
+				j, err := journal.Open(dir, journal.WithReplica("a"), journal.WithShards(1),
+					journal.WithLeaseManager(reg.LocalManager("a", "http://a", dir)),
+					journal.WithNow(jnow), journal.WithWarnf(t.Logf))
+				if err != nil {
+					t.Fatal(err)
+				}
+				return j
+			}
+
+			// The at-append case lapses the lease for the journal's third
+			// clock read after arming: resolve's fence, the handler's fence
+			// under the session mutex, then the append.
+			var reads, lapseAt atomic.Int32
+			j1 := open(func() time.Time {
+				if at := lapseAt.Load(); at > 0 && reads.Add(1) >= at {
+					return now().Add(time.Second)
+				}
+				return now()
+			})
+			// The before-fence case learns from the store's clock that the
+			// observe has passed resolve.
+			var resolving atomic.Bool
+			resolved := make(chan struct{}, 1)
+			s1 := New(Config{Journal: j1, Warnf: t.Logf, Now: func() time.Time {
+				if resolving.Load() {
+					select {
+					case resolved <- struct{}{}:
+					default:
+					}
+				}
+				return now()
+			}})
+			hs := httptest.NewServer(s1)
+			t.Cleanup(hs.Close)
+			c1 := newClient(t, hs)
+			info := c1.create(req)
+			if info.ID != refInfo.ID {
+				t.Fatalf("id skew breaks the byte comparison: %s vs %s", info.ID, refInfo.ID)
+			}
+			sug := stepSession(t, c1, info.ID, target, 2)
+			if sug.Done {
+				t.Fatal("session finished before the lapse")
+			}
+			out, merr := target.Measure(sug.Index)
+			if merr != nil {
+				t.Fatal(merr)
+			}
+			body := mustJSON(t, ObserveRequest{Index: sug.Index, TimeSec: out.TimeSec, CostUSD: out.CostUSD, Metrics: out.Metrics})
+			replied := make(chan int, 1)
+			post := func() {
+				resp, err := hs.Client().Post(hs.URL+"/v1/sessions/"+info.ID+"/observe", "application/json", bytes.NewReader(body))
+				if err != nil {
+					t.Error(err)
+					replied <- 0
+					return
+				}
+				resp.Body.Close()
+				replied <- resp.StatusCode
+			}
+
+			switch lapse {
+			case "before-fence":
+				sess, status, _ := s1.store.get(info.ID)
+				if status != lookupOK {
+					t.Fatalf("session %s not live", info.ID)
+				}
+				sess.mu.Lock()
+				resolving.Store(true)
+				go post()
+				select {
+				case <-resolved:
+				case <-time.After(10 * time.Second):
+					sess.mu.Unlock()
+					t.Fatal("observe never reached resolve")
+				}
+				clockMu.Lock()
+				clock = clock.Add(time.Second)
+				clockMu.Unlock()
+				sess.mu.Unlock()
+			case "at-append":
+				lapseAt.Store(3)
+				go post()
+			}
+			if st := <-replied; st != http.StatusMisdirectedRequest {
+				t.Fatalf("observe under a lapsing lease answered %d, want 421", st)
+			}
+			if lapse == "at-append" && s1.SessionCount() != 0 {
+				t.Errorf("%d sessions still in memory after the failed append, want the session dropped", s1.SessionCount())
+			}
+
+			scan, err := journal.ScanDir(dir, []int{0}, t.Logf)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(scan.Live) != 1 || len(scan.Damage) != 0 {
+				t.Fatalf("journal holds %d live chains, damage %v; want the one session, undamaged", len(scan.Live), scan.Damage)
+			}
+			for _, rec := range scan.Live[0].Records {
+				if rec.Kind == journal.KindObserve && rec.Index == sug.Index {
+					t.Fatalf("the unacknowledged observe of candidate %d reached the journal at seq %d", sug.Index, rec.Seq)
+				}
+			}
+
+			s2 := New(Config{Journal: open(now), Warnf: t.Logf})
+			hs2 := httptest.NewServer(s2)
+			t.Cleanup(hs2.Close)
+			report, err := s2.Recover(context.Background())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if report.Recovered != 1 || report.Observations != 2 || len(report.Damaged) != 0 {
+				t.Fatalf("recovered %d sessions / %d observations, damaged %v; want 1 / the 2 acknowledged", report.Recovered, report.Observations, report.Damaged)
+			}
+			if got := mustJSON(t, newClient(t, hs2).run(info.ID, target)); !bytes.Equal(got, want) {
+				t.Errorf("recovered result diverged from the uninterrupted run:\n got %s\nwant %s", got, want)
+			}
+		})
 	}
 }

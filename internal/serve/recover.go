@@ -506,7 +506,6 @@ func (s *Server) replayPlanned(ctx context.Context, id string, plan replayPlan, 
 	}
 
 	sess := &session{id: id, seed: req.Seed, journaledSeq: -1}
-	sess.specSeq.Store(-1)
 	sess.fingerprint = journal.Fingerprint(plan.create.Request)
 	sinks := []telemetry.Tracer{}
 	if req.Trace {

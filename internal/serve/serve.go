@@ -17,7 +17,6 @@ import (
 
 	arrow "repro"
 	"repro/internal/journal"
-	"repro/internal/parallel"
 	"repro/internal/telemetry"
 )
 
@@ -41,10 +40,15 @@ var errSessionEvicted = errors.New("serve: session evicted")
 // errShutdownFlush is the salvage cause for graceful-shutdown flushing.
 var errShutdownFlush = errors.New("serve: session flushed by server shutdown")
 
-// errJournalFailed aborts a create whose journal record could not be
-// written: a session the journal never saw would silently vanish on
-// restart, so it is refused up front instead.
+// errJournalFailed aborts a session whose journal record could not be
+// written: a create the journal never saw would silently vanish on
+// restart, and any later transition would leave a seq gap, so neither
+// is acknowledged.
 var errJournalFailed = errors.New("serve: session journal append failed")
+
+// errChainClosed refuses an append to a chain that already ended or lost
+// a record.
+var errChainClosed = errors.New("serve: session journal chain closed")
 
 // Config parameterizes a Server. The zero value serves with the
 // defaults above, no audit sink and fresh metrics.
@@ -56,26 +60,23 @@ type Config struct {
 	// for them get 410 Gone. 0 means DefaultSessionTTL; negative
 	// disables eviction.
 	SessionTTL time.Duration
-	// RequestTimeout bounds each request's planning work. 0 means
+	// RequestTimeout bounds each request's wait for a plan. 0 means
 	// DefaultRequestTimeout; negative disables the deadline.
 	RequestTimeout time.Duration
-	// Workers bounds the planning computations (surrogate fits +
-	// acquisition passes) running at once, server-wide. 0 means
-	// GOMAXPROCS, resolved through internal/parallel.
-	Workers int
 	// MaxBatch caps the batch size one /nextbatch request may ask for
 	// (larger k values are clamped, not rejected — the wire cap MaxBatchK
 	// rejects). 0 means DefaultMaxBatch.
 	MaxBatch int
-	// DisableSpeculation turns off the speculative planning pipeline and
-	// restores the synchronous observe path: the observe response then
-	// carries the next suggestion, computed before the acknowledgment.
-	// The default (speculation on) acknowledges an observe as soon as it
-	// is journaled and plans the follow-up in the background, so the
-	// client's next GET next is answered from the already-planned head.
-	// Speculative state is recomputable and never journaled ahead of the
-	// acknowledgment: crash recovery replays only acked history and
-	// regenerates any in-flight plan deterministically.
+	// DisableSpeculation makes observe wait for the next suggestion and
+	// return it inline: the observe response then carries it. Either way
+	// the session's search loop starts planning the follow-up the moment
+	// the observation is handed to it. By default an observe is
+	// acknowledged as soon as it is journaled, the plan keeps running
+	// while the response travels, and the client's next GET next
+	// collects it (counted as a speculate_hit). A plan in flight is
+	// never journaled ahead of its suggestion being served: crash
+	// recovery replays only acked history and regenerates it
+	// deterministically.
 	DisableSpeculation bool
 	// Tracer receives the audit stream: one http_request event per API
 	// call, session lifecycle events, and every session's search events
@@ -119,7 +120,6 @@ type Server struct {
 	cfg     Config
 	mux     *http.ServeMux
 	store   *store
-	sem     chan struct{}
 	tracer  telemetry.Tracer // audit sink + metrics, never nil-checked at emit sites
 	metrics *telemetry.Metrics
 	nextID  atomic.Int64
@@ -167,8 +167,8 @@ type session struct {
 	// first), so idempotent next/nextbatch retries never journal the
 	// same suggestion twice; guarded by mu.
 	journaledSeq int
-	// steps counts the accepted observations, for the speculative
-	// observe acknowledgment that answers before planning; guarded by mu.
+	// steps counts the accepted observations, for the observe
+	// acknowledgment that answers before the plan; guarded by mu.
 	steps int
 	// lastSnapSteps is the observation count at the last snapshot, so
 	// the capture cadence follows SnapshotInterval; guarded by mu.
@@ -181,13 +181,16 @@ type session struct {
 	// without re-reading the shard; maintained only when snapshots are
 	// enabled. Guarded by jmu.
 	ops []journal.Record
-	// terminal marks that a terminal record was journaled, fencing a
-	// racing snapshot capture out of an ended chain; guarded by jmu.
-	terminal bool
-	// specSeq is the issue ordinal of the suggestion the background
-	// speculation planned but no client has fetched yet (-1 when none).
-	// Atomic because endSession reads it without the session mutex.
-	specSeq atomic.Int64
+	// closed marks a chain no record may join anymore: a terminal record
+	// was journaled, or an append failed and left a seq gap behind it.
+	// It fences racing snapshot captures and appends; guarded by jmu.
+	closed bool
+	// unserved is set while the search loop plans the follow-up to an
+	// acknowledged observe that no client has fetched yet (speculation
+	// on): it holds the observation count of that acknowledgment plus
+	// one, and 0 means no such plan. Atomic because endSession reads it
+	// without the session mutex.
+	unserved atomic.Int64
 }
 
 // New builds a Server.
@@ -215,7 +218,6 @@ func New(cfg Config) *Server {
 		cfg:      cfg,
 		mux:      http.NewServeMux(),
 		store:    newStore(cfg.MaxSessions, cfg.SessionTTL, cfg.Now),
-		sem:      make(chan struct{}, parallel.Workers(cfg.Workers, cfg.MaxSessions)),
 		tracer:   telemetry.Multi(cfg.Tracer, metrics),
 		metrics:  metrics,
 		draining: make(map[int]bool),
@@ -276,19 +278,6 @@ func (s *Server) routeCap(pattern string, bodyCap int64, h func(http.ResponseWri
 	})
 }
 
-// acquire takes one planning token, or fails when the request deadline
-// expires first.
-func (s *Server) acquire(ctx context.Context) error {
-	select {
-	case s.sem <- struct{}{}:
-		return nil
-	case <-ctx.Done():
-		return ctx.Err()
-	}
-}
-
-func (s *Server) release() { <-s.sem }
-
 // handleCreate opens a session: decode + validate the config, build the
 // optimizer through the public API, start the advisor, store it.
 func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) int {
@@ -310,7 +299,6 @@ func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) int {
 		return writeErr(w, http.StatusServiceUnavailable, err.Error())
 	}
 	sess := &session{id: id, seed: req.Seed, journaledSeq: -1}
-	sess.specSeq.Store(-1)
 	sinks := []telemetry.Tracer{}
 	if req.Trace {
 		sess.recorder = telemetry.NewRecorder()
@@ -407,7 +395,7 @@ func (s *Server) handleNext(w http.ResponseWriter, r *http.Request) int {
 	}
 	sess.mu.Lock()
 	defer sess.mu.Unlock()
-	if st := s.drainFence(w, sess); st != 0 {
+	if st := s.fence(w, sess.id); st != 0 {
 		return st
 	}
 	sug, st := s.advance(w, r, sess)
@@ -417,10 +405,11 @@ func (s *Server) handleNext(w http.ResponseWriter, r *http.Request) int {
 	return writeJSON(w, http.StatusOK, sug)
 }
 
-// handleObserve ingests a measurement (or a measurement failure), then
-// drives the session to its next suggestion so the response can carry
-// it — that is where the planning compute runs, under the server-wide
-// semaphore.
+// handleObserve ingests a measurement (or a measurement failure) and
+// acknowledges it once it is journaled. Handing the outcome to the
+// advisor starts the search loop planning the follow-up; by default the
+// client's next GET next collects that plan, and with speculation
+// disabled the response waits for it and carries it.
 func (s *Server) handleObserve(w http.ResponseWriter, r *http.Request) int {
 	sess, status := s.resolve(w, r)
 	if sess == nil {
@@ -438,7 +427,7 @@ func (s *Server) handleObserve(w http.ResponseWriter, r *http.Request) int {
 
 	sess.mu.Lock()
 	defer sess.mu.Unlock()
-	if st := s.drainFence(w, sess); st != 0 {
+	if st := s.fence(w, sess.id); st != 0 {
 		return st
 	}
 	reason := req.Reason
@@ -468,75 +457,39 @@ func (s *Server) handleObserve(w http.ResponseWriter, r *http.Request) int {
 	// the acknowledgment reaches the client. An observation lost with an
 	// unacknowledged response is safe — the client re-measures and the
 	// deterministic target yields the same outcome.
+	var rec journal.Record
 	if req.Failed {
-		s.appendRecord(sess, journal.Record{Kind: journal.KindObserveFailure, Index: req.Index, Reason: reason})
+		rec = journal.Record{Kind: journal.KindObserveFailure, Index: req.Index, Reason: reason}
 	} else {
 		sess.steps++
-		s.appendRecord(sess, journal.Record{
+		rec = journal.Record{
 			Kind:    journal.KindObserve,
 			Index:   req.Index,
 			TimeSec: req.TimeSec,
 			CostUSD: req.CostUSD,
 			Metrics: req.Metrics,
-		})
+		}
+	}
+	if err := s.appendRecord(sess, rec); err != nil {
+		return s.dropUnjournaled(w, sess, err)
 	}
 
 	if s.cfg.DisableSpeculation {
-		// Synchronous pipeline: plan the follow-up before acknowledging
-		// so the response carries it.
 		sug, st := s.advance(w, r, sess)
 		if sug == nil {
 			return st
 		}
 		return writeJSON(w, http.StatusOK, ObserveResponse{Step: sug.Step, Next: sug})
 	}
-	// Speculative pipeline: acknowledge as soon as the journal has the
-	// observation, then plan the follow-up in the background. The
-	// goroutine blocks on the session mutex until this handler returns,
-	// so the acknowledgment is always on the wire first, and speculation
-	// journals nothing — an in-flight plan lost to a crash is
-	// regenerated deterministically from the acked history.
-	go s.speculate(sess)
+	sess.unserved.Store(int64(sess.steps) + 1)
 	return writeJSON(w, http.StatusOK, ObserveResponse{Step: sess.steps})
 }
 
-// speculate precomputes the session's next suggestion after an observe
-// acknowledgment, under the same server-wide planning semaphore as
-// client-driven planning, so the client's following GET next is
-// answered from the already-planned head at cache-hit latency. It never
-// journals and never ends the session: both are client-visible
-// transitions that belong to the request that serves them.
-func (s *Server) speculate(sess *session) {
-	ctx := context.Background()
-	if s.cfg.RequestTimeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, s.cfg.RequestTimeout)
-		defer cancel()
-	}
-	sess.mu.Lock()
-	defer sess.mu.Unlock()
-	if err := s.acquire(ctx); err != nil {
-		return
-	}
-	defer s.release()
-	sug, err := sess.advisor.Next(ctx)
-	if err != nil || sug.Done {
-		return
-	}
-	if sug.Seq > sess.journaledSeq {
-		// A genuinely new plan, not yet served to the client.
-		sess.specSeq.Store(int64(sug.Seq))
-	}
-}
-
-// advance drives the session to its next suggestion (or Done) under the
-// planning semaphore. Callers hold the session mutex. On failure the
-// error response has been written and a nil suggestion is returned.
+// advance collects the session's next suggestion (or Done) from its
+// search loop and journals it the first time it is served. Callers hold
+// the session mutex. On failure the error response has been written and
+// a nil suggestion is returned.
 func (s *Server) advance(w http.ResponseWriter, r *http.Request, sess *session) (*arrow.Suggestion, int) {
-	if err := s.acquire(r.Context()); err != nil {
-		return nil, writeErr(w, http.StatusGatewayTimeout, fmt.Sprintf("planning queue: %v", err))
-	}
-	defer s.release()
 	sug, err := sess.advisor.Next(r.Context())
 	if err != nil {
 		return nil, writeErr(w, http.StatusGatewayTimeout, fmt.Sprintf("planning: %v", err))
@@ -545,27 +498,16 @@ func (s *Server) advance(w http.ResponseWriter, r *http.Request, sess *session) 
 		s.endSession(sess, "done")
 		return &sug, 0
 	}
-	if spec := sess.specSeq.Load(); spec >= 0 {
-		switch {
-		case spec == int64(sug.Seq):
-			// The background plan is exactly what the client asked for:
-			// this request paid no planning latency.
-			sess.specSeq.Store(-1)
-			s.emitSpeculate(telemetry.KindSpeculateHit, sess, int(spec))
-		case spec < int64(sug.Seq):
-			// The speculated suggestion was consumed some other way
-			// (observed blind, quarantined); the plan went unserved.
-			sess.specSeq.Store(-1)
-			s.emitSpeculate(telemetry.KindSpeculateWaste, sess, int(spec))
-		}
-	}
 	// Journal each suggestion once (Next is idempotent while one is
 	// pending, and a batch may have journaled it already); replay asserts
 	// the regenerated suggestion matches, so a journal/optimizer
 	// divergence is detected instead of served.
 	if sug.Seq > sess.journaledSeq {
 		sess.journaledSeq = sug.Seq
-		s.appendRecord(sess, journal.Record{Kind: journal.KindSuggest, Index: sug.Index, Step: sug.Step})
+		if err := s.appendRecord(sess, journal.Record{Kind: journal.KindSuggest, Index: sug.Index, Step: sug.Step}); err != nil {
+			return nil, s.dropUnjournaled(w, sess, err)
+		}
+		s.emitHit(sess, sug.Seq)
 		s.maybeSnapshot(sess)
 	}
 	return &sug, 0
@@ -597,13 +539,9 @@ func (s *Server) handleNextBatch(w http.ResponseWriter, r *http.Request) int {
 
 	sess.mu.Lock()
 	defer sess.mu.Unlock()
-	if st := s.drainFence(w, sess); st != 0 {
+	if st := s.fence(w, sess.id); st != 0 {
 		return st
 	}
-	if err := s.acquire(r.Context()); err != nil {
-		return writeErr(w, http.StatusGatewayTimeout, fmt.Sprintf("planning queue: %v", err))
-	}
-	defer s.release()
 	sugs, err := sess.advisor.NextBatch(r.Context(), k)
 	if err != nil {
 		return writeErr(w, http.StatusGatewayTimeout, fmt.Sprintf("planning: %v", err))
@@ -620,17 +558,15 @@ func (s *Server) handleNextBatch(w http.ResponseWriter, r *http.Request) int {
 			maxSeq = sug.Seq
 		}
 	}
-	if spec := sess.specSeq.Load(); spec >= 0 && spec <= int64(maxSeq) {
-		// The batch serves (at least) the speculated suggestion.
-		sess.specSeq.Store(-1)
-		s.emitSpeculate(telemetry.KindSpeculateHit, sess, int(spec))
-	}
 	// Journal the batch once: a retry with no new observations reissues
 	// the same Seq ordinals and is skipped. Replay regenerates the batch
 	// with NextBatch(K) and asserts the indices, like suggest records.
 	if maxSeq > sess.journaledSeq {
 		sess.journaledSeq = maxSeq
-		s.appendRecord(sess, journal.Record{Kind: journal.KindSuggestBatch, K: k, Indices: indices})
+		if err := s.appendRecord(sess, journal.Record{Kind: journal.KindSuggestBatch, K: k, Indices: indices}); err != nil {
+			return s.dropUnjournaled(w, sess, err)
+		}
+		s.emitHit(sess, maxSeq)
 		s.maybeSnapshot(sess)
 	}
 	if s.tracer != nil {
@@ -645,8 +581,18 @@ func (s *Server) handleNextBatch(w http.ResponseWriter, r *http.Request) int {
 	return writeJSON(w, http.StatusOK, NextBatchResponse{Suggestions: sugs})
 }
 
+// emitHit audits the first suggestion newly served after an acknowledged
+// observe: the plan the search loop began at that observe was already
+// under way when the client asked for it. seq is the served issue
+// ordinal.
+func (s *Server) emitHit(sess *session, seq int) {
+	if sess.unserved.Swap(0) != 0 {
+		s.emitSpeculate(telemetry.KindSpeculateHit, sess, seq)
+	}
+}
+
 // emitSpeculate records a speculation disposition in the audit stream.
-func (s *Server) emitSpeculate(kind telemetry.Kind, sess *session, seq int) {
+func (s *Server) emitSpeculate(kind telemetry.Kind, sess *session, value int) {
 	if s.tracer == nil {
 		return
 	}
@@ -654,7 +600,7 @@ func (s *Server) emitSpeculate(kind telemetry.Kind, sess *session, seq int) {
 		Kind:      kind,
 		Name:      sess.id,
 		Candidate: -1,
-		Value:     float64(seq),
+		Value:     float64(value),
 	})
 }
 
@@ -668,7 +614,7 @@ func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) int {
 	}
 	sess.mu.Lock()
 	defer sess.mu.Unlock()
-	if st := s.drainFence(w, sess); st != 0 {
+	if st := s.fence(w, sess.id); st != 0 {
 		return st
 	}
 	res, err := sess.advisor.Result()
@@ -695,7 +641,7 @@ func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) int {
 	}
 	sess.mu.Lock()
 	defer sess.mu.Unlock()
-	if st := s.drainFence(w, sess); st != 0 {
+	if st := s.fence(w, sess.id); st != 0 {
 		return st
 	}
 	res, err := sess.advisor.Abort(errSessionAborted)
@@ -757,15 +703,8 @@ func (s *Server) Shutdown(ctx context.Context) error {
 // lookup's sweep are finalized here.
 func (s *Server) resolve(w http.ResponseWriter, r *http.Request) (*session, int) {
 	id := r.PathValue("id")
-	if j := s.cfg.Journal; j != nil {
-		if !j.Owns(id) {
-			return nil, writeErr(w, http.StatusMisdirectedRequest,
-				fmt.Sprintf("session %s maps to a journal shard this replica does not own; ask the owning replica", id))
-		}
-		if s.shardDraining(journal.ShardOf(id, j.Shards())) {
-			return nil, writeErr(w, http.StatusMisdirectedRequest,
-				fmt.Sprintf("session %s maps to a journal shard mid-migration; retry against the cluster", id))
-		}
+	if st := s.fence(w, id); st != 0 {
+		return nil, st
 	}
 	sess, status, evicted := s.store.get(id)
 	s.finalizeEvicted(evicted)
@@ -796,10 +735,11 @@ func (s *Server) finalizeEvicted(evicted []*session) {
 // rolling restart lossless.
 func (s *Server) endSession(sess *session, disposition string) {
 	sess.endOnce.Do(func() {
-		// A plan speculated but never served dies with the session;
-		// surface the wasted compute in the audit stream.
-		if spec := sess.specSeq.Swap(-1); spec >= 0 {
-			s.emitSpeculate(telemetry.KindSpeculateWaste, sess, int(spec))
+		// A plan begun at an acknowledged observe that no client fetched
+		// dies with the session; surface the wasted compute in the audit
+		// stream. A session that finished answered that plan with Done.
+		if n := sess.unserved.Swap(0); n != 0 && disposition != "done" {
+			s.emitSpeculate(telemetry.KindSpeculateWaste, sess, int(n-1))
 		}
 		switch disposition {
 		case "shutdown-flush":
@@ -859,9 +799,9 @@ func (s *Server) newSessionID() (string, error) {
 // appendRecord journals one state transition for the session, pairing
 // the sequence-number allocation with the write under the session's
 // journal mutex so chains stay contiguous even when an eviction races a
-// request. A failed append is warned about and leaves a seq gap; the
-// recovery scan then reports the session as damaged rather than
-// replaying an inconsistent chain.
+// request. A failed append is warned about and closes the chain: no
+// later record may land past the gap it leaves, so the journal keeps
+// the session's durable prefix intact for recovery to replay.
 func (s *Server) appendRecord(sess *session, rec journal.Record) error {
 	j := s.cfg.Journal
 	if j == nil {
@@ -869,13 +809,17 @@ func (s *Server) appendRecord(sess *session, rec journal.Record) error {
 	}
 	sess.jmu.Lock()
 	defer sess.jmu.Unlock()
+	if sess.closed {
+		return errChainClosed
+	}
 	rec.Session = sess.id
 	rec.Seq = sess.seq
 	sess.seq++
 	if rec.Kind == journal.KindAbort || rec.Kind == journal.KindEnd {
-		sess.terminal = true
+		sess.closed = true
 	}
 	if err := j.Append(rec); err != nil {
+		sess.closed = true
 		s.warnf("session %s: %s record lost: %v", sess.id, rec.Kind, err)
 		return err
 	}
@@ -888,6 +832,23 @@ func (s *Server) appendRecord(sess *session, rec journal.Record) error {
 		}
 	}
 	return nil
+}
+
+// dropUnjournaled answers a transition whose record did not reach the
+// journal, and drops the session from memory without a terminal record,
+// as DropShards does: the transition was never acknowledged, and the
+// journal's durable prefix is what Recover or ReclaimShards replays. A
+// lost or lapsed lease answers 421, like the shard fence; any other
+// journal failure answers 503.
+func (s *Server) dropUnjournaled(w http.ResponseWriter, sess *session, err error) int {
+	s.store.remove(sess.id)
+	sess.advisor.Abort(errJournalFailed)
+	if errors.Is(err, journal.ErrNotOwned) || errors.Is(err, journal.ErrLeaseExpired) {
+		return writeErr(w, http.StatusMisdirectedRequest,
+			fmt.Sprintf("session %s: %v; ask the owning replica", sess.id, err))
+	}
+	return writeErr(w, http.StatusServiceUnavailable,
+		fmt.Sprintf("session %s: transition not journaled: %v", sess.id, err))
 }
 
 // snapshotsEnabled reports whether sessions checkpoint themselves.
@@ -928,7 +889,7 @@ func (s *Server) maybeSnapshot(sess *session) {
 	}
 	sess.jmu.Lock()
 	defer sess.jmu.Unlock()
-	if sess.terminal {
+	if sess.closed {
 		return
 	}
 	observes := 0

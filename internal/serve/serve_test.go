@@ -89,9 +89,9 @@ func (c *client) observe(id string, req ObserveRequest) ObserveResponse {
 }
 
 // followUp resolves the suggestion after an observe: directly from the
-// response when the server planned synchronously, via GET next when it
-// acknowledged early and is speculating (the default) — the round trip
-// the speculative pipeline makes a cache hit.
+// response when the observe waited for the plan, via GET next when it
+// was acknowledged early (the default) — the round trip that collects
+// the plan the session's search loop began at the observe.
 func (c *client) followUp(id string, resp ObserveResponse) arrow.Suggestion {
 	c.t.Helper()
 	if resp.Next != nil {
@@ -651,90 +651,113 @@ func TestServeNextBatch(t *testing.T) {
 	}
 }
 
-// TestServeSpeculationAudit drives the speculation lifecycle
-// deterministically — observing through the advisor and invoking the
-// server's speculate hook synchronously instead of racing the
-// post-observe goroutine — and checks the audit stream records batch
-// handouts, speculation hits, and wasted plans.
+// TestServeSpeculationAudit drives the speculation lifecycle over HTTP
+// alone and checks the audit stream: a batch handout is recorded with
+// its k and served size; the first suggestion newly served after an
+// acknowledged observe is a hit naming its issue ordinal; a session that
+// ends with such a plan unfetched records waste naming the observation
+// count of that acknowledgment; a session that finishes answers its last
+// plan with Done and records no waste; and with speculation disabled
+// neither kind is emitted.
 func TestServeSpeculationAudit(t *testing.T) {
-	rec := telemetry.NewRecorder()
-	s, c := newTestServer(t, Config{Tracer: rec})
 	target, err := arrow.NewSimulatedTarget("als/spark2.1/medium", 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Random search never stops early, so the session outlives the few
-	// observations this test feeds it.
-	info := c.create(SessionRequest{Method: "random-search", Seed: 5, MaxMeasurements: 10})
-	sess, status, _ := s.store.get(info.ID)
-	if status != lookupOK || sess == nil {
-		t.Fatalf("session %s not live in the store", info.ID)
-	}
-	observe := func(sug arrow.Suggestion) {
+	observe := func(c *client, id string, sug arrow.Suggestion) {
 		t.Helper()
 		out, merr := target.Measure(sug.Index)
 		if merr != nil {
-			err = sess.advisor.ObserveFailure(sug.Index, merr)
-		} else {
-			err = sess.advisor.Observe(sug.Index, out)
+			t.Fatalf("measuring %d: %v", sug.Index, merr)
 		}
-		if err != nil {
-			t.Fatalf("observing %d: %v", sug.Index, err)
+		c.observe(id, ObserveRequest{Index: sug.Index, TimeSec: out.TimeSec, CostUSD: out.CostUSD, Metrics: out.Metrics})
+	}
+	// audit groups the speculation and batch events by session.
+	audit := func(rec *telemetry.Recorder) map[string]map[telemetry.Kind][]telemetry.Event {
+		got := map[string]map[telemetry.Kind][]telemetry.Event{}
+		for _, e := range rec.Events() {
+			switch e.Kind {
+			case telemetry.KindSuggestBatch, telemetry.KindSpeculateHit, telemetry.KindSpeculateWaste:
+				if got[e.Name] == nil {
+					got[e.Name] = map[telemetry.Kind][]telemetry.Event{}
+				}
+				got[e.Name][e.Kind] = append(got[e.Name][e.Kind], e)
+			}
 		}
+		return got
 	}
 
-	// A batch handout is audited with the requested k and the served size.
+	rec := telemetry.NewRecorder()
+	_, c := newTestServer(t, Config{Tracer: rec})
+	// Random search never stops early, so the session outlives the few
+	// observations this test feeds it.
+	info := c.create(SessionRequest{Method: "random-search", Seed: 5, MaxMeasurements: 10})
 	sugs := c.nextBatch(info.ID, 2)
-	for i := len(sugs) - 1; i >= 0; i-- {
-		observe(sugs[i])
+	if len(sugs) != 2 {
+		t.Fatalf("batch of %d suggestions, want 2", len(sugs))
 	}
-
-	// Speculate synchronously: the following next must be a recorded hit.
-	s.speculate(sess)
-	if sess.specSeq.Load() < 0 {
-		t.Fatal("speculate left no plan behind")
+	for i := len(sugs) - 1; i >= 0; i-- {
+		observe(c, info.ID, sugs[i])
 	}
 	hit := c.next(info.ID)
-	if hit.Done {
-		t.Fatal("session finished before the speculation hit")
+	if hit.Done || hit.Seq != 2 {
+		t.Fatalf("next after the batch = %+v, want a fresh suggestion with Seq 2", hit)
 	}
-	if sess.specSeq.Load() != -1 {
-		t.Error("serving the speculated suggestion did not consume the plan")
+	if again := c.next(info.ID); again != hit {
+		t.Fatalf("reissued next %+v, want %+v", again, hit)
 	}
-
-	// Speculate again, then end the session with the plan still in
-	// flight: the teardown must audit it as waste.
-	observe(hit)
-	s.speculate(sess)
-	if sess.specSeq.Load() < 0 {
-		t.Fatal("second speculate left no plan behind")
-	}
+	observe(c, info.ID, hit)
 	if st := c.do("DELETE", "/v1/sessions/"+info.ID, nil, nil); st != http.StatusOK {
 		t.Fatalf("delete: status %d", st)
 	}
 
-	want := map[telemetry.Kind]bool{
-		telemetry.KindSuggestBatch:   false,
-		telemetry.KindSpeculateHit:   false,
-		telemetry.KindSpeculateWaste: false,
+	// A session run to its natural end: every suggestion after the first
+	// is a hit, and the plan begun at the final observe ends in Done.
+	done := c.create(SessionRequest{Method: "random-search", Seed: 6, MaxMeasurements: 3})
+	for sug := c.next(done.ID); !sug.Done; sug = c.next(done.ID) {
+		observe(c, done.ID, sug)
 	}
-	for _, e := range rec.Events() {
-		if _, ok := want[e.Kind]; !ok {
-			continue
-		}
-		want[e.Kind] = true
-		if e.Name != info.ID {
-			t.Errorf("%s event names %q, want the session id %q", e.Kind, e.Name, info.ID)
-		}
-		if e.Kind == telemetry.KindSuggestBatch {
-			if e.Step != 2 || int(e.Value) != len(sugs) {
-				t.Errorf("suggest_batch event k=%d served=%v, want k=2 served=%d", e.Step, e.Value, len(sugs))
-			}
-		}
+	c.result(done.ID)
+
+	got := audit(rec)
+	batch := got[info.ID][telemetry.KindSuggestBatch]
+	if len(batch) != 1 || batch[0].Step != 2 || int(batch[0].Value) != len(sugs) {
+		t.Errorf("suggest_batch events %+v, want one with k=2 served=%d", batch, len(sugs))
 	}
-	for k, seen := range want {
-		if !seen {
-			t.Errorf("audit stream missing %s events", k)
+	if hits := got[info.ID][telemetry.KindSpeculateHit]; len(hits) != 1 || int(hits[0].Value) != hit.Seq {
+		t.Errorf("speculate_hit events %+v, want one naming Seq %d", hits, hit.Seq)
+	}
+	if waste := got[info.ID][telemetry.KindSpeculateWaste]; len(waste) != 1 || waste[0].Value != 3 {
+		t.Errorf("speculate_waste events %+v, want one naming the third observation", waste)
+	}
+	if hits := got[done.ID][telemetry.KindSpeculateHit]; len(hits) != 2 {
+		t.Errorf("finished session: %d speculate_hit events, want 2", len(hits))
+	}
+	if waste := got[done.ID][telemetry.KindSpeculateWaste]; len(waste) != 0 {
+		t.Errorf("finished session recorded waste %+v", waste)
+	}
+
+	// With speculation off, observe returns the next suggestion inline:
+	// nothing is left to hit or waste.
+	syncRec := telemetry.NewRecorder()
+	_, sc := newTestServer(t, Config{Tracer: syncRec, DisableSpeculation: true})
+	syncInfo := sc.create(SessionRequest{Method: "random-search", Seed: 5, MaxMeasurements: 10})
+	sug := sc.next(syncInfo.ID)
+	for i := 0; i < 3; i++ {
+		out, merr := target.Measure(sug.Index)
+		if merr != nil {
+			t.Fatalf("measuring %d: %v", sug.Index, merr)
 		}
+		resp := sc.observe(syncInfo.ID, ObserveRequest{Index: sug.Index, TimeSec: out.TimeSec, CostUSD: out.CostUSD, Metrics: out.Metrics})
+		if resp.Next == nil {
+			t.Fatal("synchronous observe response carries no next suggestion")
+		}
+		sug = *resp.Next
+	}
+	if st := sc.do("DELETE", "/v1/sessions/"+syncInfo.ID, nil, nil); st != http.StatusOK {
+		t.Fatalf("delete: status %d", st)
+	}
+	if kinds := audit(syncRec)[syncInfo.ID]; len(kinds[telemetry.KindSpeculateHit])+len(kinds[telemetry.KindSpeculateWaste]) != 0 {
+		t.Errorf("speculation disabled, yet the audit stream holds %+v", kinds)
 	}
 }

@@ -113,15 +113,20 @@ const (
 	// contract; the search trace itself never contains it — batch
 	// planning runs with the tracer detached.
 	KindSuggestBatch Kind = "suggest_batch"
-	// KindSpeculateHit records a /next or /nextbatch answered from the
-	// speculative plan computed after the previous observation: Name is
-	// the session id, Value the suggestion's issue ordinal (Seq). The
+	// KindSpeculateHit records the first suggestion newly served by
+	// /next or /nextbatch after an observe the server acknowledged
+	// without waiting for the plan: the session's search loop began
+	// planning at that observe, so the request collected a plan already
+	// under way. Name is the session id, Value the served suggestion's
+	// issue ordinal (Seq; the batch's highest for /nextbatch). The
 	// suggestion itself is identical either way — only the latency
 	// differs — so the event is serve-audit-only, like http_request.
 	KindSpeculateHit Kind = "speculate_hit"
-	// KindSpeculateWaste records a session ending with an unserved
-	// speculative suggestion still in flight: Name is the session id,
-	// Value the wasted suggestion's issue ordinal. Serve-audit-only.
+	// KindSpeculateWaste records a session ending before any client
+	// fetched the plan its search loop began at the last acknowledged
+	// observe (a search that finished instead answers that plan with
+	// Done and records none): Name is the session id, Value the accepted
+	// observation count that acknowledgment reported. Serve-audit-only.
 	KindSpeculateWaste Kind = "speculate_waste"
 	// KindStudyRun summarizes one (method, workload, seed) search of the
 	// study harness: Method is the method label, Step the measurement
