@@ -261,10 +261,16 @@ recover-smoke:
 # registry, three replicas with separate journal directories lease from
 # it over HTTP; one is SIGKILLed (heartbeat-expiry reclaim with epoch
 # bumps, cross-directory session adoption) and one is SIGTERMed with
-# -drain-migrate (live sessions streamed to a successor). Fast enough
-# to ride every push.
+# -drain-migrate (live sessions streamed to a successor). Then the
+# shard-fencing tests repeat under -race, since their races are timing
+# dependent: the serve-level migration, create-vs-drain, lapsed-lease
+# and lapsed-create tests 5 times, and the journal's drop-vs-append
+# fence 20 times (about 5 s of test time together on a 2-vCPU host).
+# Fast enough to ride every push.
 cluster-smoke:
 	$(GO) test -race -run 'TestRegistryClusterSmoke' ./cmd/arrow-serve
+	$(GO) test -race -count=5 -run 'TestMigrate|TestCreateRacingDrain|TestLapsedLease|TestCreateUnderLapsed' ./internal/serve
+	$(GO) test -race -count=20 -run TestDropShardFences ./internal/journal
 	@echo "cluster smoke OK: registry failover and drain migration lost zero acknowledged observations"
 
 # The multi-replica chaos/soak harness at nightly scale: ARROW_SOAK_SESSIONS

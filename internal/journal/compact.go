@@ -9,16 +9,17 @@ import (
 	"sort"
 )
 
-// This file is online shard compaction: an owned shard is scanned,
-// dead weight dropped, and the survivors rewritten into a fresh file
-// swapped in by atomic rename. Dead weight is (a) ended and aborted
-// session chains — replaced by a shard-level tombstone_index record so
-// the sessions still answer 410 Gone, (b) chains broken by damage,
-// (c) undecodable lines, and (d) for live sessions with a valid
-// snapshot, every op below the snapshot's watermark plus every older
-// snapshot — the chosen snapshot carries that history itself. The
-// whole read-rewrite-rename runs under the shard's append lock, so
-// compaction is safe while the shard is being served.
+// This file is a shard's compacted form and online compaction. The
+// image of a shard is what survives once the dead weight is dropped:
+// (a) ended and aborted session chains — replaced by a shard-level
+// tombstone_index record so the sessions still answer 410 Gone,
+// (b) chains broken by damage, (c) undecodable lines, and (d) for live
+// sessions with a valid snapshot, every op below the snapshot's
+// watermark plus every older snapshot — the chosen snapshot carries
+// that history itself. Compaction writes an owned shard's image into a
+// fresh file swapped in by atomic rename; a drain streams the image to
+// its successor. Both read the shard under its append lock, so they are
+// safe while the shard is being served.
 
 // CompactOptions gates when a shard is actually rewritten.
 type CompactOptions struct {
@@ -54,110 +55,124 @@ type CompactStats struct {
 	Tombstones int `json:"tombstones"`
 }
 
-// Compact scans one owned shard and, when the thresholds say it is
-// worth it, rewrites it without the droppable weight. The rewrite is a
-// temp-file write, fsync and atomic rename under the shard's append
-// lock; a crash at any point leaves either the old or the new file,
-// both valid.
-func (j *Journal) Compact(shard int, opts CompactOptions) (CompactStats, error) {
-	stats := CompactStats{Shard: shard}
+// ShardImage is a shard's compacted form: what Compact writes back to
+// disk and what a drain streams to its successor.
+type ShardImage struct {
+	// Live holds the live chains in first-seen order, each cut at its
+	// latest usable snapshot: create record, that snapshot and the
+	// records after it (a chain without one stays whole).
+	Live [][]Record
+	// Tombstones lists, sorted, every id the shard owes a 410: earlier
+	// tombstone_index entries plus the ended and the damaged chains.
+	Tombstones []string
+	// Damage reports the shard's undecodable lines and broken chains.
+	Damage []string
+}
+
+// Image reads one shard's compacted form under its file mutex. It reads
+// the shard whether or not this replica still holds it: a drain reads
+// the shard after dropping the grant, so the image is final.
+func (j *Journal) Image(shard int) (*ShardImage, error) {
 	if shard < 0 || shard >= j.shards {
-		return stats, fmt.Errorf("journal: compacting shard %d of %d", shard, j.shards)
-	}
-	if !j.ownsShard(shard) {
-		return stats, fmt.Errorf("%w: shard %d", ErrNotOwned, shard)
+		return nil, fmt.Errorf("journal: reading shard %d of %d", shard, j.shards)
 	}
 	sf := &j.files[shard]
 	sf.mu.Lock()
 	defer sf.mu.Unlock()
+	img, _, err := j.image(shard)
+	return img, err
+}
 
+// image builds a shard's compacted form; callers hold its file mutex.
+// The stats carry the size and chain counts Compact reports.
+func (j *Journal) image(shard int) (*ShardImage, CompactStats, error) {
+	stats := CompactStats{Shard: shard}
+	img := &ShardImage{}
 	path := j.shardPath(shard)
-	data, err := os.ReadFile(path)
-	if os.IsNotExist(err) || len(data) == 0 {
+	info, err := os.Stat(path)
+	if os.IsNotExist(err) {
+		return img, stats, nil
+	}
+	if err != nil {
+		return nil, stats, fmt.Errorf("journal: reading %s: %w", path, err)
+	}
+	stats.BytesBefore = info.Size()
+	scan := &Recovery{}
+	bySession := make(map[string][]Record)
+	var order []string
+	if err := scanShardFile(path, false, j.warnf, scan, bySession, &order); err != nil {
+		return nil, stats, err
+	}
+	finishScan(scan, bySession, order)
+	img.Damage = scan.Damage
+	live := make(map[string]bool, len(scan.Live))
+	for _, log := range scan.Live {
+		live[log.ID] = true
+		chain, cut := truncateAtSnapshot(log.Records)
+		if cut {
+			stats.TruncatedChains++
+		}
+		img.Live = append(img.Live, chain)
+	}
+	// Every chain that is not live ended or was damaged; both leave a
+	// tombstone behind.
+	tombstones := make(map[string]bool)
+	for _, id := range scan.Tombstones {
+		tombstones[id] = true
+	}
+	for _, id := range order {
+		if !live[id] {
+			tombstones[id] = true
+		}
+	}
+	stats.DroppedEnded = len(scan.Ended)
+	stats.DroppedDamaged = len(order) - len(scan.Live) - len(scan.Ended)
+	for id := range tombstones {
+		img.Tombstones = append(img.Tombstones, id)
+	}
+	sort.Strings(img.Tombstones)
+	stats.LiveSessions = len(img.Live)
+	stats.Tombstones = len(img.Tombstones)
+	return img, stats, nil
+}
+
+// Compact reads one owned shard's image and, when the thresholds say it
+// is worth it, writes the image back in place of the shard. The rewrite
+// is a temp-file write, fsync and atomic rename under the shard's
+// append lock; a crash at any point leaves either the old or the new
+// file, both valid.
+func (j *Journal) Compact(shard int, opts CompactOptions) (CompactStats, error) {
+	if shard < 0 || shard >= j.shards {
+		return CompactStats{Shard: shard}, fmt.Errorf("journal: compacting shard %d of %d", shard, j.shards)
+	}
+	sf := &j.files[shard]
+	sf.mu.Lock()
+	defer sf.mu.Unlock()
+	// Checked under the file mutex, as appends are: a dropped shard is
+	// never rewritten.
+	if !j.ownsShard(shard) {
+		return CompactStats{Shard: shard}, fmt.Errorf("%w: shard %d", ErrNotOwned, shard)
+	}
+	img, stats, err := j.image(shard)
+	if err != nil {
+		return stats, err
+	}
+	if stats.BytesBefore == 0 {
 		stats.SkipReason = "empty"
 		return stats, nil
 	}
-	if err != nil {
-		return stats, fmt.Errorf("journal: reading %s: %w", path, err)
-	}
-	stats.BytesBefore = int64(len(data))
 
-	// Decode every line, dropping undecodable ones (mid-file damage and
-	// torn tails alike — compaction rewrites the file, so there is
-	// nothing to preserve about a broken line).
-	var (
-		good       []Record
-		bySession  = make(map[string][]Record)
-		order      []string
-		tombstones = make(map[string]bool)
-	)
-	for _, line := range bytes.Split(data, []byte{'\n'}) {
-		if len(bytes.TrimSpace(line)) == 0 {
-			continue
-		}
-		r, derr := DecodeLine(line)
-		if derr != nil {
-			continue
-		}
-		if r.Kind == KindTombstoneIndex {
-			// Merge prior indexes so 410s survive repeated compactions.
-			for _, id := range r.Tombstones {
-				tombstones[id] = true
-			}
-			continue
-		}
-		good = append(good, r)
-		if _, seen := bySession[r.Session]; !seen {
-			order = append(order, r.Session)
-		}
-		bySession[r.Session] = append(bySession[r.Session], r)
-	}
-
-	// Partition the chains: ended and damaged drop into the tombstone
-	// index, live chains truncate at their latest usable snapshot.
-	var kept [][]Record
-	for _, id := range order {
-		records := bySession[id]
-		sort.SliceStable(records, func(a, b int) bool { return records[a].Seq < records[b].Seq })
-		// Use the validated log's records: ValidateChain drops the
-		// byte-identical duplicates cross-host adoption re-journals.
-		log, ended, problem := ValidateChain(id, records)
-		switch {
-		case problem != "":
-			stats.DroppedDamaged++
-			tombstones[id] = true
-			continue
-		case ended:
-			stats.DroppedEnded++
-			tombstones[id] = true
-			continue
-		}
-		truncated, didTruncate := truncateAtSnapshot(log.Records)
-		if didTruncate {
-			stats.TruncatedChains++
-		}
-		stats.LiveSessions++
-		kept = append(kept, truncated)
-	}
-
-	// Rebuild the shard content: the merged tombstone index first, then
-	// each surviving chain in first-seen order.
+	// The merged tombstone index first, then each live chain.
 	var buf bytes.Buffer
-	if len(tombstones) > 0 {
-		ids := make([]string, 0, len(tombstones))
-		for id := range tombstones {
-			ids = append(ids, id)
-		}
-		sort.Strings(ids)
-		line, err := EncodeLine(Record{Kind: KindTombstoneIndex, Tombstones: ids})
+	if len(img.Tombstones) > 0 {
+		line, err := EncodeLine(Record{Kind: KindTombstoneIndex, Tombstones: img.Tombstones})
 		if err != nil {
 			return stats, err
 		}
 		buf.Write(line)
-		stats.Tombstones = len(ids)
 	}
-	for _, records := range kept {
-		for _, r := range records {
+	for _, chain := range img.Live {
+		for _, r := range chain {
 			line, err := EncodeLine(r)
 			if err != nil {
 				return stats, err
@@ -182,6 +197,7 @@ func (j *Journal) Compact(shard int, opts CompactOptions) (CompactStats, error) 
 	}
 
 	// Swap the rewrite in: temp file, fsync, rename, directory fsync.
+	path := j.shardPath(shard)
 	tmp := path + ".tmp"
 	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
 	if err != nil {
@@ -233,13 +249,6 @@ func (j *Journal) CompactOwned(opts CompactOptions) ([]CompactStats, error) {
 		out = append(out, stats)
 	}
 	return out, errors.Join(errs...)
-}
-
-// TrimToSnapshot is truncateAtSnapshot for external callers: live
-// migration streams a session as create + latest usable snapshot +
-// post-watermark suffix, exactly the compacted form of its chain.
-func TrimToSnapshot(records []Record) ([]Record, bool) {
-	return truncateAtSnapshot(records)
 }
 
 // truncateAtSnapshot drops the history a live chain's latest usable

@@ -2,6 +2,7 @@ package journal
 
 import (
 	"encoding/json"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -160,6 +161,30 @@ func TestCompactTruncatesAtSnapshot(t *testing.T) {
 	}
 	if len(got.Ops) != 4 || got.Ops[0].Seq != 1 {
 		t.Fatalf("snapshot lost the carried history: %+v", got.Ops)
+	}
+}
+
+// TestImageKeepsSnapshotlessChainWhole pins the compacted form a drain
+// streams: a live chain without a usable snapshot comes back whole, and
+// the ended and damaged chains come back as sorted tombstones.
+func TestImageKeepsSnapshotlessChainWhole(t *testing.T) {
+	j := openAll(t, t.TempDir(), WithReplica("r1"), WithShards(1))
+	live := sessionRecords("s-000003", 1, false)
+	appendAll(t, j, live...)
+	appendAll(t, j, sessionRecords("s-000002", 0, true)...)
+	appendAll(t, j, Record{Session: "s-000001", Seq: 1, Kind: KindSuggest}) // no create record
+	img, err := j.Image(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(img.Live) != 1 || !reflect.DeepEqual(img.Live[0], live) {
+		t.Fatalf("snapshot-less chain did not come back whole: %+v", img.Live)
+	}
+	if want := []string{"s-000001", "s-000002"}; !reflect.DeepEqual(img.Tombstones, want) {
+		t.Fatalf("tombstones %v, want %v", img.Tombstones, want)
+	}
+	if len(img.Damage) != 1 {
+		t.Fatalf("damage %v, want the one broken chain", img.Damage)
 	}
 }
 

@@ -268,9 +268,9 @@ type Journal struct {
 	leases  LeaseManager
 	now     func() time.Time
 
-	// ownedMu guards owned: the map is written at Open, by Reclaim /
-	// TakeOver / DropShard at runtime, and by Close; every append and
-	// ownership check reads it.
+	// ownedMu guards owned: the map is written at Open, by Reclaim,
+	// TakeOver, RenewLeases, Reinstate and DropShard at runtime, and by
+	// Close; every append and ownership check reads it.
 	ownedMu sync.RWMutex
 	owned   map[int]Lease
 
@@ -450,14 +450,13 @@ func (j *Journal) Append(rec Record) error {
 
 // AppendShard is Append targeted at an explicit shard — for
 // tombstone_index records, which carry no session id. The same
-// ownership and expiry fencing applies.
+// ownership and expiry fencing applies, checked under the shard's file
+// mutex: DropShard takes that mutex too, so once a drop returns no
+// append can still land in the shard, not even one that was already
+// waiting for the mutex.
 func (j *Journal) AppendShard(shard int, rec Record) error {
-	l, held := j.leaseFor(shard)
-	if !held {
-		return fmt.Errorf("%w: session %q, shard %d", ErrNotOwned, rec.Session, shard)
-	}
-	if l.Expired(j.now()) {
-		return fmt.Errorf("%w: session %q, shard %d, epoch %d", ErrLeaseExpired, rec.Session, shard, l.Epoch)
+	if shard < 0 || shard >= j.shards {
+		return fmt.Errorf("%w: session %q, shard %d of %d", ErrNotOwned, rec.Session, shard, j.shards)
 	}
 	line, err := EncodeLine(rec)
 	if err != nil {
@@ -466,6 +465,13 @@ func (j *Journal) AppendShard(shard int, rec Record) error {
 	sf := &j.files[shard]
 	sf.mu.Lock()
 	defer sf.mu.Unlock()
+	l, held := j.leaseFor(shard)
+	if !held {
+		return fmt.Errorf("%w: session %q, shard %d", ErrNotOwned, rec.Session, shard)
+	}
+	if l.Expired(j.now()) {
+		return fmt.Errorf("%w: session %q, shard %d, epoch %d", ErrLeaseExpired, rec.Session, shard, l.Epoch)
+	}
 	if sf.f == nil {
 		f, err := os.OpenFile(j.shardPath(shard), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 		if err != nil {
@@ -869,61 +875,68 @@ func (j *Journal) RenewLeases() ([]int, error) {
 		if !held {
 			continue
 		}
-		nl, ok, err := j.leases.Renew(l)
+		dropped, err := j.renew(l, false)
 		if err != nil {
 			if firstErr == nil {
 				firstErr = err
 			}
 			j.warnf("renewing lease %d: %v", shard, err)
-			continue
 		}
-		j.ownedMu.Lock()
-		if ok {
-			nl.Shard = shard
-			j.owned[shard] = nl
-		} else {
-			delete(j.owned, shard)
+		if dropped {
 			lost = append(lost, shard)
 		}
-		j.ownedMu.Unlock()
 	}
-	sort.Ints(lost)
 	return lost, firstErr
 }
 
-// RenewShard re-verifies one held grant with the manager, immediately:
-// held=false means the grant was superseded (another replica owns the
-// shard now) and it has been dropped from the owned set; the caller
-// must evict the shard's sessions. A manager error keeps the grant, as
-// in RenewLeases — local expiry fencing bounds the damage. Used where
-// ownership is suddenly in doubt, e.g. a migration handoff whose
-// outcome was lost in transit.
-func (j *Journal) RenewShard(shard int) (bool, error) {
-	l, held := j.leaseFor(shard)
-	if !held {
-		return false, nil
-	}
-	nl, ok, err := j.leases.Renew(l)
-	if err != nil {
-		return true, err
-	}
-	j.ownedMu.Lock()
-	if ok {
-		nl.Shard = shard
-		j.owned[shard] = nl
-	} else {
-		delete(j.owned, shard)
-	}
-	j.ownedMu.Unlock()
-	return ok, nil
+// Reinstate puts back a grant the caller set aside with DropShard — a
+// shard hand-off that did not go through — after re-verifying it with
+// the manager. held=false means the manager reports the grant lost (a
+// successor took the shard over and only the answer went missing): the
+// shard stays dropped and the caller must evict its sessions. A manager
+// error reinstates the grant, as in RenewLeases.
+func (j *Journal) Reinstate(l Lease) (held bool, err error) {
+	dropped, err := j.renew(l, true)
+	return !dropped, err
 }
 
-// DropShard forgets a shard locally without releasing the grant — the
-// migrate-out path, where the grant was already transferred to the
-// successor and releasing it here would yank it back out from under
-// them.
-func (j *Journal) DropShard(shard int) {
+// renew is the per-grant step RenewLeases and Reinstate share: the grant
+// is renewed, kept on a manager error (local expiry still fences), or
+// dropped when the manager reports it lost. Only a reinstatement may put
+// a grant back; a renewal that finds its shard dropped or re-granted
+// meanwhile leaves it alone, so a heartbeat cannot revive a shard a
+// drain set aside mid-hand-off. It reports whether it dropped the grant.
+func (j *Journal) renew(l Lease, reinstate bool) (dropped bool, err error) {
+	nl, ok, err := j.leases.Renew(l)
+	if err != nil {
+		nl, ok = l, true
+	}
+	nl.Shard = l.Shard
 	j.ownedMu.Lock()
+	defer j.ownedMu.Unlock()
+	cur, held := j.owned[l.Shard]
+	switch {
+	case held && cur.Epoch != l.Epoch, !held && !reinstate:
+		return false, err
+	case ok:
+		j.owned[l.Shard] = nl
+		return false, err
+	default:
+		delete(j.owned, l.Shard)
+		return true, err
+	}
+}
+
+// DropShard forgets a shard locally without releasing the grant, and
+// returns the grant it set aside. It is a hard fence: it takes the
+// shard's file mutex after forgetting the grant, so once it returns no
+// append can land in the shard. A drain drops the shard before reading
+// it for the hand-off and passes the grant to Reinstate if the hand-off
+// fails; on success the grant already belongs to the successor, and
+// releasing it here would yank it back out from under them.
+func (j *Journal) DropShard(shard int) (Lease, bool) {
+	j.ownedMu.Lock()
+	l, held := j.owned[shard]
 	delete(j.owned, shard)
 	j.ownedMu.Unlock()
 	sf := &j.files[shard]
@@ -933,6 +946,7 @@ func (j *Journal) DropShard(shard int) {
 		sf.f = nil
 	}
 	sf.mu.Unlock()
+	return l, held
 }
 
 // TakeOver claims a shard directly from its current holder through the

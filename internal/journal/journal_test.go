@@ -2,11 +2,13 @@ package journal
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 )
 
 // openAll opens a journal owning every shard, failing the test on error.
@@ -382,5 +384,98 @@ func TestEncodeDecodeLine(t *testing.T) {
 			// mismatch too, so any acceptance is a bug.
 			t.Fatalf("flipped byte %d accepted: %q", i, mut)
 		}
+	}
+}
+
+// TestDropShardFencesInFlightAppend: DropShard is a hard fence. An
+// append already waiting for the shard's file mutex when the drop lands
+// must be refused, not written after the drop returns: a drain reads
+// the shard right after dropping it, so a record landing later would be
+// acknowledged yet missing from the hand-off.
+func TestDropShardFencesInFlightAppend(t *testing.T) {
+	j := openAll(t, t.TempDir(), WithReplica("r1"), WithShards(1))
+	sf := &j.files[0]
+	sf.mu.Lock()
+	appended := make(chan error, 1)
+	go func() { appended <- j.Append(sessionRecords("s-000001", 0, false)[0]) }()
+	time.Sleep(20 * time.Millisecond)
+	go j.DropShard(0)
+	for len(j.Owned()) != 0 {
+		time.Sleep(time.Millisecond)
+	}
+	sf.mu.Unlock()
+	if err := <-appended; !errors.Is(err, ErrNotOwned) {
+		t.Fatalf("append racing the drop returned %v, want ErrNotOwned", err)
+	}
+	if info, err := os.Stat(j.shardPath(0)); err == nil && info.Size() != 0 {
+		t.Fatalf("shard holds %d bytes after the drop, want none", info.Size())
+	}
+}
+
+// gatedLeases is a lease manager whose renewals wait for the test's
+// verdict: renewed (true) or lost (false).
+type gatedLeases struct {
+	entered chan struct{}
+	verdict chan bool
+}
+
+func (m *gatedLeases) Acquire(shard int) (Lease, bool, error) {
+	return Lease{Shard: shard, Epoch: 1}, true, nil
+}
+
+func (m *gatedLeases) Renew(l Lease) (Lease, bool, error) {
+	m.entered <- struct{}{}
+	return l, <-m.verdict, nil
+}
+
+func (m *gatedLeases) Release(Lease) error { return nil }
+
+// TestRenewLeavesDroppedShardDropped: a heartbeat renewal in flight when
+// a drain drops the shard must not revive the grant — that would reopen
+// the shard to appends mid-hand-off. Only Reinstate puts a set-aside
+// grant back, and not when the manager reports it lost.
+func TestRenewLeavesDroppedShardDropped(t *testing.T) {
+	m := &gatedLeases{entered: make(chan struct{}), verdict: make(chan bool)}
+	j := openAll(t, t.TempDir(), WithReplica("r1"), WithShards(1), WithLeaseManager(m))
+	answer := func(renewed bool) {
+		<-m.entered
+		m.verdict <- renewed
+	}
+
+	renewed := make(chan []int, 1)
+	go func() {
+		lost, err := j.RenewLeases()
+		if err != nil {
+			t.Error(err)
+		}
+		renewed <- lost
+	}()
+	<-m.entered
+	l, held := j.DropShard(0)
+	if !held {
+		t.Fatal("DropShard found no grant on an owned shard")
+	}
+	m.verdict <- true
+	if lost := <-renewed; len(lost) != 0 {
+		t.Fatalf("renewal reported the dropped shard lost: %v", lost)
+	}
+	if got := j.Owned(); len(got) != 0 {
+		t.Fatalf("renewal revived the dropped shard: owned %v", got)
+	}
+
+	go answer(true)
+	if held, err := j.Reinstate(l); !held || err != nil {
+		t.Fatalf("Reinstate = %v, %v; want the grant back", held, err)
+	}
+	if got := j.Owned(); len(got) != 1 {
+		t.Fatalf("reinstated grant missing: owned %v", got)
+	}
+	l, _ = j.DropShard(0)
+	go answer(false)
+	if held, err := j.Reinstate(l); held || err != nil {
+		t.Fatalf("Reinstate of a lost grant = %v, %v; want it left dropped", held, err)
+	}
+	if got := j.Owned(); len(got) != 0 {
+		t.Fatalf("lost grant reinstated: owned %v", got)
 	}
 }

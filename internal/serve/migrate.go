@@ -16,31 +16,28 @@ import (
 )
 
 // This file is graceful live shard migration: a draining replica
-// streams each owned shard's live sessions — trimmed to create record +
-// latest usable snapshot + post-watermark suffix, the compacted form —
-// directly to a successor over HTTP, instead of dying and making the
-// successor re-read the shard from disk after lease expiry. The
-// registry fences the handoff: the successor takes the lease over by
-// citing the drainer's epoch, so a drainer that was paused and lost the
-// shard some other way gets a refusal, not a double ownership.
+// streams each owned shard's image — its live chains cut at their latest
+// usable snapshots, the form compaction writes — directly to a successor
+// over HTTP, instead of dying and making the successor re-read the shard
+// from disk after lease expiry. The registry fences the handoff: the
+// successor takes the lease over by citing the drainer's epoch, so a
+// drainer that was paused and lost the shard some other way gets a
+// refusal, not a double ownership.
 //
-// Ordering on the draining side: mark the shard draining (new requests
-// 421, in-flight handlers re-check under the session mutex), run a
-// lock barrier over every session so the shard is quiescent, scan and
-// trim, POST, and only on a 200 drop the sessions and the lease
-// locally. On the adopting side: transfer the lease first (fencing),
-// re-journal the streamed records write-ahead into the local directory
-// (durability before service), then adopt through the same replay
-// machinery recovery uses.
+// Ordering on the draining side: with every session mutex on the shard
+// held, drop the shard's grant from the journal, whose appends check the
+// grant under the same file mutex the drop takes, so nothing lands after
+// it; handlers then answer 421 at their fences without advancing their
+// advisors. Read the shard's image and POST it. On a 200 evict the
+// shard's sessions; on a failure reinstate the grant and keep serving
+// them, unless the registry says the grant moved. On the adopting side:
+// transfer the lease first (fencing), re-journal the streamed records
+// write-ahead into the local directory (durability before service),
+// then adopt through the same replay machinery recovery uses.
 
 // MaxMigrateBytes bounds a migration stream's body: whole session
 // chains, snapshots included, dwarf ordinary session requests.
 const MaxMigrateBytes = 64 << 20
-
-// createDrainHook, when non-nil, runs between a create record's append
-// and handleCreate's post-append drain re-check — tests use it to land
-// a drain exactly inside the race window. Never set in production.
-var createDrainHook func()
 
 // errSessionMigrated is the salvage cause for sessions handed off to a
 // successor replica; their advisors abort locally while the journal
@@ -52,16 +49,16 @@ var errSessionMigrated = errors.New("serve: session migrated to another replica"
 var errLeaseLost = errors.New("serve: shard lease lost to another replica")
 
 // MigrateRequest is one shard's migration stream: the lease handoff
-// citation plus every live chain (trimmed) and the ids owed a 410.
+// citation plus the shard's image.
 type MigrateRequest struct {
 	Shard     int    `json:"shard"`
 	From      string `json:"from"`
 	FromEpoch uint64 `json:"from_epoch"`
-	// Sessions are the live chains in record form, each trimmed to its
+	// Sessions are the live chains in record form, each cut to its
 	// create record, latest usable snapshot and post-watermark suffix.
 	Sessions [][]journal.Record `json:"sessions,omitempty"`
-	// Tombstones are the shard's ended/compacted ids, so 410 Gone
-	// survives the move.
+	// Tombstones are the shard's ended, compacted and damaged ids, so
+	// 410 Gone survives the move.
 	Tombstones []string `json:"tombstones,omitempty"`
 }
 
@@ -84,45 +81,6 @@ type MigrateReport struct {
 	Observations int      `json:"observations"`
 	Tombstones   int      `json:"tombstones"`
 	Damaged      []string `json:"damaged,omitempty"`
-}
-
-// shardDraining reads the draining flag.
-func (s *Server) shardDraining(shard int) bool {
-	s.drainMu.RLock()
-	defer s.drainMu.RUnlock()
-	return s.draining[shard]
-}
-
-func (s *Server) setDraining(shard int, on bool) {
-	s.drainMu.Lock()
-	if on {
-		s.draining[shard] = true
-	} else {
-		delete(s.draining, shard)
-	}
-	s.drainMu.Unlock()
-}
-
-// fence answers 421 unless this replica may journal the session: it
-// must hold a live lease on the session's shard, and the shard must not
-// be draining. resolve checks it before the store lookup, and handlers
-// check it again with the session mutex held — a handler that resolved
-// its session just before the lease lapsed or the drain flag went up
-// would otherwise append into a shard it no longer owns, or after the
-// migration barrier declared the shard quiescent.
-func (s *Server) fence(w http.ResponseWriter, id string) int {
-	j := s.cfg.Journal
-	switch {
-	case j == nil:
-		return 0
-	case !j.Owns(id):
-		return writeErr(w, http.StatusMisdirectedRequest,
-			fmt.Sprintf("session %s maps to a journal shard this replica does not own; ask the owning replica", id))
-	case s.shardDraining(journal.ShardOf(id, j.Shards())):
-		return writeErr(w, http.StatusMisdirectedRequest,
-			fmt.Sprintf("session %s maps to a journal shard mid-migration; retry against the cluster", id))
-	}
-	return 0
 }
 
 // handleMigrate is the adopting side: fence via lease transfer,
@@ -157,74 +115,37 @@ func (s *Server) handleMigrate(w http.ResponseWriter, r *http.Request) int {
 			fmt.Sprintf("lease transfer refused: shard %d is not held by %q at epoch %d", req.Shard, req.From, req.FromEpoch))
 	}
 
-	resp := MigrateResponse{Shard: req.Shard, Epoch: lease.Epoch}
-	scan := &journal.Recovery{}
+	scan := &journal.Recovery{Tombstones: req.Tombstones}
 	for _, chain := range req.Sessions {
 		if len(chain) == 0 {
 			continue
 		}
 		id := chain[0].Session
-		// The transfer fenced exactly req.Shard; a chain hashing
-		// elsewhere would re-journal into a shard outside the fence —
-		// silent corruption if this replica owns it, a stray file if not.
-		if got := journal.ShardOf(id, j.Shards()); got != req.Shard {
-			resp.Damaged = append(resp.Damaged,
-				fmt.Sprintf("session %s: maps to shard %d, not migrating shard %d", id, got, req.Shard))
-			continue
-		}
 		sort.SliceStable(chain, func(a, b int) bool { return chain[a].Seq < chain[b].Seq })
 		log, ended, problem := journal.ValidateChain(id, chain)
-		if problem != "" {
-			resp.Damaged = append(resp.Damaged, problem)
-			continue
-		}
-		// Write-ahead: the streamed chain must be durable in our own
-		// directory before its session is served from here.
-		appendFailed := false
-		for _, rec := range log.Records {
-			if err := j.Append(rec); err != nil {
-				resp.Damaged = append(resp.Damaged, fmt.Sprintf("session %s: journaling migrated chain: %v", id, err))
-				appendFailed = true
-				break
-			}
-		}
-		if appendFailed {
-			continue
-		}
-		if ended {
+		switch {
+		case problem != "":
+			scan.Damage = append(scan.Damage, problem)
+		case ended:
 			scan.Ended = append(scan.Ended, id)
-		} else {
+		default:
 			scan.Live = append(scan.Live, log)
 		}
 	}
-	var ids []string
-	for _, id := range req.Tombstones {
-		if journal.ShardOf(id, j.Shards()) == req.Shard {
-			ids = append(ids, id)
-		} else {
-			resp.Damaged = append(resp.Damaged,
-				fmt.Sprintf("tombstone %s: maps outside migrating shard %d", id, req.Shard))
-		}
-	}
-	if len(ids) > 0 {
-		sort.Strings(ids)
-		if err := j.AppendShard(req.Shard, journal.Record{Kind: journal.KindTombstoneIndex, Tombstones: ids}); err != nil {
-			resp.Damaged = append(resp.Damaged, fmt.Sprintf("shard %d: journaling %d migrated tombstones: %v", req.Shard, len(ids), err))
-		} else {
-			scan.Tombstones = ids
-		}
-	}
-
 	// Adopt on a background context: the sessions outlive this request,
 	// and a replay tied to r.Context() would abort them all the moment
 	// the drainer's POST returns.
 	var report RecoveryReport
-	s.adoptScan(context.Background(), scan, &report)
-	resp.Adopted = report.Recovered
-	resp.Observations = report.Observations
-	resp.SnapshotRestores = report.SnapshotRestores
-	resp.Tombstones = report.Ended + report.Tombstones
-	resp.Damaged = append(resp.Damaged, report.Damaged...)
+	s.importScan(context.Background(), []int{req.Shard}, scan, &report)
+	resp := MigrateResponse{
+		Shard:            req.Shard,
+		Epoch:            lease.Epoch,
+		Adopted:          report.Recovered,
+		Observations:     report.Observations,
+		SnapshotRestores: report.SnapshotRestores,
+		Tombstones:       report.Ended + report.Tombstones,
+		Damaged:          report.Damaged,
+	}
 	if s.tracer != nil {
 		s.tracer.Emit(telemetry.Event{
 			Kind:      telemetry.KindMigrate,
@@ -241,17 +162,20 @@ func (s *Server) handleMigrate(w http.ResponseWriter, r *http.Request) int {
 var migrateHTTP = &http.Client{Timeout: 5 * time.Minute}
 
 // MigrateShards streams every owned shard's live sessions to the
-// successor replica (a base URL like http://host:port) and drops the
-// shards locally as each handoff commits. Used by graceful shutdown in
-// registry mode, so a planned restart moves sessions in milliseconds
-// instead of making clients wait out lease expiry and a disk re-scan.
-// A per-shard failure stops the drain and returns what moved; the
-// shards not yet drained keep serving here.
+// successor replica (a base URL like http://host:port), one shard at a
+// time, evicting each shard's sessions locally as its handoff commits.
+// Used by graceful shutdown in registry mode, so a planned restart
+// moves sessions in milliseconds instead of making clients wait out
+// lease expiry and a disk re-scan. A per-shard failure stops the drain
+// and returns what moved; the failed shard, unless its grant moved, and
+// those not yet drained keep serving here.
 func (s *Server) MigrateShards(ctx context.Context, successor string) (*MigrateReport, error) {
 	j := s.cfg.Journal
 	if j == nil {
 		return nil, errors.New("serve: no journal configured; nothing to migrate")
 	}
+	s.handoffMu.Lock()
+	defer s.handoffMu.Unlock()
 	report := &MigrateReport{Successor: successor}
 	for _, shard := range j.Owned() {
 		if err := s.migrateShard(ctx, successor, shard, report); err != nil {
@@ -263,101 +187,50 @@ func (s *Server) MigrateShards(ctx context.Context, successor string) (*MigrateR
 
 func (s *Server) migrateShard(ctx context.Context, successor string, shard int, report *MigrateReport) error {
 	j := s.cfg.Journal
-	lease, held := j.Lease(shard)
+	// Drop the grant with every session on the shard locked: a handler
+	// either journaled its step before the drop or finds the shard
+	// unowned at its fence and answers 421 without advancing its
+	// advisor, so a failed hand-off can resume every session as it is.
+	batch := s.shardSessions(shard)
+	for _, sess := range batch {
+		sess.mu.Lock()
+	}
+	lease, held := j.DropShard(shard)
+	for _, sess := range batch {
+		sess.mu.Unlock()
+	}
 	if !held {
 		return nil // lost between Owned() and here; nothing to move
 	}
-	s.setDraining(shard, true)
-	committed := false
-	defer func() {
-		if !committed {
-			s.setDraining(shard, false)
-		}
-	}()
 
-	// Barrier: every handler that resolved a session on this shard
-	// before the flag went up holds the session mutex until its append
-	// lands; taking and releasing both locks guarantees the scan below
-	// sees a quiescent shard.
-	var moving []*session
-	for _, sess := range s.store.all() {
-		if journal.ShardOf(sess.id, j.Shards()) != shard {
-			continue
-		}
-		sess.mu.Lock()
-		sess.jmu.Lock()
-		sess.jmu.Unlock() //nolint:staticcheck // barrier, not critical section
-		sess.mu.Unlock()
-		moving = append(moving, sess)
+	img, err := j.Image(shard)
+	var resp *MigrateResponse
+	if err == nil {
+		report.Damaged = append(report.Damaged, img.Damage...)
+		resp, err = postMigrate(ctx, successor, MigrateRequest{
+			Shard: shard, From: j.Replica(), FromEpoch: lease.Epoch,
+			Sessions: img.Live, Tombstones: img.Tombstones,
+		})
 	}
-
-	scan, err := j.ScanShards([]int{shard})
-	if err != nil {
-		return err
-	}
-	req := MigrateRequest{Shard: shard, From: j.Replica(), FromEpoch: lease.Epoch}
-	for _, log := range scan.Live {
-		trimmed, _ := journal.TrimToSnapshot(log.Records)
-		req.Sessions = append(req.Sessions, trimmed)
-	}
-	seen := make(map[string]bool)
-	for _, id := range scan.Ended {
-		if !seen[id] {
-			seen[id] = true
-			req.Tombstones = append(req.Tombstones, id)
-		}
-	}
-	for _, id := range scan.Tombstones {
-		if !seen[id] {
-			seen[id] = true
-			req.Tombstones = append(req.Tombstones, id)
-		}
-	}
-	report.Damaged = append(report.Damaged, scan.Damage...)
-
-	resp, err := postMigrate(ctx, successor, req)
 	if err != nil {
 		// The POST failing does not mean the handoff failed: the
 		// successor may have committed the transfer (epoch bumped) and
-		// only the 200 was lost. Resuming on our stale, locally-unexpired
-		// lease would double-serve the shard until the next heartbeat
-		// notices. Re-verify the grant with the registry first; if the
-		// epoch was superseded, the successor owns the shard — evict
-		// rather than resume.
-		held, rerr := j.RenewShard(shard)
-		if rerr == nil && !held {
-			for _, sess := range moving {
-				sess.advisor.Abort(errLeaseLost)
-				s.store.remove(sess.id)
-			}
-			j.DropShard(shard)
-			if s.tracer != nil {
-				s.tracer.Emit(telemetry.Event{
-					Kind:      telemetry.KindLeaseExpire,
-					Candidate: shard,
-					Step:      len(moving),
-					Detail:    j.Replica(),
-				})
-			}
+		// only the 200 was lost. Resuming on our stale grant would
+		// double-serve the shard until the next heartbeat noticed, so the
+		// registry re-verifies the grant first; if the successor owns the
+		// shard now, evict rather than resume. A registry error reinstates
+		// the grant, which its local expiry still fences, so only held
+		// decides.
+		if held, _ := j.Reinstate(lease); !held {
+			s.evictShard(shard, errLeaseLost)
 			return fmt.Errorf("handoff outcome lost and lease superseded; shard dropped: %w", err)
 		}
-		// Grant still ours (or registry unreachable — local expiry
-		// fencing covers that): the transfer did not commit, resume.
 		return err
 	}
 
 	// The successor owns the shard now (its transfer bumped the epoch):
-	// drop the sessions locally without journaling terminal records —
-	// the chains stay live for the successor's replay — and forget the
-	// lease without releasing it.
-	for _, sess := range moving {
-		sess.advisor.Abort(errSessionMigrated)
-		s.store.remove(sess.id)
-	}
-	j.DropShard(shard)
-	committed = true
-	s.setDraining(shard, false)
-
+	// the chains stay live for the successor's replay.
+	s.evictShard(shard, errSessionMigrated)
 	report.Shards = append(report.Shards, shard)
 	report.Sessions += resp.Adopted
 	report.Observations += resp.Observations
@@ -412,41 +285,50 @@ func postMigrate(ctx context.Context, successor string, req MigrateRequest) (*Mi
 	return &resp, nil
 }
 
-// DropShards evicts every session on the given shards without journal
-// terminal records — the lease was lost, so the new owner replays them
-// from the journal; writing an end record here would tombstone a
-// session another replica is about to serve. Returns the sessions
-// evicted.
+// DropShards evicts every session on shards whose leases were lost,
+// returning how many it evicted.
 func (s *Server) DropShards(shards []int) int {
-	j := s.cfg.Journal
-	if j == nil || len(shards) == 0 {
+	if s.cfg.Journal == nil {
 		return 0
 	}
-	set := make(map[int]bool, len(shards))
+	evicted := 0
 	for _, shard := range shards {
-		set[shard] = true
+		evicted += s.evictShard(shard, errLeaseLost)
 	}
-	perShard := make(map[int]int, len(shards))
-	dropped := 0
-	for _, sess := range s.store.all() {
-		shard := journal.ShardOf(sess.id, j.Shards())
-		if !set[shard] {
-			continue
-		}
-		sess.advisor.Abort(errLeaseLost)
+	return evicted
+}
+
+// evictShard aborts and forgets every session on a shard this replica
+// no longer holds, without journal terminal records: the chains belong
+// to the shard's new owner, who replays them, and an end record here
+// would tombstone a session another replica is about to serve. A lost
+// lease lands in the audit stream as lease_expire. It returns the
+// sessions evicted.
+func (s *Server) evictShard(shard int, cause error) int {
+	sessions := s.shardSessions(shard)
+	for _, sess := range sessions {
+		sess.advisor.Abort(cause)
 		s.store.remove(sess.id)
-		perShard[shard]++
-		dropped++
 	}
-	if s.tracer != nil {
-		for _, shard := range shards {
-			s.tracer.Emit(telemetry.Event{
-				Kind:      telemetry.KindLeaseExpire,
-				Candidate: shard,
-				Step:      perShard[shard],
-				Detail:    j.Replica(),
-			})
+	if cause == errLeaseLost && s.tracer != nil {
+		s.tracer.Emit(telemetry.Event{
+			Kind:      telemetry.KindLeaseExpire,
+			Candidate: shard,
+			Step:      len(sessions),
+			Detail:    s.cfg.Journal.Replica(),
+		})
+	}
+	return len(sessions)
+}
+
+// shardSessions lists the live sessions on one journal shard.
+func (s *Server) shardSessions(shard int) []*session {
+	n := s.cfg.Journal.Shards()
+	var out []*session
+	for _, sess := range s.store.all() {
+		if journal.ShardOf(sess.id, n) == shard {
+			out = append(out, sess)
 		}
 	}
-	return dropped
+	return out
 }

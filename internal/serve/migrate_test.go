@@ -230,14 +230,14 @@ func TestMigrateLostResponseDropsShard(t *testing.T) {
 	}
 
 	// The drainer must have noticed its epoch was superseded: shard
-	// dropped, session evicted, drain flag not left dangling.
+	// dropped, session evicted.
 	for _, sh := range jA.Owned() {
 		if sh == shard {
 			t.Fatalf("drainer still owns shard %d after a committed handoff", shard)
 		}
 	}
-	if sA.shardDraining(shard) {
-		t.Fatalf("shard %d left marked draining after the drop", shard)
+	if n := sA.SessionCount(); n != 0 {
+		t.Fatalf("drainer still holds %d sessions after losing the shard", n)
 	}
 	if st := cA.do("GET", "/v1/sessions/"+info.ID+"/next", nil, nil); st != http.StatusMisdirectedRequest {
 		t.Fatalf("drained replica answered %d for the lost shard, want 421", st)
@@ -250,39 +250,170 @@ func TestMigrateLostResponseDropsShard(t *testing.T) {
 	stepSession(t, cB, info.ID, target, 1)
 }
 
+// TestMigrateRefusedHandoffResumes covers the resume path: a successor
+// that refuses the stream leaves the drainer holding the shard again at
+// its original epoch. While the hand-off is in flight the drainer
+// answers 421 for the session without advancing it, so once the grant
+// is reinstated the session finishes byte-identical to an uninterrupted
+// run.
+func TestMigrateRefusedHandoffResumes(t *testing.T) {
+	req := SessionRequest{Method: "augmented-bo", Seed: 42, Trace: true, DeltaThreshold: -1, MaxMeasurements: 8}
+	target, err := arrow.NewSimulatedTarget("als/spark2.1/medium", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, ref := newTestServer(t, Config{})
+	refInfo := ref.create(req)
+	want := mustJSON(t, ref.run(refInfo.ID, target))
+
+	_, regURL := registryFixture(t)
+	sA, cA, jA := registryServer(t, regURL.URL, "a", t.TempDir(), 2)
+	info := cA.create(req)
+	if info.ID != refInfo.ID {
+		t.Fatalf("id skew breaks the byte comparison: %s vs %s", info.ID, refInfo.ID)
+	}
+	if sug := stepSession(t, cA, info.ID, target, 3); sug.Done {
+		t.Fatal("session finished before the drain point")
+	}
+	shard := journal.ShardOf(info.ID, jA.Shards())
+	before, ok := jA.Lease(shard)
+	if !ok {
+		t.Fatalf("no lease for the session's shard %d", shard)
+	}
+
+	// The stand-in successor asks the drainer for the session while the
+	// stream is in flight, then refuses the stream.
+	midHandoff := make(chan int, 1)
+	refuser := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		resp, err := http.Get(cA.base + "/v1/sessions/" + info.ID + "/next")
+		if err != nil {
+			t.Error(err)
+			midHandoff <- 0
+		} else {
+			resp.Body.Close()
+			midHandoff <- resp.StatusCode
+		}
+		http.Error(w, "successor unavailable", http.StatusServiceUnavailable)
+	}))
+	t.Cleanup(refuser.Close)
+
+	if err := sA.migrateShard(context.Background(), refuser.URL, shard, &MigrateReport{}); err == nil {
+		t.Fatal("migrateShard returned nil though the successor refused the stream")
+	}
+	if st := <-midHandoff; st != http.StatusMisdirectedRequest {
+		t.Fatalf("drainer answered %d for the session mid-hand-off, want 421", st)
+	}
+	after, ok := jA.Lease(shard)
+	if !ok || after.Epoch != before.Epoch {
+		t.Fatalf("grant after the refused hand-off: held %v at epoch %d, want epoch %d back", ok, after.Epoch, before.Epoch)
+	}
+	if got := mustJSON(t, cA.run(info.ID, target)); !bytes.Equal(got, want) {
+		t.Errorf("resumed result diverged from uninterrupted run:\n got %s\nwant %s", got, want)
+	}
+}
+
 // TestCreateRacingDrainIsRefused pins the create-vs-drain fence: a
-// create whose record lands after a migration's shard scan could hand
-// the client a 201 for a session the successor never receives. The
-// post-append re-check must renege — evict the half-born session and
-// answer 421 — instead of acking it.
+// create whose id was minted before a drain dropped its shard must not
+// be acknowledged, or the client would hold a 201 for a session the
+// successor never received. The store's clock, read after the id is
+// minted and before the create append, drops every owned shard once;
+// the journal then refuses the create record and the handler answers
+// 421. Once the grants are reinstated (a failed hand-off resuming) the
+// refused id is unknown, not half-alive, and creates work again.
 func TestCreateRacingDrainIsRefused(t *testing.T) {
 	_, regURL := registryFixture(t)
-	sA, cA, jA := registryServer(t, regURL.URL, "a", t.TempDir(), 0)
-
-	// The hook fires between the create append and the re-check — the
-	// exact window where migrateShard's setDraining can slip in.
-	createDrainHook = func() {
-		for _, shard := range jA.Owned() {
-			sA.setDraining(shard, true)
-		}
+	dir := t.TempDir()
+	jA, err := journal.Open(dir, journal.WithReplica("a"),
+		journal.WithLeaseManager(registry.NewClient(regURL.URL, "a", "", dir)), journal.WithWarnf(t.Logf))
+	if err != nil {
+		t.Fatal(err)
 	}
-	defer func() { createDrainHook = nil }()
+	var (
+		dropMu sync.Mutex
+		armed  bool
+		aside  []journal.Lease
+	)
+	sA := New(Config{Journal: jA, Warnf: t.Logf, Now: func() time.Time {
+		dropMu.Lock()
+		defer dropMu.Unlock()
+		if armed {
+			armed = false
+			for _, shard := range jA.Owned() {
+				if l, ok := jA.DropShard(shard); ok {
+					aside = append(aside, l)
+				}
+			}
+		}
+		return time.Now()
+	}})
+	hs := httptest.NewServer(sA)
+	t.Cleanup(hs.Close)
+	cA := newClient(t, hs)
 
 	req := SessionRequest{Method: "random-search", Seed: 1, MaxMeasurements: 4}
+	dropMu.Lock()
+	armed = true
+	dropMu.Unlock()
 	if st := cA.do("POST", "/v1/sessions", req, nil); st != http.StatusMisdirectedRequest {
 		t.Fatalf("create racing a drain answered %d, want 421", st)
 	}
 
-	// Clear the simulated drain (a failed migration resuming); the
-	// reneged session must be gone from the store, not half-alive.
-	createDrainHook = nil
-	for _, shard := range jA.Owned() {
-		sA.setDraining(shard, false)
+	dropMu.Lock()
+	dropped := aside
+	dropMu.Unlock()
+	if len(dropped) == 0 {
+		t.Fatal("the create never reached the store's clock")
+	}
+	for _, l := range dropped {
+		if held, err := jA.Reinstate(l); !held || err != nil {
+			t.Fatalf("reinstating shard %d: held %v, %v", l.Shard, held, err)
+		}
 	}
 	if st := cA.do("GET", "/v1/sessions/s-000001/next", nil, nil); st != http.StatusNotFound {
-		t.Fatalf("reneged session still answers %d, want 404", st)
+		t.Fatalf("refused session still answers %d, want 404", st)
 	}
-	cA.create(req) // and creates work again once the drain is down
+	cA.create(req) // and creates work again once the grants are back
+}
+
+// TestCreateUnderLapsedLeasesAnswers503: when no held grant is live — a
+// registry outage past the lease margin — a create must answer 503
+// promptly instead of drawing session ids forever.
+func TestCreateUnderLapsedLeasesAnswers503(t *testing.T) {
+	var clockMu sync.Mutex
+	clock := time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC)
+	now := func() time.Time {
+		clockMu.Lock()
+		defer clockMu.Unlock()
+		return clock
+	}
+	reg, err := registry.New(registry.Config{LeaseTTL: time.Second, Now: now, Warnf: t.Logf})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	j, err := journal.Open(dir, journal.WithReplica("a"),
+		journal.WithLeaseManager(reg.LocalManager("a", "http://a", dir)),
+		journal.WithNow(now), journal.WithWarnf(t.Logf))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { j.Close() })
+	hs := httptest.NewServer(New(Config{Journal: j, Warnf: t.Logf}))
+	t.Cleanup(hs.Close)
+
+	clockMu.Lock()
+	clock = clock.Add(900 * time.Millisecond)
+	clockMu.Unlock()
+	hc := &http.Client{Timeout: 5 * time.Second}
+	resp, err := hc.Post(hs.URL+"/v1/sessions", "application/json",
+		bytes.NewReader(mustJSON(t, SessionRequest{Method: "random-search", Seed: 1})))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusServiceUnavailable {
+		t.Fatalf("create under lapsed leases answered %d, want 503", resp.StatusCode)
+	}
 }
 
 // TestMigrateRejectsForeignShardChains pins the stream-content fence: a
@@ -328,21 +459,6 @@ func TestMigrateRejectsForeignShardChains(t *testing.T) {
 	}
 	if resp.Tombstones != 1 {
 		t.Fatalf("folded %d tombstones, want only the in-shard one", resp.Tombstones)
-	}
-}
-
-// TestTrimToSnapshot pins the migration stream's chain form: with a
-// usable snapshot the stream is create + snapshot + suffix; without
-// one the chain travels whole.
-func TestTrimToSnapshot(t *testing.T) {
-	chain := []journal.Record{
-		{Session: "s", Seq: 0, Kind: journal.KindCreate},
-		{Session: "s", Seq: 1, Kind: journal.KindSuggest},
-		{Session: "s", Seq: 2, Kind: journal.KindObserve},
-	}
-	got, dropped := journal.TrimToSnapshot(chain)
-	if dropped || len(got) != 3 {
-		t.Fatalf("snapshot-less chain was trimmed: %d records, dropped=%v", len(got), dropped)
 	}
 }
 

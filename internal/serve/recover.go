@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -139,58 +140,70 @@ func (s *Server) adoptLeases(ctx context.Context, leases []journal.Lease, report
 			continue
 		}
 		report.TruncatedTails += scan.TruncatedTails
-		s.adoptForeign(ctx, scan, report)
+		s.importScan(ctx, foreign[dir], scan, report)
 	}
 	return dirs, nil
 }
 
-// adoptForeign adopts a scan of a dead peer's journal directory:
-// every live chain is re-journaled verbatim into this replica's own
-// directory first (write-ahead — the records must be locally durable
-// before their sessions are served again), the ended and tombstoned
-// ids collapse into local tombstone_index records for 410 continuity,
-// and then the scan is adopted as usual. Records keep their original
-// session and seq, so a chain that bounces back to a directory that
-// already holds a prefix of it just produces the byte-identical
-// duplicates the scan dedup drops.
-func (s *Server) adoptForeign(ctx context.Context, scan *journal.Recovery, report *RecoveryReport) {
+// importScan adopts a scan read from outside this replica's journal —
+// a dead peer's directory or a drain's stream — into shards this
+// replica was just granted. Every id must map into one of those shards;
+// the rest are reported as damage, never journaled into a shard the
+// grant did not fence. Live chains are re-journaled verbatim first
+// (write-ahead: the records must be locally durable before their
+// sessions are served again), the ended and tombstoned ids collapse
+// into one tombstone_index record per shard for 410 continuity, and then
+// the scan is adopted as usual. Records keep their original session and
+// seq, so a chain that bounces back to a directory that already holds a
+// prefix of it just produces the byte-identical duplicates the scan
+// dedup drops.
+func (s *Server) importScan(ctx context.Context, shards []int, scan *journal.Recovery, report *RecoveryReport) {
 	j := s.cfg.Journal
-	kept := scan.Live[:0]
+	fenced := func(what, id string) (int, bool) {
+		shard := journal.ShardOf(id, j.Shards())
+		if !slices.Contains(shards, shard) {
+			scan.Damage = append(scan.Damage, fmt.Sprintf("%s %s: maps to shard %d, outside adopted shards %v", what, id, shard, shards))
+			return shard, false
+		}
+		return shard, true
+	}
+	live := scan.Live[:0]
 	for _, log := range scan.Live {
-		ok := true
+		if _, ok := fenced("session", log.ID); !ok {
+			continue
+		}
+		var err error
 		for _, rec := range log.Records {
-			if err := j.Append(rec); err != nil {
-				report.Damaged = append(report.Damaged,
-					fmt.Sprintf("session %s: re-journaling reclaimed chain: %v", log.ID, err))
-				ok = false
+			if err = j.Append(rec); err != nil {
+				scan.Damage = append(scan.Damage, fmt.Sprintf("session %s: re-journaling adopted chain: %v", log.ID, err))
 				break
 			}
 		}
-		if ok {
-			kept = append(kept, log)
+		if err == nil {
+			live = append(live, log)
 		}
 	}
-	scan.Live = kept
-	byShard := make(map[int][]string)
-	for _, id := range scan.Ended {
-		shard := journal.ShardOf(id, j.Shards())
-		byShard[shard] = append(byShard[shard], id)
+	scan.Live = live
+	byShard := make([][]string, j.Shards())
+	tomb := func(ids []string) []string {
+		kept := ids[:0]
+		for _, id := range ids {
+			if shard, ok := fenced("tombstone", id); ok {
+				byShard[shard] = append(byShard[shard], id)
+				kept = append(kept, id)
+			}
+		}
+		return kept
 	}
-	for _, id := range scan.Tombstones {
-		shard := journal.ShardOf(id, j.Shards())
-		byShard[shard] = append(byShard[shard], id)
-	}
-	shards := make([]int, 0, len(byShard))
-	for shard := range byShard {
-		shards = append(shards, shard)
-	}
-	sort.Ints(shards)
-	for _, shard := range shards {
-		ids := byShard[shard]
+	scan.Ended = tomb(scan.Ended)
+	scan.Tombstones = tomb(scan.Tombstones)
+	for shard, ids := range byShard {
+		if len(ids) == 0 {
+			continue
+		}
 		sort.Strings(ids)
 		if err := j.AppendShard(shard, journal.Record{Kind: journal.KindTombstoneIndex, Tombstones: ids}); err != nil {
-			report.Damaged = append(report.Damaged,
-				fmt.Sprintf("shard %d: re-journaling %d reclaimed tombstones: %v", shard, len(ids), err))
+			scan.Damage = append(scan.Damage, fmt.Sprintf("shard %d: re-journaling %d adopted tombstones: %v", shard, len(ids), err))
 		}
 	}
 	s.adoptScan(ctx, scan, report)
@@ -206,6 +219,8 @@ func (s *Server) ReclaimShards(ctx context.Context) (*ReclaimReport, error) {
 	if j == nil {
 		return &ReclaimReport{}, nil
 	}
+	s.handoffMu.Lock()
+	defer s.handoffMu.Unlock()
 	leases, err := j.Reclaim()
 	if err != nil {
 		return nil, err
@@ -233,16 +248,10 @@ func (s *Server) ReclaimShards(ctx context.Context) (*ReclaimReport, error) {
 				Value:     float64(l.Epoch),
 				Detail:    l.PrevReplica,
 			})
-			adopted := 0
-			for _, sess := range s.store.all() {
-				if journal.ShardOf(sess.id, j.Shards()) == l.Shard {
-					adopted++
-				}
-			}
 			s.tracer.Emit(telemetry.Event{
 				Kind:      telemetry.KindShardReclaim,
 				Candidate: l.Shard,
-				Step:      adopted,
+				Step:      len(s.shardSessions(l.Shard)),
 				Detail:    j.Replica(),
 			})
 		}
@@ -306,8 +315,7 @@ func (s *Server) adoptScan(ctx context.Context, scan *journal.Recovery, report *
 		if err != nil {
 			// The cap held even after sweeping: salvage the session
 			// rather than dropping it silently.
-			sess.advisor.Abort(ErrStoreFull)
-			s.endSession(sess, "evicted")
+			s.finalize(sess, ErrStoreFull, "evicted")
 			report.Damaged = append(report.Damaged, fmt.Sprintf("session %s: recovered but store full; salvaged as evicted", log.ID))
 			continue
 		}

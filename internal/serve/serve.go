@@ -126,11 +126,11 @@ type Server struct {
 	down    atomic.Bool
 	flushMu sync.Mutex
 
-	// drainMu guards draining: the shards mid-migration. A draining
-	// shard refuses session traffic (421) so the outgoing stream is a
-	// quiescent prefix of the shard, never racing an in-flight append.
-	drainMu  sync.RWMutex
-	draining map[int]bool
+	// handoffMu serializes MigrateShards with ReclaimShards: between a
+	// drain's DropShard and its hand-off's outcome the lease manager
+	// still names this replica the shard's holder, so a reclaim in that
+	// window would re-acquire the very shard being handed off.
+	handoffMu sync.Mutex
 }
 
 // session is one live advisor with its serving bookkeeping.
@@ -142,9 +142,15 @@ type session struct {
 	advisor   *arrow.Advisor
 	recorder  *telemetry.Recorder // non-nil when the client asked for a trace
 
-	// mu serializes this session's step operations: concurrent next
-	// calls see one consistent pending suggestion, and observe/next
-	// interleavings cannot race the advisor state machine.
+	// mu serializes this session's step operations and journal appends:
+	// concurrent next calls see one consistent pending suggestion,
+	// observe/next interleavings cannot race the advisor state machine,
+	// and each record's seq allocation is paired with its write. A drain
+	// holds it across dropping the shard's grant, so a handler either
+	// journaled its step before the drop or meets the unowned shard at
+	// its fence. No goroutine takes it while holding another session's,
+	// except a drain taking a shard's batch (one drain at a time, under
+	// handoffMu).
 	mu sync.Mutex
 
 	// endOnce guards the single session_end audit event.
@@ -156,11 +162,7 @@ type session struct {
 	lastTouch          time.Time
 	idlePrev, idleNext *session
 
-	// jmu serializes journal appends for this session, pairing each
-	// record's seq allocation with its write so chains stay contiguous
-	// even when an eviction races a request.
-	jmu sync.Mutex
-	// seq is the next journal sequence number; guarded by jmu.
+	// seq is the next journal sequence number; guarded by mu.
 	seq int
 	// journaledSeq is the highest suggestion issue ordinal (Seq) any
 	// journaled suggest or suggest_batch record covers (-1 before the
@@ -179,11 +181,11 @@ type session struct {
 	// ops mirrors the session's seq-consuming journal records (Session
 	// stripped) so a snapshot can carry the pre-watermark history
 	// without re-reading the shard; maintained only when snapshots are
-	// enabled. Guarded by jmu.
+	// enabled. Guarded by mu.
 	ops []journal.Record
 	// closed marks a chain no record may join anymore: a terminal record
 	// was journaled, or an append failed and left a seq gap behind it.
-	// It fences racing snapshot captures and appends; guarded by jmu.
+	// It fences racing snapshot captures and appends; guarded by mu.
 	closed bool
 	// unserved is set while the search loop plans the follow-up to an
 	// acknowledged observe that no client has fetched yet (speculation
@@ -215,12 +217,11 @@ func New(cfg Config) *Server {
 		metrics = telemetry.NewMetrics()
 	}
 	s := &Server{
-		cfg:      cfg,
-		mux:      http.NewServeMux(),
-		store:    newStore(cfg.MaxSessions, cfg.SessionTTL, cfg.Now),
-		tracer:   telemetry.Multi(cfg.Tracer, metrics),
-		metrics:  metrics,
-		draining: make(map[int]bool),
+		cfg:     cfg,
+		mux:     http.NewServeMux(),
+		store:   newStore(cfg.MaxSessions, cfg.SessionTTL, cfg.Now),
+		tracer:  telemetry.Multi(cfg.Tracer, metrics),
+		metrics: metrics,
 	}
 	s.route("POST /v1/sessions", s.handleCreate)
 	s.route("GET /v1/sessions", s.handleList)
@@ -319,47 +320,36 @@ func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) int {
 	}
 	sess.advisor = advisor
 
+	// The session's mutex is held from its first appearance in the store
+	// through the create append, so no request can step it before its
+	// create record is durable. Sessions the store expired to make room
+	// are finalized after it is released: they have mutexes of their own.
+	sess.mu.Lock()
 	evicted, err := s.store.add(sess)
-	s.finalizeEvicted(evicted)
-	if err != nil {
+	status := 0
+	switch {
+	case err != nil:
 		advisor.Abort(ErrStoreFull)
-		return writeErr(w, http.StatusTooManyRequests,
+		status = writeErr(w, http.StatusTooManyRequests,
 			fmt.Sprintf("session cap %d reached; retry after idle sessions expire", s.cfg.MaxSessions))
-	}
-	if s.cfg.Journal != nil {
+	case s.cfg.Journal != nil:
 		// Durability gate: the create record must be on disk before the
-		// client learns the id, or the session would vanish on restart.
-		reqJSON, merr := json.Marshal(req)
-		var jerr error
-		if merr == nil {
+		// client learns the id, or the session would vanish on restart. A
+		// drain that dropped the shard after the id was minted makes the
+		// journal refuse the record, which answers 421.
+		reqJSON, err := json.Marshal(req)
+		if err == nil {
 			sess.fingerprint = journal.Fingerprint(reqJSON)
-			jerr = s.appendRecord(sess, journal.Record{Kind: journal.KindCreate, Request: reqJSON})
+			err = s.appendRecord(sess, journal.Record{Kind: journal.KindCreate, Request: reqJSON})
 		}
-		if merr != nil || jerr != nil {
-			s.store.remove(id)
-			advisor.Abort(errJournalFailed)
-			return writeErr(w, http.StatusServiceUnavailable, "session journal unavailable; session not created")
+		if err != nil {
+			status = s.dropUnjournaled(w, sess, err)
 		}
-		if createDrainHook != nil {
-			createDrainHook()
-		}
-		// Drain fence, create flavor: newSessionID checked the flag, but
-		// a migration starting between that check and the append above
-		// may have scanned the shard before our create record landed —
-		// the 201 would then name a session the successor never received.
-		// Renege instead: evict locally WITHOUT a terminal record (the
-		// chain may have made the scan and be live on the successor; an
-		// abort record here could tombstone it there) and misdirect the
-		// client to retry against the cluster. If instead the flag rose
-		// after this check, store.add above already happened-before the
-		// migration's session snapshot, so the barrier covers us and the
-		// chain migrates: the 201 is good.
-		if s.shardDraining(journal.ShardOf(id, s.cfg.Journal.Shards())) {
-			s.store.remove(id)
-			advisor.Abort(errSessionMigrated)
-			return writeErr(w, http.StatusMisdirectedRequest,
-				fmt.Sprintf("session %s maps to a journal shard mid-migration; retry against the cluster", id))
-		}
+	}
+	sess.mu.Unlock()
+	s.finalizeEvicted(evicted)
+	if status != 0 {
+		return status
 	}
 	if s.tracer != nil {
 		s.tracer.Emit(telemetry.Event{
@@ -686,15 +676,27 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	s.flushMu.Lock()
 	defer s.flushMu.Unlock()
 	for _, sess := range s.store.all() {
-		// Abort needs no session mutex: a concurrent in-flight step
-		// simply sees the session finish.
-		sess.advisor.Abort(errShutdownFlush)
-		s.endSession(sess, "shutdown-flush")
+		s.finalize(sess, errShutdownFlush, "shutdown-flush")
 		if err := ctx.Err(); err != nil {
 			return err
 		}
 	}
 	return nil
+}
+
+// fence answers 421 unless this replica holds a live grant on the
+// session's journal shard. resolve checks it before the store lookup,
+// and handlers check it again with the session mutex held: a drain drops
+// the grant while holding every session mutex on the shard, and a lease
+// can lapse at any time, so a handler that resolved its session just
+// before either must not advance the advisor for a step the journal
+// would refuse.
+func (s *Server) fence(w http.ResponseWriter, id string) int {
+	if j := s.cfg.Journal; j == nil || j.Owns(id) {
+		return 0
+	}
+	return writeErr(w, http.StatusMisdirectedRequest,
+		fmt.Sprintf("session %s maps to a journal shard this replica does not own; ask the owning replica", id))
 }
 
 // resolve maps the request's session id to a live session, answering
@@ -720,19 +722,28 @@ func (s *Server) resolve(w http.ResponseWriter, r *http.Request) (*session, int)
 
 // finalizeEvicted salvages sessions the store expired: their advisors
 // abort into Partial results (releasing the search goroutine) and the
-// eviction lands in the audit stream.
+// eviction lands in the journal and the audit stream.
 func (s *Server) finalizeEvicted(evicted []*session) {
 	for _, sess := range evicted {
-		sess.advisor.Abort(errSessionEvicted)
-		s.endSession(sess, "evicted")
+		s.finalize(sess, errSessionEvicted, "evicted")
 	}
 }
 
+// finalize salvages a session the store no longer serves: it aborts the
+// advisor first, which releases any step waiting on a plan with the
+// session mutex held, then ends the session under that mutex.
+func (s *Server) finalize(sess *session, cause error, disposition string) {
+	sess.advisor.Abort(cause)
+	sess.mu.Lock()
+	defer sess.mu.Unlock()
+	s.endSession(sess, disposition)
+}
+
 // endSession journals the session's terminal record and emits the
-// single session_end audit event. Graceful shutdown ("shutdown-flush")
-// intentionally journals nothing: a drained session is still live in
-// the journal, so the next boot rehydrates it — that is what makes a
-// rolling restart lossless.
+// single session_end audit event; callers hold the session mutex.
+// Graceful shutdown ("shutdown-flush") intentionally journals nothing: a
+// drained session is still live in the journal, so the next boot
+// rehydrates it — that is what makes a rolling restart lossless.
 func (s *Server) endSession(sess *session, disposition string) {
 	sess.endOnce.Do(func() {
 		// A plan begun at an acknowledged observe that no client fetched
@@ -771,35 +782,31 @@ func (s *Server) endSession(sess *session, disposition string) {
 }
 
 // newSessionID allocates the next session id. With a journal attached,
-// ids that hash into shards this replica holds no lease on are skipped:
-// replicas sharing one journal directory draw from disjoint id spaces,
-// which is what keeps any session served by exactly one process.
+// ids that hash into shards this replica holds no live grant on are
+// skipped: replicas sharing one journal directory draw from disjoint id
+// spaces, which is what keeps any session served by exactly one
+// process. The draw is bounded: with any one of S shards live, 64·S
+// draws all miss it with probability below e^-64, so coming up empty
+// means no held grant is live — lapsed in a registry outage, or dropped
+// by a drain or a lost lease.
 func (s *Server) newSessionID() (string, error) {
 	j := s.cfg.Journal
 	if j == nil {
 		return fmt.Sprintf("s-%06d", s.nextID.Add(1)), nil
 	}
-	usable := 0
-	for _, shard := range j.Owned() {
-		if !s.shardDraining(shard) {
-			usable++
-		}
-	}
-	if usable == 0 {
-		return "", errors.New("serve: this replica holds no journal shard leases; another replica owns them all")
-	}
-	for {
+	for range 64 * j.Shards() {
 		id := fmt.Sprintf("s-%06d", s.nextID.Add(1))
-		if j.Owns(id) && !s.shardDraining(journal.ShardOf(id, j.Shards())) {
+		if j.Owns(id) {
 			return id, nil
 		}
 	}
+	return "", errors.New("serve: this replica holds no live journal shard lease; another replica owns them, or a lapsed lease awaits renewal")
 }
 
-// appendRecord journals one state transition for the session, pairing
-// the sequence-number allocation with the write under the session's
-// journal mutex so chains stay contiguous even when an eviction races a
-// request. A failed append is warned about and closes the chain: no
+// appendRecord journals one state transition for the session. Callers
+// hold the session mutex, which pairs the sequence-number allocation
+// with the write so chains stay contiguous even when an eviction races
+// a request. A failed append is warned about and closes the chain: no
 // later record may land past the gap it leaves, so the journal keeps
 // the session's durable prefix intact for recovery to replay.
 func (s *Server) appendRecord(sess *session, rec journal.Record) error {
@@ -807,8 +814,6 @@ func (s *Server) appendRecord(sess *session, rec journal.Record) error {
 	if j == nil {
 		return nil
 	}
-	sess.jmu.Lock()
-	defer sess.jmu.Unlock()
 	if sess.closed {
 		return errChainClosed
 	}
@@ -836,7 +841,7 @@ func (s *Server) appendRecord(sess *session, rec journal.Record) error {
 
 // dropUnjournaled answers a transition whose record did not reach the
 // journal, and drops the session from memory without a terminal record,
-// as DropShards does: the transition was never acknowledged, and the
+// as a lost lease does: the transition was never acknowledged, and the
 // journal's durable prefix is what Recover or ReclaimShards replays. A
 // lost or lapsed lease answers 421, like the shard fence; any other
 // journal failure answers 503.
@@ -887,8 +892,6 @@ func (s *Server) maybeSnapshot(sess *session) {
 			return
 		}
 	}
-	sess.jmu.Lock()
-	defer sess.jmu.Unlock()
 	if sess.closed {
 		return
 	}
