@@ -3,10 +3,10 @@
 GO ?= go
 GOTEST_TIMEOUT ?= 20m
 
-.PHONY: check ci build test race vet fmt lint staticcheck vulncheck cover fuzz fuzz-smoke bench bench-faults bench-compare bench-guard bench-tables bench-tables-report bench-tables-recover study-smoke recover-smoke cluster-smoke soak
+.PHONY: check ci build test race vet fmt lint staticcheck vulncheck cover fuzz fuzz-smoke bench bench-faults bench-compare bench-guard bench-tables bench-tables-report bench-tables-recover study-smoke recover-smoke cluster-smoke plan-smoke soak
 
 # cover runs the whole suite under -race, so it subsumes the race target.
-check: fmt vet cover study-smoke recover-smoke cluster-smoke
+check: fmt vet cover study-smoke recover-smoke cluster-smoke plan-smoke
 
 # ci mirrors the GitHub Actions pipeline locally: the tier-1 gate, the
 # lint pass, the short fuzz pass and the benchmark regression guard.
@@ -272,6 +272,19 @@ cluster-smoke:
 	$(GO) test -race -count=5 -run 'TestMigrate|TestCreateRacingDrain|TestLapsedLease|TestCreateUnderLapsed' ./internal/serve
 	$(GO) test -race -count=20 -run TestDropShardFences ./internal/journal
 	@echo "cluster smoke OK: registry failover and drain migration lost zero acknowledged observations"
+
+# Race-detected batch-planning smoke. A plan hook runs on the NextBatch
+# caller's goroutine and writes search state the loop reads — the GP
+# fitters, the pair cache's rows and model heads, the incumbent — while
+# only the stepper's park/wake protocol keeps the loop parked, so these
+# races are timing dependent. The stepper's planning concurrency tests
+# repeat 10 times, and the advisor batch tests plus the batch-pick golden
+# (every fantasy pick of a 108-session grid) 3 times: about 25 s of test
+# time on a 2-vCPU host.
+plan-smoke:
+	$(GO) test -race -count=10 -run 'TestStepperConcurrentBatchObserveScriptAbort|TestStepperPlanHookHoldsLoopParked|TestStepperNextBatchWaitsOutAbort' ./internal/core
+	$(GO) test -race -count=3 -run 'TestAdvisorNextBatch|TestNextBatchPicksGolden' .
+	@echo "plan smoke OK: planners left the parked loop's state untouched"
 
 # The multi-replica chaos/soak harness at nightly scale: ARROW_SOAK_SESSIONS
 # concurrent sessions across 4 real arrow-serve processes sharing one

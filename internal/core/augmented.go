@@ -112,6 +112,9 @@ func NewAugmentedBO(cfg AugmentedBOConfig) (*AugmentedBO, error) {
 	if cfg.DeltaThreshold == 0 {
 		cfg.DeltaThreshold = DefaultDeltaThreshold
 	}
+	if math.IsNaN(cfg.DeltaThreshold) || math.IsInf(cfg.DeltaThreshold, 1) {
+		return nil, fmt.Errorf("core: delta threshold %v would never fire: %w", cfg.DeltaThreshold, ErrBadConfig)
+	}
 	if cfg.DeltaThreshold > 0 && cfg.DeltaThreshold < 0.5 {
 		return nil, fmt.Errorf("core: delta threshold %v is below any sensible value: %w", cfg.DeltaThreshold, ErrBadConfig)
 	}
@@ -150,12 +153,12 @@ func (a *AugmentedBO) Search(target Target) (*Result, error) {
 	// plan; continueSearch swaps in the model-backed planner.
 	if ph, ok := target.(PlanHookSetter); ok {
 		ph.SetPlanHook(func(pending []PendingPoint, extra int) []int {
-			return st.planFromDesign(pendingSet(pending), extra)
+			return st.readAhead(st.designPlan, pendingSet(pending), extra)
 		})
 	}
 
 	if err := st.runInitialDesign(a.cfg.Design, rng); err != nil {
-		return st.abort(a.Name(), err)
+		return st.abort(err)
 	}
 	return a.continueSearch(st, len(st.obs)+1, rng)
 }
@@ -198,7 +201,7 @@ func (a *AugmentedBO) continueSearch(st *searchState, defaultMinObs int, rng *ra
 				break
 			}
 			if _, err := st.measure(idx, 0, true); err != nil {
-				return st.abort(a.Name(), err)
+				return st.abort(err)
 			}
 			continue
 		}
@@ -210,63 +213,60 @@ func (a *AugmentedBO) continueSearch(st *searchState, defaultMinObs int, rng *ra
 			next, predicted = d.Index, d.aux()
 		} else {
 			var err error
-			next, predicted, err = a.selectByDelta(st, remaining, treeSeed)
+			next, predicted, _, err = a.selectByDelta(st, remaining, treeSeed)
 			if err != nil {
-				return st.abort(a.Name(), err)
+				return st.abort(err)
 			}
 			st.recordDecision(next, 0, predicted)
 		}
-		// Prediction Delta doubles as the stopping criterion: if even the
-		// most promising unmeasured VM is predicted worse than
-		// theta x incumbent, there is nothing left worth paying for. With
-		// a time SLO the rule only fires once something feasible exists.
-		if a.cfg.DeltaThreshold > 0 && len(st.obs) >= minObs && st.hasIncumbent() &&
-			predicted > a.cfg.DeltaThreshold*st.bestVal {
-			reason := fmt.Sprintf("best predicted %.4g exceeds %.2f x incumbent %.4g", predicted, a.cfg.DeltaThreshold, st.bestVal)
-			if st.tracer != nil {
-				st.emit(telemetry.Event{
-					Kind:      telemetry.KindStopRule,
-					Step:      len(st.obs),
-					Candidate: -1,
-					Value:     predicted,
-					Aux:       a.cfg.DeltaThreshold * st.bestVal,
-					Detail:    reason,
-				})
-			}
-			return st.result(a.Name(), true, reason), nil
+		if a.stops(st, predicted, len(st.obs), minObs) {
+			return st.stopEarly(predicted, a.cfg.DeltaThreshold*st.bestVal,
+				fmt.Sprintf("best predicted %.4g exceeds %.2f x incumbent %.4g", predicted, a.cfg.DeltaThreshold, st.bestVal))
 		}
 		score := 0.0
 		if st.hasIncumbent() {
 			var err error
 			score, err = acquisition.Delta(predicted, st.bestVal)
 			if err != nil {
-				return st.abort(a.Name(), err)
+				return st.abort(err)
 			}
 		}
 		st.emitSelected(next, score, predicted)
 		if _, err := st.measure(next, score, false); err != nil {
-			return st.abort(a.Name(), err)
+			return st.abort(err)
 		}
 	}
-	return st.finish(a.Name(), false, "search space exhausted")
+	return st.finish("search space exhausted")
+}
+
+// stops is Prediction Delta's stopping rule, shared by the loop and its
+// planner: once observed (real plus fantasized) measurements reach
+// minObs, stop when even the most promising unmeasured VM is predicted
+// worse than theta x incumbent — nothing left is worth paying for. With
+// a time SLO the rule only fires once something feasible exists.
+func (a *AugmentedBO) stops(st *searchState, predicted float64, observed, minObs int) bool {
+	return a.cfg.DeltaThreshold > 0 && observed >= minObs && st.hasIncumbent() &&
+		predicted > a.cfg.DeltaThreshold*st.bestVal
 }
 
 // selectByDelta fits the pairwise Extra-Trees surrogate and returns the
 // unmeasured candidate with the smallest predicted objective, plus that
-// prediction. Under a time SLO a second pairwise model predicts execution
-// time: candidates predicted feasible are ranked by predicted objective;
-// if none are, the candidate predicted fastest is chosen to hunt for
-// feasibility.
-func (a *AugmentedBO) selectByDelta(st *searchState, remaining []int, treeSeed int64) (next int, predicted float64, err error) {
+// prediction and its predicted execution time (1 without an SLO). Under a
+// time SLO a second pairwise model predicts execution time: candidates
+// predicted feasible are ranked by predicted objective; if none are, the
+// candidate predicted fastest is chosen to hunt for feasibility. The
+// batch planner calls it too, for its picks and — with remaining holding
+// one index — to impute a pending point.
+func (a *AugmentedBO) selectByDelta(st *searchState, remaining []int, treeSeed int64) (next int, predicted, predTime float64, err error) {
 	model, err := a.fitPairModel(st, treeSeed)
 	if err != nil {
-		return 0, 0, err
+		return 0, 0, 0, err
 	}
 	var timeModel *forest.Regressor
 	if a.cfg.MaxTimeSLO > 0 {
 		timeModel, err = a.fitPairModelFor(st, treeSeed+1, pairTargetTime, false)
 		if err != nil {
-			return 0, 0, err
+			return 0, 0, 0, err
 		}
 	}
 
@@ -281,7 +281,7 @@ func (a *AugmentedBO) selectByDelta(st *searchState, remaining []int, treeSeed i
 	srcs, dsts := cache.queryHalves(st, remaining)
 	cache.rawPreds, err = model.PredictPairs(srcs, dsts, cache.rawPreds)
 	if err != nil {
-		return 0, 0, fmt.Errorf("core: surrogate prediction: %w", err)
+		return 0, 0, 0, fmt.Errorf("core: surrogate prediction: %w", err)
 	}
 	cache.objMeans = reduceMeans(cache.objMeans, cache.rawPreds, len(remaining), len(st.obs))
 	preds := cache.objMeans
@@ -289,16 +289,14 @@ func (a *AugmentedBO) selectByDelta(st *searchState, remaining []int, treeSeed i
 	if timeModel != nil {
 		cache.rawPreds, err = timeModel.PredictPairs(srcs, dsts, cache.rawPreds)
 		if err != nil {
-			return 0, 0, fmt.Errorf("core: surrogate time prediction: %w", err)
+			return 0, 0, 0, fmt.Errorf("core: surrogate time prediction: %w", err)
 		}
 		cache.timeMeans = reduceMeans(cache.timeMeans, cache.rawPreds, len(remaining), len(st.obs))
 		predTimes = cache.timeMeans
 	}
 
-	next = -1
-	predicted = math.Inf(1)
-	fallback, fallbackTime := -1, math.Inf(1)
-	fallbackPred := math.Inf(1)
+	next, predicted, predTime = -1, math.Inf(1), 1
+	fallback, fallbackTime, fallbackPred := -1, math.Inf(1), math.Inf(1)
 	for i, idx := range remaining {
 		pred := preds[i]
 		if st.tracer != nil {
@@ -315,30 +313,27 @@ func (a *AugmentedBO) selectByDelta(st *searchState, remaining []int, treeSeed i
 				Aux:       aux,
 			})
 		}
+		t := 1.0
 		if predTimes != nil {
-			predTime := predTimes[i]
-			if predTime < fallbackTime {
-				fallbackTime = predTime
-				fallback = idx
-				fallbackPred = pred
+			t = predTimes[i]
+			if t < fallbackTime {
+				fallback, fallbackTime, fallbackPred = idx, t, pred
 			}
-			if predTime > a.cfg.MaxTimeSLO {
+			if t > a.cfg.MaxTimeSLO {
 				continue // predicted to violate the SLO
 			}
 		}
 		if pred < predicted {
-			predicted = pred
-			next = idx
+			next, predicted, predTime = idx, pred, t
 		}
 	}
 	if next == -1 {
 		// Every remaining candidate is predicted infeasible: measure the
 		// one predicted fastest; its predicted objective keeps the
 		// stopping rule from firing spuriously.
-		next = fallback
-		predicted = fallbackPred
+		next, predicted, predTime = fallback, fallbackPred, fallbackTime
 	}
-	return next, predicted, nil
+	return next, predicted, predTime, nil
 }
 
 // fitPairModel builds the training set of all ordered measured pairs and
@@ -428,6 +423,9 @@ func (a *AugmentedBO) ExplainSurrogate(target Target, res *Result) ([]FeatureImp
 	for _, obs := range res.Observations {
 		if obs.Index < 0 || obs.Index >= len(st.features) {
 			return nil, fmt.Errorf("core: observation index %d outside target: %w", obs.Index, ErrBadConfig)
+		}
+		if st.measured[obs.Index] {
+			return nil, fmt.Errorf("core: observation index %d listed twice: %w", obs.Index, ErrBadConfig)
 		}
 		st.measured[obs.Index] = true
 		st.obs = append(st.obs, obs)

@@ -3,9 +3,6 @@ package core
 import (
 	"math"
 	"math/rand"
-
-	"repro/internal/forest"
-	"repro/internal/gp"
 )
 
 // This file implements pending-point fantasization: the plan hooks the
@@ -14,17 +11,23 @@ import (
 // Lynceus's lookahead planning and TrimTuner's cheap fantasized
 // evaluations — is to impute an outcome for every suggestion still in
 // flight, fit the surrogate as if those outcomes were real, and ask the
-// unmodified acquisition what it would measure next. PR7's incremental
-// refits make the imputed fits cheap: the GP extends cached Cholesky
-// factors (rolled back with Fitter.Truncate) and the forest appends
-// virtual pair rows to the pairCache slab (rolled back by truncation).
+// unmodified acquisition what it would measure next. The planners have no
+// selection code of their own: each fantasy fit, imputation, pick and
+// stop check goes through the search loop's own functions (selectCandidate
+// and fitGP for Naive BO, selectByDelta for Augmented BO, and each
+// optimizer's stops predicate), so a fantasy asks exactly what the loop
+// would ask. Incremental refits make the imputed fits cheap: the GP
+// extends cached Cholesky factors (rolled back with Fitter.Truncate) and
+// the forest appends virtual pair rows to the pairCache slab (rolled back
+// by truncation).
 //
 // Planning is strictly best-effort and side-effect-free: hooks run on the
 // NextBatch caller's goroutine while the Stepper holds the search loop
 // parked in Measure, emit no trace events (the tracer is detached for
 // the duration), never touch the search's RNG, and leave every piece of
-// search state bit-identical to how they found it. A mispredicted fantasy costs the caller one
-// wasted measurement at worst — it can never corrupt the search.
+// search state bit-identical to how they found it. A mispredicted fantasy
+// costs the caller one wasted measurement at worst — it can never corrupt
+// the search.
 
 // pendingSet builds the exclusion set of candidate indices that already
 // have an in-flight suggestion.
@@ -36,27 +39,15 @@ func pendingSet(pending []PendingPoint) map[int]bool {
 	return excluded
 }
 
-// unmeasuredExcluding returns the candidates still available for a
-// fantasy pick: not measured, not quarantined, not already suggested.
-func (s *searchState) unmeasuredExcluding(excluded map[int]bool) []int {
-	var out []int
-	for i, m := range s.measured {
-		if !m && !s.quarantined[i] && !excluded[i] {
-			out = append(out, i)
-		}
-	}
-	return out
-}
-
-// planFromDesign predicts the search's next picks while it is still
-// working through the initial design: the unconsumed design entries, in
-// design order. (Design failures trigger max-min replacements the
-// planner cannot foresee; a mispredicted entry is just speculation
-// waste.)
-func (s *searchState) planFromDesign(excluded map[int]bool, extra int) []int {
+// readAhead predicts the next picks of a search that walks a fixed order
+// — the initial design, or random search's permutation: the first extra
+// entries not yet measured, quarantined or excluded, each then excluded.
+// (Design failures trigger max-min replacements the planner cannot
+// foresee; a mispredicted entry is just speculation waste.)
+func (s *searchState) readAhead(order []int, excluded map[int]bool, extra int) []int {
 	var picks []int
-	for _, idx := range s.designPlan {
-		if extra <= 0 {
+	for _, idx := range order {
+		if len(picks) >= extra {
 			break
 		}
 		if s.measured[idx] || s.quarantined[idx] || excluded[idx] {
@@ -64,24 +55,41 @@ func (s *searchState) planFromDesign(excluded map[int]bool, extra int) []int {
 		}
 		picks = append(picks, idx)
 		excluded[idx] = true
-		extra--
 	}
 	return picks
 }
 
-// appendFantasyObs appends an imputed observation, updating the
-// incumbent and fastest-time trackers exactly as measure() would so a
-// fantasized acquisition pass sees a consistent state. Callers must
-// save and restore obs length, bestIdx/bestVal, fastestIdx/fastestTime.
-func (s *searchState) appendFantasyObs(idx int, val float64, out Outcome) {
-	s.obs = append(s.obs, Observation{Index: idx, Value: val, Outcome: out})
-	if s.feasible(out) && val < s.bestVal {
-		s.bestVal, s.bestIdx = val, idx
-	}
-	if out.TimeSec < s.fastestTime {
-		s.fastestTime, s.fastestIdx = out.TimeSec, idx
+// beginFantasy detaches the tracer and snapshots the observation count
+// and the incumbent and fastest-time trackers; the returned function
+// restores all of them.
+func (s *searchState) beginFantasy() (restore func()) {
+	tracer, numObs := s.tracer, len(s.obs)
+	bestIdx, bestVal := s.bestIdx, s.bestVal
+	fastIdx, fastTime := s.fastestIdx, s.fastestTime
+	s.tracer = nil
+	return func() {
+		s.obs = s.obs[:numObs]
+		s.bestIdx, s.bestVal = bestIdx, bestVal
+		s.fastestIdx, s.fastestTime = fastIdx, fastTime
+		s.tracer = tracer
 	}
 }
+
+// observedValue is the objective value a pending point the caller already
+// observed contributes as a fantasy; ok is false for a failure (it will
+// quarantine on delivery) or an unusable outcome, which contribute
+// nothing.
+func (s *searchState) observedValue(pp PendingPoint) (val float64, ok bool) {
+	if pp.Failed {
+		return 0, false
+	}
+	val, err := pp.Outcome.Value(s.objective)
+	return val, err == nil && finitePositive(val)
+}
+
+// finitePositive reports whether v is usable as an imputed objective value
+// or execution time.
+func finitePositive(v float64) bool { return v > 0 && !math.IsInf(v, 1) }
 
 // naivePlanner is NaiveBO's plan hook: posterior-mean imputation through
 // the GP's cached Cholesky factors. The post-design fields are filled in
@@ -91,8 +99,7 @@ type naivePlanner struct {
 	n  *NaiveBO
 	st *searchState
 
-	ready   bool // main loop started; scaled/sc/minObs/maxMeas valid
-	scaled  [][]float64
+	ready   bool // main loop started; sc/minObs/maxMeas valid
 	sc      *gpScratch
 	minObs  int
 	maxMeas int
@@ -102,124 +109,84 @@ func (p *naivePlanner) plan(pending []PendingPoint, extra int) []int {
 	st := p.st
 	excluded := pendingSet(pending)
 	if !p.ready {
-		return st.planFromDesign(excluded, extra)
+		return st.readAhead(st.designPlan, excluded, extra)
 	}
-	if budget := p.maxMeas - len(st.obs) - len(pending); extra > budget {
-		extra = budget
-	}
+	extra = min(extra, p.maxMeas-len(st.obs)-len(pending))
 	if extra <= 0 || len(st.obs) == 0 {
 		return nil
 	}
-	return p.n.fantasize(st, p.scaled, p.sc, pending, excluded, extra, p.minObs, p.maxMeas)
+	return p.fantasize(pending, excluded, extra)
 }
 
-// fitObjectiveGP fits the objective surrogate on the current (possibly
-// fantasy-extended) observation set, mirroring selectCandidate's
-// training-set construction.
-func (n *NaiveBO) fitObjectiveGP(st *searchState, scaled [][]float64, sc *gpScratch) (*gp.GP, error) {
-	xs, ys := sc.xs[:0], sc.ys[:0]
-	logSpace := !n.cfg.DisableLogObjective
-	for _, obs := range st.obs {
-		xs = append(xs, scaled[obs.Index])
-		if logSpace {
-			ys = append(ys, math.Log(obs.Value))
-		} else {
-			ys = append(ys, obs.Value)
-		}
-	}
-	sc.xs, sc.ys = xs, ys
-	model, _, err := n.fitSurrogate(sc, xs, ys)
-	return model, err
-}
-
-// imputeNaive predicts candidate idx's objective value (and execution
-// time under an SLO) from the current GP posterior mean. ok is false
-// when a fit or prediction fails or produces an unusable value —
-// planning simply stops there.
-func (n *NaiveBO) imputeNaive(st *searchState, scaled [][]float64, sc *gpScratch, idx int) (val float64, out Outcome, ok bool) {
-	model, err := n.fitObjectiveGP(st, scaled, sc)
-	if err != nil {
-		return 0, Outcome{}, false
-	}
-	mean, _, err := model.Predict(scaled[idx])
-	if err != nil {
-		return 0, Outcome{}, false
-	}
-	val = mean
-	if !n.cfg.DisableLogObjective {
-		val = math.Exp(mean)
-	}
-	if !(val > 0) || math.IsInf(val, 0) || math.IsNaN(val) {
-		return 0, Outcome{}, false
-	}
+// impute predicts candidate idx's objective value (and execution time
+// under an SLO) as the posterior mean of GPs fitted by fitGP. ok is false
+// when a fit or prediction fails or produces an unusable value — planning
+// simply stops there.
+func (p *naivePlanner) impute(idx int) (val float64, out Outcome, ok bool) {
+	val, ok = p.posteriorMean(idx, false)
 	out = Outcome{TimeSec: 1}
-	if n.cfg.MaxTimeSLO > 0 {
-		xs, ys := sc.xs[:0], sc.ys[:0]
-		for _, obs := range st.obs {
-			xs = append(xs, scaled[obs.Index])
-			ys = append(ys, math.Log(obs.Outcome.TimeSec))
-		}
-		sc.xs, sc.ys = xs, ys
-		tmodel, _, err := n.fitSurrogate(sc, xs, ys)
-		if err != nil {
-			return 0, Outcome{}, false
-		}
-		tmean, _, err := tmodel.Predict(scaled[idx])
-		if err != nil {
-			return 0, Outcome{}, false
-		}
-		t := math.Exp(tmean)
-		if !(t > 0) || math.IsInf(t, 0) {
-			return 0, Outcome{}, false
-		}
-		out.TimeSec = t
+	if ok && p.n.cfg.MaxTimeSLO > 0 {
+		out.TimeSec, ok = p.posteriorMean(idx, true)
 	}
-	return val, out, true
+	return val, out, ok
+}
+
+// posteriorMean fits the objective (or time) GP on the current, possibly
+// fantasy-extended, observations and returns its mean at idx in
+// objective (or time) units.
+func (p *naivePlanner) posteriorMean(idx int, timeModel bool) (float64, bool) {
+	model, err := p.n.fitGP(p.st, p.sc, timeModel)
+	if err != nil {
+		return 0, false
+	}
+	mean, _, err := model.Predict(p.st.scaled[idx])
+	if err != nil {
+		return 0, false
+	}
+	if timeModel || !p.n.cfg.DisableLogObjective {
+		mean = math.Exp(mean)
+	}
+	return mean, finitePositive(mean)
 }
 
 // fantasize runs NaiveBO's speculative acquisition: absorb every pending
 // suggestion as a fantasy observation (the caller's real outcome when it
 // already arrived, the posterior mean otherwise), then repeatedly ask
 // selectCandidate what it would measure next, fantasizing each pick in
-// turn. All state — observations, incumbents, tracer, and the cached GP
-// factors — is restored before returning.
-func (n *NaiveBO) fantasize(st *searchState, scaled [][]float64, sc *gpScratch, pending []PendingPoint, excluded map[int]bool, extra, minObs, maxMeas int) (picks []int) {
-	savedTracer := st.tracer
-	st.tracer = nil
+// turn until the stopping rule would fire. All state — observations,
+// incumbents, tracer, and the cached GP factors — is restored before
+// returning.
+func (p *naivePlanner) fantasize(pending []PendingPoint, excluded map[int]bool, extra int) (picks []int) {
+	st, n := p.st, p.n
 	savedObs := len(st.obs)
-	savedBestIdx, savedBestVal := st.bestIdx, st.bestVal
-	savedFastIdx, savedFastTime := st.fastestIdx, st.fastestTime
+	restore := st.beginFantasy()
 	defer func() {
-		st.obs = st.obs[:savedObs]
-		st.bestIdx, st.bestVal = savedBestIdx, savedBestVal
-		st.fastestIdx, st.fastestTime = savedFastIdx, savedFastTime
-		st.tracer = savedTracer
-		if !n.cfg.fullRefit {
-			for _, f := range sc.fitters {
-				if f.Len() > savedObs && savedObs > 0 {
+		restore()
+		if !n.cfg.fullRefit && savedObs > 0 {
+			for _, f := range p.sc.fitters {
+				if f.Len() > savedObs {
 					_ = f.Truncate(savedObs)
 				}
 			}
 		}
 	}()
+	add := func(idx int, val float64, out Outcome) {
+		st.obs = append(st.obs, Observation{Index: idx, Value: val, Outcome: out})
+		st.noteOutcome(idx, val, out)
+	}
 
 	for _, pp := range pending {
 		if pp.Observed {
-			if pp.Failed {
-				continue // will quarantine on delivery; contributes nothing
+			if val, ok := st.observedValue(pp); ok {
+				add(pp.Index, val, pp.Outcome)
 			}
-			val, err := pp.Outcome.Value(st.objective)
-			if err != nil || val <= 0 || math.IsNaN(val) || math.IsInf(val, 0) {
-				continue
-			}
-			st.appendFantasyObs(pp.Index, val, pp.Outcome)
 			continue
 		}
-		val, out, ok := n.imputeNaive(st, scaled, sc, pp.Index)
+		val, out, ok := p.impute(pp.Index)
 		if !ok {
 			return nil
 		}
-		st.appendFantasyObs(pp.Index, val, out)
+		add(pp.Index, val, out)
 	}
 
 	// The fantasy RNG feeds only the entropy-search acquisition's
@@ -227,26 +194,22 @@ func (n *NaiveBO) fantasize(st *searchState, scaled [][]float64, sc *gpScratch, 
 	// planning, so a throwaway stream is derived from the seed and the
 	// planning position (deterministic given the delivered history).
 	sideRng := rand.New(rand.NewSource(n.cfg.Seed ^ (0x6c62272e07bb0142 + int64(len(st.obs)))))
-	for len(picks) < extra && len(st.obs) < maxMeas {
+	for len(picks) < extra && len(st.obs) < p.maxMeas {
 		remaining := st.unmeasuredExcluding(excluded)
 		if len(remaining) == 0 {
 			break
 		}
-		next, _, maxEI, err := n.selectCandidate(st, scaled, remaining, sideRng, sc)
-		if err != nil || next < 0 {
+		next, _, maxEI, err := n.selectCandidate(st, remaining, sideRng, p.sc)
+		if err != nil || next < 0 || n.stops(st, maxEI, p.minObs) {
 			break
 		}
-		if n.cfg.EIStopFraction > 0 && len(st.obs) >= minObs && st.hasIncumbent() &&
-			maxEI < n.cfg.EIStopFraction*st.bestVal {
-			break // the real loop would stop here; speculating past it is pure waste
-		}
-		val, out, ok := n.imputeNaive(st, scaled, sc, next)
+		val, out, ok := p.impute(next)
 		if !ok {
 			break
 		}
 		picks = append(picks, next)
 		excluded[next] = true
-		st.appendFantasyObs(next, val, out)
+		add(next, val, out)
 	}
 	return picks
 }
@@ -269,233 +232,76 @@ func (p *augPlanner) plan(pending []PendingPoint, extra int) []int {
 	if len(st.obs) < 2 {
 		// The loop is still topping up the design (or replacing design
 		// failures via max-min picks the planner cannot predict).
-		return st.planFromDesign(excluded, extra)
+		return st.readAhead(st.designPlan, excluded, extra)
 	}
-	if budget := p.maxMeas - len(st.obs) - len(pending); extra > budget {
-		extra = budget
-	}
+	extra = min(extra, p.maxMeas-len(st.obs)-len(pending))
 	if extra <= 0 {
 		return nil
 	}
-	return p.a.fantasize(st, pending, excluded, extra, p.treeSeed, p.minObs, p.maxMeas)
+	return p.fantasize(pending, excluded, extra)
 }
 
-// fantasize runs AugmentedBO's speculative acquisition. Fantasized
+// fantasize runs AugmentedBO's speculative acquisition through
+// selectByDelta: a pending point is imputed by asking it about that one
+// candidate, and each pick is its answer over the rest. Fantasized
 // destinations contribute (real source -> fantasy destination) training
-// rows only — a fantasy has no low-level metric vector, so it is never
-// a source — and predictions keep averaging over the real sources.
-// Fantasy models chain from the cache's previous ensembles through a
-// local head that is never written back, so the real search's
-// incremental-refit lineage is untouched; the appended slab rows are
-// truncated away before returning.
-func (a *AugmentedBO) fantasize(st *searchState, pending []PendingPoint, excluded map[int]bool, extra int, treeSeed int64, minObs, maxMeas int) (picks []int) {
-	savedTracer := st.tracer
-	st.tracer = nil
+// rows only — a fantasy has no low-level metric vector, so it is never a
+// source, and st.obs never grows — and predictions keep averaging over
+// the real sources. Fantasy fits chain through the cache's model heads
+// like real refits; the heads, the appended slab rows and the incumbent
+// are restored before returning, so the real search's incremental-refit
+// lineage is untouched.
+func (p *augPlanner) fantasize(pending []PendingPoint, excluded map[int]bool, extra int) (picks []int) {
+	st, a := p.st, p.a
 	cache := a.pairs(st)
 	// Append the rows of any real observations the cache has not seen —
 	// the identical rows the next real fit would append, so doing it
 	// early is invisible to the real path.
 	cache.sync(st)
-	mark := cache.mark()
+	mark, prevObj, prevTime := cache.mark(), cache.prevObj, cache.prevTime
+	restore := st.beginFantasy()
 	defer func() {
 		cache.rollback(mark)
-		st.tracer = savedTracer
+		cache.prevObj, cache.prevTime = prevObj, prevTime
+		restore()
 	}()
-
-	localObj, localTime := cache.prevObj, cache.prevTime
 	fantasies := 0
-	localBestVal := st.bestVal
-	localHasInc := st.hasIncumbent()
-
-	fit := func(target pairTarget, seed int64, withHistory bool, prev *forest.Regressor) (*forest.Regressor, error) {
-		xs, ys, units := cache.trainingSet(target, withHistory)
-		cfg := a.cfg.Forest
-		cfg.Seed = seed
-		if cfg.SampleRate == 0 {
-			cfg.SampleRate = defaultPairSampleRate
-		}
-		if a.cfg.fullRefit {
-			prev = nil
-		}
-		model, _, err := forest.Refit(prev, cfg, xs, ys, units)
-		return model, err
-	}
-	predict := func(model *forest.Regressor, remaining []int) ([]float64, error) {
-		srcs, dsts := cache.queryHalves(st, remaining)
-		var err error
-		cache.rawPreds, err = model.PredictPairs(srcs, dsts, cache.rawPreds)
-		if err != nil {
-			return nil, err
-		}
-		cache.objMeans = reduceMeans(cache.objMeans, cache.rawPreds, len(remaining), len(st.obs))
-		return cache.objMeans, nil
-	}
-	predictTimes := func(model *forest.Regressor, remaining []int) ([]float64, error) {
-		srcs, dsts := cache.queryHalves(st, remaining)
-		var err error
-		cache.rawPreds, err = model.PredictPairs(srcs, dsts, cache.rawPreds)
-		if err != nil {
-			return nil, err
-		}
-		cache.timeMeans = reduceMeans(cache.timeMeans, cache.rawPreds, len(remaining), len(st.obs))
-		return cache.timeMeans, nil
-	}
-	addFantasy := func(idx int, val, timeSec float64) {
+	add := func(idx int, val, timeSec float64) {
 		dst := Observation{Index: idx, Value: val, Outcome: Outcome{TimeSec: timeSec}}
-		dstObs := len(st.obs) + fantasies
 		for j := range st.obs {
-			cache.appendObsPair(st, &st.obs[j], &dst, j, dstObs)
+			cache.appendObsPair(st, &st.obs[j], &dst, j, len(st.obs)+fantasies)
 		}
 		fantasies++
-		feasible := st.sloTime <= 0 || timeSec <= st.sloTime
-		if feasible && val < localBestVal {
-			localBestVal = val
-			localHasInc = true
-		}
-	}
-	// impute predicts one candidate's objective (and time under an SLO)
-	// from models fitted on the current real+fantasy training rows.
-	impute := func(idx int) (val, timeSec float64, ok bool) {
-		model, err := fit(pairTargetObjective, treeSeed, true, localObj)
-		if err != nil {
-			return 0, 0, false
-		}
-		localObj = model
-		preds, err := predict(model, []int{idx})
-		if err != nil || !(preds[0] > 0) || math.IsInf(preds[0], 0) {
-			return 0, 0, false
-		}
-		val, timeSec = preds[0], 1.0
-		if a.cfg.MaxTimeSLO > 0 {
-			tm, err := fit(pairTargetTime, treeSeed+1, false, localTime)
-			if err != nil {
-				return 0, 0, false
-			}
-			localTime = tm
-			times, err := predictTimes(tm, []int{idx})
-			if err != nil || !(times[0] > 0) || math.IsInf(times[0], 0) {
-				return 0, 0, false
-			}
-			timeSec = times[0]
-		}
-		return val, timeSec, true
+		st.noteOutcome(idx, val, dst.Outcome)
 	}
 
 	for _, pp := range pending {
 		if pp.Observed {
-			if pp.Failed {
-				continue
+			if val, ok := st.observedValue(pp); ok {
+				add(pp.Index, val, pp.Outcome.TimeSec)
 			}
-			val, err := pp.Outcome.Value(st.objective)
-			if err != nil || val <= 0 || math.IsNaN(val) || math.IsInf(val, 0) {
-				continue
-			}
-			addFantasy(pp.Index, val, pp.Outcome.TimeSec)
 			continue
 		}
-		val, timeSec, ok := impute(pp.Index)
-		if !ok {
+		_, val, timeSec, err := a.selectByDelta(st, []int{pp.Index}, p.treeSeed)
+		if err != nil || !finitePositive(val) || !finitePositive(timeSec) {
 			return nil
 		}
-		addFantasy(pp.Index, val, timeSec)
+		add(pp.Index, val, timeSec)
 	}
 
-	for len(picks) < extra && len(st.obs)+fantasies < maxMeas {
+	for len(picks) < extra && len(st.obs)+fantasies < p.maxMeas {
 		remaining := st.unmeasuredExcluding(excluded)
 		if len(remaining) == 0 {
 			break
 		}
-		model, err := fit(pairTargetObjective, treeSeed, true, localObj)
-		if err != nil {
+		next, predicted, timeSec, err := a.selectByDelta(st, remaining, p.treeSeed)
+		if err != nil || next < 0 || !finitePositive(predicted) ||
+			a.stops(st, predicted, len(st.obs)+fantasies, p.minObs) {
 			break
-		}
-		localObj = model
-		var predTimes []float64
-		if a.cfg.MaxTimeSLO > 0 {
-			tm, terr := fit(pairTargetTime, treeSeed+1, false, localTime)
-			if terr != nil {
-				break
-			}
-			localTime = tm
-			// Predict times first: predict() reuses rawPreds, so the
-			// objective pass must come second... and timeMeans must be
-			// copied out before objMeans overwrites rawPreds.
-			predTimes, terr = predictTimes(tm, remaining)
-			if terr != nil {
-				break
-			}
-		}
-		preds, err := predict(model, remaining)
-		if err != nil {
-			break
-		}
-		// Mirror selectByDelta: smallest predicted objective among
-		// candidates predicted feasible, else the predicted-fastest.
-		next, predicted := -1, math.Inf(1)
-		fallback, fallbackTime, fallbackPred := -1, math.Inf(1), math.Inf(1)
-		for i, idx := range remaining {
-			pred := preds[i]
-			if predTimes != nil {
-				if predTimes[i] < fallbackTime {
-					fallbackTime, fallback, fallbackPred = predTimes[i], idx, pred
-				}
-				if predTimes[i] > a.cfg.MaxTimeSLO {
-					continue
-				}
-			}
-			if pred < predicted {
-				predicted, next = pred, idx
-			}
-		}
-		nextTime := 1.0
-		if next == -1 {
-			next, predicted, nextTime = fallback, fallbackPred, fallbackTime
-		} else if predTimes != nil {
-			for i, idx := range remaining {
-				if idx == next {
-					nextTime = predTimes[i]
-					break
-				}
-			}
-		}
-		if next < 0 || !(predicted > 0) || math.IsInf(predicted, 0) {
-			break
-		}
-		if a.cfg.DeltaThreshold > 0 && len(st.obs)+fantasies >= minObs && localHasInc &&
-			predicted > a.cfg.DeltaThreshold*localBestVal {
-			break // the real loop would stop here
 		}
 		picks = append(picks, next)
 		excluded[next] = true
-		addFantasy(next, predicted, nextTime)
-	}
-	return picks
-}
-
-// randomPlanner is RandomSearch's plan hook: the search order is a fixed
-// permutation, so planning is just reading ahead in it.
-type randomPlanner struct {
-	st      *searchState
-	perm    []int
-	maxMeas int
-}
-
-func (p *randomPlanner) plan(pending []PendingPoint, extra int) []int {
-	excluded := pendingSet(pending)
-	if budget := p.maxMeas - len(p.st.obs) - len(pending); extra > budget {
-		extra = budget
-	}
-	var picks []int
-	for _, idx := range p.perm {
-		if extra <= 0 {
-			break
-		}
-		if p.st.measured[idx] || p.st.quarantined[idx] || excluded[idx] {
-			continue
-		}
-		picks = append(picks, idx)
-		excluded[idx] = true
-		extra--
+		add(next, predicted, timeSec)
 	}
 	return picks
 }

@@ -266,6 +266,7 @@ type searchState struct {
 	sloTime float64
 
 	features    [][]float64 // candidate features, cached
+	scaled      [][]float64 // min-max-scaled features; see scaledFeatures
 	measured    []bool
 	quarantined []bool // candidates masked out after a failed measurement
 	failures    []FailureRecord
@@ -293,7 +294,8 @@ type searchState struct {
 
 	// tracer receives the search's event stream; nil (the default) keeps
 	// every emission site to a single branch, so an untraced search pays
-	// nothing. method is stamped on every event.
+	// nothing. method is stamped on every event and names the result, so
+	// a hybrid search's phases both report as the hybrid.
 	tracer telemetry.Tracer
 	method string
 
@@ -497,14 +499,7 @@ func (s *searchState) measure(idx int, score float64, fromDesign bool) (ok bool,
 	}
 	s.measured[idx] = true
 	s.obs = append(s.obs, Observation{Index: idx, Value: val, Outcome: out})
-	if s.feasible(out) && val < s.bestVal {
-		s.bestVal = val
-		s.bestIdx = idx
-	}
-	if out.TimeSec < s.fastestTime {
-		s.fastestTime = out.TimeSec
-		s.fastestIdx = idx
-	}
+	s.noteOutcome(idx, val, out)
 	s.steps = append(s.steps, Step{
 		Index:      idx,
 		Value:      val,
@@ -531,22 +526,38 @@ func (s *searchState) measure(idx int, score float64, fromDesign bool) (ok bool,
 	return true, nil
 }
 
+// noteOutcome updates the incumbent and fastest-time trackers for a
+// measured outcome — or, during batch planning, an imputed one, so a
+// fantasized acquisition pass and stop check see a consistent state.
+func (s *searchState) noteOutcome(idx int, val float64, out Outcome) {
+	if s.feasible(out) && val < s.bestVal {
+		s.bestVal, s.bestIdx = val, idx
+	}
+	if out.TimeSec < s.fastestTime {
+		s.fastestTime, s.fastestIdx = out.TimeSec, idx
+	}
+}
+
 // unmeasured returns the indices still available for measurement: not yet
 // measured and not quarantined.
-func (s *searchState) unmeasured() []int {
+func (s *searchState) unmeasured() []int { return s.unmeasuredExcluding(nil) }
+
+// unmeasuredExcluding returns the unmeasured candidates outside excluded —
+// for a fantasy pick, the ones not already suggested.
+func (s *searchState) unmeasuredExcluding(excluded map[int]bool) []int {
 	var out []int
 	for i, m := range s.measured {
-		if !m && !s.quarantined[i] {
+		if !m && !s.quarantined[i] && !excluded[i] {
 			out = append(out, i)
 		}
 	}
 	return out
 }
 
-// result finalizes the search.
-func (s *searchState) result(method string, stoppedEarly bool, reason string) *Result {
+// result finalizes the search under the method label setTracer stamped.
+func (s *searchState) result(stoppedEarly bool, reason string) *Result {
 	res := &Result{
-		Method:       method,
+		Method:       s.method,
 		Objective:    s.objective,
 		Observations: append([]Observation(nil), s.obs...),
 		Steps:        append([]Step(nil), s.steps...),
@@ -589,23 +600,39 @@ func (s *searchState) result(method string, stoppedEarly bool, reason string) *R
 	return res
 }
 
+// stopEarly finalizes a search whose stopping rule fired: value is the
+// rule's quantity, threshold the bound it crossed.
+func (s *searchState) stopEarly(value, threshold float64, reason string) (*Result, error) {
+	if s.tracer != nil {
+		s.emit(telemetry.Event{
+			Kind:      telemetry.KindStopRule,
+			Step:      len(s.obs),
+			Candidate: -1,
+			Value:     value,
+			Aux:       threshold,
+			Detail:    reason,
+		})
+	}
+	return s.result(true, reason), nil
+}
+
 // finish finalizes a loop that ran out of candidates or budget. When not a
 // single candidate could be measured the result is partial and comes with
 // ErrAllCandidatesFailed, so callers still see the failure record.
-func (s *searchState) finish(method string, stoppedEarly bool, reason string) (*Result, error) {
+func (s *searchState) finish(reason string) (*Result, error) {
 	if len(s.obs) == 0 && len(s.failures) > 0 {
-		res := s.result(method, false, "every candidate failed")
+		res := s.result(false, "every candidate failed")
 		res.Partial = true
 		return res, fmt.Errorf("core: %d candidate(s) quarantined, none measured: %w",
 			len(s.failures), ErrAllCandidatesFailed)
 	}
-	return s.result(method, stoppedEarly, reason), nil
+	return s.result(false, reason), nil
 }
 
 // abort finalizes a search stopped by a fatal error: the partial result
 // keeps every paid-for observation and the error explains the abort.
-func (s *searchState) abort(method string, cause error) (*Result, error) {
-	res := s.result(method, false, fmt.Sprintf("aborted: %v", cause))
+func (s *searchState) abort(cause error) (*Result, error) {
+	res := s.result(false, fmt.Sprintf("aborted: %v", cause))
 	res.Partial = true
 	return res, fmt.Errorf("core: search aborted after %d measurement(s): %w", len(s.obs), cause)
 }

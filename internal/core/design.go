@@ -58,10 +58,26 @@ type DesignConfig struct {
 // the paper's experiments.
 const DefaultNumInitial = 3
 
+// scaledFeatures returns the min-max-scaled catalog features, computed
+// once per search: the designs, design replacement and the GP all work in
+// this space, and the catalog is known up front, so scaling it leaks no
+// measurement information. A catalog MinMaxScale rejects is not memoized,
+// so every caller sees the error at its own point.
+func (s *searchState) scaledFeatures() ([][]float64, error) {
+	if s.scaled == nil {
+		scaled, _, _, err := stats.MinMaxScale(s.features)
+		if err != nil {
+			return nil, err
+		}
+		s.scaled = scaled
+	}
+	return s.scaled, nil
+}
+
 // initialDesign resolves the configured design against the candidate set.
 // Quasi-random designs operate on min-max-scaled features so no dimension
 // dominates the distance metric.
-func initialDesign(cfg DesignConfig, rng *rand.Rand, features [][]float64) ([]int, error) {
+func (s *searchState) initialDesign(cfg DesignConfig, rng *rand.Rand) ([]int, error) {
 	k := cfg.NumInitial
 	if k == 0 {
 		k = DefaultNumInitial
@@ -70,34 +86,33 @@ func initialDesign(cfg DesignConfig, rng *rand.Rand, features [][]float64) ([]in
 	if kind == 0 {
 		kind = DesignQuasiRandom
 	}
-	switch kind {
-	case DesignQuasiRandom:
-		scaled, _, _, err := stats.MinMaxScale(features)
-		if err != nil {
+	var scaled [][]float64
+	if kind == DesignQuasiRandom || kind == DesignSobol {
+		var err error
+		if scaled, err = s.scaledFeatures(); err != nil {
 			return nil, fmt.Errorf("core: scaling features for design: %w", err)
 		}
+	}
+	switch kind {
+	case DesignQuasiRandom:
 		idx, err := sampling.MaxMin(rng, scaled, k)
 		if err != nil {
 			return nil, fmt.Errorf("core: quasi-random design: %w", err)
 		}
 		return idx, nil
 	case DesignUniform:
-		idx, err := sampling.Uniform(rng, len(features), k)
+		idx, err := sampling.Uniform(rng, len(s.features), k)
 		if err != nil {
 			return nil, fmt.Errorf("core: uniform design: %w", err)
 		}
 		return idx, nil
 	case DesignFixed:
-		idx, err := sampling.Fixed(len(features), cfg.Fixed)
+		idx, err := sampling.Fixed(len(s.features), cfg.Fixed)
 		if err != nil {
 			return nil, fmt.Errorf("core: fixed design: %w", err)
 		}
 		return idx, nil
 	case DesignSobol:
-		scaled, _, _, err := stats.MinMaxScale(features)
-		if err != nil {
-			return nil, fmt.Errorf("core: scaling features for design: %w", err)
-		}
 		// Derive a small sequence offset from the run's RNG so different
 		// seeds see different (but individually deterministic) designs.
 		skip := rng.Intn(64)
@@ -119,7 +134,7 @@ func initialDesign(cfg DesignConfig, rng *rand.Rand, features [][]float64) ([]in
 // error (context cancellation, Fatal-marked target error) is returned;
 // ordinary failures land in the state's failure record.
 func (s *searchState) runInitialDesign(cfg DesignConfig, rng *rand.Rand) error {
-	design, err := initialDesign(cfg, rng, s.features)
+	design, err := s.initialDesign(cfg, rng)
 	if err != nil {
 		return err
 	}
@@ -161,7 +176,7 @@ func (s *searchState) designReplacement(rng *rand.Rand) int {
 	if len(avail) == 0 {
 		return -1
 	}
-	scaled, _, _, err := stats.MinMaxScale(s.features)
+	scaled, err := s.scaledFeatures()
 	if err != nil || len(s.obs) == 0 {
 		return avail[rng.Intn(len(avail))]
 	}

@@ -291,8 +291,18 @@ func TestExplainSurrogateBadResult(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := &Result{Objective: MinimizeTime, Observations: []Observation{{Index: 99, Value: 1}}}
-	if _, err := aug.ExplainSurrogate(steppedTarget(), res); !errors.Is(err, ErrBadConfig) {
-		t.Errorf("error = %v, want ErrBadConfig", err)
+	for name, obs := range map[string][]Observation{
+		"index outside target": {{Index: 99, Value: 1}},
+		// A duplicate would add self-pairs to the surrogate's training set.
+		"duplicate index": {
+			{Index: 1, Value: 2.2, Outcome: Outcome{TimeSec: 2.2}},
+			{Index: 2, Value: 1.8, Outcome: Outcome{TimeSec: 1.8}},
+			{Index: 1, Value: 2.2, Outcome: Outcome{TimeSec: 2.2}},
+		},
+	} {
+		res := &Result{Objective: MinimizeTime, Observations: obs}
+		if _, err := aug.ExplainSurrogate(steppedTarget(), res); !errors.Is(err, ErrBadConfig) {
+			t.Errorf("%s: error = %v, want ErrBadConfig", name, err)
+		}
 	}
 }

@@ -5,8 +5,6 @@ import (
 	"math"
 	"math/rand"
 
-	"repro/internal/acquisition"
-	"repro/internal/stats"
 	"repro/internal/telemetry"
 )
 
@@ -14,8 +12,9 @@ import (
 // BO picks the first measurements (it has no slow start), then Augmented
 // BO takes over with every observation collected so far.
 type HybridBOConfig struct {
-	// Naive configures the opening phase. Its stopping rule is ignored —
-	// the handover point is SwitchAfter.
+	// Naive configures the opening phase, which runs Naive BO's own
+	// search loop. Its stopping rule, MinObservations and
+	// MaxMeasurements are ignored — the handover point is SwitchAfter.
 	Naive NaiveBOConfig
 	// Augmented configures the closing phase (and the overall stopping
 	// rule).
@@ -35,7 +34,9 @@ type HybridBOConfig struct {
 const DefaultSwitchAfter = 4
 
 // HybridBO combines Naive BO's strong start with Augmented BO's strong
-// finish; Figure 9 shows it dominating Naive BO everywhere.
+// finish; Figure 9 shows it dominating Naive BO everywhere. It has no
+// loop of its own: the opening phase is NaiveBO's run, the closing phase
+// AugmentedBO's continueSearch, each with its own batch planner.
 type HybridBO struct {
 	cfg       HybridBOConfig
 	naive     *NaiveBO
@@ -84,71 +85,19 @@ func (h *HybridBO) Search(target Target) (*Result, error) {
 	st.sloTime = h.cfg.Naive.MaxTimeSLO
 	st.setTracer(h.cfg.Tracer, h.Name())
 	st.emitSearchStart()
+
+	// Phase 1 is Naive BO's own run — design, plan hook and EI loop —
+	// with its stopping rule out of reach and its budget the handover
+	// point, so its planner stops where its predictions would stop
+	// matching the loop. It returns a result only on an abort.
 	rng := rand.New(rand.NewSource(h.cfg.Naive.Seed))
-	if h.naive.cfg.Acquisition == acquisition.EntropySearch {
-		// Same constraint as NaiveBO.Search: entropy search consumes
-		// the main RNG during selection, so scripted replay is off.
-		st.voidResumeDecisions()
+	if res, err := h.naive.run(st, rng, math.MaxInt, h.cfg.SwitchAfter); res != nil {
+		return res, err
 	}
 
-	// Batch planning: the naive planner covers the design and the opening
-	// phase (capped at the handover point, where its predictions would
-	// stop matching the loop); continueSearch installs the augmented
-	// planner for phase 2.
-	var planner *naivePlanner
-	if ph, ok := target.(PlanHookSetter); ok {
-		planner = &naivePlanner{n: h.naive, st: st}
-		ph.SetPlanHook(planner.plan)
-	}
-
-	if err := st.runInitialDesign(h.cfg.Naive.Design, rng); err != nil {
-		return st.abort(h.Name(), err)
-	}
-
-	// Phase 1: EI-guided measurements up to the handover point.
-	scaledAll, err := scaleFeatures(st.features)
-	if err != nil {
-		return st.abort(h.Name(), err)
-	}
-	switchAfter := h.cfg.SwitchAfter
-	if switchAfter > target.NumCandidates() {
-		switchAfter = target.NumCandidates()
-	}
-	scratch := &gpScratch{}
-	if planner != nil {
-		planner.scaled, planner.sc = scaledAll, scratch
-		// The opening phase has no stopping rule (minObs never reached)
-		// and plans only up to the handover point.
-		planner.minObs, planner.maxMeas = math.MaxInt, switchAfter
-		planner.ready = true
-	}
-	for len(st.obs) < switchAfter {
-		remaining := st.unmeasured()
-		if len(remaining) == 0 {
-			break
-		}
-		var next int
-		var score, maxEI float64
-		if d, ok := st.scriptedDecision(); ok {
-			// Resumed replay: restore the recorded opening-phase pick.
-			next, score, maxEI = d.Index, d.Score, d.aux()
-		} else {
-			var err error
-			next, score, maxEI, err = h.naive.selectCandidate(st, scaledAll, remaining, rng, scratch)
-			if err != nil {
-				return st.abort(h.Name(), err)
-			}
-			st.recordDecision(next, score, maxEI)
-		}
-		st.emitSelected(next, score, maxEI)
-		if _, err := st.measure(next, score, false); err != nil {
-			return st.abort(h.Name(), err)
-		}
-	}
-
-	// Phase 2: Augmented BO finishes the search with the full history. A
-	// partial result surfacing from the augmented phase is still a hybrid
-	// result, so the method is renamed in every case.
+	// Phase 2: Augmented BO finishes the search with the full history and
+	// installs its own planner. The state's method label names every
+	// result, so one surfacing from this phase is still a hybrid result.
 	if st.tracer != nil {
 		st.emit(telemetry.Event{
 			Kind:      telemetry.KindPhase,
@@ -157,18 +106,5 @@ func (h *HybridBO) Search(target Target) (*Result, error) {
 			Detail:    "augmented",
 		})
 	}
-	res, err := h.augmented.continueSearch(st, len(st.obs)+1, rng)
-	if res != nil {
-		res.Method = h.Name()
-	}
-	return res, err
-}
-
-// scaleFeatures is a small wrapper so HybridBO shares NaiveBO's scaling.
-func scaleFeatures(features [][]float64) ([][]float64, error) {
-	scaled, _, _, err := stats.MinMaxScale(features)
-	if err != nil {
-		return nil, fmt.Errorf("core: scaling features: %w", err)
-	}
-	return scaled, nil
+	return h.augmented.continueSearch(st, len(st.obs)+1, rng)
 }

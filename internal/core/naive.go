@@ -10,7 +10,6 @@ import (
 	"repro/internal/acquisition"
 	"repro/internal/gp"
 	"repro/internal/kernel"
-	"repro/internal/stats"
 	"repro/internal/telemetry"
 )
 
@@ -114,6 +113,9 @@ func NewNaiveBO(cfg NaiveBOConfig) (*NaiveBO, error) {
 	if cfg.EIStopFraction > 1 {
 		return nil, fmt.Errorf("core: EI stop fraction %v > 1: %w", cfg.EIStopFraction, ErrBadConfig)
 	}
+	if math.IsNaN(cfg.EIStopFraction) {
+		return nil, fmt.Errorf("core: EI stop fraction %v would never fire: %w", cfg.EIStopFraction, ErrBadConfig)
+	}
 	if cfg.Acquisition == 0 {
 		cfg.Acquisition = acquisition.ExpectedImprovement
 	}
@@ -157,6 +159,20 @@ func (n *NaiveBO) Search(target Target) (*Result, error) {
 	st.setTracer(n.cfg.Tracer, n.Name())
 	st.emitSearchStart()
 	rng := rand.New(rand.NewSource(n.cfg.Seed))
+	if res, err := n.run(st, rng, n.cfg.MinObservations, n.cfg.MaxMeasurements); res != nil {
+		return res, err
+	}
+	return st.finish("search space exhausted")
+}
+
+// run is Naive BO's search on a started state: the initial design, then
+// GP-guided measurements until the stopping rule fires, maxMeas
+// observations exist or the catalog runs out. minObs zero means the
+// design size plus one, maxMeas zero the whole catalog. It returns a
+// result only when it ended the search (stopping rule or abort); a nil
+// result hands the state back, to be finished by Search or continued by
+// HybridBO's augmented phase.
+func (n *NaiveBO) run(st *searchState, rng *rand.Rand, minObs, maxMeas int) (*Result, error) {
 	if n.cfg.Acquisition == acquisition.EntropySearch {
 		// Entropy search samples posterior minima from the main RNG in
 		// the selection pass; a scripted selection would skip those
@@ -167,39 +183,31 @@ func (n *NaiveBO) Search(target Target) (*Result, error) {
 	// On a batch-capable target, install the fantasization hook before the
 	// design so a Stepper can plan ahead from the very first suggestion.
 	// The hook answers from the design plan until the main loop's state
-	// (scaled features, budgets) is published below.
+	// (scratch, budgets) is published below.
 	var planner *naivePlanner
-	if ph, ok := target.(PlanHookSetter); ok {
+	if ph, ok := st.target.(PlanHookSetter); ok {
 		planner = &naivePlanner{n: n, st: st}
 		ph.SetPlanHook(planner.plan)
 	}
 
 	if err := st.runInitialDesign(n.cfg.Design, rng); err != nil {
-		return st.abort(n.Name(), err)
+		return st.abort(err)
 	}
-
-	minObs := n.cfg.MinObservations
 	if minObs == 0 {
 		minObs = len(st.obs) + 1
 	}
-	maxMeas := n.cfg.MaxMeasurements
-	if maxMeas == 0 || maxMeas > target.NumCandidates() {
-		maxMeas = target.NumCandidates()
+	if maxMeas == 0 || maxMeas > st.target.NumCandidates() {
+		maxMeas = st.target.NumCandidates()
 	}
-
-	// Scale the full candidate feature set once; the catalog is known up
-	// front, so this leaks no measurement information.
-	scaled, _, _, err := stats.MinMaxScale(st.features)
-	if err != nil {
-		return st.abort(n.Name(), fmt.Errorf("core: scaling features: %w", err))
+	if _, err := st.scaledFeatures(); err != nil {
+		return st.abort(fmt.Errorf("core: scaling features: %w", err))
 	}
 
 	// One scratch for the whole search: the training-set headers, query
 	// rows, and posterior buffers are reused every iteration.
 	scratch := &gpScratch{}
 	if planner != nil {
-		planner.scaled, planner.sc = scaled, scratch
-		planner.minObs, planner.maxMeas = minObs, maxMeas
+		planner.sc, planner.minObs, planner.maxMeas = scratch, minObs, maxMeas
 		planner.ready = true
 	}
 	for len(st.obs) < maxMeas {
@@ -215,33 +223,30 @@ func (n *NaiveBO) Search(target Target) (*Result, error) {
 			next, score, maxEI = d.Index, d.Score, d.aux()
 		} else {
 			var err error
-			next, score, maxEI, err = n.selectCandidate(st, scaled, remaining, rng, scratch)
+			next, score, maxEI, err = n.selectCandidate(st, remaining, rng, scratch)
 			if err != nil {
-				return st.abort(n.Name(), err)
+				return st.abort(err)
 			}
 			st.recordDecision(next, score, maxEI)
 		}
-		if n.cfg.EIStopFraction > 0 && len(st.obs) >= minObs && st.hasIncumbent() &&
-			maxEI < n.cfg.EIStopFraction*st.bestVal {
-			reason := fmt.Sprintf("max EI %.4g below %.0f%% of incumbent %.4g", maxEI, 100*n.cfg.EIStopFraction, st.bestVal)
-			if st.tracer != nil {
-				st.emit(telemetry.Event{
-					Kind:      telemetry.KindStopRule,
-					Step:      len(st.obs),
-					Candidate: -1,
-					Value:     maxEI,
-					Aux:       n.cfg.EIStopFraction * st.bestVal,
-					Detail:    reason,
-				})
-			}
-			return st.result(n.Name(), true, reason), nil
+		if n.stops(st, maxEI, minObs) {
+			return st.stopEarly(maxEI, n.cfg.EIStopFraction*st.bestVal,
+				fmt.Sprintf("max EI %.4g below %.0f%% of incumbent %.4g", maxEI, 100*n.cfg.EIStopFraction, st.bestVal))
 		}
 		st.emitSelected(next, score, maxEI)
 		if _, err := st.measure(next, score, false); err != nil {
-			return st.abort(n.Name(), err)
+			return st.abort(err)
 		}
 	}
-	return st.finish(n.Name(), false, "search space exhausted")
+	return nil, nil
+}
+
+// stops is Naive BO's stopping rule, shared by the loop and its planner:
+// once minObs observations exist, stop when the best Expected Improvement
+// falls below EIStopFraction x the feasible incumbent.
+func (n *NaiveBO) stops(st *searchState, maxEI float64, minObs int) bool {
+	return n.cfg.EIStopFraction > 0 && len(st.obs) >= minObs && st.hasIncumbent() &&
+		maxEI < n.cfg.EIStopFraction*st.bestVal
 }
 
 // gpScratch holds the buffers a Naive BO search reuses across iterations:
@@ -283,23 +288,11 @@ func (sc *gpScratch) fitterFor(kind kernel.Kind, ard bool) *gp.Fitter {
 // feasibilityProbs fits a GP on log execution time and returns, per
 // remaining candidate, the posterior probability that its time meets the
 // SLO. queries must hold the scaled features of remaining, row for row.
-func (n *NaiveBO) feasibilityProbs(st *searchState, scaled, queries [][]float64, sc *gpScratch) ([]float64, error) {
-	xs := sc.xs[:0]
-	ys := sc.ys[:0]
-	for _, obs := range st.obs {
-		xs = append(xs, scaled[obs.Index])
-		ys = append(ys, math.Log(obs.Outcome.TimeSec))
-	}
-	sc.xs, sc.ys = xs, ys
-	var fitT0 time.Time
-	if st.tracer != nil {
-		fitT0 = time.Now()
-	}
-	model, info, err := n.fitSurrogate(sc, xs, ys)
+func (n *NaiveBO) feasibilityProbs(st *searchState, queries [][]float64, sc *gpScratch) ([]float64, error) {
+	model, err := n.fitGP(st, sc, true)
 	if err != nil {
 		return nil, fmt.Errorf("core: fitting time GP for SLO: %w", err)
 	}
-	st.emitFit("gp-time", len(xs), fitT0, info.Incremental, info.ReusedFactors)
 	sc.timeMeans, sc.timeVars, err = model.PredictBatch(queries, 0, sc.timeMeans, sc.timeVars)
 	if err != nil {
 		return nil, fmt.Errorf("core: time prediction: %w", err)
@@ -375,20 +368,21 @@ func (n *NaiveBO) fitSurrogate(sc *gpScratch, xs [][]float64, ys []float64) (*gp
 	return best, sum, nil
 }
 
-// selectCandidate fits the GP surrogate and returns the unmeasured
-// candidate maximizing the configured acquisition. maxEI is the best
-// Expected Improvement in objective units (+Inf for non-EI acquisitions,
-// so the EI stopping rule never fires for them).
-func (n *NaiveBO) selectCandidate(st *searchState, scaled [][]float64, remaining []int, rng *rand.Rand, sc *gpScratch) (next int, score, maxEI float64, err error) {
-	xs := sc.xs[:0]
-	ys := sc.ys[:0]
-	logSpace := !n.cfg.DisableLogObjective
+// fitGP fits the objective GP (in log space unless DisableLogObjective)
+// or, with timeModel, the log-execution-time GP on the current
+// observations, and records the fit. The acquisition pass, the SLO
+// feasibility pass and the planner's imputation all train through it.
+func (n *NaiveBO) fitGP(st *searchState, sc *gpScratch, timeModel bool) (*gp.GP, error) {
+	xs, ys := sc.xs[:0], sc.ys[:0]
 	for _, obs := range st.obs {
-		xs = append(xs, scaled[obs.Index])
-		if logSpace {
-			ys = append(ys, math.Log(obs.Value))
-		} else {
+		xs = append(xs, st.scaled[obs.Index])
+		switch {
+		case timeModel:
+			ys = append(ys, math.Log(obs.Outcome.TimeSec))
+		case n.cfg.DisableLogObjective:
 			ys = append(ys, obs.Value)
+		default:
+			ys = append(ys, math.Log(obs.Value))
 		}
 	}
 	sc.xs, sc.ys = xs, ys
@@ -398,10 +392,26 @@ func (n *NaiveBO) selectCandidate(st *searchState, scaled [][]float64, remaining
 	}
 	model, info, err := n.fitSurrogate(sc, xs, ys)
 	if err != nil {
+		return nil, err
+	}
+	name := "gp"
+	if timeModel {
+		name = "gp-time"
+	}
+	st.emitFit(name, len(xs), fitT0, info.Incremental, info.ReusedFactors)
+	return model, nil
+}
+
+// selectCandidate fits the GP surrogate and returns the unmeasured
+// candidate maximizing the configured acquisition. maxEI is the best
+// Expected Improvement in objective units (+Inf for non-EI acquisitions,
+// so the EI stopping rule never fires for them).
+func (n *NaiveBO) selectCandidate(st *searchState, remaining []int, rng *rand.Rand, sc *gpScratch) (next int, score, maxEI float64, err error) {
+	model, err := n.fitGP(st, sc, false)
+	if err != nil {
 		return 0, 0, 0, err
 	}
-	st.emitFit("gp", len(xs), fitT0, info.Incremental, info.ReusedFactors)
-
+	logSpace := !n.cfg.DisableLogObjective
 	best := st.bestVal
 	if logSpace {
 		best = math.Log(st.bestVal)
@@ -411,7 +421,7 @@ func (n *NaiveBO) selectCandidate(st *searchState, scaled [][]float64, remaining
 	// over a worker pool with reused row buffers.
 	queries := sc.queries[:0]
 	for _, idx := range remaining {
-		queries = append(queries, scaled[idx])
+		queries = append(queries, st.scaled[idx])
 	}
 	sc.queries = queries
 	sc.means, sc.variances, err = model.PredictBatch(queries, 0, sc.means, sc.variances)
@@ -425,7 +435,7 @@ func (n *NaiveBO) selectCandidate(st *searchState, scaled [][]float64, remaining
 	// query rows, so the batch is reused.
 	var pFeas []float64
 	if n.cfg.MaxTimeSLO > 0 {
-		pFeas, err = n.feasibilityProbs(st, scaled, queries, sc)
+		pFeas, err = n.feasibilityProbs(st, queries, sc)
 		if err != nil {
 			return 0, 0, 0, err
 		}

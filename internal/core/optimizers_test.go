@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"math"
 	"strings"
 	"testing"
 
@@ -36,6 +37,35 @@ func TestNewAugmentedBOValidation(t *testing.T) {
 	}
 	if ab.cfg.DeltaThreshold != DefaultDeltaThreshold {
 		t.Errorf("default delta = %v, want %v", ab.cfg.DeltaThreshold, DefaultDeltaThreshold)
+	}
+}
+
+// TestStopThresholdMustBeAbleToFire: a NaN or +Inf stop threshold makes
+// the stopping rule's comparison always false, so the search would
+// silently measure the whole catalog. The constructors reject them;
+// negative values, -Inf included, are the documented way to disable the
+// rule.
+func TestStopThresholdMustBeAbleToFire(t *testing.T) {
+	for _, tc := range []struct {
+		threshold float64
+		wantErr   bool
+	}{
+		{math.NaN(), true},
+		{math.Inf(1), true},
+		{math.Inf(-1), false},
+		{-1, false},
+	} {
+		_, errAug := NewAugmentedBO(AugmentedBOConfig{Objective: MinimizeCost, DeltaThreshold: tc.threshold})
+		_, errNaive := NewNaiveBO(NaiveBOConfig{Objective: MinimizeCost, EIStopFraction: tc.threshold})
+		_, errHybrid := NewHybridBO(HybridBOConfig{
+			Naive:     NaiveBOConfig{Objective: MinimizeCost, EIStopFraction: tc.threshold},
+			Augmented: AugmentedBOConfig{Objective: MinimizeCost, DeltaThreshold: tc.threshold},
+		})
+		for name, err := range map[string]error{"augmented": errAug, "naive": errNaive, "hybrid": errHybrid} {
+			if (err != nil) != tc.wantErr || (err != nil && !errors.Is(err, ErrBadConfig)) {
+				t.Errorf("%s, stop threshold %v: error %v, want ErrBadConfig: %v", name, tc.threshold, err, tc.wantErr)
+			}
+		}
 	}
 }
 

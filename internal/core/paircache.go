@@ -49,7 +49,9 @@ type pairCache struct {
 	unitsScratch [][2]int32
 
 	// The previous fitted ensembles, fed back into forest.Refit so an
-	// iteration re-grows only the trees whose sampled rows changed.
+	// iteration re-grows only the trees whose sampled rows changed. Batch
+	// planning chains its fantasy fits through them too and restores
+	// them on return (see augPlanner.fantasize).
 	prevObj  *forest.Regressor
 	prevTime *forest.Regressor
 

@@ -116,7 +116,7 @@ func BenchmarkAugmentedIteration(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := aug.selectByDelta(st, remaining, 42); err != nil {
+		if _, _, _, err := aug.selectByDelta(st, remaining, 42); err != nil {
 			b.Fatal(err)
 		}
 	}

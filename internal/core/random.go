@@ -52,9 +52,11 @@ func (r *RandomSearch) Search(target Target) (*Result, error) {
 	rng := rand.New(rand.NewSource(r.cfg.Seed))
 	perm := rng.Perm(target.NumCandidates())
 	// Batch planning for random search is just reading ahead in the
-	// permutation.
+	// permutation, up to the measurement budget.
 	if ph, ok := target.(PlanHookSetter); ok {
-		ph.SetPlanHook((&randomPlanner{st: st, perm: perm, maxMeas: maxMeas}).plan)
+		ph.SetPlanHook(func(pending []PendingPoint, extra int) []int {
+			return st.readAhead(perm, pendingSet(pending), min(extra, maxMeas-len(st.obs)-len(pending)))
+		})
 	}
 	// Walk the whole permutation: a failed candidate is quarantined and
 	// does not consume measurement budget, so later permutation entries
@@ -64,8 +66,8 @@ func (r *RandomSearch) Search(target Target) (*Result, error) {
 			break
 		}
 		if _, err := st.measure(idx, 0, false); err != nil {
-			return st.abort(r.Name(), err)
+			return st.abort(err)
 		}
 	}
-	return st.finish(r.Name(), false, "measurement budget exhausted")
+	return st.finish("measurement budget exhausted")
 }
