@@ -252,9 +252,16 @@ study-smoke:
 # arrow-serve process SIGKILLed mid-session, restarted, every session
 # finished with a byte-identical result) plus the serve-layer recovery
 # suite — damaged journals, rolling restarts, two-replica partitions.
+# Then the observe-path tests repeat 5 times under -race: whenever the
+# journal syncs, observe plans on the request goroutine under the
+# session mutex and journals the follow-up in the observation's own
+# write, a plan that misses its deadline is acknowledged while the
+# search loop still runs, and a Done answer outlives its lost end
+# record, so their races are timing dependent.
 recover-smoke:
 	$(GO) test -race -run 'TestServeCLIKillNineRecovery' ./cmd/arrow-serve
 	$(GO) test -race -run 'TestCrashRecover|TestGracefulShutdownRehydrates|TestRecover|TestTwoReplicas' ./internal/serve
+	$(GO) test -race -count=5 -run 'TestObserve|TestDoneSurvivesLostEndRecord' ./internal/serve
 	@echo "recover smoke OK: kill -9 and restart lost zero acknowledged observations"
 
 # Race-detected registry-cluster smoke: one process hosts the shard

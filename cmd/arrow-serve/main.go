@@ -17,19 +17,24 @@
 // The store holds at most -max-sessions advisors and evicts sessions
 // idle past -session-ttl (evicted ids answer 410 Gone). A session's
 // search loop plans the next suggestion as soon as an observation
-// reaches it; observe acks once journaled and the next GET next collects
-// the plan, usually done while the client measured (-no-speculate makes
-// observe wait for it and return it inline). /nextbatch hands out up to
-// -batch concurrent suggestions per request, which the client may
-// observe in any order. On SIGINT/SIGTERM the server stops accepting
-// sessions, flushes every in-flight session to a salvaged partial
-// result, drains the listener, then exits.
+// reaches it. Under -fsync always observe waits for that plan and
+// returns it, journaled with the observation in one synced write, so a
+// step costs one fsync (while a /nextbatch batch is outstanding it acks
+// at once: the batch journaled its suggestions); otherwise observe acks
+// once journaled and the next GET next collects the plan, usually done
+// while the client measured (-no-speculate makes observe wait for it
+// there too). A plan that misses -request-timeout is left to GET next.
+// /nextbatch hands out up to -batch concurrent suggestions per request,
+// which the client may observe in any order. On SIGINT/SIGTERM the
+// server stops accepting sessions, flushes every in-flight session to a
+// salvaged partial result, drains the listener, then exits.
 //
 // With -journal-dir, sessions are durable: every state transition is
 // appended to a write-ahead journal (fsync policy -fsync) before it is
-// acknowledged, and on startup the journal is scanned — live sessions
-// are rehydrated by deterministic replay (a recovery report goes to
-// stdout), ended ones answer 410 across the restart. Several replicas
+// acknowledged, each request's records in one write, and on startup the
+// journal is scanned — live sessions are rehydrated by deterministic
+// replay (a recovery report goes to stdout), ended ones answer 410
+// across the restart. Several replicas
 // may share one journal directory: each claims a disjoint set of shard
 // leases (-replica names the claimant, -claim-shards caps the claim)
 // and answers 421 for sessions the others own. Sessions survive both
@@ -138,11 +143,11 @@ func run(args []string, errOut io.Writer, stop <-chan struct{}) error {
 		auditPath   = fs.String("audit", "", "append a JSONL audit stream (requests, session lifecycle, search events) to this file")
 		drainWait   = fs.Duration("drain", 10*time.Second, "how long shutdown waits for in-flight requests to drain")
 		journalDir  = fs.String("journal-dir", "", "write-ahead session journal directory; empty disables durability")
-		fsyncPolicy = fs.String("fsync", "always", "journal fsync policy: always (durable through kill -9) or never (faster, crash loses the unsynced tail)")
+		fsyncPolicy = fs.String("fsync", "always", "journal fsync policy: always (durable through kill -9; observe returns the next suggestion, synced with the observation in one write) or never (faster, crash loses the unsynced tail; observe speculates)")
 		replica     = fs.String("replica", "", "replica name for journal shard leases (default host-<hostname>)")
 		claimShards = fs.Int("claim-shards", 0, "max journal shards to claim, 0 = all unclaimed; run R replicas with shards/R each")
 		maxBatch    = fs.Int("batch", serve.DefaultMaxBatch, "per-request cap on the /nextbatch batch size k")
-		noSpeculate = fs.Bool("no-speculate", false, "observe waits for the next suggestion and returns it inline instead of acknowledging once journaled")
+		noSpeculate = fs.Bool("no-speculate", false, "observe waits for the next suggestion and returns it inline even with -fsync never (-fsync always already does)")
 
 		snapInterval    = fs.Int("snapshot-interval", 0, "journal a session checkpoint every N accepted observations, 0 disables; recovery replays from the latest snapshot")
 		compactInterval = fs.Duration("compact-interval", 0, "compact owned journal shards this often (drop ended/damaged chains and snapshotted history), 0 disables")

@@ -1,7 +1,6 @@
 package journal
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 	"os"
@@ -163,24 +162,20 @@ func (j *Journal) Compact(shard int, opts CompactOptions) (CompactStats, error) 
 	}
 
 	// The merged tombstone index first, then each live chain.
-	var buf bytes.Buffer
+	var buf []byte
 	if len(img.Tombstones) > 0 {
-		line, err := EncodeLine(Record{Kind: KindTombstoneIndex, Tombstones: img.Tombstones})
-		if err != nil {
+		if buf, err = appendLine(buf, Record{Kind: KindTombstoneIndex, Tombstones: img.Tombstones}); err != nil {
 			return stats, err
 		}
-		buf.Write(line)
 	}
 	for _, chain := range img.Live {
 		for _, r := range chain {
-			line, err := EncodeLine(r)
-			if err != nil {
+			if buf, err = appendLine(buf, r); err != nil {
 				return stats, err
 			}
-			buf.Write(line)
 		}
 	}
-	stats.BytesAfter = int64(buf.Len())
+	stats.BytesAfter = int64(len(buf))
 
 	if !opts.Force {
 		if stats.BytesBefore < opts.MinBytes {
@@ -203,7 +198,7 @@ func (j *Journal) Compact(shard int, opts CompactOptions) (CompactStats, error) 
 	if err != nil {
 		return stats, fmt.Errorf("journal: creating %s: %w", tmp, err)
 	}
-	if _, err := f.Write(buf.Bytes()); err != nil {
+	if _, err := f.Write(buf); err != nil {
 		f.Close()
 		os.Remove(tmp)
 		return stats, fmt.Errorf("journal: writing %s: %w", tmp, err)

@@ -44,6 +44,7 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"strconv"
 	"sync"
 	"time"
 )
@@ -384,6 +385,9 @@ func (j *Journal) Replica() string { return j.replica }
 // Shards returns the directory's shard count.
 func (j *Journal) Shards() int { return j.shards }
 
+// SyncPolicy returns the fsync policy appends follow.
+func (j *Journal) SyncPolicy() Sync { return j.sync }
+
 // Owned lists the shard numbers this replica holds leases on, sorted.
 func (j *Journal) Owned() []int {
 	j.ownedMu.RLock()
@@ -441,36 +445,59 @@ func (j *Journal) leasePath(shard int) string {
 	return filepath.Join(j.dir, fmt.Sprintf("lease-%02d.json", shard))
 }
 
-// Append writes one record to its session's shard (write-ahead: callers
-// acknowledge the transition to their client only after Append returns)
-// and syncs it per the policy.
-func (j *Journal) Append(rec Record) error {
-	return j.AppendShard(ShardOf(rec.Session, j.shards), rec)
+// Append writes records of one session to its shard as one unit: one
+// write and, under SyncAlways, one sync, fenced like AppendShard. It is
+// write-ahead: callers acknowledge the transitions to their client only
+// after Append returns. A serve request passes every record it produces
+// in one call, so an observation and the suggestion it unlocks share one
+// fsync. A call carrying records of two sessions is refused and writes
+// nothing; an empty call writes nothing.
+func (j *Journal) Append(recs ...Record) error {
+	if len(recs) == 0 {
+		return nil
+	}
+	for _, r := range recs[1:] {
+		if r.Session != recs[0].Session {
+			return fmt.Errorf("journal: one append carries records of sessions %q and %q", recs[0].Session, r.Session)
+		}
+	}
+	return j.appendBatch(ShardOf(recs[0].Session, j.shards), recs)
 }
 
-// AppendShard is Append targeted at an explicit shard — for
-// tombstone_index records, which carry no session id. The same
+// AppendShard is Append of one record targeted at an explicit shard —
+// for tombstone_index records, which carry no session id. The same
 // ownership and expiry fencing applies, checked under the shard's file
 // mutex: DropShard takes that mutex too, so once a drop returns no
 // append can still land in the shard, not even one that was already
 // waiting for the mutex.
 func (j *Journal) AppendShard(shard int, rec Record) error {
+	return j.appendBatch(shard, []Record{rec})
+}
+
+// appendBatch writes recs to the shard with one write and at most one
+// sync, fenced as AppendShard describes. A refused batch writes no
+// bytes.
+func (j *Journal) appendBatch(shard int, recs []Record) error {
+	sid := recs[0].Session
 	if shard < 0 || shard >= j.shards {
-		return fmt.Errorf("%w: session %q, shard %d of %d", ErrNotOwned, rec.Session, shard, j.shards)
+		return fmt.Errorf("%w: session %q, shard %d of %d", ErrNotOwned, sid, shard, j.shards)
 	}
-	line, err := EncodeLine(rec)
-	if err != nil {
-		return err
+	var batch []byte
+	for _, rec := range recs {
+		var err error
+		if batch, err = appendLine(batch, rec); err != nil {
+			return err
+		}
 	}
 	sf := &j.files[shard]
 	sf.mu.Lock()
 	defer sf.mu.Unlock()
 	l, held := j.leaseFor(shard)
 	if !held {
-		return fmt.Errorf("%w: session %q, shard %d", ErrNotOwned, rec.Session, shard)
+		return fmt.Errorf("%w: session %q, shard %d", ErrNotOwned, sid, shard)
 	}
 	if l.Expired(j.now()) {
-		return fmt.Errorf("%w: session %q, shard %d, epoch %d", ErrLeaseExpired, rec.Session, shard, l.Epoch)
+		return fmt.Errorf("%w: session %q, shard %d, epoch %d", ErrLeaseExpired, sid, shard, l.Epoch)
 	}
 	if sf.f == nil {
 		f, err := os.OpenFile(j.shardPath(shard), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
@@ -479,7 +506,7 @@ func (j *Journal) AppendShard(shard int, rec Record) error {
 		}
 		sf.f = f
 	}
-	if _, err := sf.f.Write(line); err != nil {
+	if _, err := sf.f.Write(batch); err != nil {
 		return fmt.Errorf("journal: appending to %s: %w", j.shardPath(shard), err)
 	}
 	if j.sync == SyncAlways {
@@ -492,15 +519,23 @@ func (j *Journal) AppendShard(shard int, rec Record) error {
 
 // EncodeLine renders one record as its newline-terminated shard line.
 func EncodeLine(rec Record) ([]byte, error) {
+	return appendLine(nil, rec)
+}
+
+// appendLine appends rec's shard line, {"crc":N,"rec":<payload>} and a
+// newline, to buf. json.Marshal's payload is already compact and
+// HTML-escaped, so the envelope is written around it directly:
+// marshaling the envelope would re-scan the payload into the same bytes.
+func appendLine(buf []byte, rec Record) ([]byte, error) {
 	payload, err := json.Marshal(rec)
 	if err != nil {
-		return nil, fmt.Errorf("journal: marshaling record: %w", err)
+		return buf, fmt.Errorf("journal: marshaling record: %w", err)
 	}
-	line, err := json.Marshal(envelope{CRC: crc32.ChecksumIEEE(payload), Rec: payload})
-	if err != nil {
-		return nil, fmt.Errorf("journal: marshaling envelope: %w", err)
-	}
-	return append(line, '\n'), nil
+	buf = append(buf, `{"crc":`...)
+	buf = strconv.AppendUint(buf, uint64(crc32.ChecksumIEEE(payload)), 10)
+	buf = append(buf, `,"rec":`...)
+	buf = append(buf, payload...)
+	return append(buf, '}', '\n'), nil
 }
 
 // DecodeLine parses and checksum-verifies one shard line.

@@ -1,9 +1,11 @@
 package journal
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"strings"
@@ -477,5 +479,193 @@ func TestRenewLeavesDroppedShardDropped(t *testing.T) {
 	}
 	if got := j.Owned(); len(got) != 0 {
 		t.Fatalf("lost grant reinstated: owned %v", got)
+	}
+}
+
+// TestEncodeLineMatchesEnvelopeMarshal pins the envelope writer to the
+// bytes json.Marshal of the envelope struct produces, over every record
+// kind: a create request with HTML-sensitive characters and insignificant
+// whitespace, and a snapshot payload, included. Existing shards and their
+// checksums stay byte-compatible.
+func TestEncodeLineMatchesEnvelopeMarshal(t *testing.T) {
+	ops := sessionRecords("", 1, false)[1:]
+	snap, err := EncodeSnapshot(Snapshot{
+		Fingerprint:  Fingerprint([]byte(`{"method":"random","seed":1}`)),
+		Watermark:    3,
+		Observations: 1,
+		Ops:          ops,
+		Script:       json.RawMessage(`{"picks":[0]}`),
+		Events:       json.RawMessage(`[{"kind":"suggest","detail":"<a> & <b>"}]`),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs := []Record{
+		{Session: "s-000001", Seq: 0, Kind: KindCreate, Request: json.RawMessage(`{"method": "augmented-bo", "workload": "<als> & <pagerank>", "seed": 1}`)},
+		{Session: "s-000001", Seq: 1, Kind: KindSuggest, Index: 4, Step: 2},
+		{Session: "s-000001", Seq: 2, Kind: KindSuggestBatch, K: 3, Indices: []int{1, 5, 2}},
+		{Session: "s-000001", Seq: 3, Kind: KindObserve, Index: 4, TimeSec: 120.5, CostUSD: 0.42, Metrics: []float64{1, 2.5e-9, -3}},
+		{Session: "s-000001", Seq: 4, Kind: KindObserveFailure, Index: 5, Reason: "spot <reclaimed> & lost"},
+		{Session: "s-000001", Seq: 5, Kind: KindSnapshot, Request: snap},
+		{Session: "s-000001", Seq: 5, Kind: KindAbort, Reason: "aborted"},
+		{Session: "s-000002", Seq: 9, Kind: KindEnd, Reason: "done"},
+		{Kind: KindTombstoneIndex, Tombstones: []string{"s-000003", "s-000004"}},
+	}
+	for _, rec := range recs {
+		payload, err := json.Marshal(rec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := json.Marshal(envelope{CRC: crc32.ChecksumIEEE(payload), Rec: payload})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want = append(want, '\n')
+		got, err := EncodeLine(rec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Errorf("%s record:\n got %s\nwant %s", rec.Kind, got, want)
+		}
+		if bytes.ContainsAny(got, "<>&") {
+			t.Errorf("%s record line carries unescaped HTML characters: %s", rec.Kind, got)
+		}
+	}
+}
+
+// TestAppendBatchTornAtEveryOffset: a three-record Append lands as
+// three whole lines, and a crash that tears the write at any byte
+// leaves a shard from which recovery takes exactly the records whose
+// lines were whole before the tear (a line missing only its newline is
+// whole and gets the newline back), truncates one torn tail when the
+// tear falls inside a line, and reports no damage.
+func TestAppendBatchTornAtEveryOffset(t *testing.T) {
+	recs := sessionRecords("s-000001", 1, false) // create, suggest, observe
+	j := openAll(t, t.TempDir(), WithReplica("r1"), WithShards(1))
+	if err := j.Append(recs...); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(j.shardPath(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want []byte
+	var starts, ends []int // each line's first byte, and its newline
+	for _, r := range recs {
+		line, err := EncodeLine(r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		starts = append(starts, len(want))
+		want = append(want, line...)
+		ends = append(ends, len(want)-1)
+	}
+	if !bytes.Equal(data, want) {
+		t.Fatalf("batched append wrote\n%s\nwant the three lines\n%s", data, want)
+	}
+
+	dir := t.TempDir()
+	path := filepath.Join(dir, "journal-00.jsonl")
+	for cut := 0; cut <= len(data); cut++ {
+		if err := os.WriteFile(path, data[:cut], 0o644); err != nil {
+			t.Fatal(err)
+		}
+		whole, torn := 0, 0
+		for k := range recs {
+			switch {
+			case cut >= ends[k]:
+				whole++
+			case cut > starts[k]:
+				torn = 1
+			}
+		}
+		j2, err := Open(dir, WithReplica("r2"), WithShards(1), WithWarnf(func(string, ...any) {}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		scan, err := j2.Scan()
+		j2.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := 0
+		if len(scan.Live) == 1 {
+			got = len(scan.Live[0].Records)
+		} else if len(scan.Live) > 1 {
+			t.Fatalf("cut %d: %d live sessions, want at most one", cut, len(scan.Live))
+		}
+		if got != whole || scan.TruncatedTails != torn || len(scan.Damage) != 0 {
+			t.Fatalf("cut %d: recovered %d records, %d truncated tails, damage %v; want %d, %d, none",
+				cut, got, scan.TruncatedTails, scan.Damage, whole, torn)
+		}
+		size := 0
+		if whole > 0 {
+			size = ends[whole-1] + 1
+		}
+		if info, err := os.Stat(path); err != nil || info.Size() != int64(size) {
+			t.Fatalf("cut %d: repaired shard is %v bytes (%v), want %d", cut, info.Size(), err, size)
+		}
+	}
+}
+
+// expiringLeases grants every shard until a fixed expiry.
+type expiringLeases struct{ expiry time.Time }
+
+func (m expiringLeases) Acquire(shard int) (Lease, bool, error) {
+	return Lease{Shard: shard, Epoch: 1, Expiry: m.expiry}, true, nil
+}
+
+func (m expiringLeases) Renew(l Lease) (Lease, bool, error) { return l, true, nil }
+
+func (m expiringLeases) Release(Lease) error { return nil }
+
+// TestAppendBatchFencedWritesNothing: a batch on a dropped shard or
+// under a lapsed grant is refused whole, and the shard gains no bytes.
+func TestAppendBatchFencedWritesNothing(t *testing.T) {
+	recs := sessionRecords("s-000001", 1, false)
+	clock := time.Unix(1700000000, 0)
+	for _, tc := range []struct {
+		name  string
+		opts  []Option
+		fence func(j *Journal)
+		want  error
+	}{
+		{"dropped", nil, func(j *Journal) { j.DropShard(0) }, ErrNotOwned},
+		{"lapsed", []Option{
+			WithLeaseManager(expiringLeases{expiry: clock.Add(time.Second)}),
+			WithNow(func() time.Time { return clock }),
+		}, func(*Journal) { clock = clock.Add(time.Second) }, ErrLeaseExpired},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			j := openAll(t, t.TempDir(), append([]Option{WithReplica("r1"), WithShards(1)}, tc.opts...)...)
+			appendAll(t, j, recs[0])
+			before, err := os.Stat(j.shardPath(0))
+			if err != nil {
+				t.Fatal(err)
+			}
+			tc.fence(j)
+			if err := j.Append(recs[1:]...); !errors.Is(err, tc.want) {
+				t.Fatalf("batch on a %s shard returned %v, want %v", tc.name, err, tc.want)
+			}
+			if after, err := os.Stat(j.shardPath(0)); err != nil || after.Size() != before.Size() {
+				t.Fatalf("shard grew from %d to %d bytes (%v), want no bytes written", before.Size(), after.Size(), err)
+			}
+		})
+	}
+}
+
+// TestAppendRejectsMixedSessions: one Append is one session's unit of
+// durability, so a call carrying records of two sessions is refused and
+// writes nothing, even when both map to the same shard.
+func TestAppendRejectsMixedSessions(t *testing.T) {
+	j := openAll(t, t.TempDir(), WithReplica("r1"), WithShards(1))
+	a := sessionRecords("s-000001", 0, false)[0]
+	b := sessionRecords("s-000002", 0, false)[0]
+	if err := j.Append(a, b); err == nil {
+		t.Fatal("an append carrying two sessions' records was accepted")
+	}
+	if info, err := os.Stat(j.shardPath(0)); err == nil && info.Size() != 0 {
+		t.Fatalf("shard holds %d bytes after the refused append, want none", info.Size())
 	}
 }

@@ -109,16 +109,22 @@ type SessionInfo struct {
 
 // ObserveResponse acknowledges an observation. Handing the observation
 // to the session's search loop starts it planning the follow-up
-// suggestion. By default the server acknowledges as soon as the
-// observation is journaled, so Next is omitted and the client's next GET
-// next collects the plan, usually finished while the client was
-// measuring. With speculation disabled (Config.DisableSpeculation) the
-// observe waits for the next suggestion and Next carries it.
+// suggestion. When the journal syncs every append (fsync always, the
+// durable default) and no batch suggestion is outstanding, or
+// speculation is disabled (Config.DisableSpeculation), the observe waits
+// for that suggestion, journals it in the observation's own write and
+// Next carries it; the client's GET next then returns it again without
+// touching the journal. Otherwise the
+// server acknowledges as soon as the observation is journaled, Next is
+// omitted and the client's next GET next collects the plan, usually
+// finished while the client was measuring. A plan that misses the
+// request deadline is also left to GET next.
 type ObserveResponse struct {
 	// Step counts the observations accepted so far.
 	Step int `json:"step"`
 	// Next is the follow-up suggestion (Done when the stop rule fired).
-	// Omitted by default; fetch it with GET next.
+	// Omitted when the observe did not wait for it; fetch it with GET
+	// next.
 	Next *arrow.Suggestion `json:"next,omitempty"`
 }
 

@@ -149,9 +149,10 @@ func (s *Server) adoptLeases(ctx context.Context, leases []journal.Lease, report
 // a dead peer's directory or a drain's stream — into shards this
 // replica was just granted. Every id must map into one of those shards;
 // the rest are reported as damage, never journaled into a shard the
-// grant did not fence. Live chains are re-journaled verbatim first
-// (write-ahead: the records must be locally durable before their
-// sessions are served again), the ended and tombstoned ids collapse
+// grant did not fence. Live chains are re-journaled verbatim first, one
+// Append per chain (write-ahead: the records must be locally durable
+// before their sessions are served again; a chain mixing session ids is
+// refused whole), the ended and tombstoned ids collapse
 // into one tombstone_index record per shard for 410 continuity, and then
 // the scan is adopted as usual. Records keep their original session and
 // seq, so a chain that bounces back to a directory that already holds a
@@ -172,16 +173,11 @@ func (s *Server) importScan(ctx context.Context, shards []int, scan *journal.Rec
 		if _, ok := fenced("session", log.ID); !ok {
 			continue
 		}
-		var err error
-		for _, rec := range log.Records {
-			if err = j.Append(rec); err != nil {
-				scan.Damage = append(scan.Damage, fmt.Sprintf("session %s: re-journaling adopted chain: %v", log.ID, err))
-				break
-			}
+		if err := j.Append(log.Records...); err != nil {
+			scan.Damage = append(scan.Damage, fmt.Sprintf("session %s: re-journaling adopted chain: %v", log.ID, err))
+			continue
 		}
-		if err == nil {
-			live = append(live, log)
-		}
+		live = append(live, log)
 	}
 	scan.Live = live
 	byShard := make([][]string, j.Shards())
@@ -636,6 +632,7 @@ func (s *Server) replayPlanned(ctx context.Context, id string, plan replayPlan, 
 	if plan.snap != nil {
 		sess.lastSnapSteps = plan.snap.Observations
 	}
+	sess.observed = obs
 	return sess, obs, nil
 }
 

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -132,27 +133,45 @@ func TestGracefulShutdownRehydrates(t *testing.T) {
 	_, ref := newTestServer(t, Config{})
 	want := mustJSON(t, ref.run(ref.create(req).ID, target))
 
-	dir := t.TempDir()
-	s1, c1, j1 := journaledServer(t, dir, "roller")
-	info := c1.create(req)
-	stepSession(t, c1, info.ID, target, 2)
-	if err := s1.Shutdown(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	if err := j1.Close(); err != nil {
-		t.Fatal(err)
-	}
+	// In the racing case a request meets the search after Shutdown's
+	// flush aborted it but before the flush ends the session: it answers
+	// Done, as any request during the drain does, and must not journal
+	// the session as ended.
+	for _, racing := range []bool{false, true} {
+		t.Run(fmt.Sprintf("racing=%v", racing), func(t *testing.T) {
+			dir := t.TempDir()
+			s1, c1, j1 := journaledServer(t, dir, "roller")
+			info := c1.create(req)
+			stepSession(t, c1, info.ID, target, 2)
+			if racing {
+				sess, status, _ := s1.store.get(info.ID)
+				if status != lookupOK {
+					t.Fatalf("session %s not live", info.ID)
+				}
+				sess.advisor.Abort(errShutdownFlush)
+				if sug := c1.next(info.ID); !sug.Done {
+					t.Fatalf("next on a flushed search = %+v, want Done", sug)
+				}
+			}
+			if err := s1.Shutdown(context.Background()); err != nil {
+				t.Fatal(err)
+			}
+			if err := j1.Close(); err != nil {
+				t.Fatal(err)
+			}
 
-	s2, c2, _ := journaledServer(t, dir, "roller")
-	report, err := s2.Recover(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if report.Recovered != 1 {
-		t.Fatalf("drained session did not rehydrate: %+v", report)
-	}
-	if got := mustJSON(t, c2.run(info.ID, target)); !bytes.Equal(got, want) {
-		t.Errorf("post-restart result diverged:\n got %s\nwant %s", got, want)
+			s2, c2, _ := journaledServer(t, dir, "roller")
+			report, err := s2.Recover(context.Background())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if report.Recovered != 1 {
+				t.Fatalf("drained session did not rehydrate: %+v", report)
+			}
+			if got := mustJSON(t, c2.run(info.ID, target)); !bytes.Equal(got, want) {
+				t.Errorf("post-restart result diverged:\n got %s\nwant %s", got, want)
+			}
+		})
 	}
 }
 

@@ -70,13 +70,19 @@ type Config struct {
 	// DisableSpeculation makes observe wait for the next suggestion and
 	// return it inline: the observe response then carries it. Either way
 	// the session's search loop starts planning the follow-up the moment
-	// the observation is handed to it. By default an observe is
-	// acknowledged as soon as it is journaled, the plan keeps running
-	// while the response travels, and the client's next GET next
-	// collects it (counted as a speculate_hit). A plan in flight is
-	// never journaled ahead of its suggestion being served: crash
-	// recovery replays only acked history and regenerates it
-	// deterministically.
+	// the observation is handed to it. Without it, and unless the Journal
+	// syncs every append, an observe is acknowledged as soon as it is
+	// journaled, the plan keeps running while the response travels, and
+	// the client's next GET next collects it (counted as a
+	// speculate_hit). A Journal under journal.SyncAlways takes the inline
+	// path too: the suggestion is journaled in the observation's own
+	// synced write, where speculation would pay a second fsync to hide at
+	// most the client's turnaround. It speculates while a batch's
+	// suggestions are outstanding, since the batch journaled them. A plan
+	// that misses the request deadline is left to GET next either way. A
+	// plan in flight is never journaled ahead of its suggestion being
+	// served: crash recovery replays only acked history and regenerates
+	// it deterministically.
 	DisableSpeculation bool
 	// Tracer receives the audit stream: one http_request event per API
 	// call, session lifecycle events, and every session's search events
@@ -126,6 +132,10 @@ type Server struct {
 	down    atomic.Bool
 	flushMu sync.Mutex
 
+	// syncs records that the journal syncs every append, so an observe
+	// that returns its follow-up inline spares that follow-up an fsync.
+	syncs bool
+
 	// handoffMu serializes MigrateShards with ReclaimShards: between a
 	// drain's DropShard and its hand-off's outcome the lease manager
 	// still names this replica the shard's holder, so a reclaim in that
@@ -172,6 +182,10 @@ type session struct {
 	// steps counts the accepted observations, for the observe
 	// acknowledgment that answers before the plan; guarded by mu.
 	steps int
+	// observed counts the accepted observations and observe-failures.
+	// While it does not exceed journaledSeq, a suggestion the session
+	// served (a batch's) is still unobserved; guarded by mu.
+	observed int
 	// lastSnapSteps is the observation count at the last snapshot, so
 	// the capture cadence follows SnapshotInterval; guarded by mu.
 	lastSnapSteps int
@@ -183,15 +197,18 @@ type session struct {
 	// without re-reading the shard; maintained only when snapshots are
 	// enabled. Guarded by mu.
 	ops []journal.Record
+	// staged holds the records the current request has yet to journal,
+	// in order; commit writes them in one Append. Guarded by mu.
+	staged []journal.Record
 	// closed marks a chain no record may join anymore: a terminal record
 	// was journaled, or an append failed and left a seq gap behind it.
 	// It fences racing snapshot captures and appends; guarded by mu.
 	closed bool
 	// unserved is set while the search loop plans the follow-up to an
-	// acknowledged observe that no client has fetched yet (speculation
-	// on): it holds the observation count of that acknowledgment plus
-	// one, and 0 means no such plan. Atomic because endSession reads it
-	// without the session mutex.
+	// acknowledged observe that no client has fetched yet (an observe
+	// acknowledged without next): it holds the observation count of that
+	// acknowledgment plus one, and 0 means no such plan. Atomic because
+	// endSession reads it without the session mutex.
 	unserved atomic.Int64
 }
 
@@ -222,6 +239,7 @@ func New(cfg Config) *Server {
 		store:   newStore(cfg.MaxSessions, cfg.SessionTTL, cfg.Now),
 		tracer:  telemetry.Multi(cfg.Tracer, metrics),
 		metrics: metrics,
+		syncs:   cfg.Journal != nil && cfg.Journal.SyncPolicy() == journal.SyncAlways,
 	}
 	s.route("POST /v1/sessions", s.handleCreate)
 	s.route("GET /v1/sessions", s.handleList)
@@ -340,7 +358,8 @@ func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) int {
 		reqJSON, err := json.Marshal(req)
 		if err == nil {
 			sess.fingerprint = journal.Fingerprint(reqJSON)
-			err = s.appendRecord(sess, journal.Record{Kind: journal.KindCreate, Request: reqJSON})
+			s.stage(sess, journal.Record{Kind: journal.KindCreate, Request: reqJSON})
+			err = s.commit(sess)
 		}
 		if err != nil {
 			status = s.dropUnjournaled(w, sess, err)
@@ -388,18 +407,25 @@ func (s *Server) handleNext(w http.ResponseWriter, r *http.Request) int {
 	if st := s.fence(w, sess.id); st != 0 {
 		return st
 	}
-	sug, st := s.advance(w, r, sess)
-	if sug == nil {
-		return st
+	sug, err := s.stageNext(r.Context(), sess)
+	if err != nil {
+		return writeErr(w, http.StatusGatewayTimeout, fmt.Sprintf("planning: %v", err))
+	}
+	// Done's write carries only the end record; losing it leaves the
+	// finished session live for recovery, so Done is still the answer.
+	if err := s.commit(sess); err != nil && !sug.Done {
+		return s.dropUnjournaled(w, sess, err)
 	}
 	return writeJSON(w, http.StatusOK, sug)
 }
 
 // handleObserve ingests a measurement (or a measurement failure) and
 // acknowledges it once it is journaled. Handing the outcome to the
-// advisor starts the search loop planning the follow-up; by default the
-// client's next GET next collects that plan, and with speculation
-// disabled the response waits for it and carries it.
+// advisor starts the search loop planning the follow-up. On the inline
+// path (speculation disabled, or a journal that syncs every append while
+// no batch suggestion is outstanding) the response waits for that plan
+// and carries it, journaled with the observation in one write; otherwise
+// the client's next GET next collects it.
 func (s *Server) handleObserve(w http.ResponseWriter, r *http.Request) int {
 	sess, status := s.resolve(w, r)
 	if sess == nil {
@@ -424,9 +450,15 @@ func (s *Server) handleObserve(w http.ResponseWriter, r *http.Request) int {
 	if reason == "" {
 		reason = "measurement failed"
 	}
-	if req.Failed {
+	switch {
+	case sess.advisor.Done():
+		// A batch can leave suggestions the search never came back to.
+		// The advisor still accepts one after the search ended, but the
+		// session's chain may already be closed by its end record.
+		err = arrow.ErrNoPendingSuggestion
+	case req.Failed:
 		err = sess.advisor.ObserveFailure(req.Index, errors.New(reason))
-	} else {
+	default:
 		err = sess.advisor.Observe(req.Index, arrow.Outcome{
 			TimeSec: req.TimeSec,
 			CostUSD: req.CostUSD,
@@ -447,46 +479,55 @@ func (s *Server) handleObserve(w http.ResponseWriter, r *http.Request) int {
 	// the acknowledgment reaches the client. An observation lost with an
 	// unacknowledged response is safe — the client re-measures and the
 	// deterministic target yields the same outcome.
-	var rec journal.Record
+	sess.observed++
 	if req.Failed {
-		rec = journal.Record{Kind: journal.KindObserveFailure, Index: req.Index, Reason: reason}
+		s.stage(sess, journal.Record{Kind: journal.KindObserveFailure, Index: req.Index, Reason: reason})
 	} else {
 		sess.steps++
-		rec = journal.Record{
+		s.stage(sess, journal.Record{
 			Kind:    journal.KindObserve,
 			Index:   req.Index,
 			TimeSec: req.TimeSec,
 			CostUSD: req.CostUSD,
 			Metrics: req.Metrics,
+		})
+	}
+	resp := ObserveResponse{Step: sess.steps}
+	// Inline, the follow-up's records join the observation's write, which
+	// under a syncing journal spares them an fsync of their own. Not while
+	// a batch's suggestions are outstanding: the batch journaled them
+	// already, and waiting would hold the session mutex through the plan
+	// while the batch's other observes queue behind it. A plan that
+	// misses the request deadline stays with the search loop: the
+	// observation is journaled alone and acknowledged without next, since
+	// the advisor already holds it and a retry would only meet 409.
+	if s.cfg.DisableSpeculation || (s.syncs && sess.observed > sess.journaledSeq) {
+		if sug, err := s.stageNext(r.Context(), sess); err == nil {
+			resp = ObserveResponse{Step: sug.Step, Next: &sug}
 		}
 	}
-	if err := s.appendRecord(sess, rec); err != nil {
+	if err := s.commit(sess); err != nil {
 		return s.dropUnjournaled(w, sess, err)
 	}
-
-	if s.cfg.DisableSpeculation {
-		sug, st := s.advance(w, r, sess)
-		if sug == nil {
-			return st
-		}
-		return writeJSON(w, http.StatusOK, ObserveResponse{Step: sug.Step, Next: sug})
+	if resp.Next == nil {
+		sess.unserved.Store(int64(sess.steps) + 1)
 	}
-	sess.unserved.Store(int64(sess.steps) + 1)
-	return writeJSON(w, http.StatusOK, ObserveResponse{Step: sess.steps})
+	return writeJSON(w, http.StatusOK, resp)
 }
 
-// advance collects the session's next suggestion (or Done) from its
-// search loop and journals it the first time it is served. Callers hold
-// the session mutex. On failure the error response has been written and
-// a nil suggestion is returned.
-func (s *Server) advance(w http.ResponseWriter, r *http.Request, sess *session) (*arrow.Suggestion, int) {
-	sug, err := sess.advisor.Next(r.Context())
+// stageNext collects the session's next suggestion (or Done) from its
+// search loop and stages what serving it journals: a suggest record the
+// first time it is served, plus a snapshot when one falls due, or the
+// session's end. Callers hold the session mutex and commit before
+// answering. A planning error (the request's deadline) stages nothing.
+func (s *Server) stageNext(ctx context.Context, sess *session) (arrow.Suggestion, error) {
+	sug, err := sess.advisor.Next(ctx)
 	if err != nil {
-		return nil, writeErr(w, http.StatusGatewayTimeout, fmt.Sprintf("planning: %v", err))
+		return sug, err
 	}
 	if sug.Done {
 		s.endSession(sess, "done")
-		return &sug, 0
+		return sug, nil
 	}
 	// Journal each suggestion once (Next is idempotent while one is
 	// pending, and a batch may have journaled it already); replay asserts
@@ -494,13 +535,10 @@ func (s *Server) advance(w http.ResponseWriter, r *http.Request, sess *session) 
 	// divergence is detected instead of served.
 	if sug.Seq > sess.journaledSeq {
 		sess.journaledSeq = sug.Seq
-		if err := s.appendRecord(sess, journal.Record{Kind: journal.KindSuggest, Index: sug.Index, Step: sug.Step}); err != nil {
-			return nil, s.dropUnjournaled(w, sess, err)
-		}
-		s.emitHit(sess, sug.Seq)
+		s.stage(sess, journal.Record{Kind: journal.KindSuggest, Index: sug.Index, Step: sug.Step})
 		s.maybeSnapshot(sess)
 	}
-	return &sug, 0
+	return sug, nil
 }
 
 // handleNextBatch answers "what k things should I measure concurrently?"
@@ -538,6 +576,7 @@ func (s *Server) handleNextBatch(w http.ResponseWriter, r *http.Request) int {
 	}
 	if sugs[0].Done {
 		s.endSession(sess, "done")
+		_ = s.commit(sess) // as in handleNext
 		return writeJSON(w, http.StatusOK, NextBatchResponse{Suggestions: sugs})
 	}
 	maxSeq := -1
@@ -553,11 +592,11 @@ func (s *Server) handleNextBatch(w http.ResponseWriter, r *http.Request) int {
 	// with NextBatch(K) and asserts the indices, like suggest records.
 	if maxSeq > sess.journaledSeq {
 		sess.journaledSeq = maxSeq
-		if err := s.appendRecord(sess, journal.Record{Kind: journal.KindSuggestBatch, K: k, Indices: indices}); err != nil {
-			return s.dropUnjournaled(w, sess, err)
-		}
-		s.emitHit(sess, maxSeq)
+		s.stage(sess, journal.Record{Kind: journal.KindSuggestBatch, K: k, Indices: indices})
 		s.maybeSnapshot(sess)
+	}
+	if err := s.commit(sess); err != nil {
+		return s.dropUnjournaled(w, sess, err)
 	}
 	if s.tracer != nil {
 		s.tracer.Emit(telemetry.Event{
@@ -618,6 +657,7 @@ func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) int {
 	// is untouched.)
 	if sess.advisor.Done() {
 		s.endSession(sess, "done")
+		_ = s.commit(sess)
 	}
 	return writeJSON(w, http.StatusOK, s.resultResponse(sess, res, err))
 }
@@ -636,6 +676,7 @@ func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) int {
 	}
 	res, err := sess.advisor.Abort(errSessionAborted)
 	s.endSession(sess, "aborted")
+	_ = s.commit(sess)
 	return writeJSON(w, http.StatusOK, s.resultResponse(sess, res, err))
 }
 
@@ -737,14 +778,26 @@ func (s *Server) finalize(sess *session, cause error, disposition string) {
 	sess.mu.Lock()
 	defer sess.mu.Unlock()
 	s.endSession(sess, disposition)
+	_ = s.commit(sess)
 }
 
-// endSession journals the session's terminal record and emits the
-// single session_end audit event; callers hold the session mutex.
+// endSession stages the session's terminal record and emits the single
+// session_end audit event; callers hold the session mutex and commit.
+// A caller whose write carries nothing else drops commit's error, which
+// commit has already warned about: a lost terminal record leaves the
+// session live in the journal, and recovery rehydrates it.
 // Graceful shutdown ("shutdown-flush") intentionally journals nothing: a
 // drained session is still live in the journal, so the next boot
 // rehydrates it — that is what makes a rolling restart lossless.
 func (s *Server) endSession(sess *session, disposition string) {
+	if disposition == "done" {
+		// Shutdown's flush aborts each search before it takes the session
+		// mutex, and a request waiting on the plan meanwhile sees Done.
+		// The drained session stays live in the journal; the flush ends it.
+		if _, err := sess.advisor.Result(); errors.Is(err, errShutdownFlush) {
+			return
+		}
+	}
 	sess.endOnce.Do(func() {
 		// A plan begun at an acknowledged observe that no client fetched
 		// dies with the session; surface the wasted compute in the audit
@@ -756,9 +809,9 @@ func (s *Server) endSession(sess *session, disposition string) {
 		case "shutdown-flush":
 			// Not terminal in the journal; see above.
 		case "aborted":
-			s.appendRecord(sess, journal.Record{Kind: journal.KindAbort, Reason: disposition})
+			s.stage(sess, journal.Record{Kind: journal.KindAbort, Reason: disposition})
 		default: // "done", "evicted"
-			s.appendRecord(sess, journal.Record{Kind: journal.KindEnd, Reason: disposition})
+			s.stage(sess, journal.Record{Kind: journal.KindEnd, Reason: disposition})
 		}
 		if s.tracer == nil {
 			return
@@ -803,37 +856,69 @@ func (s *Server) newSessionID() (string, error) {
 	return "", errors.New("serve: this replica holds no live journal shard lease; another replica owns them, or a lapsed lease awaits renewal")
 }
 
-// appendRecord journals one state transition for the session. Callers
-// hold the session mutex, which pairs the sequence-number allocation
-// with the write so chains stay contiguous even when an eviction races
-// a request. A failed append is warned about and closes the chain: no
-// later record may land past the gap it leaves, so the journal keeps
-// the session's durable prefix intact for recovery to replay.
-func (s *Server) appendRecord(sess *session, rec journal.Record) error {
-	j := s.cfg.Journal
-	if j == nil {
-		return nil
-	}
-	if sess.closed {
-		return errChainClosed
-	}
+// stage queues one state transition for the session's next journal
+// write, allocating its sequence number; commit writes the queue.
+// Callers hold the session mutex, which pairs the allocation with the
+// write so chains stay contiguous even when an eviction races a request.
+// With snapshots on, the op is mirrored at once, so a snapshot staged
+// behind it carries it.
+func (s *Server) stage(sess *session, rec journal.Record) {
 	rec.Session = sess.id
 	rec.Seq = sess.seq
 	sess.seq++
-	if rec.Kind == journal.KindAbort || rec.Kind == journal.KindEnd {
-		sess.closed = true
-	}
-	if err := j.Append(rec); err != nil {
-		sess.closed = true
-		s.warnf("session %s: %s record lost: %v", sess.id, rec.Kind, err)
-		return err
-	}
+	sess.staged = append(sess.staged, rec)
 	if s.snapshotsEnabled() {
 		switch rec.Kind {
 		case journal.KindSuggest, journal.KindSuggestBatch, journal.KindObserve, journal.KindObserveFailure:
 			op := rec
 			op.Session = "" // the snapshot record identifies the session
 			sess.ops = append(sess.ops, op)
+		}
+	}
+}
+
+// commit journals the session's staged records in one Append — one
+// write and, under SyncAlways, one fsync — and then audits what it made
+// durable: a newly served suggestion settles the plan an acknowledged
+// observe left unfetched, and a snapshot lands. Callers hold the session
+// mutex. A failed write is warned about and closes the chain, as a
+// terminal record does: no later record may land past the gap, so the
+// journal keeps the session's durable prefix intact for recovery.
+func (s *Server) commit(sess *session) error {
+	batch := sess.staged
+	sess.staged = sess.staged[:0]
+	// The queue's array outlives the request; keep no payload alive in it.
+	defer clear(batch)
+	if len(batch) == 0 {
+		return nil
+	}
+	if j := s.cfg.Journal; j != nil {
+		if sess.closed {
+			return errChainClosed
+		}
+		if err := j.Append(batch...); err != nil {
+			sess.closed = true
+			s.warnf("session %s: %d records from seq %d lost: %v", sess.id, len(batch), batch[0].Seq, err)
+			return err
+		}
+	}
+	for _, rec := range batch {
+		switch rec.Kind {
+		case journal.KindAbort, journal.KindEnd:
+			sess.closed = true
+		case journal.KindSuggest, journal.KindSuggestBatch:
+			s.emitHit(sess, sess.journaledSeq)
+		case journal.KindSnapshot:
+			sess.lastSnapSteps = sess.steps
+			if s.tracer != nil {
+				s.tracer.Emit(telemetry.Event{
+					Kind:      telemetry.KindSnapshot,
+					Name:      sess.id,
+					Candidate: -1,
+					Step:      sess.steps,
+					Value:     float64(rec.Seq),
+				})
+			}
 		}
 	}
 	return nil
@@ -861,14 +946,15 @@ func (s *Server) snapshotsEnabled() bool {
 	return s.cfg.Journal != nil && s.cfg.SnapshotInterval > 0
 }
 
-// maybeSnapshot journals a session checkpoint when SnapshotInterval
+// maybeSnapshot stages a session checkpoint when SnapshotInterval
 // observations have accumulated since the last one. Callers hold the
-// session mutex right after journaling a suggestion, so the advisor's
+// session mutex right after staging a suggestion, so the advisor's
 // search loop is parked on the pending suggestion — the one moment the
 // resume script and the trace recorder are both quiescent and
 // exportable. The snapshot record is seq-transparent: it carries the
 // session's watermark without consuming a sequence number, so replay
-// chains are unchanged whether snapshots exist or not.
+// chains are unchanged whether snapshots exist or not. It joins the
+// suggestion's write.
 func (s *Server) maybeSnapshot(sess *session) {
 	if !s.snapshotsEnabled() || sess.steps-sess.lastSnapSteps < s.cfg.SnapshotInterval {
 		return
@@ -917,21 +1003,7 @@ func (s *Server) maybeSnapshot(sess *session) {
 		s.warnf("session %s: snapshot skipped: %v", sess.id, err)
 		return
 	}
-	rec := journal.Record{Session: sess.id, Seq: sess.seq, Kind: journal.KindSnapshot, Request: payload}
-	if err := s.cfg.Journal.Append(rec); err != nil {
-		s.warnf("session %s: snapshot record lost: %v", sess.id, err)
-		return
-	}
-	sess.lastSnapSteps = sess.steps
-	if s.tracer != nil {
-		s.tracer.Emit(telemetry.Event{
-			Kind:      telemetry.KindSnapshot,
-			Name:      sess.id,
-			Candidate: -1,
-			Step:      sess.steps,
-			Value:     float64(snap.Watermark),
-		})
-	}
+	sess.staged = append(sess.staged, journal.Record{Session: sess.id, Seq: sess.seq, Kind: journal.KindSnapshot, Request: payload})
 }
 
 // warnf routes a non-fatal serving warning.

@@ -89,9 +89,10 @@ func (c *client) observe(id string, req ObserveRequest) ObserveResponse {
 }
 
 // followUp resolves the suggestion after an observe: directly from the
-// response when the observe waited for the plan, via GET next when it
-// was acknowledged early (the default) — the round trip that collects
-// the plan the session's search loop began at the observe.
+// response when the observe waited for the plan (a journal that syncs
+// every append, or speculation disabled), via GET next when it was
+// acknowledged early — the round trip that collects the plan the
+// session's search loop began at the observe.
 func (c *client) followUp(id string, resp ObserveResponse) arrow.Suggestion {
 	c.t.Helper()
 	if resp.Next != nil {

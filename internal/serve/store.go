@@ -43,22 +43,24 @@ type store struct {
 	// oldest and newest are the ends of the idle-ordered list.
 	oldest, newest *session
 
-	// tombs remembers evicted ids; ring bounds it to cap(ring) entries,
-	// overwriting the oldest.
-	tombs map[string]struct{}
-	ring  []string
-	head  int
+	// tombs remembers evicted ids; ring holds them in eviction order,
+	// grows on demand up to tombCap entries and then overwrites the
+	// oldest.
+	tombs   map[string]struct{}
+	ring    []string
+	tombCap int
+	head    int
 }
 
 // newStore builds a store with the given cap and idle TTL.
 func newStore(max int, ttl time.Duration, now func() time.Time) *store {
 	return &store{
-		max:   max,
-		ttl:   ttl,
-		now:   now,
-		table: make(map[string]*session),
-		tombs: make(map[string]struct{}),
-		ring:  make([]string, 0, 4*max),
+		max:     max,
+		ttl:     ttl,
+		now:     now,
+		table:   make(map[string]*session),
+		tombs:   make(map[string]struct{}),
+		tombCap: 4 * max,
 	}
 }
 
@@ -149,10 +151,10 @@ func (st *store) unlinkLocked(s *session) {
 // tombLocked remembers an evicted id, overwriting the oldest when the
 // ring is full.
 func (st *store) tombLocked(id string) {
-	if cap(st.ring) == 0 {
+	if st.tombCap == 0 {
 		return
 	}
-	if len(st.ring) < cap(st.ring) {
+	if len(st.ring) < st.tombCap {
 		st.ring = append(st.ring, id)
 	} else {
 		delete(st.tombs, st.ring[st.head])

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 	"time"
 )
@@ -101,5 +102,55 @@ func TestStoreRemoveKeepsIdleOrder(t *testing.T) {
 	}
 	if _, status, _ := st.get("2"); status != lookupNotFound {
 		t.Fatalf("removed id: status %v, want not found (remove does not tombstone)", status)
+	}
+}
+
+// TestStoreAllocatesTombstonesOnDemand: a store with a large cap costs
+// nothing up front for its tombstone ring, which grows as sessions are
+// evicted. At a cap of 65,536 a ring sized for its 4x bound would be
+// 4 MiB.
+func TestStoreAllocatesTombstonesOnDemand(t *testing.T) {
+	const n = 8
+	stores := make([]*store, 0, n)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range n {
+		stores = append(stores, newStore(65536, -1, time.Now))
+	}
+	runtime.ReadMemStats(&after)
+	if per := (after.TotalAlloc - before.TotalAlloc) / n; per >= 64<<10 {
+		t.Fatalf("newStore(65536) allocated %d bytes, want under 64 KiB", per)
+	}
+	runtime.KeepAlive(stores)
+}
+
+// TestStoreTombstoneRingBound evicts past the ring's bound of four
+// tombstones per session of cap: the oldest tombstones are forgotten
+// (404) and the newest kept (410), and the ring never grows past the
+// bound.
+func TestStoreTombstoneRingBound(t *testing.T) {
+	clock := time.Unix(1700000000, 0)
+	st := newStore(2, time.Minute, func() time.Time { return clock })
+	const total, bound = 13, 8
+	for i := range total {
+		if _, err := st.add(&session{id: fmt.Sprint(i)}); err != nil {
+			t.Fatal(err)
+		}
+		clock = clock.Add(2 * time.Minute) // the next lookup evicts it
+		if _, status, evicted := st.get(fmt.Sprint(i)); status != lookupGone || len(evicted) != 1 {
+			t.Fatalf("session %d: status %v, %d evicted; want it evicted and gone", i, status, len(evicted))
+		}
+	}
+	if len(st.ring) != bound || len(st.tombs) != bound {
+		t.Fatalf("ring holds %d ids, map %d; want the bound %d", len(st.ring), len(st.tombs), bound)
+	}
+	for i := range total {
+		want := lookupGone
+		if i < total-bound {
+			want = lookupNotFound
+		}
+		if _, status, _ := st.get(fmt.Sprint(i)); status != want {
+			t.Errorf("session %d: status %v, want %v", i, status, want)
+		}
 	}
 }
