@@ -271,13 +271,17 @@ recover-smoke:
 # -drain-migrate (live sessions streamed to a successor). Then the
 # shard-fencing tests repeat under -race, since their races are timing
 # dependent: the serve-level migration, create-vs-drain, lapsed-lease
-# and lapsed-create tests 5 times, and the journal's drop-vs-append
-# fence 20 times (about 5 s of test time together on a 2-vCPU host).
+# and lapsed-create tests 5 times, the journal's drop-vs-append fence
+# 20 times, and the filesystem-lease tests 3 times — claimants racing
+# for a dead holder's lease file (exactly one winner in each of 2,000
+# rounds), concurrent first opens of a fresh directory, and claims
+# racing Close (15–25 s of test time together on a 2-vCPU host).
 # Fast enough to ride every push.
 cluster-smoke:
 	$(GO) test -race -run 'TestRegistryClusterSmoke' ./cmd/arrow-serve
 	$(GO) test -race -count=5 -run 'TestMigrate|TestCreateRacingDrain|TestLapsedLease|TestCreateUnderLapsed' ./internal/serve
 	$(GO) test -race -count=20 -run TestDropShardFences ./internal/journal
+	$(GO) test -race -count=3 -run 'TestJournalLeaseClaimRace|TestJournalConcurrentFirstOpens|TestJournalClosed' ./internal/journal
 	@echo "cluster smoke OK: registry failover and drain migration lost zero acknowledged observations"
 
 # Race-detected batch-planning smoke. A plan hook runs on the NextBatch

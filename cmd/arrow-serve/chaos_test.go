@@ -328,8 +328,9 @@ func TestServeCLIKillNineRecovery(t *testing.T) {
 	// kill -9: no flush, no lease release, no goodbye.
 	p1.kill9(t)
 
-	// Restart over the same journal. The dead process's leases are
-	// stolen (same replica name and a dead pid), every session replays.
+	// Restart over the same journal. The kernel dropped the dead
+	// process's lease locks, so the restart claims every shard and
+	// every session replays.
 	p2 := spawnServer(t, jargs...)
 	report := p2.recoveryReport(t)
 	if report.Recovered != 3 {

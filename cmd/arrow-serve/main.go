@@ -34,12 +34,15 @@
 // acknowledged, each request's records in one write, and on startup the
 // journal is scanned — live sessions are rehydrated by deterministic
 // replay (a recovery report goes to stdout), ended ones answer 410
-// across the restart. Several replicas
-// may share one journal directory: each claims a disjoint set of shard
-// leases (-replica names the claimant, -claim-shards caps the claim)
-// and answers 421 for sessions the others own. Sessions survive both
-// kill -9 and graceful rolling restarts with zero acknowledged
-// observations lost.
+// across the restart. Several replicas on one host may share one
+// journal directory: each claims a disjoint set of shard leases
+// (-claim-shards caps the claim) and answers 421 for sessions the
+// others own. A lease is an exclusive flock on the shard's lease file,
+// held while the process lives: the kernel frees a dead replica's
+// shards at once, and a live replica's are never taken, so a second
+// process started under a running replica's -replica name claims
+// nothing. Sessions survive both kill -9 and graceful rolling restarts
+// with zero acknowledged observations lost.
 //
 // -snapshot-interval N journals a CRC'd checkpoint of each session
 // every N accepted observations (config fingerprint, op history, resume
@@ -50,12 +53,12 @@
 // into a tombstone index (410s survive) and pre-snapshot history the
 // snapshots already carry; each round prints one JSON stats line per
 // compacted shard to stdout. -reclaim-interval makes survivor replicas
-// periodically take over the shard leases of provably dead peers and
+// periodically take over the shard leases dead peers left unlocked and
 // adopt their live sessions, printing a JSON reclaim report when
 // anything was claimed.
 //
-// Cross-host clusters replace the pid-checked filesystem lease files
-// with a network registry. One process hosts the lease table with
+// Cross-host clusters replace the flock'd filesystem lease files with a
+// network registry. One process hosts the lease table with
 // -registry (mounted under /registry/v1/, persisted to -registry-state,
 // grants live -lease-ttl without renewal); every replica points at it
 // with -registry-addr and then needs no shared filesystem — each keeps
@@ -144,7 +147,7 @@ func run(args []string, errOut io.Writer, stop <-chan struct{}) error {
 		drainWait   = fs.Duration("drain", 10*time.Second, "how long shutdown waits for in-flight requests to drain")
 		journalDir  = fs.String("journal-dir", "", "write-ahead session journal directory; empty disables durability")
 		fsyncPolicy = fs.String("fsync", "always", "journal fsync policy: always (durable through kill -9; observe returns the next suggestion, synced with the observation in one write) or never (faster, crash loses the unsynced tail; observe speculates)")
-		replica     = fs.String("replica", "", "replica name for journal shard leases (default host-<hostname>)")
+		replica     = fs.String("replica", "", "replica name in recovery reports and to the registry (default host-<hostname>)")
 		claimShards = fs.Int("claim-shards", 0, "max journal shards to claim, 0 = all unclaimed; run R replicas with shards/R each")
 		maxBatch    = fs.Int("batch", serve.DefaultMaxBatch, "per-request cap on the /nextbatch batch size k")
 		noSpeculate = fs.Bool("no-speculate", false, "observe waits for the next suggestion and returns it inline even with -fsync never (-fsync always already does)")

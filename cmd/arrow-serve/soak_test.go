@@ -47,7 +47,7 @@ func soakSessions() int {
 }
 
 // soakRegistryMode switches the cluster topology: ARROW_SOAK_REGISTRY=1
-// replaces the shared journal directory and its pid-checked lease files
+// replaces the shared journal directory and its flock'd lease files
 // with a network registry process, per-replica journal directories and
 // heartbeat leases — the cross-host deployment, soaked on one host.
 func soakRegistryMode() bool {

@@ -252,8 +252,9 @@ func TestReclaimTakesOverDeadPeerShards(t *testing.T) {
 		t.Fatalf("reclaimed a live peer's shards: %v", claimed)
 	}
 
-	// Releasing b's leases stands in for the peer dying: its pid-checked
-	// leases become stale and claimable.
+	// Closing b stands in for the peer dying: the kernel drops a dead
+	// process's lease locks just as Close does, and its shards become
+	// claimable.
 	dead := b.Owned()
 	if err := b.Close(); err != nil {
 		t.Fatal(err)

@@ -24,12 +24,13 @@
 //
 // # Multi-replica shard claims
 //
-// N replicas may point at one shared journal directory. Each shard is
-// guarded by a lease file (lease-NN.json) created with O_EXCL: a
-// replica serves exactly the shards whose leases it holds, so sessions
-// partition across replicas with no session served by two processes. A
-// lease is stolen only when its holder is provably gone (same replica
-// id restarting in place, or a dead pid on the same host).
+// N replicas on one host may point at one shared journal directory.
+// Each shard is guarded by a lease file (lease-NN.json): a replica holds
+// a shard while it keeps an exclusive flock(2) on that file, and serves
+// exactly the shards it holds, so sessions partition across replicas
+// with no session served by two processes. The kernel drops a dead
+// holder's locks, so its shards are claimable at once, by any replica;
+// a live holder's are never taken, whatever its replica name.
 package journal
 
 import (
@@ -208,9 +209,9 @@ func WithClaimLimit(n int) Option {
 	}
 }
 
-// WithReplica names this process for lease files. Replicas sharing a
-// journal directory need distinct names; a replica reuses its own name
-// to take its leases back over after a restart. The default is
+// WithReplica names this replica in recovery reports and to a lease
+// registry, which tracks grants by name. Filesystem leases ignore it: a
+// live process holds its shards whatever it is called. The default is
 // "host-<hostname>".
 func WithReplica(id string) Option {
 	return func(c *config) {
@@ -227,7 +228,7 @@ func WithSync(s Sync) Option {
 
 // WithLeaseManager replaces the filesystem lease protocol with an
 // external one — a registry client issuing time-bound, epoch-fenced
-// grants. The default (nil) keeps the pid-checked lease files.
+// grants. The default (nil) keeps the flock'd lease files.
 func WithLeaseManager(m LeaseManager) Option {
 	return func(c *config) { c.leases = m }
 }
@@ -269,16 +270,15 @@ type Journal struct {
 	leases  LeaseManager
 	now     func() time.Time
 
-	// ownedMu guards owned: the map is written at Open, by Reclaim,
-	// TakeOver, RenewLeases, Reinstate and DropShard at runtime, and by
-	// Close; every append and ownership check reads it.
+	// ownedMu guards owned and closed: the map is written at Open, by
+	// Reclaim, TakeOver, RenewLeases, Reinstate and DropShard at runtime,
+	// and by Close; every append and ownership check reads it. Once
+	// closed is set, nothing enters the map again.
 	ownedMu sync.RWMutex
 	owned   map[int]Lease
+	closed  bool
 
 	files []shardFile
-
-	closeMu sync.Mutex
-	closed  bool
 }
 
 type shardFile struct {
@@ -326,7 +326,7 @@ func Open(dir string, opts ...Option) (*Journal, error) {
 		j.now = time.Now
 	}
 	if j.leases == nil {
-		j.leases = &fsLeases{dir: dir, replica: cfg.replica, leasePath: j.leasePath, warnf: cfg.warnf}
+		j.leases = &fsLeases{dir: dir, held: make(map[int]*os.File)}
 	}
 	for shard := 0; shard < shards; shard++ {
 		if cfg.limit > 0 && len(j.owned) >= cfg.limit {
@@ -334,7 +334,7 @@ func Open(dir string, opts ...Option) (*Journal, error) {
 		}
 		l, ok, err := j.leases.Acquire(shard)
 		if err != nil {
-			j.releaseLeases()
+			j.Close()
 			return nil, err
 		}
 		if ok {
@@ -345,31 +345,18 @@ func Open(dir string, opts ...Option) (*Journal, error) {
 	return j, nil
 }
 
-// loadOrInitMeta reads the directory's shard count, writing it first
+// loadOrInitMeta reads the directory's shard count, publishing it first
 // when the directory is fresh.
 func loadOrInitMeta(dir string, want int) (int, error) {
 	path := filepath.Join(dir, "journal.meta")
 	data, err := os.ReadFile(path)
 	if os.IsNotExist(err) {
-		payload, _ := json.Marshal(meta{Shards: want})
-		f, err := os.OpenFile(path, os.O_CREATE|os.O_EXCL|os.O_WRONLY, 0o644)
-		if os.IsExist(err) {
-			// Another replica initialized first; read its answer.
-			data, err = os.ReadFile(path)
-			if err != nil {
-				return 0, fmt.Errorf("journal: reading %s: %w", path, err)
-			}
-		} else if err != nil {
-			return 0, fmt.Errorf("journal: creating %s: %w", path, err)
-		} else {
-			_, werr := f.Write(append(payload, '\n'))
-			cerr := f.Close()
-			if werr != nil || cerr != nil {
-				return 0, fmt.Errorf("journal: writing %s: %v/%v", path, werr, cerr)
-			}
-			return want, nil
+		if err := publishMeta(dir, path, want); err != nil {
+			return 0, err
 		}
-	} else if err != nil {
+		data, err = os.ReadFile(path)
+	}
+	if err != nil {
 		return 0, fmt.Errorf("journal: reading %s: %w", path, err)
 	}
 	var m meta
@@ -377,6 +364,29 @@ func loadOrInitMeta(dir string, want int) (int, error) {
 		return 0, fmt.Errorf("journal: %s is damaged (%v); refusing to guess the shard partition", path, err)
 	}
 	return m.Shards, nil
+}
+
+// publishMeta writes a fresh directory's meta file whole: it fills a
+// temp file and hard-links it into place, so a replica opening the
+// directory concurrently finds no meta file or a complete one, never an
+// empty one. A link, unlike a rename, never replaces an existing file:
+// when another replica published first, its shard count stands.
+func publishMeta(dir, path string, shards int) error {
+	tmp, err := os.CreateTemp(dir, "journal.meta.tmp-*")
+	if err != nil {
+		return fmt.Errorf("journal: creating %s: %w", path, err)
+	}
+	defer os.Remove(tmp.Name())
+	payload, _ := json.Marshal(meta{Shards: shards})
+	_, werr := tmp.Write(append(payload, '\n'))
+	cerr := tmp.Close()
+	if werr != nil || cerr != nil {
+		return fmt.Errorf("journal: writing %s: %v/%v", tmp.Name(), werr, cerr)
+	}
+	if err := os.Link(tmp.Name(), path); err != nil && !os.IsExist(err) {
+		return fmt.Errorf("journal: publishing %s: %w", path, err)
+	}
+	return nil
 }
 
 // Replica returns this handle's replica name.
@@ -439,10 +449,6 @@ func (j *Journal) Dir() string { return j.dir }
 
 func (j *Journal) shardPath(shard int) string {
 	return filepath.Join(j.dir, fmt.Sprintf("journal-%02d.jsonl", shard))
-}
-
-func (j *Journal) leasePath(shard int) string {
-	return filepath.Join(j.dir, fmt.Sprintf("lease-%02d.json", shard))
 }
 
 // Append writes records of one session to its shard as one unit: one
@@ -885,18 +891,6 @@ func truncateAt(path string, n int64) error {
 	return os.Truncate(path, n)
 }
 
-// releaseLeases gives this replica's grants back to the manager.
-func (j *Journal) releaseLeases() {
-	j.ownedMu.Lock()
-	defer j.ownedMu.Unlock()
-	for shard, l := range j.owned {
-		if err := j.leases.Release(l); err != nil {
-			j.warnf("releasing lease %d: %v", shard, err)
-		}
-	}
-	j.owned = make(map[int]Lease)
-}
-
 // RenewLeases extends every held grant through the manager and drops
 // the ones the manager reports lost (expired and re-granted elsewhere).
 // It returns the shards dropped, sorted; the serving layer evicts their
@@ -928,8 +922,9 @@ func (j *Journal) RenewLeases() ([]int, error) {
 // shard hand-off that did not go through — after re-verifying it with
 // the manager. held=false means the manager reports the grant lost (a
 // successor took the shard over and only the answer went missing): the
-// shard stays dropped and the caller must evict its sessions. A manager
-// error reinstates the grant, as in RenewLeases.
+// shard stays dropped and the caller must evict its sessions. A closed
+// journal reinstates nothing and answers held=false too. A manager error
+// reinstates the grant, as in RenewLeases.
 func (j *Journal) Reinstate(l Lease) (held bool, err error) {
 	dropped, err := j.renew(l, true)
 	return !dropped, err
@@ -953,7 +948,7 @@ func (j *Journal) renew(l Lease, reinstate bool) (dropped bool, err error) {
 	switch {
 	case held && cur.Epoch != l.Epoch, !held && !reinstate:
 		return false, err
-	case ok:
+	case ok && !j.closed:
 		j.owned[l.Shard] = nl
 		return false, err
 	default:
@@ -987,7 +982,8 @@ func (j *Journal) DropShard(shard int) (Lease, bool) {
 // TakeOver claims a shard directly from its current holder through the
 // manager's transfer extension, fenced by the holder's epoch — the
 // migrate-in path. ok=false without error means the transfer was
-// refused (stale epoch, holder changed).
+// refused (stale epoch, holder changed) or the journal is closed, which
+// releases the transferred grant.
 func (j *Journal) TakeOver(shard int, from string, fromEpoch uint64) (Lease, bool, error) {
 	tl, can := j.leases.(TransferLeaser)
 	if !can {
@@ -998,18 +994,19 @@ func (j *Journal) TakeOver(shard int, from string, fromEpoch uint64) (Lease, boo
 		return Lease{}, false, err
 	}
 	l.Shard = shard
-	j.ownedMu.Lock()
-	j.owned[shard] = l
-	j.ownedMu.Unlock()
+	if !j.own(l) {
+		return Lease{}, false, nil
+	}
 	return l, true, nil
 }
 
 // Reclaim attempts to take over every shard this replica does not own,
-// claiming only grants the manager says are up for grabs (a dead pid's
-// filesystem lease, or a registry grant past its TTL). It returns the
-// grants newly claimed, sorted by shard; each carries the previous
-// holder's journal directory so the caller can scan and adopt the
-// shard's live sessions even when the dead peer journaled elsewhere.
+// claiming only grants the manager says are up for grabs (a lease file
+// no live process has locked, or a registry grant past its TTL). It
+// returns the grants newly claimed, sorted by shard; each carries the
+// previous holder's journal directory so the caller can scan and adopt
+// the shard's live sessions even when the dead peer journaled elsewhere.
+// A closed journal claims nothing.
 func (j *Journal) Reclaim() ([]Lease, error) {
 	var claimed []Lease
 	for shard := 0; shard < j.shards; shard++ {
@@ -1025,24 +1022,49 @@ func (j *Journal) Reclaim() ([]Lease, error) {
 			continue
 		}
 		l.Shard = shard
-		j.ownedMu.Lock()
-		j.owned[shard] = l
-		j.ownedMu.Unlock()
+		if !j.own(l) {
+			// Closed meanwhile, and Close released the grants claimed so far.
+			return nil, nil
+		}
 		claimed = append(claimed, l)
 	}
 	sort.Slice(claimed, func(a, b int) bool { return claimed[a].Shard < claimed[b].Shard })
 	return claimed, nil
 }
 
+// own records a newly won grant, unless the journal is closed: then it
+// releases the grant and reports false, so a claim racing Close leaves
+// nothing held.
+func (j *Journal) own(l Lease) bool {
+	j.ownedMu.Lock()
+	closed := j.closed
+	if !closed {
+		j.owned[l.Shard] = l
+	}
+	j.ownedMu.Unlock()
+	if closed {
+		if err := j.leases.Release(l); err != nil {
+			j.warnf("releasing lease %d: %v", l.Shard, err)
+		}
+	}
+	return !closed
+}
+
 // Close releases the shard leases and file handles. A closed journal
-// owns nothing; Append returns ErrNotOwned.
+// owns nothing: Append returns ErrNotOwned, and Reclaim, TakeOver and
+// Reinstate claim nothing. Like DropShard, Close forgets the grants
+// before taking each shard's file mutex, so no append lands after the
+// grants are released.
 func (j *Journal) Close() error {
-	j.closeMu.Lock()
-	defer j.closeMu.Unlock()
+	j.ownedMu.Lock()
 	if j.closed {
+		j.ownedMu.Unlock()
 		return nil
 	}
 	j.closed = true
+	grants := j.owned
+	j.owned = make(map[int]Lease)
+	j.ownedMu.Unlock()
 	var firstErr error
 	for i := range j.files {
 		sf := &j.files[i]
@@ -1055,6 +1077,10 @@ func (j *Journal) Close() error {
 		}
 		sf.mu.Unlock()
 	}
-	j.releaseLeases()
+	for shard, l := range grants {
+		if err := j.leases.Release(l); err != nil {
+			j.warnf("releasing lease %d: %v", shard, err)
+		}
+	}
 	return firstErr
 }

@@ -262,40 +262,34 @@ func TestJournalLeasePartition(t *testing.T) {
 	}
 }
 
+// TestJournalLeaseTakeoverAfterCrash: a holder process killed with
+// SIGKILL loses its shards at once, to a replica of any name. While it
+// lives, no other process takes them, not even one under its own name.
 func TestJournalLeaseTakeoverAfterCrash(t *testing.T) {
 	dir := t.TempDir()
-	j, err := Open(dir, WithReplica("alpha"), WithShards(2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := len(j.Owned()); got != 2 {
-		t.Fatalf("first open owns %d, want 2", got)
-	}
-	// Crash: no Close, lease files left behind. The same replica id
-	// restarting must steal its own leases back.
-	j2, err := Open(dir, WithReplica("alpha"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer j2.Close()
-	if got := len(j2.Owned()); got != 2 {
-		t.Fatalf("restart owns %d, want 2 (own-lease takeover)", got)
+	holder := startLeaseHolder(t, dir)
+	for _, name := range []string{"alpha", "beta"} {
+		j := openAll(t, dir, WithReplica(name))
+		if got := j.Owned(); len(got) != 0 {
+			t.Fatalf("%s owns %v while the holder process lives, want nothing", name, got)
+		}
+		j.Close()
 	}
 
-	// A dead pid's lease is stolen by any replica.
-	j2.Close()
-	lp := filepath.Join(dir, "lease-00.json")
-	payload, _ := json.Marshal(lease{Replica: "ghost", PID: 1 << 30, Acquired: "2026-01-01T00:00:00Z"})
-	if err := os.WriteFile(lp, payload, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	j3, err := Open(dir, WithReplica("beta"))
+	beta := openAll(t, dir, WithReplica("beta"))
+	holder.Process.Kill() // kill -9: the kernel drops the holder's locks
+	holder.Wait()
+	claimed, err := beta.Reclaim()
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer j3.Close()
-	if got := len(j3.Owned()); got != 2 {
-		t.Fatalf("beta owns %d, want 2 (dead-pid steal)", got)
+	if len(claimed) != 2 || len(beta.Owned()) != 2 {
+		t.Fatalf("beta reclaimed %v, owns %v after the crash; want both shards", claimed, beta.Owned())
+	}
+	for shard := 0; shard < 2; shard++ {
+		if _, err := os.Stat(leaseFile(dir, shard)); err != nil {
+			t.Fatalf("lease file of shard %d: %v", shard, err)
+		}
 	}
 }
 
@@ -318,12 +312,25 @@ func TestJournalMetaPinsShardCount(t *testing.T) {
 	}
 }
 
+// TestJournalClosedAppendsRejected: a closed journal owns nothing, and
+// claims nothing either: appends are refused, also after a Reclaim,
+// which takes no shard, and another handle can claim every shard.
 func TestJournalClosedAppendsRejected(t *testing.T) {
 	dir := t.TempDir()
 	j := openAll(t, dir, WithReplica("r1"))
 	j.Close()
 	if err := j.Append(Record{Session: "s-000001", Seq: 0, Kind: KindCreate}); err == nil {
 		t.Fatal("append after Close succeeded, want ErrNotOwned")
+	}
+	claimed, err := j.Reclaim()
+	if err != nil || len(claimed) != 0 || len(j.Owned()) != 0 {
+		t.Fatalf("Reclaim after Close = %v, %v, owning %v; want nothing", claimed, err, j.Owned())
+	}
+	if err := j.Append(Record{Session: "s-000001", Seq: 0, Kind: KindCreate}); !errors.Is(err, ErrNotOwned) {
+		t.Fatalf("append after Close and Reclaim returned %v, want ErrNotOwned", err)
+	}
+	if other := openAll(t, dir, WithReplica("r2")); len(other.Owned()) != DefaultShards {
+		t.Fatalf("another handle owns %v after the close, want all %d shards", other.Owned(), DefaultShards)
 	}
 }
 

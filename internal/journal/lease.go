@@ -1,88 +1,31 @@
+//go:build darwin || dragonfly || freebsd || illumos || linux || netbsd || openbsd
+
 package journal
 
 import (
-	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
 	"syscall"
-	"time"
 )
 
-// lease is the content of one shard's lease file. A lease names its
-// holder (replica id + pid on this host); it has no expiry — ownership
-// ends when the holder releases it, restarts under the same replica id,
-// or its pid is provably dead. That keeps the protocol crash-safe
-// without clocks: a kill -9'd replica's leases are stolen on the next
-// claim because its pid no longer exists.
-type lease struct {
-	Replica  string `json:"replica"`
-	PID      int    `json:"pid"`
-	Acquired string `json:"acquired"`
-}
-
-// claimLease tries to take one shard's lease for replica. It returns
-// whether the lease was won. The protocol:
-//
-//  1. O_EXCL-create the lease file — first writer wins.
-//  2. If it exists, read it. Our own replica id (a restart, in place or
-//     after a crash) or a dead pid means the holder is gone: remove the
-//     stale file and retry the exclusive create, racing any other
-//     claimant fairly.
-//  3. A live foreign holder keeps the shard.
-func claimLease(path, replica string) (bool, error) {
-	for attempt := 0; attempt < 3; attempt++ {
-		f, err := os.OpenFile(path, os.O_CREATE|os.O_EXCL|os.O_WRONLY, 0o644)
-		if err == nil {
-			payload, _ := json.Marshal(lease{
-				Replica:  replica,
-				PID:      os.Getpid(),
-				Acquired: time.Now().UTC().Format(time.RFC3339),
-			})
-			_, werr := f.Write(append(payload, '\n'))
-			cerr := f.Close()
-			if werr != nil || cerr != nil {
-				os.Remove(path)
-				return false, fmt.Errorf("journal: writing lease %s: %v/%v", path, werr, cerr)
-			}
-			return true, nil
-		}
-		if !os.IsExist(err) {
-			return false, fmt.Errorf("journal: creating lease %s: %w", path, err)
-		}
-		data, rerr := os.ReadFile(path)
-		if os.IsNotExist(rerr) {
-			continue // holder released between our create and read; retry
-		}
-		if rerr != nil {
-			return false, fmt.Errorf("journal: reading lease %s: %w", path, rerr)
-		}
-		var l lease
-		stale := false
-		if jerr := json.Unmarshal(data, &l); jerr != nil || l.Replica == "" {
-			stale = true // damaged lease: no identifiable holder
-		} else if l.Replica == replica {
-			stale = true // our own previous incarnation
-		} else if l.PID > 0 && !pidAlive(l.PID) {
-			stale = true // holder died without releasing
-		}
-		if !stale {
-			return false, nil
-		}
-		if err := os.Remove(path); err != nil && !os.IsNotExist(err) {
-			return false, fmt.Errorf("journal: removing stale lease %s: %w", path, err)
-		}
-		// Loop: retry the exclusive create against any concurrent claimant.
-	}
-	return false, nil
-}
-
-// pidAlive reports whether a process with the given pid exists on this
-// host. Signal 0 probes without delivering; EPERM still means "exists".
-func pidAlive(pid int) bool {
-	proc, err := os.FindProcess(pid)
+// lockLease opens a shard's lease file, creating it if needed, and takes
+// an exclusive, non-blocking flock on it. ok=false without error means
+// another open file description holds the lock: a live holder, in this
+// process or another. The caller keeps f open for the grant's lifetime;
+// closing it (or the holder dying) drops the lock. The file's bytes are
+// not part of the protocol.
+func lockLease(path string) (f *os.File, ok bool, err error) {
+	f, err = os.OpenFile(path, os.O_CREATE|os.O_RDONLY, 0o644)
 	if err != nil {
-		return false
+		return nil, false, fmt.Errorf("journal: opening lease %s: %w", path, err)
 	}
-	err = proc.Signal(syscall.Signal(0))
-	return err == nil || err == syscall.EPERM
+	if err := syscall.Flock(int(f.Fd()), syscall.LOCK_EX|syscall.LOCK_NB); err != nil {
+		f.Close()
+		if errors.Is(err, syscall.EWOULDBLOCK) {
+			return nil, false, nil
+		}
+		return nil, false, fmt.Errorf("journal: locking lease %s: %w", path, err)
+	}
+	return f, true, nil
 }

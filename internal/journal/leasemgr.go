@@ -2,15 +2,18 @@ package journal
 
 import (
 	"errors"
+	"fmt"
 	"os"
+	"path/filepath"
+	"sync"
 	"time"
 )
 
 // Lease is one shard-ownership grant. The filesystem manager issues
-// open-ended grants (zero Expiry, constant epoch — pid liveness is the
-// fence); a network registry issues time-bound grants with monotone
-// epochs so a paused-then-resumed holder can be fenced off after its
-// grant lapses.
+// open-ended grants (zero Expiry, epoch 1 — a kernel lock the holder
+// keeps until it releases the grant or dies is the fence); a network
+// registry issues time-bound grants with monotone epochs so a
+// paused-then-resumed holder can be fenced off after its grant lapses.
 type Lease struct {
 	Shard int
 	// Epoch is the fencing token: the registry bumps it on every grant
@@ -43,9 +46,9 @@ func (l Lease) Expired(now time.Time) bool {
 var ErrLeaseExpired = errors.New("journal: shard lease expired")
 
 // LeaseManager is the shard-ownership protocol a Journal claims through.
-// The default is the filesystem manager (pid-checked O_EXCL lease files,
-// same-host only); a registry client implements the same interface over
-// HTTP for cross-host clusters.
+// The default is the filesystem manager (flock(2) locks on lease files,
+// for processes on one host); a registry client implements the same
+// interface over HTTP for cross-host clusters.
 type LeaseManager interface {
 	// Acquire tries to take one shard. ok=false without error means a
 	// live holder keeps it.
@@ -65,33 +68,43 @@ type TransferLeaser interface {
 	Transfer(shard int, from string, fromEpoch uint64) (Lease, bool, error)
 }
 
-// fsLeases is the default manager: the pid-checked O_EXCL lease files
-// replicas sharing one journal directory coordinate through. Grants are
-// open-ended (process liveness is the fence) and PrevDataDir is always
-// the shared directory itself, so adoption scans locally.
+// fsLeases is the default manager: replicas on one host sharing a
+// journal directory coordinate through flock(2) locks on the shard lease
+// files. A grant is the open, locked descriptor; Release closes it, and
+// the kernel drops the lock when the holder dies, so a crashed holder's
+// shard is claimable at once and there is no stale lease to break.
+// Grants are open-ended with a constant epoch, and PrevDataDir is the
+// shared directory itself, so adoption scans locally.
+//
+// Lease files are never unlinked. A claimant that opened the path just
+// before an unlink would lock the orphaned inode while the next claimant
+// locks a fresh file at the same path: two holders of one shard.
 type fsLeases struct {
-	dir       string
-	replica   string
-	leasePath func(shard int) string
-	warnf     func(format string, args ...any)
+	dir  string
+	mu   sync.Mutex       // guards held: a Reclaim may race Close
+	held map[int]*os.File // each granted shard's locked descriptor
 }
 
 func (m *fsLeases) Acquire(shard int) (Lease, bool, error) {
-	ok, err := claimLease(m.leasePath(shard), m.replica)
+	f, ok, err := lockLease(filepath.Join(m.dir, fmt.Sprintf("lease-%02d.json", shard)))
 	if err != nil || !ok {
 		return Lease{}, false, err
 	}
+	m.mu.Lock()
+	m.held[shard] = f
+	m.mu.Unlock()
 	return Lease{Shard: shard, Epoch: 1, PrevDataDir: m.dir}, true, nil
 }
 
 func (m *fsLeases) Renew(l Lease) (Lease, bool, error) {
-	// Open-ended grants need no renewal; pid death is the revocation.
+	// Open-ended grants need no renewal; the holder's death revokes them.
 	return l, true, nil
 }
 
 func (m *fsLeases) Release(l Lease) error {
-	if err := os.Remove(m.leasePath(l.Shard)); err != nil && !os.IsNotExist(err) {
-		return err
-	}
-	return nil
+	m.mu.Lock()
+	f := m.held[l.Shard]
+	delete(m.held, l.Shard)
+	m.mu.Unlock()
+	return f.Close()
 }

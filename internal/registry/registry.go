@@ -1,8 +1,9 @@
 // Package registry is the cross-host shard-ownership plane: an HTTP
 // service where serve replicas register, heartbeat, and acquire, renew,
 // release or transfer time-bound journal-shard leases. It replaces the
-// journal's pid-checked filesystem lease files when replicas live on
-// different hosts and share nothing but the network.
+// journal's flock'd filesystem lease files, which coordinate processes
+// on one host, when replicas live on different hosts and share nothing
+// but the network.
 //
 // # Fencing
 //

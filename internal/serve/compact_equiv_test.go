@@ -137,6 +137,7 @@ func TestCompactRecoverEquivalence(t *testing.T) {
 			}
 
 			// Abandon the writer (kill -9 semantics) and freeze its bytes.
+			j1.Close()
 			compactDir := copyJournalDir(t, dir)
 
 			jc, err := journal.Open(compactDir, journal.WithReplica("prop"))

@@ -207,6 +207,7 @@ func TestObserveSpeculatesWhileBatchOutstanding(t *testing.T) {
 	}
 	for i, sug := range batch {
 		if i == 1 {
+			j.Close() // abandon (kill -9 semantics)
 			s2, c2, _ := journaledServer(t, dir, "a")
 			if _, err := s2.Recover(context.Background()); err != nil {
 				t.Fatal(err)

@@ -19,7 +19,9 @@ import (
 // journaledServer builds a server over its own journal handle without
 // the automatic Shutdown cleanup, so tests can abandon it mid-session —
 // the in-process stand-in for kill -9 (the real SIGKILL test lives in
-// cmd/arrow-serve).
+// cmd/arrow-serve). Abandoning closes the journal handle: Close writes
+// no record, and closing every descriptor is what the kernel does at
+// kill -9, which drops the shard locks for the restarted server.
 func journaledServer(t *testing.T, dir, replica string, opts ...journal.Option) (*Server, *client, *journal.Journal) {
 	t.Helper()
 	opts = append([]journal.Option{journal.WithReplica(replica)}, opts...)
@@ -81,7 +83,7 @@ func TestCrashRecoverByteIdenticalResult(t *testing.T) {
 
 	// The crashed run: observe a few steps, then walk away.
 	dir := t.TempDir()
-	_, c1, _ := journaledServer(t, dir, "crash-test")
+	_, c1, j1 := journaledServer(t, dir, "crash-test")
 	info := c1.create(req)
 	if info.ID != refInfo.ID {
 		t.Fatalf("id skew breaks the byte comparison: %s vs %s", info.ID, refInfo.ID)
@@ -90,9 +92,9 @@ func TestCrashRecoverByteIdenticalResult(t *testing.T) {
 		t.Fatal("session finished before the crash point; pick a longer method")
 	}
 
-	// Restart: a new journal handle under the same replica name takes
-	// the leases over (the crashed process is this process, so the
-	// same-replica takeover path is what a supervisor restart hits).
+	// Crash, then restart: a new journal handle under the same replica
+	// name claims the shards the abandoned one held.
+	j1.Close()
 	s2, c2, _ := journaledServer(t, dir, "crash-test")
 	report, err := s2.Recover(context.Background())
 	if err != nil {
@@ -221,6 +223,7 @@ func TestRecoverDamagedJournal(t *testing.T) {
 	// Abandon without shutdown; damage the shards behind the server's
 	// back, as a dying disk would.
 	shards := j1.Shards()
+	j1.Close()
 
 	// Mid-file corruption: flip one byte inside the victim's create
 	// line (its shard holds at least its later records, so the line is

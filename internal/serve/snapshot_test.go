@@ -68,11 +68,12 @@ func TestSnapshotRecoverByteIdentical(t *testing.T) {
 	want := mustJSON(t, ref.run(ref.create(req).ID, target))
 
 	dir := t.TempDir()
-	_, c1, _ := snapshotServer(t, dir, "snap", 2)
+	_, c1, j1 := snapshotServer(t, dir, "snap", 2)
 	info := c1.create(req)
 	if sug := stepSession(t, c1, info.ID, target, 5); sug.Done {
 		t.Fatal("session finished before the crash point; pick a longer method")
 	}
+	j1.Close() // abandon (kill -9 semantics)
 
 	s2, c2, j2 := snapshotServer(t, dir, "snap", 2)
 	report, err := s2.Recover(context.Background())
@@ -165,6 +166,7 @@ func TestSnapshotInnerDamageFallsBackToFullReplay(t *testing.T) {
 	_, c1, j1 := snapshotServer(t, dir, "innerdmg", 2)
 	info := c1.create(req)
 	stepSession(t, c1, info.ID, target, 5)
+	j1.Close() // abandon (kill -9 semantics)
 
 	// Rewrite the shard with every snapshot payload subtly broken: flip
 	// one fingerprint character inside the inner envelope without
@@ -243,6 +245,7 @@ func TestSnapshotLineDamageDoesNotBreakChain(t *testing.T) {
 	_, c1, j1 := snapshotServer(t, dir, "linedmg", 3)
 	info := c1.create(SessionRequest{Method: "naive-bo", Seed: 5, Trace: true, EIStopFraction: 1e-9, MaxMeasurements: 12})
 	stepSession(t, c1, info.ID, target, 4)
+	j1.Close() // abandon (kill -9 semantics)
 
 	shard := filepath.Join(dir, shardName(journal.ShardOf(info.ID, j1.Shards())))
 	data, err := os.ReadFile(shard)
