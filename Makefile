@@ -88,9 +88,10 @@ cover:
 	awk -v t="$$total" -v b="$(COVER_BASELINE)" 'BEGIN { exit !(t+0 < b+0) }' && \
 		{ echo "coverage $$total% fell below the $(COVER_BASELINE)% baseline"; exit 1; } || true
 
-# Fuzz the trace decoders, the cache shard loader, the serve-layer
-# request decoders, the session journal's line decoder, shard recovery
-# scan and CRC'd snapshot payload decoder, and the forest's tree growth
+# Fuzz the trace decoders, the serve-layer request decoders, the session
+# journal's line decoder and CRC'd snapshot payload decoder, the shard-log
+# scan under the run cache and the journal (through the cache's shard
+# loader and the journal's recovery scan), and the forest's tree growth
 # against its per-candidate reference grower, FUZZTIME each.
 FUZZTIME ?= 30s
 fuzz:
@@ -222,9 +223,14 @@ bench-guard:
 	$(GO) run ./cmd/arrow-bench -compare -guard '$(BENCH_GUARD)' BENCH.json $(BENCH_GUARD_OUT)
 
 # Race-detected end-to-end smoke of the study executor: a cold run fills
-# the cache, a warm run at a different -concurrency must reproduce the
-# same stdout and CSV bytes, and the throughput benchmarks run once
-# under -race.
+# the cache, and a warm run at a different -concurrency must reproduce
+# the same stdout and CSV bytes. Then the cache is torn: every shard gets
+# a partial line with no newline, as a killed writer leaves it, and a run
+# of a figure the earlier runs did not use appends new entries after the
+# tears. The run cache's shard-log scan cuts each torn tail at open, so a
+# last run with the same flags must compute nothing and print the same
+# stdout: no new entry was glued to a torn line and lost. Last, the
+# throughput benchmarks run once under -race.
 SMOKE_DIR ?= /tmp/arrow-study-smoke
 SMOKE_WORKLOADS = als/spark2.1/medium,pagerank/hadoop2.7/medium,lr/spark1.5/medium,terasort/hadoop2.7/large
 study-smoke:
@@ -245,8 +251,19 @@ study-smoke:
 	sed -E 's/,"wall":\{[^}]*\}//' $(SMOKE_DIR)/cold-trace.jsonl > $(SMOKE_DIR)/cold-trace.stripped
 	sed -E 's/,"wall":\{[^}]*\}//' $(SMOKE_DIR)/warm-trace.jsonl > $(SMOKE_DIR)/warm-trace.stripped
 	diff $(SMOKE_DIR)/cold-trace.stripped $(SMOKE_DIR)/warm-trace.stripped
+	for f in $(SMOKE_DIR)/cache/shard-*.jsonl; do printf '{"crc":1,"rec":{"k":"torn' >> $$f; done
+	$(GO) run -race ./cmd/arrow-study -seeds 2 -concurrency 4 \
+		-workloads '$(SMOKE_WORKLOADS)' -figures fig11 \
+		-out $(SMOKE_DIR)/torn -cache-dir $(SMOKE_DIR)/cache \
+		> $(SMOKE_DIR)/torn.txt
+	$(GO) run -race ./cmd/arrow-study -seeds 2 -concurrency 4 \
+		-workloads '$(SMOKE_WORKLOADS)' -figures fig11 \
+		-out $(SMOKE_DIR)/torn -cache-dir $(SMOKE_DIR)/cache \
+		> $(SMOKE_DIR)/reopened.txt 2> $(SMOKE_DIR)/reopened.err
+	grep -q 'run cache: 0 computed' $(SMOKE_DIR)/reopened.err || { cat $(SMOKE_DIR)/reopened.err; exit 1; }
+	diff $(SMOKE_DIR)/torn.txt $(SMOKE_DIR)/reopened.txt
 	$(GO) test -race -run xxx -benchtime 1x -bench 'BenchmarkStudyThroughput' ./internal/study
-	@echo "study smoke OK: cold and warm runs and wall-stripped traces byte-identical"
+	@echo "study smoke OK: cold and warm runs and wall-stripped traces byte-identical; torn cache shards lost no entry"
 
 # Race-detected crash-recovery smoke: the kill -9 chaos test (a real
 # arrow-serve process SIGKILLed mid-session, restarted, every session

@@ -6,6 +6,8 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+
+	"repro/internal/shardlog"
 )
 
 // This file is a shard's compacted form and online compaction. The
@@ -76,8 +78,8 @@ func (j *Journal) Image(shard int) (*ShardImage, error) {
 		return nil, fmt.Errorf("journal: reading shard %d of %d", shard, j.shards)
 	}
 	sf := &j.files[shard]
-	sf.mu.Lock()
-	defer sf.mu.Unlock()
+	sf.Lock()
+	defer sf.Unlock()
 	img, _, err := j.image(shard)
 	return img, err
 }
@@ -96,13 +98,10 @@ func (j *Journal) image(shard int) (*ShardImage, CompactStats, error) {
 		return nil, stats, fmt.Errorf("journal: reading %s: %w", path, err)
 	}
 	stats.BytesBefore = info.Size()
-	scan := &Recovery{}
-	bySession := make(map[string][]Record)
-	var order []string
-	if err := scanShardFile(path, false, j.warnf, scan, bySession, &order); err != nil {
+	scan, order, err := readShards(j.dir, []int{shard}, false, j.warnf)
+	if err != nil {
 		return nil, stats, err
 	}
-	finishScan(scan, bySession, order)
 	img.Damage = scan.Damage
 	live := make(map[string]bool, len(scan.Live))
 	for _, log := range scan.Live {
@@ -145,8 +144,8 @@ func (j *Journal) Compact(shard int, opts CompactOptions) (CompactStats, error) 
 		return CompactStats{Shard: shard}, fmt.Errorf("journal: compacting shard %d of %d", shard, j.shards)
 	}
 	sf := &j.files[shard]
-	sf.mu.Lock()
-	defer sf.mu.Unlock()
+	sf.Lock()
+	defer sf.Unlock()
 	// Checked under the file mutex, as appends are: a dropped shard is
 	// never rewritten.
 	if !j.ownsShard(shard) {
@@ -164,13 +163,13 @@ func (j *Journal) Compact(shard int, opts CompactOptions) (CompactStats, error) 
 	// The merged tombstone index first, then each live chain.
 	var buf []byte
 	if len(img.Tombstones) > 0 {
-		if buf, err = appendLine(buf, Record{Kind: KindTombstoneIndex, Tombstones: img.Tombstones}); err != nil {
+		if buf, err = shardlog.AppendLine(buf, Record{Kind: KindTombstoneIndex, Tombstones: img.Tombstones}); err != nil {
 			return stats, err
 		}
 	}
 	for _, chain := range img.Live {
 		for _, r := range chain {
-			if buf, err = appendLine(buf, r); err != nil {
+			if buf, err = shardlog.AppendLine(buf, r); err != nil {
 				return stats, err
 			}
 		}
@@ -219,10 +218,7 @@ func (j *Journal) Compact(shard int, opts CompactOptions) (CompactStats, error) 
 	syncDir(filepath.Dir(path))
 	// The cached append handle points at the replaced inode; drop it so
 	// the next append lazily reopens the compacted file.
-	if sf.f != nil {
-		sf.f.Close()
-		sf.f = nil
-	}
+	sf.Close()
 	stats.Compacted = true
 	return stats, nil
 }

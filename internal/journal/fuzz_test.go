@@ -7,6 +7,8 @@ import (
 	"path/filepath"
 	"testing"
 	"time"
+
+	"repro/internal/shardlog"
 )
 
 // corpusLine renders one valid shard line for the seed corpus.
@@ -167,7 +169,7 @@ func FuzzScanShard(f *testing.F) {
 		j := &Journal{
 			dir: dir, shards: 1, replica: "fuzz",
 			owned: map[int]Lease{0: {Epoch: 1}},
-			files: make([]shardFile, 1),
+			files: make([]shardlog.File, 1),
 			warnf: func(string, ...any) {},
 			now:   time.Now,
 		}

@@ -2,15 +2,16 @@
 // write-ahead session journal. Every advisor session appends its state
 // transitions — create, suggest, observe, observe-failure, abort, end —
 // as canonical JSONL records to one of N append-only disk shards
-// (sharded by session id, the runcache shard idiom), so a crashed
-// server can rebuild every live session by replaying its observation
-// sequence into a fresh stepper. The deterministic-trace contract makes
-// the replay exact: the same seed and observation sequence reproduce
-// the same optimizer state, suggestion and trace, by construction.
+// (sharded by session id), so a crashed server can rebuild every live
+// session by replaying its observation sequence into a fresh stepper.
+// The deterministic-trace contract makes the replay exact: the same
+// seed and observation sequence reproduce the same optimizer state,
+// suggestion and trace, by construction.
 //
 // # Wire format
 //
-// Each shard line is one envelope object
+// The shard files are internal/shardlog's, the format the run cache
+// shares: each line is one envelope object
 //
 //	{"crc":4118059357,"rec":{"sid":"s-000001","seq":0,"kind":"create",...}}
 //
@@ -20,7 +21,8 @@
 // tail a killed writer leaves — is truncated away and counted, never
 // fatal; a damaged line in the middle of a shard is reported and the
 // sessions whose record chains it breaks are dropped as damaged, while
-// every other session recovers.
+// every other session recovers. On top of the lines this package keeps
+// records, session chains, shard leases, snapshots and compaction.
 //
 // # Multi-replica shard claims
 //
@@ -34,20 +36,17 @@
 package journal
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"hash/crc32"
-	"hash/fnv"
-	"io"
 	"os"
 	"path/filepath"
 	"sort"
-	"strconv"
 	"sync"
 	"time"
+
+	"repro/internal/shardlog"
 )
 
 // Kind names one session state transition.
@@ -126,12 +125,6 @@ type Record struct {
 	Request json.RawMessage `json:"request,omitempty"`
 	// Tombstones is a tombstone_index record's dropped-session list.
 	Tombstones []string `json:"tombs,omitempty"`
-}
-
-// envelope is one shard line: the record bytes plus their checksum.
-type envelope struct {
-	CRC uint32          `json:"crc"`
-	Rec json.RawMessage `json:"rec"`
 }
 
 // Sync selects when appends reach the disk.
@@ -278,12 +271,7 @@ type Journal struct {
 	owned   map[int]Lease
 	closed  bool
 
-	files []shardFile
-}
-
-type shardFile struct {
-	mu sync.Mutex
-	f  *os.File
+	files []shardlog.File
 }
 
 // Open claims shards in dir and returns the replica's journal handle.
@@ -320,7 +308,10 @@ func Open(dir string, opts ...Option) (*Journal, error) {
 		leases:  cfg.leases,
 		now:     cfg.now,
 		owned:   make(map[int]Lease),
-		files:   make([]shardFile, shards),
+		files:   make([]shardlog.File, shards),
+	}
+	for shard := range j.files {
+		j.files[shard].Path = j.shardPath(shard)
 	}
 	if j.now == nil {
 		j.now = time.Now
@@ -411,11 +402,7 @@ func (j *Journal) Owned() []int {
 }
 
 // ShardOf maps a session id onto its shard in an n-shard directory.
-func ShardOf(session string, n int) int {
-	h := fnv.New32a()
-	h.Write([]byte(session))
-	return int(h.Sum32() % uint32(n))
-}
+func ShardOf(session string, n int) int { return shardlog.ShardOf(session, n) }
 
 // Owns reports whether this replica holds a live lease for the
 // session's shard — i.e. whether it may serve and journal this session.
@@ -447,8 +434,10 @@ func (j *Journal) Lease(shard int) (Lease, bool) {
 // Dir returns the journal directory path.
 func (j *Journal) Dir() string { return j.dir }
 
-func (j *Journal) shardPath(shard int) string {
-	return filepath.Join(j.dir, fmt.Sprintf("journal-%02d.jsonl", shard))
+func (j *Journal) shardPath(shard int) string { return shardPath(j.dir, shard) }
+
+func shardPath(dir string, shard int) string {
+	return filepath.Join(dir, fmt.Sprintf("journal-%02d.jsonl", shard))
 }
 
 // Append writes records of one session to its shard as one unit: one
@@ -491,13 +480,13 @@ func (j *Journal) appendBatch(shard int, recs []Record) error {
 	var batch []byte
 	for _, rec := range recs {
 		var err error
-		if batch, err = appendLine(batch, rec); err != nil {
+		if batch, err = shardlog.AppendLine(batch, rec); err != nil {
 			return err
 		}
 	}
 	sf := &j.files[shard]
-	sf.mu.Lock()
-	defer sf.mu.Unlock()
+	sf.Lock()
+	defer sf.Unlock()
 	l, held := j.leaseFor(shard)
 	if !held {
 		return fmt.Errorf("%w: session %q, shard %d", ErrNotOwned, sid, shard)
@@ -505,59 +494,27 @@ func (j *Journal) appendBatch(shard int, recs []Record) error {
 	if l.Expired(j.now()) {
 		return fmt.Errorf("%w: session %q, shard %d, epoch %d", ErrLeaseExpired, sid, shard, l.Epoch)
 	}
-	if sf.f == nil {
-		f, err := os.OpenFile(j.shardPath(shard), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-		if err != nil {
-			return fmt.Errorf("journal: opening %s: %w", j.shardPath(shard), err)
-		}
-		sf.f = f
-	}
-	if _, err := sf.f.Write(batch); err != nil {
-		return fmt.Errorf("journal: appending to %s: %w", j.shardPath(shard), err)
-	}
-	if j.sync == SyncAlways {
-		if err := sf.f.Sync(); err != nil {
-			return fmt.Errorf("journal: syncing %s: %w", j.shardPath(shard), err)
-		}
-	}
-	return nil
+	return sf.Append(batch, j.sync == SyncAlways)
 }
 
 // EncodeLine renders one record as its newline-terminated shard line.
 func EncodeLine(rec Record) ([]byte, error) {
-	return appendLine(nil, rec)
-}
-
-// appendLine appends rec's shard line, {"crc":N,"rec":<payload>} and a
-// newline, to buf. json.Marshal's payload is already compact and
-// HTML-escaped, so the envelope is written around it directly:
-// marshaling the envelope would re-scan the payload into the same bytes.
-func appendLine(buf []byte, rec Record) ([]byte, error) {
-	payload, err := json.Marshal(rec)
-	if err != nil {
-		return buf, fmt.Errorf("journal: marshaling record: %w", err)
-	}
-	buf = append(buf, `{"crc":`...)
-	buf = strconv.AppendUint(buf, uint64(crc32.ChecksumIEEE(payload)), 10)
-	buf = append(buf, `,"rec":`...)
-	buf = append(buf, payload...)
-	return append(buf, '}', '\n'), nil
+	return shardlog.AppendLine(nil, rec)
 }
 
 // DecodeLine parses and checksum-verifies one shard line.
 func DecodeLine(line []byte) (Record, error) {
-	var env envelope
-	if err := json.Unmarshal(line, &env); err != nil {
-		return Record{}, fmt.Errorf("journal: undecodable line: %w", err)
+	payload, err := shardlog.Decode(line)
+	if err != nil {
+		return Record{}, err
 	}
-	if len(env.Rec) == 0 {
-		return Record{}, errors.New("journal: line has no record")
-	}
-	if got := crc32.ChecksumIEEE(env.Rec); got != env.CRC {
-		return Record{}, fmt.Errorf("journal: crc mismatch: line says %d, record hashes to %d", env.CRC, got)
-	}
+	return decodeRecord(payload)
+}
+
+// decodeRecord parses and checks the record a verified line carries.
+func decodeRecord(payload []byte) (Record, error) {
 	var rec Record
-	if err := json.Unmarshal(env.Rec, &rec); err != nil {
+	if err := json.Unmarshal(payload, &rec); err != nil {
 		return Record{}, fmt.Errorf("journal: undecodable record: %w", err)
 	}
 	if rec.Session == "" && rec.Kind != KindTombstoneIndex {
@@ -607,16 +564,8 @@ func (j *Journal) Scan() (*Recovery, error) {
 // ScanShards is Scan over an explicit shard list — the reclaim path
 // scans just the shards it took over from a dead peer.
 func (j *Journal) ScanShards(shards []int) (*Recovery, error) {
-	rec := &Recovery{}
-	bySession := make(map[string][]Record)
-	var order []string // first-seen order, for deterministic output
-	for _, shard := range shards {
-		if err := scanShardFile(j.shardPath(shard), true, j.warnf, rec, bySession, &order); err != nil {
-			return nil, err
-		}
-	}
-	finishScan(rec, bySession, order)
-	return rec, nil
+	rec, _, err := readShards(j.dir, shards, true, j.warnf)
+	return rec, err
 }
 
 // ScanDir scans explicit shards of a foreign journal directory
@@ -641,22 +590,51 @@ func ScanDir(dir string, shards []int, warnf func(format string, args ...any)) (
 			}
 		}
 	}
-	rec := &Recovery{}
-	bySession := make(map[string][]Record)
-	var order []string
-	for _, shard := range shards {
-		path := filepath.Join(dir, fmt.Sprintf("journal-%02d.jsonl", shard))
-		if err := scanShardFile(path, false, warnf, rec, bySession, &order); err != nil {
-			return nil, err
-		}
-	}
-	finishScan(rec, bySession, order)
-	return rec, nil
+	rec, _, err := readShards(dir, shards, false, warnf)
+	return rec, err
 }
 
-// finishScan validates the per-session chains a shard sweep collected
-// and partitions them into the Recovery buckets.
-func finishScan(rec *Recovery, bySession map[string][]Record, order []string) {
+// readShards reads shards of dir (repairing torn tails and lost final
+// newlines when repair is set), validates the per-session chains they
+// hold and partitions them into the Recovery buckets. order lists every
+// session id seen, in first-seen order, for deterministic output.
+func readShards(dir string, shards []int, repair bool, warnf func(format string, args ...any)) (rec *Recovery, order []string, err error) {
+	rec = &Recovery{}
+	bySession := make(map[string][]Record)
+	for _, shard := range shards {
+		path := shardPath(dir, shard)
+		mid, tail, err := shardlog.Scan(path, repair, warnf, func(payload []byte) error {
+			r, err := decodeRecord(payload)
+			switch {
+			case err != nil:
+				return err
+			case r.Kind == KindTombstoneIndex:
+				// Shard-level record, not part of any session chain.
+				rec.Tombstones = append(rec.Tombstones, r.Tombstones...)
+			default:
+				if _, seen := bySession[r.Session]; !seen {
+					order = append(order, r.Session)
+				}
+				bySession[r.Session] = append(bySession[r.Session], r)
+			}
+			return nil
+		})
+		if err != nil {
+			return nil, nil, err
+		}
+		for _, b := range mid {
+			rec.Damage = append(rec.Damage, fmt.Sprintf("%s:%d: %v", path, b.No, b.Err))
+		}
+		if len(tail) > 0 {
+			rec.TruncatedTails++
+			// A multi-line damaged suffix is more than one crash's torn
+			// write; surface the extra lines as damage so heavy tail
+			// corruption stays visible while recovery still proceeds.
+			for _, b := range tail[1:] {
+				rec.Damage = append(rec.Damage, fmt.Sprintf("%s:%d: truncated with tail: %v", path, b.No, b.Err))
+			}
+		}
+	}
 	for _, id := range order {
 		records := bySession[id]
 		sort.SliceStable(records, func(a, b int) bool { return records[a].Seq < records[b].Seq })
@@ -670,6 +648,7 @@ func finishScan(rec *Recovery, bySession map[string][]Record, order []string) {
 			rec.Live = append(rec.Live, log)
 		}
 	}
+	return rec, order, nil
 }
 
 // ValidateChain checks one session's seq-sorted records: contiguous
@@ -765,132 +744,6 @@ func dedupeSorted(records []Record) []Record {
 	return out
 }
 
-// scanShardFile reads one shard file line by line. The final line is
-// allowed to be torn; with repair set it is truncated away (counted)
-// and a missing final newline is patched — a foreign directory is
-// scanned with repair off and left untouched. Any earlier damage is
-// reported and skipped.
-func scanShardFile(path string, repair bool, warnf func(format string, args ...any), rec *Recovery, bySession map[string][]Record, order *[]string) error {
-	f, err := os.Open(path)
-	if os.IsNotExist(err) {
-		return nil
-	}
-	if err != nil {
-		return fmt.Errorf("journal: opening %s: %w", path, err)
-	}
-	defer f.Close()
-
-	// Read and decode every line, remembering where the last good one
-	// ends. Damaged lines before that point are mid-file corruption
-	// (reported, skipped); the damaged suffix after it is the torn tail
-	// (truncated away so the next boot starts clean). Truncating the
-	// whole suffix at once makes recovery idempotent: a rescan of a
-	// scanned shard never truncates again.
-	type badLine struct {
-		lineNo int
-		err    error
-	}
-	var (
-		br          = bufio.NewReaderSize(f, 1<<16)
-		offset      int64 // byte offset just past the line being read
-		lastGoodEnd int64 // offset just past the last decodable line
-		lineNo      int
-		bad         []badLine // damaged lines after the last good one
-		good        []Record
-		lastTorn    bool // the last good line had no trailing newline
-	)
-	for {
-		line, err := br.ReadBytes('\n')
-		if len(line) == 0 && err == io.EOF {
-			break
-		}
-		if err != nil && err != io.EOF {
-			return fmt.Errorf("journal: reading %s: %w", path, err)
-		}
-		lineNo++
-		torn := err == io.EOF // no trailing newline: a torn write
-		offset += int64(len(line))
-		r, derr := DecodeLine(bytesTrimNewline(line))
-		if derr != nil {
-			bad = append(bad, badLine{lineNo: lineNo, err: derr})
-			continue
-		}
-		// A later good line proves the damage collected so far is
-		// mid-file, not a tail: report it and move on.
-		for _, b := range bad {
-			rec.Damage = append(rec.Damage, fmt.Sprintf("%s:%d: %v", path, b.lineNo, b.err))
-		}
-		bad = bad[:0]
-		good = append(good, r)
-		lastGoodEnd = offset
-		lastTorn = torn
-	}
-	switch {
-	case len(bad) > 0:
-		// The damaged suffix is the torn tail; cut it off (or, scanning
-		// a foreign directory read-only, just skip it).
-		if repair {
-			if terr := truncateAt(path, lastGoodEnd); terr != nil {
-				warnf("%s: could not truncate torn tail: %v", path, terr)
-			}
-		}
-		rec.TruncatedTails++
-		warnf("%s: %d-line torn tail (first: line %d, %v)", path, len(bad), bad[0].lineNo, bad[0].err)
-		// A multi-line damaged suffix is more than one crash's torn
-		// write; surface the extra lines as damage so heavy tail
-		// corruption stays visible while recovery still proceeds.
-		for _, b := range bad[1:] {
-			rec.Damage = append(rec.Damage, fmt.Sprintf("%s:%d: truncated with tail: %v", path, b.lineNo, b.err))
-		}
-	case lastTorn && repair:
-		// The final record survived intact but its newline did not;
-		// repair it so the next append starts on a fresh line.
-		if rerr := appendNewline(path); rerr != nil {
-			warnf("%s: could not repair missing final newline: %v", path, rerr)
-		}
-	}
-	for _, r := range good {
-		if r.Kind == KindTombstoneIndex {
-			// Shard-level record, not part of any session chain.
-			rec.Tombstones = append(rec.Tombstones, r.Tombstones...)
-			continue
-		}
-		if _, seen := bySession[r.Session]; !seen {
-			*order = append(*order, r.Session)
-		}
-		bySession[r.Session] = append(bySession[r.Session], r)
-	}
-	return nil
-}
-
-// appendNewline terminates a shard whose last (intact) line lost its
-// newline to a crash.
-func appendNewline(path string) error {
-	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return err
-	}
-	if _, err := f.Write([]byte{'\n'}); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
-
-// bytesTrimNewline strips the record terminator (and a CR, for shards
-// that crossed a Windows filesystem) without copying.
-func bytesTrimNewline(line []byte) []byte {
-	for len(line) > 0 && (line[len(line)-1] == '\n' || line[len(line)-1] == '\r') {
-		line = line[:len(line)-1]
-	}
-	return line
-}
-
-// truncateAt cuts a shard file to the given length.
-func truncateAt(path string, n int64) error {
-	return os.Truncate(path, n)
-}
-
 // RenewLeases extends every held grant through the manager and drops
 // the ones the manager reports lost (expired and re-granted elsewhere).
 // It returns the shards dropped, sorted; the serving layer evicts their
@@ -970,12 +823,9 @@ func (j *Journal) DropShard(shard int) (Lease, bool) {
 	delete(j.owned, shard)
 	j.ownedMu.Unlock()
 	sf := &j.files[shard]
-	sf.mu.Lock()
-	if sf.f != nil {
-		sf.f.Close()
-		sf.f = nil
-	}
-	sf.mu.Unlock()
+	sf.Lock()
+	sf.Close()
+	sf.Unlock()
 	return l, held
 }
 
@@ -1065,18 +915,16 @@ func (j *Journal) Close() error {
 	grants := j.owned
 	j.owned = make(map[int]Lease)
 	j.ownedMu.Unlock()
-	var firstErr error
-	for i := range j.files {
-		sf := &j.files[i]
-		sf.mu.Lock()
-		if sf.f != nil {
-			if err := sf.f.Close(); err != nil && firstErr == nil {
-				firstErr = err
-			}
-			sf.f = nil
-		}
-		sf.mu.Unlock()
+	firstErr := shardlog.CloseAll(j.files)
+	if fs, ok := j.leases.(*fsLeases); ok {
+		// Every lock the journal's own manager holds is this process's,
+		// a shard DropShard set aside included: nobody else can hold it.
+		fs.releaseAll()
+		return firstErr
 	}
+	// An injected manager gets back only the grants still owned: a
+	// grant DropShard set aside may already belong to the drain's
+	// successor.
 	for shard, l := range grants {
 		if err := j.leases.Release(l); err != nil {
 			j.warnf("releasing lease %d: %v", shard, err)

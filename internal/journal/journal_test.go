@@ -9,6 +9,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 )
@@ -404,7 +405,7 @@ func TestEncodeDecodeLine(t *testing.T) {
 func TestDropShardFencesInFlightAppend(t *testing.T) {
 	j := openAll(t, t.TempDir(), WithReplica("r1"), WithShards(1))
 	sf := &j.files[0]
-	sf.mu.Lock()
+	sf.Lock()
 	appended := make(chan error, 1)
 	go func() { appended <- j.Append(sessionRecords("s-000001", 0, false)[0]) }()
 	time.Sleep(20 * time.Millisecond)
@@ -412,7 +413,7 @@ func TestDropShardFencesInFlightAppend(t *testing.T) {
 	for len(j.Owned()) != 0 {
 		time.Sleep(time.Millisecond)
 	}
-	sf.mu.Unlock()
+	sf.Unlock()
 	if err := <-appended; !errors.Is(err, ErrNotOwned) {
 		t.Fatalf("append racing the drop returned %v, want ErrNotOwned", err)
 	}
@@ -489,6 +490,43 @@ func TestRenewLeavesDroppedShardDropped(t *testing.T) {
 	}
 }
 
+// releaseCounter grants every shard and records each Release.
+type releaseCounter struct {
+	mu       sync.Mutex
+	released []int
+}
+
+func (m *releaseCounter) Acquire(shard int) (Lease, bool, error) {
+	return Lease{Shard: shard, Epoch: 1}, true, nil
+}
+
+func (m *releaseCounter) Renew(l Lease) (Lease, bool, error) { return l, true, nil }
+
+func (m *releaseCounter) Release(l Lease) error {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	m.released = append(m.released, l.Shard)
+	return nil
+}
+
+// TestCloseLeavesSetAsideGrantToInjectedManager: under an injected
+// manager Close gives back only the grants still owned. A grant DropShard
+// set aside may already belong to the drain's successor, so releasing it
+// would yank it from them.
+func TestCloseLeavesSetAsideGrantToInjectedManager(t *testing.T) {
+	m := &releaseCounter{}
+	j := openAll(t, t.TempDir(), WithReplica("r1"), WithShards(2), WithLeaseManager(m))
+	j.DropShard(0)
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if fmt.Sprint(m.released) != "[1]" {
+		t.Fatalf("Close released shards %v, want only the owned shard 1", m.released)
+	}
+}
+
 // TestEncodeLineMatchesEnvelopeMarshal pins the envelope writer to the
 // bytes json.Marshal of the envelope struct produces, over every record
 // kind: a create request with HTML-sensitive characters and insignificant
@@ -517,6 +555,12 @@ func TestEncodeLineMatchesEnvelopeMarshal(t *testing.T) {
 		{Session: "s-000001", Seq: 5, Kind: KindAbort, Reason: "aborted"},
 		{Session: "s-000002", Seq: 9, Kind: KindEnd, Reason: "done"},
 		{Kind: KindTombstoneIndex, Tombstones: []string{"s-000003", "s-000004"}},
+	}
+	// envelope is the line format's oracle: the struct whose json.Marshal
+	// the line writer must reproduce byte for byte.
+	type envelope struct {
+		CRC uint32          `json:"crc"`
+		Rec json.RawMessage `json:"rec"`
 	}
 	for _, rec := range recs {
 		payload, err := json.Marshal(rec)

@@ -295,3 +295,21 @@ func TestJournalClosedDuringClaimReleasesGrant(t *testing.T) {
 		t.Fatalf("released %v, want shard 0 by Close and shard 1 after the in-flight claim and the transfer", m.released)
 	}
 }
+
+// TestCloseReleasesSetAsideFilesystemLease: a filesystem lease is this
+// process's lock whether or not the shard is still owned, so Close drops
+// the lock of a shard DropShard set aside too, and the next replica
+// claims every shard.
+func TestCloseReleasesSetAsideFilesystemLease(t *testing.T) {
+	dir := t.TempDir()
+	j := openAll(t, dir, WithReplica("alpha"), WithShards(2))
+	if _, held := j.DropShard(0); !held {
+		t.Fatal("DropShard(0) found no grant")
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if got := openAll(t, dir, WithReplica("beta")).Owned(); len(got) != 2 {
+		t.Fatalf("after Close the next replica owns %v, want both shards", got)
+	}
+}

@@ -106,5 +106,18 @@ func (m *fsLeases) Release(l Lease) error {
 	f := m.held[l.Shard]
 	delete(m.held, l.Shard)
 	m.mu.Unlock()
+	if f == nil {
+		return nil // releaseAll got there first
+	}
 	return f.Close()
+}
+
+// releaseAll drops every lock still held.
+func (m *fsLeases) releaseAll() {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	for shard, f := range m.held {
+		f.Close()
+		delete(m.held, shard)
+	}
 }

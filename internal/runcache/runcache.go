@@ -13,9 +13,13 @@
 //   - an optional on-disk tier (JSONL shard files under a cache
 //     directory) that makes re-runs near-instant and lets interrupted
 //     studies resume where they stopped. Entries are appended as they
-//     are computed; corrupt or truncated lines (e.g. from a killed
-//     process) are skipped with a warning, and entries written under a
-//     different substrate version are invalidated on load.
+//     are computed, as the checksummed lines of internal/shardlog (the
+//     session journal's format). Open cuts off the torn tail a killed
+//     process leaves; a line failing its checksum (corruption, or an
+//     older cache's unchecksummed format) is skipped with a warning and
+//     recomputed; entries written under a different substrate version
+//     are invalidated on load. One process writes a cache directory at
+//     a time: Open's tail cut could take a line another is appending.
 //
 // Values cross the disk tier as JSON, so cached values must round-trip
 // exactly through encoding/json (Go prints float64 in the shortest form
@@ -25,15 +29,15 @@
 package runcache
 
 import (
-	"bufio"
 	"encoding/json"
+	"errors"
 	"fmt"
-	"hash/fnv"
 	"os"
 	"path/filepath"
 	"sync"
 	"sync/atomic"
 
+	"repro/internal/shardlog"
 	"repro/internal/telemetry"
 )
 
@@ -116,10 +120,8 @@ type Store[V any] struct {
 	mem      map[Key]entry[V]
 	inflight map[Key]*call[V]
 
-	shards [numShards]struct {
-		mu sync.Mutex
-		f  *os.File
-	}
+	files  [numShards]shardlog.File
+	closed atomic.Bool // set by Close; checked under a file's mutex
 
 	hits, diskHits, misses, shared atomic.Int64
 	loaded, invalidated, corrupt   int64 // set once at Open
@@ -136,8 +138,8 @@ type call[V any] struct {
 	err  error
 }
 
-// envelope is one JSONL shard line.
-type envelope struct {
+// record is what one shard line carries.
+type record struct {
 	Key       Key             `json:"k"`
 	Substrate string          `json:"s"`
 	Value     json.RawMessage `json:"v"`
@@ -146,9 +148,9 @@ type envelope struct {
 // Open builds a Store. dir == "" keeps the cache memory-only; otherwise
 // the directory is created and every shard file in it is loaded (entries
 // whose substrate differs from the given one are invalidated, damaged
-// lines are skipped with a warning). The substrate string versions the
-// computation's semantics: bump it whenever results change and the whole
-// persistent tier stops matching.
+// lines are skipped with a warning, a torn tail is cut off). The
+// substrate string versions the computation's semantics: bump it
+// whenever results change and the whole persistent tier stops matching.
 func Open[V any](dir, substrate string, opts ...Option) (*Store[V], error) {
 	cfg := config{warnf: func(format string, args ...any) {
 		fmt.Fprintf(os.Stderr, "runcache: "+format+"\n", args...)
@@ -171,6 +173,7 @@ func Open[V any](dir, substrate string, opts ...Option) (*Store[V], error) {
 		return nil, fmt.Errorf("runcache: creating %s: %w", dir, err)
 	}
 	for shard := 0; shard < numShards; shard++ {
+		s.files[shard].Path = s.shardPath(shard)
 		if err := s.loadShard(shard); err != nil {
 			return nil, err
 		}
@@ -184,57 +187,37 @@ func (s *Store[V]) shardPath(shard int) string {
 }
 
 // shardOf maps a key to its shard.
-func shardOf(key Key) int {
-	h := fnv.New32a()
-	h.Write([]byte(key))
-	return int(h.Sum32() % numShards)
-}
+func shardOf(key Key) int { return shardlog.ShardOf(string(key), numShards) }
 
-// loadShard reads one shard file into the memory tier. Unreadable lines
-// never fail the load: a crashed writer leaves at most a truncated tail,
-// and losing a cache line only costs a recomputation.
+// loadShard reads one shard file into the memory tier, cutting off a
+// torn tail. Damaged lines never fail the load: losing a cache line
+// only costs a recomputation.
 func (s *Store[V]) loadShard(shard int) error {
-	f, err := os.Open(s.shardPath(shard))
-	if os.IsNotExist(err) {
-		return nil
-	}
-	if err != nil {
-		return fmt.Errorf("runcache: opening %s: %w", s.shardPath(shard), err)
-	}
-	defer f.Close()
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 0, 1<<16), 1<<22)
-	lineNo := 0
-	for sc.Scan() {
-		lineNo++
-		line := sc.Bytes()
-		if len(line) == 0 {
-			continue
+	path := s.files[shard].Path
+	mid, tail, err := shardlog.Scan(path, true, s.warnf, func(payload []byte) error {
+		var r record
+		if err := json.Unmarshal(payload, &r); err != nil || r.Key == "" {
+			return errors.New("runcache: entry has no key")
 		}
-		var env envelope
-		if err := json.Unmarshal(line, &env); err != nil || env.Key == "" {
-			s.corrupt++
-			s.warnf("%s:%d: skipping damaged cache line", s.shardPath(shard), lineNo)
-			continue
-		}
-		if env.Substrate != s.substrate {
+		if r.Substrate != s.substrate {
 			s.invalidated++
-			continue
+			return nil
 		}
 		var val V
-		if err := json.Unmarshal(env.Value, &val); err != nil {
-			s.corrupt++
-			s.warnf("%s:%d: skipping undecodable cache value: %v", s.shardPath(shard), lineNo, err)
-			continue
+		if err := json.Unmarshal(r.Value, &val); err != nil {
+			return fmt.Errorf("runcache: undecodable cache value: %w", err)
 		}
-		s.mem[env.Key] = entry[V]{val: val, fromDisk: true}
+		s.mem[r.Key] = entry[V]{val: val, fromDisk: true}
 		s.loaded++
+		return nil
+	})
+	if err != nil {
+		return err
 	}
-	if err := sc.Err(); err != nil {
-		// An over-long or partially written line; what loaded still counts.
-		s.corrupt++
-		s.warnf("%s: stopping load early: %v", s.shardPath(shard), err)
+	for _, b := range mid {
+		s.warnf("%s:%d: skipping damaged cache line: %v", path, b.No, b.Err)
 	}
+	s.corrupt += int64(len(mid) + len(tail))
 	return nil
 }
 
@@ -332,43 +315,25 @@ func (s *Store[V]) persist(key Key, val V) {
 		s.warnf("marshaling value for %s: %v", key, err)
 		return
 	}
-	line, err := json.Marshal(envelope{Key: key, Substrate: s.substrate, Value: payload})
+	line, err := shardlog.AppendLine(nil, record{Key: key, Substrate: s.substrate, Value: payload})
 	if err != nil {
-		s.warnf("marshaling envelope for %s: %v", key, err)
+		s.warnf("encoding entry for %s: %v", key, err)
 		return
 	}
-	line = append(line, '\n')
-
-	sh := &s.shards[shardOf(key)]
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if sh.f == nil {
-		f, err := os.OpenFile(s.shardPath(shardOf(key)), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-		if err != nil {
-			s.warnf("opening %s: %v", s.shardPath(shardOf(key)), err)
-			return
-		}
-		sh.f = f
+	f := &s.files[shardOf(key)]
+	f.Lock()
+	defer f.Unlock()
+	if s.closed.Load() {
+		return
 	}
-	if _, err := sh.f.Write(line); err != nil {
-		s.warnf("appending to %s: %v", s.shardPath(shardOf(key)), err)
+	if err := f.Append(line, false); err != nil {
+		s.warnf("%v", err)
 	}
 }
 
 // Close releases the shard file handles. The Store stays usable as a
-// memory-only cache afterwards.
+// memory-only cache afterwards: it persists nothing more.
 func (s *Store[V]) Close() error {
-	var firstErr error
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.Lock()
-		if sh.f != nil {
-			if err := sh.f.Close(); err != nil && firstErr == nil {
-				firstErr = err
-			}
-			sh.f = nil
-		}
-		sh.mu.Unlock()
-	}
-	return firstErr
+	s.closed.Store(true)
+	return shardlog.CloseAll(s.files[:])
 }

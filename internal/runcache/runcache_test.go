@@ -1,9 +1,11 @@
 package runcache
 
 import (
+	"bytes"
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -281,5 +283,143 @@ func TestStatsReuseRatio(t *testing.T) {
 	s = Stats{Hits: 6, DiskHits: 2, Misses: 2, Shared: 0}
 	if got := s.ReuseRatio(); got != 0.8 {
 		t.Errorf("ratio = %v, want 0.8", got)
+	}
+}
+
+// keyInShard returns a key other than the given ones that lands in the
+// given shard.
+func keyInShard(t *testing.T, shard int, not ...Key) Key {
+	t.Helper()
+	for i := 0; i < 10000; i++ {
+		k := Key(fmt.Sprintf("key-%d", i))
+		if shardOf(k) == shard && !slices.Contains(not, k) {
+			return k
+		}
+	}
+	t.Fatalf("no key found for shard %d", shard)
+	return ""
+}
+
+func quiet(string, ...any) {}
+
+// TestFlippedDigitDetectedAndRecomputed: a digit flipped inside a cached
+// value, on a line with intact lines after it, is detected and counted
+// as corrupt, the value is recomputed rather than loaded, and the other
+// line still loads.
+func TestFlippedDigitDetectedAndRecomputed(t *testing.T) {
+	dir := t.TempDir()
+	other := keyInShard(t, shardOf("k"), "k")
+	s, err := Open[float64](dir, "v1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, kv := range []struct {
+		key Key
+		val float64
+	}{{"k", 1.25}, {other, 2.5}} {
+		if _, err := s.Do(kv.key, func() (float64, error) { return kv.val, nil }); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(dir, fmt.Sprintf("shard-%02d.jsonl", shardOf("k")))
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	flipped := bytes.Replace(data, []byte("1.25"), []byte("1.75"), 1)
+	if bytes.Equal(flipped, data) {
+		t.Fatalf("cached value 1.25 not found in %s", data)
+	}
+	if err := os.WriteFile(path, flipped, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	warm, err := Open[float64](dir, "v1", WithWarnf(quiet))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ran := false
+	got, err := warm.Do("k", func() (float64, error) { ran = true; return 1.25, nil })
+	if err != nil || !ran || got != 1.25 {
+		t.Fatalf("Do = %v, %v, recomputed %v; want the damaged value recomputed as 1.25", got, err, ran)
+	}
+	if v, err := warm.Do(other, func() (float64, error) { return -1, nil }); err != nil || v != 2.5 {
+		t.Fatalf("intact line after the damage: %v, %v; want 2.5 from disk", v, err)
+	}
+	if st := warm.Stats(); st.Corrupt < 1 || st.DiskHits != 1 {
+		t.Fatalf("stats = %+v, want the flipped line counted corrupt and one disk hit", st)
+	}
+}
+
+// TestEntryAfterTornTailSurvivesReopen: an entry appended after a killed
+// writer's partial line starts on a fresh line, so it loads after a
+// reopen instead of being glued to the torn bytes and recomputed.
+func TestEntryAfterTornTailSurvivesReopen(t *testing.T) {
+	dir := t.TempDir()
+	s, err := Open[int](dir, "v1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Do("a", func() (int, error) { return 1, nil }); err != nil {
+		t.Fatal(err)
+	}
+	s.Close()
+	path := filepath.Join(dir, fmt.Sprintf("shard-%02d.jsonl", shardOf("a")))
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The first half of a line with no newline, as a killed writer leaves it.
+	if err := os.WriteFile(path, append(data, data[:len(data)/2]...), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	b := keyInShard(t, shardOf("a"), "a")
+	for open := 1; open <= 2; open++ {
+		s, err := Open[int](dir, "v1", WithWarnf(quiet))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, k := range []Key{"a", b} {
+			v, err := s.Do(k, func() (int, error) {
+				if open == 2 {
+					t.Errorf("open %d: %s recomputed; its line was lost", open, k)
+				}
+				return 2, nil
+			})
+			if err != nil || (k == "a" && v != 1) {
+				t.Fatalf("open %d: %s = %d, %v", open, k, v, err)
+			}
+		}
+		s.Close()
+	}
+}
+
+// TestClosedStorePersistsNothing: after Close the store is a
+// memory-only cache. A new key is computed and served from memory, and
+// no shard file is opened or written.
+func TestClosedStorePersistsNothing(t *testing.T) {
+	dir := t.TempDir()
+	s, err := Open[int](dir, "v1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 2; i++ {
+		v, err := s.Do("k", func() (int, error) { return 7, nil })
+		if err != nil || v != 7 {
+			t.Fatalf("Do after Close = %d, %v", v, err)
+		}
+	}
+	if st := s.Stats(); st.Misses != 1 || st.Hits != 1 {
+		t.Errorf("stats = %+v, want 1 miss + 1 memory hit", st)
+	}
+	if shards, _ := filepath.Glob(filepath.Join(dir, "shard-*.jsonl")); len(shards) != 0 {
+		t.Fatalf("closed store wrote %v", shards)
 	}
 }
