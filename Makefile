@@ -92,19 +92,23 @@ cover:
 # journal's line decoder and CRC'd snapshot payload decoder, the shard-log
 # scan under the run cache and the journal (through the cache's shard
 # loader and the journal's recovery scan), and the forest's tree growth
-# against its per-candidate reference grower, FUZZTIME each.
+# against its per-candidate reference grower, FUZZTIME each. Minimizing
+# a newly interesting input is bounded: at Go's 60s default a target
+# whose every exec writes a temp-dir shard (FuzzScanShard) spent a whole
+# 10s window minimizing one input after about nine execs.
 FUZZTIME ?= 30s
+FUZZ = $(GO) test -run xxx -fuzztime $(FUZZTIME) -fuzzminimizetime 2s -fuzz
 fuzz:
-	$(GO) test -run xxx -fuzz FuzzDecodeLine -fuzztime $(FUZZTIME) ./internal/telemetry
-	$(GO) test -run xxx -fuzz FuzzReadAll -fuzztime $(FUZZTIME) ./internal/telemetry
-	$(GO) test -run xxx -fuzz FuzzLoadShard -fuzztime $(FUZZTIME) ./internal/runcache
-	$(GO) test -run xxx -fuzz FuzzDecodeSessionRequest -fuzztime $(FUZZTIME) ./internal/serve
-	$(GO) test -run xxx -fuzz FuzzDecodeObserveRequest -fuzztime $(FUZZTIME) ./internal/serve
-	$(GO) test -run xxx -fuzz FuzzDecodeNextBatchRequest -fuzztime $(FUZZTIME) ./internal/serve
-	$(GO) test -run xxx -fuzz FuzzDecodeLine -fuzztime $(FUZZTIME) ./internal/journal
-	$(GO) test -run xxx -fuzz FuzzScanShard -fuzztime $(FUZZTIME) ./internal/journal
-	$(GO) test -run xxx -fuzz FuzzDecodeSnapshot -fuzztime $(FUZZTIME) ./internal/journal
-	$(GO) test -run xxx -fuzz FuzzGrowMatchesReference -fuzztime $(FUZZTIME) ./internal/forest
+	$(FUZZ) FuzzDecodeLine ./internal/telemetry
+	$(FUZZ) FuzzReadAll ./internal/telemetry
+	$(FUZZ) FuzzLoadShard ./internal/runcache
+	$(FUZZ) FuzzDecodeSessionRequest ./internal/serve
+	$(FUZZ) FuzzDecodeObserveRequest ./internal/serve
+	$(FUZZ) FuzzDecodeNextBatchRequest ./internal/serve
+	$(FUZZ) FuzzDecodeLine ./internal/journal
+	$(FUZZ) FuzzScanShard ./internal/journal
+	$(FUZZ) FuzzDecodeSnapshot ./internal/journal
+	$(FUZZ) FuzzGrowMatchesReference ./internal/forest
 
 # The CI-sized fuzz pass: every target for 10s — long enough to catch a
 # decoder regression, short enough for every push.
@@ -268,8 +272,11 @@ study-smoke:
 # Race-detected crash-recovery smoke: the kill -9 chaos test (a real
 # arrow-serve process SIGKILLed mid-session, restarted, every session
 # finished with a byte-identical result) plus the serve-layer recovery
-# suite — damaged journals, rolling restarts, two-replica partitions.
-# Then the observe-path tests repeat 5 times under -race: whenever the
+# suite — damaged journals, rolling restarts, two-replica partitions —
+# and the damaged-snapshot tests: a compacted chain whose kept snapshot
+# fails its inner CRC still scans live with every op, and a session
+# whose snapshots are damaged, compacted or not, recovers by full replay
+# byte-identical to an uninterrupted run. Then the observe-path tests repeat 5 times under -race: whenever the
 # journal syncs, observe plans on the request goroutine under the
 # session mutex and journals the follow-up in the observation's own
 # write, a plan that misses its deadline is acknowledged while the
@@ -277,7 +284,8 @@ study-smoke:
 # record, so their races are timing dependent.
 recover-smoke:
 	$(GO) test -race -run 'TestServeCLIKillNineRecovery' ./cmd/arrow-serve
-	$(GO) test -race -run 'TestCrashRecover|TestGracefulShutdownRehydrates|TestRecover|TestTwoReplicas' ./internal/serve
+	$(GO) test -race -run 'TestCompactedChainSurvivesSnapshotDamage' ./internal/journal
+	$(GO) test -race -run 'TestCrashRecover|TestGracefulShutdownRehydrates|TestRecover|TestTwoReplicas|TestSnapshotInnerDamage|TestCompactedSnapshotDamage' ./internal/serve
 	$(GO) test -race -count=5 -run 'TestObserve|TestDoneSurvivesLostEndRecord' ./internal/serve
 	@echo "recover smoke OK: kill -9 and restart lost zero acknowledged observations"
 
@@ -287,8 +295,9 @@ recover-smoke:
 # bumps, cross-directory session adoption) and one is SIGTERMed with
 # -drain-migrate (live sessions streamed to a successor). Then the
 # shard-fencing tests repeat under -race, since their races are timing
-# dependent: the serve-level migration, create-vs-drain, lapsed-lease
-# and lapsed-create tests 5 times, the journal's drop-vs-append fence
+# dependent: the serve-level migration tests (a drain whose streamed
+# snapshots are damaged in transit included), create-vs-drain,
+# lapsed-lease and lapsed-create tests 5 times, the journal's drop-vs-append fence
 # 20 times, and the filesystem-lease tests 3 times — claimants racing
 # for a dead holder's lease file (exactly one winner in each of 2,000
 # rounds), concurrent first opens of a fresh directory, and claims

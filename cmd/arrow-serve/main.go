@@ -45,17 +45,18 @@
 // with zero acknowledged observations lost.
 //
 // -snapshot-interval N journals a CRC'd checkpoint of each session
-// every N accepted observations (config fingerprint, op history, resume
-// script, trace), so recovery replays from the latest snapshot instead
-// of the chain head — recovery time is bounded by the interval, not the
-// session length. -compact-interval periodically rewrites each owned
-// shard in place (atomic rename), dropping ended and damaged chains
-// into a tombstone index (410s survive) and pre-snapshot history the
-// snapshots already carry; each round prints one JSON stats line per
-// compacted shard to stdout. -reclaim-interval makes survivor replicas
-// periodically take over the shard leases dead peers left unlocked and
-// adopt their live sessions, printing a JSON reclaim report when
-// anything was claimed.
+// every N accepted observations (config fingerprint, resume script,
+// trace; the ops stay in the chain, journaled once), so recovery skips
+// the surrogate fits below the latest snapshot — recovery time is
+// bounded by the interval, not the session length — and a damaged
+// snapshot costs a full replay, never the session. -compact-interval
+// periodically rewrites each owned shard in place (atomic rename),
+// dropping ended and damaged chains into a tombstone index (410s
+// survive) and every snapshot but each live chain's latest usable one;
+// each round prints one JSON stats line per compacted shard to stdout.
+// -reclaim-interval makes survivor replicas periodically take over the
+// shard leases dead peers left unlocked and adopt their live sessions,
+// printing a JSON reclaim report when anything was claimed.
 //
 // Cross-host clusters replace the flock'd filesystem lease files with a
 // network registry. One process hosts the lease table with
@@ -67,8 +68,8 @@
 // adopts the sessions by scanning the dead peer's directory (the
 // registry remembers whose directory holds what). -advertise is how
 // peers reach this replica; -drain-migrate makes a graceful shutdown
-// stream each owned shard's live sessions (latest snapshot + journal
-// suffix) straight to a surviving replica, so planned restarts hand
+// stream each owned shard's live sessions (every op and the latest
+// snapshot) straight to a surviving replica, so planned restarts hand
 // over in milliseconds instead of a lease timeout.
 //
 // Usage:
@@ -152,8 +153,8 @@ func run(args []string, errOut io.Writer, stop <-chan struct{}) error {
 		maxBatch    = fs.Int("batch", serve.DefaultMaxBatch, "per-request cap on the /nextbatch batch size k")
 		noSpeculate = fs.Bool("no-speculate", false, "observe waits for the next suggestion and returns it inline even with -fsync never (-fsync always already does)")
 
-		snapInterval    = fs.Int("snapshot-interval", 0, "journal a session checkpoint every N accepted observations, 0 disables; recovery replays from the latest snapshot")
-		compactInterval = fs.Duration("compact-interval", 0, "compact owned journal shards this often (drop ended/damaged chains and snapshotted history), 0 disables")
+		snapInterval    = fs.Int("snapshot-interval", 0, "journal a session checkpoint every N accepted observations, 0 disables; recovery skips the surrogate fits below the latest snapshot")
+		compactInterval = fs.Duration("compact-interval", 0, "compact owned journal shards this often (drop ended/damaged chains and all but each live chain's latest usable snapshot), 0 disables")
 		compactMinBytes = fs.Int64("compact-min-bytes", 64<<10, "skip compacting shards smaller than this")
 		compactRatio    = fs.Float64("compact-min-dead-ratio", 0.25, "skip rewrites that would shrink a shard by less than this fraction")
 		reclaimInterval = fs.Duration("reclaim-interval", 0, "try to take over dead peers' journal shards this often, 0 disables")

@@ -14,13 +14,14 @@ import (
 // image of a shard is what survives once the dead weight is dropped:
 // (a) ended and aborted session chains — replaced by a shard-level
 // tombstone_index record so the sessions still answer 410 Gone,
-// (b) chains broken by damage, (c) undecodable lines, and (d) for live
-// sessions with a valid snapshot, every op below the snapshot's
-// watermark plus every older snapshot — the chosen snapshot carries
-// that history itself. Compaction writes an owned shard's image into a
-// fresh file swapped in by atomic rename; a drain streams the image to
-// its successor. Both read the shard under its append lock, so they are
-// safe while the shard is being served.
+// (b) chains broken by damage, (c) undecodable lines, and (d) every
+// snapshot record of a live chain but its latest usable one. Every op
+// of a live chain is kept: a snapshot carries no op history, so it only
+// ever speeds recovery up, and a kept snapshot damaged later costs a
+// full replay, not the session. Compaction writes an owned shard's image
+// into a fresh file swapped in by atomic rename; a drain streams the
+// image to its successor. Both read the shard under its append lock, so
+// they are safe while the shard is being served.
 
 // CompactOptions gates when a shard is actually rewritten.
 type CompactOptions struct {
@@ -49,9 +50,6 @@ type CompactStats struct {
 	// tombstoned) because they ended or were broken.
 	DroppedEnded   int `json:"dropped_ended"`
 	DroppedDamaged int `json:"dropped_damaged"`
-	// TruncatedChains counts live chains whose pre-watermark history was
-	// dropped in favor of a snapshot.
-	TruncatedChains int `json:"truncated_chains"`
 	// Tombstones is the size of the shard's merged tombstone index.
 	Tombstones int `json:"tombstones"`
 }
@@ -59,9 +57,8 @@ type CompactStats struct {
 // ShardImage is a shard's compacted form: what Compact writes back to
 // disk and what a drain streams to its successor.
 type ShardImage struct {
-	// Live holds the live chains in first-seen order, each cut at its
-	// latest usable snapshot: create record, that snapshot and the
-	// records after it (a chain without one stays whole).
+	// Live holds the live chains in first-seen order, each with every
+	// op and only its latest usable snapshot (see LatestSnapshot).
 	Live [][]Record
 	// Tombstones lists, sorted, every id the shard owes a 410: earlier
 	// tombstone_index entries plus the ended and the damaged chains.
@@ -106,11 +103,7 @@ func (j *Journal) image(shard int) (*ShardImage, CompactStats, error) {
 	live := make(map[string]bool, len(scan.Live))
 	for _, log := range scan.Live {
 		live[log.ID] = true
-		chain, cut := truncateAtSnapshot(log.Records)
-		if cut {
-			stats.TruncatedChains++
-		}
-		img.Live = append(img.Live, chain)
+		img.Live = append(img.Live, keepLatestSnapshot(log.Records))
 	}
 	// Every chain that is not live ended or was damaged; both leave a
 	// tombstone behind.
@@ -242,42 +235,17 @@ func (j *Journal) CompactOwned(opts CompactOptions) ([]CompactStats, error) {
 	return out, errors.Join(errs...)
 }
 
-// truncateAtSnapshot drops the history a live chain's latest usable
-// snapshot already carries: everything between the create record and
-// the snapshot, plus every other snapshot record. A snapshot is usable
-// when its payload decodes (inner CRC and invariants) and its
-// fingerprint matches the create record's request. Chains without one
-// are returned unchanged.
-func truncateAtSnapshot(records []Record) ([]Record, bool) {
-	if len(records) == 0 || records[0].Kind != KindCreate {
-		return records, false
-	}
-	fp := Fingerprint(records[0].Request)
-	chosen := -1
+// keepLatestSnapshot drops every snapshot record of a live chain but its
+// latest usable one; the ops are all kept.
+func keepLatestSnapshot(records []Record) []Record {
+	_, at := LatestSnapshot(records)
+	out := make([]Record, 0, len(records))
 	for i, r := range records {
-		if r.Kind != KindSnapshot {
-			continue
+		if r.Kind != KindSnapshot || i == at {
+			out = append(out, r)
 		}
-		snap, err := DecodeSnapshot(r.Request)
-		if err != nil || snap.Fingerprint != fp || snap.Watermark != r.Seq {
-			continue
-		}
-		chosen = i
 	}
-	if chosen == -1 {
-		return records, false
-	}
-	out := make([]Record, 0, 2+len(records)-chosen)
-	out = append(out, records[0], records[chosen])
-	dropped := chosen > 1
-	for _, r := range records[chosen+1:] {
-		if r.Kind == KindSnapshot {
-			dropped = true
-			continue
-		}
-		out = append(out, r)
-	}
-	return out, dropped
+	return out
 }
 
 // syncDir fsyncs a directory so a rename survives power loss; failures

@@ -1,28 +1,22 @@
 package journal
 
 import (
+	"bytes"
 	"encoding/json"
+	"os"
 	"reflect"
 	"strings"
 	"testing"
 )
 
 // snapshotFor builds a valid snapshot record over a chain prefix: the
-// create record's fingerprint, watermark = next seq, and the ops below
-// it with the session id stripped, exactly as the serve layer captures.
-func snapshotFor(t *testing.T, chain []Record) Record {
+// create record's fingerprint and watermark = next seq, exactly as the
+// serve layer captures.
+func snapshotFor(t testing.TB, chain []Record) Record {
 	t.Helper()
 	snap := Snapshot{
 		Fingerprint: Fingerprint(chain[0].Request),
 		Watermark:   len(chain),
-	}
-	for _, r := range chain[1:] {
-		op := r
-		op.Session = ""
-		if op.Kind == KindObserve {
-			snap.Observations++
-		}
-		snap.Ops = append(snap.Ops, op)
 	}
 	payload, err := EncodeSnapshot(snap)
 	if err != nil {
@@ -113,17 +107,19 @@ func TestCompactThresholds(t *testing.T) {
 	}
 }
 
-// TestCompactTruncatesAtSnapshot: a live chain with a valid snapshot is
-// cut down to create + snapshot + post-watermark suffix, the rescan
-// bridges the seq gap through the snapshot, and the dropped history is
-// recoverable from the snapshot's carried ops.
-func TestCompactTruncatesAtSnapshot(t *testing.T) {
+// TestCompactKeepsOpsAndLatestSnapshot: compaction keeps every op of a
+// live chain and only its latest usable snapshot, in place at its
+// watermark; an older snapshot is dropped.
+func TestCompactKeepsOpsAndLatestSnapshot(t *testing.T) {
 	dir := t.TempDir()
 	j := openAll(t, dir, WithReplica("r1"), WithShards(1))
 	chain := sessionRecords("s-000001", 2, false) // create + 2x(suggest, observe), seqs 0..4
-	appendAll(t, j, chain...)
-	snap := snapshotFor(t, chain)
-	appendAll(t, j, snap)
+	older := snapshotFor(t, chain[:3])            // watermark 3
+	latest := snapshotFor(t, chain)               // watermark 5
+	appendAll(t, j, chain[:3]...)
+	appendAll(t, j, older)
+	appendAll(t, j, chain[3:]...)
+	appendAll(t, j, latest)
 	suffix := []Record{
 		{Session: "s-000001", Seq: 5, Kind: KindSuggest, Index: 7, Step: 2},
 		{Session: "s-000001", Seq: 6, Kind: KindObserve, Index: 7, TimeSec: 3, CostUSD: 0.2},
@@ -134,8 +130,8 @@ func TestCompactTruncatesAtSnapshot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !stats.Compacted || stats.TruncatedChains != 1 {
-		t.Fatalf("snapshot truncation did not happen: %+v", stats)
+	if !stats.Compacted || stats.LiveSessions != 1 || stats.BytesAfter >= stats.BytesBefore {
+		t.Fatalf("older snapshot not dropped: %+v", stats)
 	}
 
 	scan, err := j.Scan()
@@ -148,19 +144,9 @@ func TestCompactTruncatesAtSnapshot(t *testing.T) {
 	if len(scan.Live) != 1 {
 		t.Fatalf("live session lost: %+v", scan.Live)
 	}
-	recs := scan.Live[0].Records
-	if len(recs) != 4 {
-		t.Fatalf("want create+snapshot+2 suffix records, got %d: %+v", len(recs), recs)
-	}
-	if recs[0].Kind != KindCreate || recs[1].Kind != KindSnapshot || recs[2].Seq != 5 || recs[3].Seq != 6 {
-		t.Fatalf("truncated chain malformed: %+v", recs)
-	}
-	got, err := DecodeSnapshot(recs[1].Request)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got.Ops) != 4 || got.Ops[0].Seq != 1 {
-		t.Fatalf("snapshot lost the carried history: %+v", got.Ops)
+	want := append(append(append([]Record(nil), chain...), latest), suffix...)
+	if got := scan.Live[0].Records; !reflect.DeepEqual(got, want) {
+		t.Fatalf("compacted chain:\n got %+v\nwant every op and the latest snapshot %+v", got, want)
 	}
 }
 
@@ -190,8 +176,7 @@ func TestImageKeepsSnapshotlessChainWhole(t *testing.T) {
 
 // TestCompactKeepsChainWithBadSnapshot: a snapshot whose payload fails
 // its own CRC is dead weight on an intact chain — compaction drops the
-// snapshot record but must keep the full op history, because nothing
-// else carries it.
+// snapshot record but must keep the full op history.
 func TestCompactKeepsChainWithBadSnapshot(t *testing.T) {
 	dir := t.TempDir()
 	j := openAll(t, dir, WithReplica("r1"), WithShards(1))
@@ -206,15 +191,84 @@ func TestCompactKeepsChainWithBadSnapshot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if stats.TruncatedChains != 0 || stats.LiveSessions != 1 {
+	if stats.LiveSessions != 1 {
 		t.Fatalf("chain with a bad snapshot mishandled: %+v", stats)
 	}
 	scan, err := j.Scan()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(scan.Live) != 1 || len(scan.Live[0].Records) != len(chain)+1 {
-		t.Fatalf("op history lost under a bad snapshot: %+v", scan.Live)
+	if len(scan.Live) != 1 || !reflect.DeepEqual(scan.Live[0].Records, chain) {
+		t.Fatalf("want the op history without the bad snapshot, got %+v", scan.Live)
+	}
+}
+
+// TestCompactedChainSurvivesSnapshotDamage: compaction keeps every op,
+// so a kept snapshot whose payload later fails its inner CRC under a
+// valid line CRC is only an unusable snapshot — the chain still scans
+// live with all its ops, and recovery can replay it in full.
+func TestCompactedChainSurvivesSnapshotDamage(t *testing.T) {
+	dir := t.TempDir()
+	j := openAll(t, dir, WithReplica("r1"), WithShards(1))
+	chain := sessionRecords("s-000001", 2, false)
+	appendAll(t, j, chain...)
+	appendAll(t, j, snapshotFor(t, chain))
+	suffix := Record{Session: "s-000001", Seq: 5, Kind: KindSuggest, Index: 7, Step: 2}
+	appendAll(t, j, suffix)
+	if _, err := j.Compact(0, CompactOptions{Force: true}); err != nil {
+		t.Fatal(err)
+	}
+
+	// Break the kept snapshot's payload under its inner CRC and re-seal
+	// its line.
+	data, err := os.ReadFile(j.shardPath(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out []byte
+	damaged := 0
+	for _, line := range bytes.SplitAfter(data, []byte("\n")) {
+		if len(line) == 0 {
+			continue
+		}
+		rec, err := DecodeLine(bytes.TrimSuffix(line, []byte("\n")))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rec.Kind == KindSnapshot {
+			rec.Request = json.RawMessage(strings.Replace(string(rec.Request), `"fp":"`, `"fp":"x`, 1))
+			if line, err = EncodeLine(rec); err != nil {
+				t.Fatal(err)
+			}
+			damaged++
+		}
+		out = append(out, line...)
+	}
+	if damaged != 1 {
+		t.Fatalf("compaction kept %d snapshots, want 1", damaged)
+	}
+	if err := os.WriteFile(j.shardPath(0), out, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	scan, err := j.Scan()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(scan.Damage) != 0 || len(scan.Live) != 1 {
+		t.Fatalf("compacted chain with a damaged snapshot: live %+v, damage %v", scan.Live, scan.Damage)
+	}
+	var ops []Record
+	for _, r := range scan.Live[0].Records {
+		if r.Kind != KindSnapshot {
+			ops = append(ops, r)
+		}
+	}
+	if want := append(append([]Record(nil), chain...), suffix); !reflect.DeepEqual(ops, want) {
+		t.Fatalf("ops after snapshot damage:\n got %+v\nwant %+v", ops, want)
+	}
+	if snap, _ := LatestSnapshot(scan.Live[0].Records); snap != nil {
+		t.Fatalf("damaged snapshot still usable: %+v", snap)
 	}
 }
 

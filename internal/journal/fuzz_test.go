@@ -64,32 +64,17 @@ func corpusSnapshot(snap Snapshot) []byte {
 
 // FuzzDecodeSnapshot drives the snapshot payload decoder with arbitrary
 // bytes. Properties: it never panics, everything it accepts satisfies
-// the snapshot invariants (fingerprint present, op history exactly seqs
-// 1..Watermark-1 of session-op kinds, observation count consistent),
+// the snapshot invariants (fingerprint present, watermark at least 1),
 // and an accepted snapshot survives an encode/decode round trip.
 func FuzzDecodeSnapshot(f *testing.F) {
 	f.Add(corpusSnapshot(Snapshot{Fingerprint: "00d1b2c3d4e5f607", Watermark: 1}))
 	f.Add(corpusSnapshot(Snapshot{
-		Fingerprint:  "00d1b2c3d4e5f607",
-		Watermark:    4,
-		Observations: 1,
-		Ops: []Record{
-			{Seq: 1, Kind: KindSuggest, Index: 3, Step: 0},
-			{Seq: 2, Kind: KindObserve, Index: 3, TimeSec: 9, CostUSD: 1, Metrics: []float64{1, 2}},
-			{Seq: 3, Kind: KindSuggestBatch, K: 2, Indices: []int{4, 5}},
-		},
-		Script: json.RawMessage(`{"decisions":[{"step":1,"index":3,"score":0.5,"aux":1.2}]}`),
-		Events: json.RawMessage(`[{"kind":"search_start","candidate":-1,"value":18}]`),
+		Fingerprint: "00d1b2c3d4e5f607",
+		Watermark:   4,
+		Script:      json.RawMessage(`{"decisions":[{"step":1,"index":3,"score":0.5,"aux":1.2}]}`),
+		Events:      json.RawMessage(`[{"kind":"search_start","candidate":-1,"value":18}]`),
 	}))
-	f.Add(corpusSnapshot(Snapshot{
-		Fingerprint:  "ffffffffffffffff",
-		Watermark:    3,
-		Observations: 1,
-		Ops: []Record{
-			{Seq: 1, Kind: KindSuggest, Index: 0},
-			{Seq: 2, Kind: KindObserve, Index: 0},
-		},
-	}))
+	f.Add(corpusSnapshot(Snapshot{Fingerprint: "ffffffffffffffff", Watermark: 3}))
 	f.Add([]byte(`{"crc":1,"snap":{"fp":"x","watermark":1}}`)) // bad crc
 	f.Add([]byte(`{"crc":0,"snap":null}`))
 	f.Add([]byte(`{"snap":{"fp":"","watermark":0}}`))
@@ -103,24 +88,6 @@ func FuzzDecodeSnapshot(f *testing.F) {
 		if snap.Fingerprint == "" || snap.Watermark < 1 {
 			t.Fatalf("accepted invalid snapshot %+v from %q", snap, data)
 		}
-		if len(snap.Ops) != snap.Watermark-1 {
-			t.Fatalf("accepted op history of %d records under watermark %d", len(snap.Ops), snap.Watermark)
-		}
-		observes := 0
-		for i, op := range snap.Ops {
-			if op.Seq != i+1 {
-				t.Fatalf("accepted non-contiguous op %d with seq %d", i, op.Seq)
-			}
-			if !snapshotOpKinds[op.Kind] {
-				t.Fatalf("accepted foreign op kind %q", op.Kind)
-			}
-			if op.Kind == KindObserve {
-				observes++
-			}
-		}
-		if observes != snap.Observations {
-			t.Fatalf("accepted observation count %d over %d observe ops", snap.Observations, observes)
-		}
 		payload, err := EncodeSnapshot(snap)
 		if err != nil {
 			t.Fatalf("accepted snapshot does not re-encode: %v", err)
@@ -129,7 +96,7 @@ func FuzzDecodeSnapshot(f *testing.F) {
 		if err != nil {
 			t.Fatalf("re-encoded snapshot does not re-decode: %v", err)
 		}
-		if again.Fingerprint != snap.Fingerprint || again.Watermark != snap.Watermark || again.Observations != snap.Observations {
+		if again.Fingerprint != snap.Fingerprint || again.Watermark != snap.Watermark {
 			t.Fatalf("round trip drifted: %+v vs %+v", snap, again)
 		}
 	})

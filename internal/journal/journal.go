@@ -85,11 +85,10 @@ const (
 	KindEnd Kind = "end"
 	// KindSnapshot is a seq-transparent checkpoint of one live session:
 	// Request carries a CRC'd Snapshot payload (config fingerprint, the
-	// full op history below the Seq watermark, the resume script and
-	// trace events), and Seq carries the watermark without consuming it.
-	// Recovery replays from the latest valid snapshot instead of the
-	// chain head; compaction may drop the ops below the watermark
-	// because the snapshot carries them.
+	// resume script and trace events, no ops), and Seq carries the
+	// watermark without consuming it. Recovery replays the chain's ops
+	// below the latest usable snapshot's watermark with the surrogate
+	// fits skipped; compaction keeps every op and that snapshot alone.
 	KindSnapshot Kind = "snapshot"
 	// KindTombstoneIndex is a shard-level (not per-session) record
 	// compaction writes: Tombstones lists every session id whose chain
@@ -636,9 +635,7 @@ func readShards(dir string, shards []int, repair bool, warnf func(format string,
 		}
 	}
 	for _, id := range order {
-		records := bySession[id]
-		sort.SliceStable(records, func(a, b int) bool { return records[a].Seq < records[b].Seq })
-		log, ended, problem := ValidateChain(id, records)
+		log, ended, problem := ValidateChain(id, bySession[id])
 		switch {
 		case problem != "":
 			rec.Damage = append(rec.Damage, problem)
@@ -651,14 +648,24 @@ func readShards(dir string, shards []int, repair bool, warnf func(format string,
 	return rec, order, nil
 }
 
-// ValidateChain checks one session's seq-sorted records: contiguous
-// seqs from 0, a create first, create only first, terminal records
-// terminal. Snapshot records are seq-transparent — they carry the
-// session's watermark without consuming a seq — and a valid snapshot
-// may bridge a gap below its watermark, because compaction drops the
-// ops the snapshot carries. It returns the replayable log, whether the
-// session ended, or a non-empty damage report.
+// ValidateChain sorts one session's records in place into chain order
+// — by seq, a snapshot before the op that shares its seq — and checks
+// them: contiguous seqs from 0, a create first, create only first,
+// terminal records terminal. Snapshot records are seq-transparent: one
+// carries the session's watermark, the seq of the op journaled right
+// after it, without consuming a seq. A snapshot is accepted only at the
+// chain's next seq, and its payload is not read here, because a
+// snapshot never stands in for an op. Sorting snapshots first lets two
+// copies of a chain in one shard, only one of them holding a given
+// snapshot, merge back into one chain. It returns the replayable log,
+// whether the session ended, or a non-empty damage report.
 func ValidateChain(id string, records []Record) (SessionLog, bool, string) {
+	sort.SliceStable(records, func(a, b int) bool {
+		if records[a].Seq != records[b].Seq {
+			return records[a].Seq < records[b].Seq
+		}
+		return records[a].Kind == KindSnapshot && records[b].Kind != KindSnapshot
+	})
 	records = dedupeSorted(records)
 	if len(records) == 0 {
 		return SessionLog{}, false, fmt.Sprintf("session %s: no records", id)
@@ -670,26 +677,11 @@ func ValidateChain(id string, records []Record) (SessionLog, bool, string) {
 			return SessionLog{}, false, fmt.Sprintf("session %s: record after terminal record at seq %d; dropping session", id, r.Seq)
 		}
 		if r.Kind == KindSnapshot {
-			switch {
-			case i == 0:
+			if i == 0 {
 				return SessionLog{}, false, fmt.Sprintf("session %s: snapshot before create record; dropping session", id)
-			case r.Seq == expect:
-				// In-place checkpoint of an intact chain: transparent.
-			case r.Seq > expect:
-				// A gap below the watermark is legitimate only when the
-				// snapshot itself carries the dropped ops (compaction) —
-				// which requires the payload to decode and its watermark
-				// to match the record's seq.
-				snap, err := DecodeSnapshot(r.Request)
-				if err != nil {
-					return SessionLog{}, false, fmt.Sprintf("session %s: snapshot at seq %d cannot bridge gap from %d: %v; dropping session", id, r.Seq, expect, err)
-				}
-				if snap.Watermark != r.Seq {
-					return SessionLog{}, false, fmt.Sprintf("session %s: snapshot at seq %d has watermark %d; dropping session", id, r.Seq, snap.Watermark)
-				}
-				expect = r.Seq
-			default:
-				return SessionLog{}, false, fmt.Sprintf("session %s: snapshot at stale seq %d (chain at %d); dropping session", id, r.Seq, expect)
+			}
+			if r.Seq != expect {
+				return SessionLog{}, false, fmt.Sprintf("session %s: snapshot at seq %d off the chain's next seq %d; dropping session", id, r.Seq, expect)
 			}
 			continue
 		}
@@ -714,34 +706,51 @@ func ValidateChain(id string, records []Record) (SessionLog, bool, string) {
 // twice; the records are byte-identical by the deterministic-trace
 // contract, so dropping the copies is exact. Two records sharing a seq
 // with *different* bytes are left in place for ValidateChain to report
-// as a broken chain.
+// as a broken chain. A chain without duplicates comes back as it is.
 func dedupeSorted(records []Record) []Record {
-	out := records[:0:0]
-	for i := 0; i < len(records); {
-		k := i
-		for k < len(records) && records[k].Seq == records[i].Seq {
-			k++
+	var out []Record // nil until the first duplicate
+	group := 0       // where the current seq's records start
+	for i, r := range records {
+		if i == 0 || r.Seq != records[i-1].Seq {
+			group = i
 		}
-		var kept [][]byte
-		for _, r := range records[i:k] {
-			line, err := json.Marshal(r)
-			dup := false
-			if err == nil {
-				for _, prev := range kept {
-					if bytes.Equal(prev, line) {
-						dup = true
-						break
-					}
-				}
-			}
-			if !dup {
-				kept = append(kept, line)
+		if !duplicateOf(r, records[group:i]) {
+			if out != nil {
 				out = append(out, r)
 			}
+			continue
 		}
-		i = k
+		if out == nil {
+			out = append(make([]Record, 0, len(records)), records[:i]...)
+		}
+	}
+	if out == nil {
+		return records
 	}
 	return out
+}
+
+// duplicateOf reports whether r is byte-identical to one of earlier, the
+// records before it that share its seq. Only records of r's kind can be,
+// so only those are marshaled: a seq held by one record, or by a
+// snapshot and the op after it, costs nothing.
+func duplicateOf(r Record, earlier []Record) bool {
+	var line []byte
+	for _, prev := range earlier {
+		if prev.Kind != r.Kind {
+			continue
+		}
+		if line == nil {
+			var err error
+			if line, err = json.Marshal(r); err != nil {
+				return false
+			}
+		}
+		if p, err := json.Marshal(prev); err == nil && bytes.Equal(p, line) {
+			return true
+		}
+	}
+	return false
 }
 
 // RenewLeases extends every held grant through the manager and drops

@@ -8,6 +8,7 @@ import (
 	"hash/crc32"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -355,6 +356,21 @@ func TestValidateChainRejectsGapsAndStrays(t *testing.T) {
 			{Session: "x", Seq: 2, Kind: KindSuggest},
 		}},
 		{"empty", nil},
+		// A snapshot carries no ops, so it never bridges a gap below its
+		// watermark — the shape of a chain compacted past its snapshot by
+		// an older release.
+		{"snapshot past a gap", []Record{
+			{Session: "x", Seq: 0, Kind: KindCreate},
+			{Session: "x", Seq: 3, Kind: KindSnapshot},
+			{Session: "x", Seq: 3, Kind: KindSuggest},
+		}},
+		// A snapshot past the last op vouches for ops the chain lost.
+		{"snapshot past the end", []Record{
+			{Session: "x", Seq: 0, Kind: KindCreate},
+			{Session: "x", Seq: 1, Kind: KindSuggest},
+			{Session: "x", Seq: 3, Kind: KindSnapshot},
+		}},
+		{"snapshot first", []Record{{Session: "x", Seq: 0, Kind: KindSnapshot}}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -362,6 +378,47 @@ func TestValidateChainRejectsGapsAndStrays(t *testing.T) {
 				t.Fatalf("chain %+v validated, want a damage report", tc.recs)
 			}
 		})
+	}
+}
+
+// TestValidateChainDedupesIdenticalRecords: a chain that bounced back
+// between directories holds byte-identical copies of its records, and
+// validates live with one copy of each kept, also when only the later
+// copy holds a snapshot; a seq held by two records with different bytes
+// is a broken chain.
+func TestValidateChainDedupesIdenticalRecords(t *testing.T) {
+	chain := sessionRecords("x", 2, false)
+	snap := Record{Session: "x", Seq: 3, Kind: KindSnapshot, Request: json.RawMessage(`{"crc":1}`)}
+	want := append(append(append([]Record(nil), chain[:3]...), snap), chain[3:]...)
+	// The whole chain twice, each record next to its copy.
+	var twice []Record
+	for _, r := range want {
+		twice = append(twice, r, r)
+	}
+	log, ended, problem := ValidateChain("x", twice)
+	if problem != "" || ended {
+		t.Fatalf("duplicated chain: ended %v, problem %q", ended, problem)
+	}
+	if !reflect.DeepEqual(log.Records, want) {
+		t.Fatalf("dedupe kept\n%+v\nwant one copy of each record\n%+v", log.Records, want)
+	}
+	if log, _, problem := ValidateChain("x", append([]Record(nil), want...)); problem != "" || !reflect.DeepEqual(log.Records, want) {
+		t.Fatalf("chain without duplicates changed: %+v, problem %q", log.Records, problem)
+	}
+	// In file order: a drain streamed the chain without this snapshot
+	// (compaction keeps only the latest), then a reclaim re-journaled it
+	// from a directory that still held the snapshot.
+	merged := append(append([]Record(nil), chain...), want...)
+	if log, _, problem := ValidateChain("x", merged); problem != "" || !reflect.DeepEqual(log.Records, want) {
+		t.Fatalf("copies around a snapshot merged to %+v, problem %q; want %+v", log.Records, problem, want)
+	}
+
+	diverged := append([]Record(nil), want...)
+	other := chain[2]
+	other.TimeSec++
+	diverged = append(diverged[:3], append([]Record{other}, diverged[3:]...)...)
+	if _, _, problem := ValidateChain("x", diverged); problem == "" {
+		t.Fatalf("same-seq records with different bytes validated: %+v", diverged)
 	}
 }
 
@@ -533,14 +590,11 @@ func TestCloseLeavesSetAsideGrantToInjectedManager(t *testing.T) {
 // whitespace, and a snapshot payload, included. Existing shards and their
 // checksums stay byte-compatible.
 func TestEncodeLineMatchesEnvelopeMarshal(t *testing.T) {
-	ops := sessionRecords("", 1, false)[1:]
 	snap, err := EncodeSnapshot(Snapshot{
-		Fingerprint:  Fingerprint([]byte(`{"method":"random","seed":1}`)),
-		Watermark:    3,
-		Observations: 1,
-		Ops:          ops,
-		Script:       json.RawMessage(`{"picks":[0]}`),
-		Events:       json.RawMessage(`[{"kind":"suggest","detail":"<a> & <b>"}]`),
+		Fingerprint: Fingerprint([]byte(`{"method":"random","seed":1}`)),
+		Watermark:   3,
+		Script:      json.RawMessage(`{"picks":[0]}`),
+		Events:      json.RawMessage(`[{"kind":"suggest","detail":"<a> & <b>"}]`),
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -11,32 +11,27 @@ import (
 // This file is the snapshot payload format. A snapshot record's Request
 // field carries a second CRC'd envelope — independent of the line-level
 // envelope, because compaction copies snapshot records between files
-// and the payload must stay verifiable on its own — wrapping a Snapshot
-// object: everything recovery needs to rebuild a live session from the
-// watermark instead of from the chain head.
+// and a drain streams them between replicas, so the payload must stay
+// verifiable on its own — wrapping a Snapshot object: what recovery
+// needs to skip the surrogate fits below the watermark. The ops
+// themselves stay in the chain, journaled once.
 
 // Snapshot is one live session's checkpoint: the session-config
-// fingerprint, the full op history below the watermark, the optimizer's
-// resume script and the trace events recorded so far. Recovery replays
-// Ops against a resumed advisor (the script skips the surrogate fits),
-// then continues from the watermark with the chain's remaining records.
+// fingerprint, the watermark, the optimizer's resume script and the
+// trace events recorded so far. It carries no op history: recovery
+// replays the chain's own ops below the watermark against a resumed
+// advisor (the script skips the surrogate fits), then continues with
+// the ops after it. A snapshot only ever speeds recovery up; an
+// unusable one costs a full replay, never the session.
 type Snapshot struct {
 	// Fingerprint identifies the session configuration (the create
 	// record's request bytes, hashed); recovery refuses a snapshot whose
 	// fingerprint does not match the chain's create record.
 	Fingerprint string `json:"fp"`
-	// Watermark is the session's next seq at capture time: every
-	// seq-consuming record below it is carried in Ops, and the snapshot
-	// record itself is journaled with Seq = Watermark.
+	// Watermark is the session's next seq at capture time: the snapshot
+	// covers the chain's ops below it, and the snapshot record itself is
+	// journaled with Seq = Watermark.
 	Watermark int `json:"watermark"`
-	// Observations counts the accepted measurements in Ops — a cheap
-	// cross-check that the op list was not truncated.
-	Observations int `json:"obs"`
-	// Ops is the session's seq-consuming history after the create
-	// record: seqs 1..Watermark-1, contiguous, suggest / suggest_batch /
-	// observe / observe_failure only, with the Session field stripped
-	// (the enclosing record identifies the session).
-	Ops []Record `json:"ops,omitempty"`
 	// Script is the optimizer's recorded decision log (an
 	// arrow.ResumeScript), verbatim JSON. Advisory: a stale or damaged
 	// script only costs recovery the surrogate-fit skip, never
@@ -60,15 +55,6 @@ func Fingerprint(request []byte) string {
 	h := fnv.New64a()
 	h.Write(request)
 	return fmt.Sprintf("%016x", h.Sum64())
-}
-
-// snapshotOpKinds is what a snapshot's op history may contain: the
-// seq-consuming, non-terminal record kinds.
-var snapshotOpKinds = map[Kind]bool{
-	KindSuggest:        true,
-	KindSuggestBatch:   true,
-	KindObserve:        true,
-	KindObserveFailure: true,
 }
 
 // EncodeSnapshot renders a snapshot as the CRC'd payload a snapshot
@@ -114,9 +100,7 @@ func DecodeSnapshot(data []byte) (Snapshot, error) {
 }
 
 // validateSnapshot checks the payload invariants shared by encode and
-// decode: a fingerprint, a watermark past the create record, and an op
-// history that is exactly the seqs 1..Watermark-1 in order, of allowed
-// kinds, with the observation count matching.
+// decode: a fingerprint and a watermark past the create record.
 func validateSnapshot(snap Snapshot) error {
 	if snap.Fingerprint == "" {
 		return errors.New("no config fingerprint")
@@ -124,23 +108,28 @@ func validateSnapshot(snap Snapshot) error {
 	if snap.Watermark < 1 {
 		return fmt.Errorf("watermark %d below the create record", snap.Watermark)
 	}
-	if len(snap.Ops) != snap.Watermark-1 {
-		return fmt.Errorf("op history has %d records, watermark %d wants %d", len(snap.Ops), snap.Watermark, snap.Watermark-1)
-	}
-	observes := 0
-	for i, op := range snap.Ops {
-		if op.Seq != i+1 {
-			return fmt.Errorf("op %d has seq %d, want %d", i, op.Seq, i+1)
-		}
-		if !snapshotOpKinds[op.Kind] {
-			return fmt.Errorf("op %d has kind %q, not a session op", i, op.Kind)
-		}
-		if op.Kind == KindObserve {
-			observes++
-		}
-	}
-	if observes != snap.Observations {
-		return fmt.Errorf("op history has %d observations, snapshot says %d", observes, snap.Observations)
-	}
 	return nil
+}
+
+// LatestSnapshot finds a validated chain's latest usable snapshot: the
+// last snapshot record whose payload decodes, whose fingerprint matches
+// the create record's request and whose watermark is its seq. at is the
+// record's index in the chain; a chain with no usable snapshot yields
+// nil and -1.
+func LatestSnapshot(records []Record) (snap *Snapshot, at int) {
+	if len(records) == 0 || records[0].Kind != KindCreate {
+		return nil, -1
+	}
+	fp := Fingerprint(records[0].Request)
+	for i := len(records) - 1; i > 0; i-- {
+		r := records[i]
+		if r.Kind != KindSnapshot {
+			continue
+		}
+		s, err := DecodeSnapshot(r.Request)
+		if err == nil && s.Fingerprint == fp && s.Watermark == r.Seq {
+			return &s, i
+		}
+	}
+	return nil, -1
 }

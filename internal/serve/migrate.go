@@ -8,7 +8,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"sort"
 	"time"
 
 	"repro/internal/journal"
@@ -16,13 +15,13 @@ import (
 )
 
 // This file is graceful live shard migration: a draining replica
-// streams each owned shard's image — its live chains cut at their latest
-// usable snapshots, the form compaction writes — directly to a successor
-// over HTTP, instead of dying and making the successor re-read the shard
-// from disk after lease expiry. The registry fences the handoff: the
-// successor takes the lease over by citing the drainer's epoch, so a
-// drainer that was paused and lost the shard some other way gets a
-// refusal, not a double ownership.
+// streams each owned shard's image — every op of its live chains and
+// the latest usable snapshot of each, the form compaction writes —
+// directly to a successor over HTTP, instead of dying and making the
+// successor re-read the shard from disk after lease expiry. The
+// registry fences the handoff: the successor takes the lease over by
+// citing the drainer's epoch, so a drainer that was paused and lost the
+// shard some other way gets a refusal, not a double ownership.
 //
 // Ordering on the draining side: with every session mutex on the shard
 // held, drop the shard's grant from the journal, whose appends check the
@@ -54,8 +53,9 @@ type MigrateRequest struct {
 	Shard     int    `json:"shard"`
 	From      string `json:"from"`
 	FromEpoch uint64 `json:"from_epoch"`
-	// Sessions are the live chains in record form, each cut to its
-	// create record, latest usable snapshot and post-watermark suffix.
+	// Sessions are the live chains in record form, each with every op
+	// and its latest usable snapshot. A snapshot damaged in transit costs
+	// the successor a full replay, not the session.
 	Sessions [][]journal.Record `json:"sessions,omitempty"`
 	// Tombstones are the shard's ended, compacted and damaged ids, so
 	// 410 Gone survives the move.
@@ -121,7 +121,6 @@ func (s *Server) handleMigrate(w http.ResponseWriter, r *http.Request) int {
 			continue
 		}
 		id := chain[0].Session
-		sort.SliceStable(chain, func(a, b int) bool { return chain[a].Seq < chain[b].Seq })
 		log, ended, problem := journal.ValidateChain(id, chain)
 		switch {
 		case problem != "":

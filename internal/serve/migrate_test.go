@@ -3,6 +3,7 @@ package serve
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
@@ -140,6 +141,90 @@ func TestMigrateStreamsLiveSessions(t *testing.T) {
 	}
 
 	if got := mustJSON(t, cB2.run(info.ID, target)); !bytes.Equal(got, want) {
+		t.Errorf("migrated result diverged from uninterrupted run:\n got %s\nwant %s", got, want)
+	}
+}
+
+// TestMigrateDamagedSnapshotFallsBackToFullReplay drives a real drain
+// through a proxy that breaks every streamed snapshot's inner CRC. The
+// stream carries every op of the chain, so the successor adopts the
+// session by full replay — no snapshot restore, no damage — and the
+// session finishes byte-identical to an uninterrupted journal-less run.
+func TestMigrateDamagedSnapshotFallsBackToFullReplay(t *testing.T) {
+	req := SessionRequest{Method: "augmented-bo", Seed: 42, Trace: true, DeltaThreshold: -1, MaxMeasurements: 8}
+	target, err := arrow.NewSimulatedTarget("als/spark2.1/medium", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, ref := newTestServer(t, Config{})
+	refInfo := ref.create(req)
+	want := mustJSON(t, ref.run(refInfo.ID, target))
+
+	_, regURL := registryFixture(t)
+	sA, cA, _ := registryServer(t, regURL.URL, "a", t.TempDir(), 2)
+	_, cB, _ := registryServer(t, regURL.URL, "b", t.TempDir(), 2)
+	info := cA.create(req)
+	if info.ID != refInfo.ID {
+		t.Fatalf("id skew breaks the byte comparison: %s vs %s", info.ID, refInfo.ID)
+	}
+	if sug := stepSession(t, cA, info.ID, target, 3); sug.Done {
+		t.Fatal("session finished before the drain point")
+	}
+
+	var broken, restores atomic.Int64
+	proxy := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		var stream MigrateRequest
+		if err := json.NewDecoder(r.Body).Decode(&stream); err != nil {
+			http.Error(w, err.Error(), http.StatusBadRequest)
+			return
+		}
+		for _, chain := range stream.Sessions {
+			for _, rec := range chain {
+				if rec.Kind != journal.KindSnapshot {
+					continue
+				}
+				if !breakSnapshot(rec.Request) {
+					t.Error("streamed snapshot payload has no fingerprint field")
+				}
+				broken.Add(1)
+			}
+		}
+		body, err := json.Marshal(stream)
+		if err != nil {
+			http.Error(w, err.Error(), http.StatusInternalServerError)
+			return
+		}
+		resp, err := http.Post(cB.base+r.URL.Path, "application/json", bytes.NewReader(body))
+		if err != nil {
+			http.Error(w, err.Error(), http.StatusBadGateway)
+			return
+		}
+		defer resp.Body.Close()
+		out, _ := io.ReadAll(resp.Body)
+		var verdict MigrateResponse
+		if json.Unmarshal(out, &verdict) == nil {
+			restores.Add(int64(verdict.SnapshotRestores))
+		}
+		w.WriteHeader(resp.StatusCode)
+		w.Write(out)
+	}))
+	t.Cleanup(proxy.Close)
+
+	report, err := sA.MigrateShards(context.Background(), proxy.URL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if broken.Load() == 0 {
+		t.Fatal("the stream carried no snapshot to break")
+	}
+	if report.Sessions != 1 || report.Observations != 3 || len(report.Damaged) != 0 {
+		t.Fatalf("successor adopted %d sessions / %d observations, damage %v; want 1/3 by full replay",
+			report.Sessions, report.Observations, report.Damaged)
+	}
+	if n := restores.Load(); n != 0 {
+		t.Fatalf("successor restored %d sessions off a damaged snapshot", n)
+	}
+	if got := mustJSON(t, cB.run(info.ID, target)); !bytes.Equal(got, want) {
 		t.Errorf("migrated result diverged from uninterrupted run:\n got %s\nwant %s", got, want)
 	}
 }

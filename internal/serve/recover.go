@@ -67,9 +67,10 @@ type ReclaimReport struct {
 // BuildOptimizer path as the HTTP handler, and replaying the journaled
 // observation sequence into the fresh advisor reproduces the exact
 // pre-crash state — suggestions, result and wall-stripped trace — by
-// the determinism contract. A session with a valid snapshot replays
-// from its watermark with the recorded resume script (no surrogate
-// refits below it); snapshot damage falls back to a full replay.
+// the determinism contract. A session with a usable snapshot replays
+// the ops below its watermark with the recorded resume script (no
+// surrogate refits); snapshot damage of any kind falls back to a full
+// replay.
 // Sessions whose journal says ended are tombstoned (410). Call it once,
 // after New and before serving; with no journal configured it is a
 // no-op.
@@ -370,93 +371,40 @@ func percentileMicros(lat []time.Duration, q float64) int64 {
 	return sorted[idx].Microseconds()
 }
 
-// replayPlan is one live session's journal log flattened for replay:
-// the create record, the seq-consuming ops in order (records a
-// compacting snapshot carried are spliced back in), and the latest
-// usable snapshot, if any.
-type replayPlan struct {
-	create journal.Record
-	ops    []journal.Record
-	snap   *journal.Snapshot
-}
-
-// buildReplayPlan flattens a validated session log. Snapshot records
-// are unfolded: one that bridges a compaction gap contributes its
-// carried ops; the latest whose payload decodes, whose fingerprint
-// matches the create record and whose watermark matches its seq becomes
-// the plan's snapshot (the fast-path entry point).
-func buildReplayPlan(log journal.SessionLog) (replayPlan, error) {
-	plan := replayPlan{create: log.Records[0]}
-	fp := journal.Fingerprint(plan.create.Request)
-	expect := 1
-	for _, rec := range log.Records[1:] {
-		if rec.Kind == journal.KindSnapshot {
-			snap, err := journal.DecodeSnapshot(rec.Request)
-			if err != nil {
-				// Damaged payload on an otherwise contiguous chain
-				// (pre-compaction damage): the ops are all still in the
-				// chain, so the snapshot is simply unusable.
-				continue
-			}
-			if rec.Seq > expect {
-				// Compaction dropped the ops below the watermark; the
-				// snapshot carries them. ValidateChain only bridges gaps
-				// for decodable snapshots, so this cannot be reached with
-				// a bad payload.
-				if snap.Watermark != rec.Seq {
-					return plan, fmt.Errorf("snapshot at seq %d has watermark %d", rec.Seq, snap.Watermark)
-				}
-				plan.ops = append(plan.ops, snap.Ops[expect-1:]...)
-				expect = rec.Seq
-			}
-			if snap.Fingerprint == fp && snap.Watermark == rec.Seq {
-				chosen := snap
-				plan.snap = &chosen
-			}
-			continue
-		}
-		if rec.Seq != expect {
-			return plan, fmt.Errorf("record chain broken at seq %d (found %d)", expect, rec.Seq)
-		}
-		plan.ops = append(plan.ops, rec)
-		expect++
-	}
-	return plan, nil
-}
-
 // replaySession rebuilds one live session from its journal log,
 // returning the rehydrated session, the observation count replayed, and
-// whether the snapshot fast path was used. A snapshot restore that
-// fails for any reason — undecodable script or trace, replay divergence
-// — falls back to a full replay; the flattened plan always carries the
-// complete op history, so the fallback exists even for compacted
-// chains.
+// whether the snapshot fast path was used. The chain holds every op, so
+// a snapshot restore that fails for any reason — undecodable script or
+// trace, replay divergence — falls back to a full replay, as a missing
+// or unusable snapshot does.
 func (s *Server) replaySession(ctx context.Context, log journal.SessionLog) (*session, int, bool, error) {
-	plan, err := buildReplayPlan(log)
-	if err != nil {
-		return nil, 0, false, err
-	}
-	if snapshotUsable(plan) {
-		sess, obs, err := s.replayPlanned(ctx, log.ID, plan, true)
+	snap, at := journal.LatestSnapshot(log.Records)
+	if snap != nil && parkedAt(log.Records, at) {
+		sess, obs, err := s.replayChain(ctx, log, snap, true)
 		if err == nil {
 			return sess, obs, true, nil
 		}
 		s.warnf("session %s: snapshot restore failed (%v); falling back to full replay", log.ID, err)
 	}
-	sess, obs, err := s.replayPlanned(ctx, log.ID, plan, false)
+	sess, obs, err := s.replayChain(ctx, log, snap, false)
 	return sess, obs, false, err
 }
 
-// snapshotUsable gates the fast path: there must be a snapshot, and its
-// prefix must end with a suggestion — capture always runs right after a
+// parkedAt gates the fast path: the op right below the snapshot at
+// records[at] must be a suggestion — capture always runs right after a
 // suggest append, so anything else is a foreign snapshot whose replay
 // could not park the search loop at the gate-opening point.
-func snapshotUsable(plan replayPlan) bool {
-	if plan.snap == nil || plan.snap.Watermark < 2 || plan.snap.Watermark-1 > len(plan.ops) {
-		return false
+func parkedAt(records []journal.Record, at int) bool {
+	for i := at - 1; i > 0; i-- {
+		switch records[i].Kind {
+		case journal.KindSnapshot: // seq-transparent: look below it
+		case journal.KindSuggest, journal.KindSuggestBatch:
+			return true
+		default:
+			return false
+		}
 	}
-	last := plan.ops[plan.snap.Watermark-2]
-	return last.Kind == journal.KindSuggest || last.Kind == journal.KindSuggestBatch
+	return false
 }
 
 // gateTracer discards events until opened: a snapshot restore replays
@@ -475,24 +423,24 @@ func (g *gateTracer) Emit(e telemetry.Event) {
 	}
 }
 
-// replayPlanned rebuilds one session from a flattened plan. With
-// useSnap, the ops below the snapshot's watermark replay against a
-// resumed advisor consuming the recorded decision script — no surrogate
-// fits — behind a closed trace gate; at the watermark the recorder is
-// seeded with the snapshot's stored events and the gate opens. Without
-// useSnap this is the plain full replay.
-func (s *Server) replayPlanned(ctx context.Context, id string, plan replayPlan, useSnap bool) (*session, int, error) {
-	req, err := DecodeSessionRequest(plan.create.Request)
+// replayChain rebuilds one session from its chain's ops; snap is the
+// chain's latest usable snapshot, if any. With useSnap, the ops below
+// the snapshot's watermark replay against a resumed advisor consuming
+// the recorded decision script — no surrogate fits — behind a closed
+// trace gate; at the watermark the recorder is seeded with the
+// snapshot's stored events and the gate opens. Without useSnap this is
+// the plain full replay.
+func (s *Server) replayChain(ctx context.Context, log journal.SessionLog, snap *journal.Snapshot, useSnap bool) (*session, int, error) {
+	id, create := log.ID, log.Records[0]
+	req, err := DecodeSessionRequest(create.Request)
 	if err != nil {
 		return nil, 0, fmt.Errorf("create record: %w", err)
 	}
 	var script arrow.ResumeScript
 	var snapEvents []telemetry.Event
-	prefixLen := 0
 	if useSnap {
-		prefixLen = plan.snap.Watermark - 1
-		if len(plan.snap.Script) > 0 {
-			if err := json.Unmarshal(plan.snap.Script, &script); err != nil {
+		if len(snap.Script) > 0 {
+			if err := json.Unmarshal(snap.Script, &script); err != nil {
 				// Advisory only — an unreadable script costs the fit skip,
 				// not correctness — but the stored trace is positional, so
 				// give up on the fast path entirely.
@@ -500,17 +448,17 @@ func (s *Server) replayPlanned(ctx context.Context, id string, plan replayPlan, 
 			}
 		}
 		if req.Trace {
-			if len(plan.snap.Events) == 0 {
+			if len(snap.Events) == 0 {
 				return nil, 0, errors.New("snapshot has no stored trace for a traced session")
 			}
-			if err := json.Unmarshal(plan.snap.Events, &snapEvents); err != nil {
+			if err := json.Unmarshal(snap.Events, &snapEvents); err != nil {
 				return nil, 0, fmt.Errorf("snapshot trace: %w", err)
 			}
 		}
 	}
 
 	sess := &session{id: id, seed: req.Seed, journaledSeq: -1}
-	sess.fingerprint = journal.Fingerprint(plan.create.Request)
+	sess.fingerprint = journal.Fingerprint(create.Request)
 	sinks := []telemetry.Tracer{}
 	if req.Trace {
 		sess.recorder = telemetry.NewRecorder()
@@ -542,12 +490,16 @@ func (s *Server) replayPlanned(ctx context.Context, id string, plan replayPlan, 
 	}
 	sess.advisor = advisor
 
-	obs := 0
+	obs, ops := 0, 0
 	fail := func(format string, args ...any) (*session, int, error) {
 		advisor.Abort(errSessionAborted)
 		return nil, 0, fmt.Errorf(format, args...)
 	}
-	for i, rec := range plan.ops {
+	for _, rec := range log.Records[1:] {
+		if rec.Kind == journal.KindSnapshot {
+			continue
+		}
+		ops++
 		switch rec.Kind {
 		case journal.KindSuggest:
 			sug, err := advisor.Next(ctx)
@@ -607,7 +559,13 @@ func (s *Server) replayPlanned(ctx context.Context, id string, plan replayPlan, 
 		default:
 			return fail("seq %d: unexpected %s record in a live session", rec.Seq, rec.Kind)
 		}
-		if useSnap && i == prefixLen-1 {
+		if snap == nil || rec.Seq != snap.Watermark-1 {
+			continue
+		}
+		// The last op below the watermark: the capture cadence resumes
+		// from the snapshot's observation count.
+		sess.lastSnapSteps = sess.steps
+		if useSnap {
 			// The prefix ends on a suggest, so the search loop is parked:
 			// substitute the stored trace for the gated-away prefix events
 			// and let the suffix regenerate through the open gate.
@@ -619,19 +577,9 @@ func (s *Server) replayPlanned(ctx context.Context, id string, plan replayPlan, 
 			}
 		}
 	}
-	// The journal sequence continues where the flattened ops left off
-	// (snapshot records are seq-transparent).
-	sess.seq = 1 + len(plan.ops)
-	if s.snapshotsEnabled() {
-		sess.ops = make([]journal.Record, len(plan.ops))
-		for i, rec := range plan.ops {
-			rec.Session = ""
-			sess.ops[i] = rec
-		}
-	}
-	if plan.snap != nil {
-		sess.lastSnapSteps = plan.snap.Observations
-	}
+	// The journal sequence continues after the last op (snapshot records
+	// are seq-transparent).
+	sess.seq = 1 + ops
 	sess.observed = obs
 	return sess, obs, nil
 }

@@ -104,12 +104,13 @@ type Config struct {
 	// process.
 	Journal *journal.Journal
 	// SnapshotInterval journals a session checkpoint every N accepted
-	// observations: the config fingerprint, the op history, the
-	// optimizer's resume script and the trace so far, CRC'd inside the
-	// record. Recover replays from the latest valid snapshot instead of
-	// the chain head, bounding recovery time by the interval instead of
-	// the session length; compaction drops the history a snapshot
-	// carries. 0 disables snapshots. Ignored without a Journal.
+	// observations: the config fingerprint, the optimizer's resume script
+	// and the trace so far, CRC'd inside the record; the ops stay in the
+	// chain. Recover replays the ops below the latest usable snapshot
+	// with the surrogate fits skipped, bounding recovery time by the
+	// interval instead of the session length, and replays in full when
+	// no snapshot is usable; compaction keeps only the latest usable
+	// snapshot. 0 disables snapshots. Ignored without a Journal.
 	SnapshotInterval int
 	// Warnf routes non-fatal serving warnings (journal append
 	// failures). Nil writes to os.Stderr.
@@ -192,11 +193,6 @@ type session struct {
 	// fingerprint hashes the session's create request; snapshots carry
 	// it so recovery refuses a snapshot from a different config.
 	fingerprint string
-	// ops mirrors the session's seq-consuming journal records (Session
-	// stripped) so a snapshot can carry the pre-watermark history
-	// without re-reading the shard; maintained only when snapshots are
-	// enabled. Guarded by mu.
-	ops []journal.Record
 	// staged holds the records the current request has yet to journal,
 	// in order; commit writes them in one Append. Guarded by mu.
 	staged []journal.Record
@@ -860,21 +856,11 @@ func (s *Server) newSessionID() (string, error) {
 // write, allocating its sequence number; commit writes the queue.
 // Callers hold the session mutex, which pairs the allocation with the
 // write so chains stay contiguous even when an eviction races a request.
-// With snapshots on, the op is mirrored at once, so a snapshot staged
-// behind it carries it.
 func (s *Server) stage(sess *session, rec journal.Record) {
 	rec.Session = sess.id
 	rec.Seq = sess.seq
 	sess.seq++
 	sess.staged = append(sess.staged, rec)
-	if s.snapshotsEnabled() {
-		switch rec.Kind {
-		case journal.KindSuggest, journal.KindSuggestBatch, journal.KindObserve, journal.KindObserveFailure:
-			op := rec
-			op.Session = "" // the snapshot record identifies the session
-			sess.ops = append(sess.ops, op)
-		}
-	}
 }
 
 // commit journals the session's staged records in one Append — one
@@ -941,11 +927,6 @@ func (s *Server) dropUnjournaled(w http.ResponseWriter, sess *session, err error
 		fmt.Sprintf("session %s: transition not journaled: %v", sess.id, err))
 }
 
-// snapshotsEnabled reports whether sessions checkpoint themselves.
-func (s *Server) snapshotsEnabled() bool {
-	return s.cfg.Journal != nil && s.cfg.SnapshotInterval > 0
-}
-
 // maybeSnapshot stages a session checkpoint when SnapshotInterval
 // observations have accumulated since the last one. Callers hold the
 // session mutex right after staging a suggestion, so the advisor's
@@ -954,9 +935,10 @@ func (s *Server) snapshotsEnabled() bool {
 // exportable. The snapshot record is seq-transparent: it carries the
 // session's watermark without consuming a sequence number, so replay
 // chains are unchanged whether snapshots exist or not. It joins the
-// suggestion's write.
+// suggestion's write; a closed chain takes none.
 func (s *Server) maybeSnapshot(sess *session) {
-	if !s.snapshotsEnabled() || sess.steps-sess.lastSnapSteps < s.cfg.SnapshotInterval {
+	if s.cfg.Journal == nil || s.cfg.SnapshotInterval <= 0 || sess.closed ||
+		sess.steps-sess.lastSnapSteps < s.cfg.SnapshotInterval {
 		return
 	}
 	script := sess.advisor.Script()
@@ -978,28 +960,13 @@ func (s *Server) maybeSnapshot(sess *session) {
 			return
 		}
 	}
-	if sess.closed {
-		return
-	}
-	observes := 0
-	for _, op := range sess.ops {
-		if op.Kind == journal.KindObserve {
-			observes++
-		}
-	}
-	snap := journal.Snapshot{
-		Fingerprint:  sess.fingerprint,
-		Watermark:    sess.seq,
-		Observations: observes,
-		Ops:          append([]journal.Record(nil), sess.ops...),
-		Script:       scriptJSON,
-		Events:       eventsJSON,
-	}
-	payload, err := journal.EncodeSnapshot(snap)
+	payload, err := journal.EncodeSnapshot(journal.Snapshot{
+		Fingerprint: sess.fingerprint,
+		Watermark:   sess.seq,
+		Script:      scriptJSON,
+		Events:      eventsJSON,
+	})
 	if err != nil {
-		// A mirror that fails the snapshot invariants means an earlier
-		// append already failed and left a seq gap; the chain is damaged
-		// either way, so just skip the checkpoint.
 		s.warnf("session %s: snapshot skipped: %v", sess.id, err)
 		return
 	}

@@ -147,6 +147,61 @@ func TestSnapshotWatermarkMonotonic(t *testing.T) {
 	}
 }
 
+// breakSnapshot flips one fingerprint character inside a snapshot
+// payload without updating the payload's own CRC: damage only the
+// snapshot's inner checksum can see. It reports false, changing
+// nothing, for a payload with no fingerprint field.
+func breakSnapshot(payload []byte) bool {
+	idx := bytes.Index(payload, []byte(`"fp":"`))
+	if idx < 0 {
+		return false
+	}
+	pos := idx + len(`"fp":"`)
+	if payload[pos] == 'f' {
+		payload[pos] = '0'
+	} else {
+		payload[pos] = 'f'
+	}
+	return true
+}
+
+// breakShardSnapshots rewrites a session's shard with every snapshot
+// payload of the session broken by breakSnapshot, each line re-sealed
+// so its line-level CRC stays valid. It returns the snapshots broken.
+func breakShardSnapshots(t *testing.T, dir string, shards int, id string) int {
+	t.Helper()
+	shard := filepath.Join(dir, shardName(journal.ShardOf(id, shards)))
+	data, err := os.ReadFile(shard)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out []byte
+	broken := 0
+	for _, line := range bytes.SplitAfter(data, []byte("\n")) {
+		if len(line) == 0 {
+			continue
+		}
+		rec, err := journal.DecodeLine(bytes.TrimSuffix(line, []byte("\n")))
+		if err != nil {
+			t.Fatalf("shard line undecodable before corruption: %v", err)
+		}
+		if rec.Session == id && rec.Kind == journal.KindSnapshot {
+			if !breakSnapshot(rec.Request) {
+				t.Fatal("snapshot payload has no fingerprint field")
+			}
+			if line, err = journal.EncodeLine(rec); err != nil {
+				t.Fatal(err)
+			}
+			broken++
+		}
+		out = append(out, line...)
+	}
+	if err := os.WriteFile(shard, out, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return broken
+}
+
 // TestSnapshotInnerDamageFallsBackToFullReplay corrupts the payload of
 // every snapshot a session journaled — under an intact line-level CRC,
 // the damage only the snapshot's own checksum can see. The chain stays
@@ -167,52 +222,8 @@ func TestSnapshotInnerDamageFallsBackToFullReplay(t *testing.T) {
 	info := c1.create(req)
 	stepSession(t, c1, info.ID, target, 5)
 	j1.Close() // abandon (kill -9 semantics)
-
-	// Rewrite the shard with every snapshot payload subtly broken: flip
-	// one fingerprint character inside the inner envelope without
-	// updating its CRC, then re-seal the line so the outer CRC is valid.
-	shard := filepath.Join(dir, shardName(journal.ShardOf(info.ID, j1.Shards())))
-	data, err := os.ReadFile(shard)
-	if err != nil {
-		t.Fatal(err)
-	}
-	lines := bytes.Split(data, []byte("\n"))
-	corrupted := 0
-	var out [][]byte
-	for _, line := range lines {
-		if len(line) == 0 {
-			continue
-		}
-		rec, err := journal.DecodeLine(line)
-		if err != nil {
-			t.Fatalf("shard line undecodable before corruption: %v", err)
-		}
-		if rec.Session == info.ID && rec.Kind == journal.KindSnapshot {
-			idx := bytes.Index(rec.Request, []byte(`"fp":"`))
-			if idx < 0 {
-				t.Fatal("snapshot payload has no fingerprint field")
-			}
-			pos := idx + len(`"fp":"`)
-			if rec.Request[pos] == 'f' {
-				rec.Request[pos] = '0'
-			} else {
-				rec.Request[pos] = 'f'
-			}
-			resealed, err := journal.EncodeLine(rec)
-			if err != nil {
-				t.Fatal(err)
-			}
-			out = append(out, bytes.TrimSuffix(resealed, []byte("\n")))
-			corrupted++
-			continue
-		}
-		out = append(out, line)
-	}
-	if corrupted == 0 {
+	if breakShardSnapshots(t, dir, j1.Shards(), info.ID) == 0 {
 		t.Fatal("no snapshot records found to corrupt")
-	}
-	if err := os.WriteFile(shard, append(bytes.Join(out, []byte("\n")), '\n'), 0o644); err != nil {
-		t.Fatal(err)
 	}
 
 	s2, c2, _ := snapshotServer(t, dir, "innerdmg", 2)
@@ -228,6 +239,116 @@ func TestSnapshotInnerDamageFallsBackToFullReplay(t *testing.T) {
 	}
 	if got := mustJSON(t, c2.run(info.ID, target)); !bytes.Equal(got, want) {
 		t.Errorf("fallback result diverged from uninterrupted run:\n got %s\nwant %s", got, want)
+	}
+}
+
+// TestCompactedSnapshotDamageFallsBackToFullReplay: compaction keeps
+// every op of a live chain next to its latest snapshot, so when that
+// snapshot's payload is damaged after compaction, recovery still
+// rebuilds the session by full replay and it finishes byte-identical
+// to an uninterrupted journal-less run.
+func TestCompactedSnapshotDamageFallsBackToFullReplay(t *testing.T) {
+	req := SessionRequest{Method: "augmented-bo", Seed: 42, Trace: true, DeltaThreshold: -1, MaxMeasurements: 12}
+	target, err := arrow.NewSimulatedTarget("als/spark2.1/medium", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, ref := newTestServer(t, Config{})
+	want := mustJSON(t, ref.run(ref.create(req).ID, target))
+
+	dir := t.TempDir()
+	s1, c1, j1 := snapshotServer(t, dir, "compactdmg", 2)
+	info := c1.create(req)
+	stepSession(t, c1, info.ID, target, 5)
+	stats, err := s1.CompactJournal(journal.CompactOptions{Force: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	compacted := 0
+	for _, st := range stats {
+		if st.Compacted {
+			compacted++
+		}
+	}
+	if compacted != 1 {
+		t.Fatalf("forced compaction rewrote %d shards, want the session's one: %+v", compacted, stats)
+	}
+	j1.Close() // abandon (kill -9 semantics)
+	if n := breakShardSnapshots(t, dir, j1.Shards(), info.ID); n != 1 {
+		t.Fatalf("compaction kept %d snapshots, want the latest alone", n)
+	}
+
+	s2, c2, _ := snapshotServer(t, dir, "compactdmg", 2)
+	report, err := s2.Recover(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if report.Recovered != 1 || report.Observations != 5 || len(report.Damaged) != 0 {
+		t.Fatalf("compacted session with a damaged snapshot not recovered whole: %+v", report)
+	}
+	if report.SnapshotRestores != 0 {
+		t.Fatalf("recovery claimed a snapshot restore off a corrupt payload: %+v", report)
+	}
+	if got := mustJSON(t, c2.run(info.ID, target)); !bytes.Equal(got, want) {
+		t.Errorf("fallback result diverged from uninterrupted run:\n got %s\nwant %s", got, want)
+	}
+}
+
+// TestRecoverMergedChainCopies: a session that bounced between replicas
+// can sit in one shard twice — first as a drain streamed it (every op,
+// only its latest snapshot), then as a reclaim re-journaled it from a
+// directory that still holds its older snapshot too. Recovery merges the
+// copies into one chain, restores it through the snapshot fast path and
+// finishes byte-identical to an uninterrupted journal-less run.
+func TestRecoverMergedChainCopies(t *testing.T) {
+	req := SessionRequest{Method: "augmented-bo", Seed: 42, Trace: true, DeltaThreshold: -1, MaxMeasurements: 12}
+	target, err := arrow.NewSimulatedTarget("als/spark2.1/medium", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, ref := newTestServer(t, Config{})
+	want := mustJSON(t, ref.run(ref.create(req).ID, target))
+
+	src := t.TempDir()
+	_, c1, j1 := snapshotServer(t, src, "bounce", 2)
+	info := c1.create(req)
+	stepSession(t, c1, info.ID, target, 5)
+	shard := journal.ShardOf(info.ID, j1.Shards())
+	img, err := j1.Image(shard)
+	if err != nil {
+		t.Fatal(err)
+	}
+	j1.Close() // abandon (kill -9 semantics)
+	full, err := journal.ScanDir(src, []int{shard}, t.Logf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(img.Live) != 1 || len(full.Live) != 1 || len(full.Live[0].Records) != len(img.Live[0])+1 {
+		t.Fatalf("want the image to drop exactly the older of two snapshots: image %d chains, full %d", len(img.Live), len(full.Live))
+	}
+
+	dir := t.TempDir()
+	j2, err := journal.Open(dir, journal.WithReplica("bounce"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, chain := range [][]journal.Record{img.Live[0], full.Live[0].Records} {
+		if err := j2.Append(chain...); err != nil {
+			t.Fatal(err)
+		}
+	}
+	j2.Close()
+
+	s3, c3, _ := snapshotServer(t, dir, "bounce", 2)
+	report, err := s3.Recover(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if report.Recovered != 1 || report.Observations != 5 || report.SnapshotRestores != 1 || len(report.Damaged) != 0 {
+		t.Fatalf("merged copies not restored through the snapshot: %+v", report)
+	}
+	if got := mustJSON(t, c3.run(info.ID, target)); !bytes.Equal(got, want) {
+		t.Errorf("merged-copy result diverged from uninterrupted run:\n got %s\nwant %s", got, want)
 	}
 }
 
