@@ -293,8 +293,13 @@ recover-smoke:
 # registry, three replicas with separate journal directories lease from
 # it over HTTP; one is SIGKILLed (heartbeat-expiry reclaim with epoch
 # bumps, cross-directory session adoption) and one is SIGTERMed with
-# -drain-migrate (live sessions streamed to a successor). Then the
-# shard-fencing tests repeat under -race, since their races are timing
+# -drain-migrate (live sessions streamed to a successor). The
+# self-hosted topology runs too: the registry host journals and serves
+# sessions, reclaims a SIGKILLed peer's shards and adopts a drained
+# peer's, all through its own registry, every result byte-identical to
+# a journal-less reference. So does the rolling drain: r1 drains to r2
+# and exits, and r2, stopped right after, must skip r1's closed port and
+# move every shard to r3. Then the shard-fencing tests repeat under -race, since their races are timing
 # dependent: the serve-level migration tests (a drain whose streamed
 # snapshots are damaged in transit included), create-vs-drain,
 # lapsed-lease and lapsed-create tests 5 times, the journal's drop-vs-append fence
@@ -304,11 +309,11 @@ recover-smoke:
 # racing Close (15–25 s of test time together on a 2-vCPU host).
 # Fast enough to ride every push.
 cluster-smoke:
-	$(GO) test -race -run 'TestRegistryClusterSmoke' ./cmd/arrow-serve
+	$(GO) test -race -run 'TestRegistryClusterSmoke|TestSelfHostedRegistryCluster|TestDrainSkipsExitedPeer' ./cmd/arrow-serve
 	$(GO) test -race -count=5 -run 'TestMigrate|TestCreateRacingDrain|TestLapsedLease|TestCreateUnderLapsed' ./internal/serve
 	$(GO) test -race -count=20 -run TestDropShardFences ./internal/journal
 	$(GO) test -race -count=3 -run 'TestJournalLeaseClaimRace|TestJournalConcurrentFirstOpens|TestJournalClosed' ./internal/journal
-	@echo "cluster smoke OK: registry failover and drain migration lost zero acknowledged observations"
+	@echo "cluster smoke OK: registry failover, self-hosted registry and rolling drain migration lost zero acknowledged observations"
 
 # Race-detected batch-planning smoke. A plan hook runs on the NextBatch
 # caller's goroutine and writes search state the loop reads — the GP

@@ -35,6 +35,7 @@ package arrow
 import (
 	"errors"
 	"fmt"
+	"strings"
 	"time"
 
 	"repro/internal/cloud"
@@ -62,6 +63,21 @@ const (
 
 // String names the objective.
 func (o Objective) String() string { return o.toCore().String() }
+
+// ParseObjective maps an objective's String name or an alias (product,
+// timecost), in any case, onto the objective.
+func ParseObjective(name string) (Objective, error) {
+	switch strings.ToLower(name) {
+	case "time":
+		return MinimizeTime, nil
+	case "cost":
+		return MinimizeCost, nil
+	case "product", "time-cost-product", "timecost":
+		return MinimizeTimeCostProduct, nil
+	default:
+		return 0, fmt.Errorf("arrow: unknown objective %q", name)
+	}
+}
 
 func (o Objective) toCore() core.Objective {
 	switch o {
@@ -108,6 +124,23 @@ func (m Method) String() string {
 	}
 }
 
+// ParseMethod maps a method's String name or an alias (naive,
+// augmented, arrow, hybrid, random), in any case, onto the method.
+func ParseMethod(name string) (Method, error) {
+	switch strings.ToLower(name) {
+	case "naive-bo", "naive":
+		return MethodNaiveBO, nil
+	case "augmented-bo", "augmented", "arrow":
+		return MethodAugmentedBO, nil
+	case "hybrid-bo", "hybrid":
+		return MethodHybridBO, nil
+	case "random-search", "random":
+		return MethodRandomSearch, nil
+	default:
+		return 0, fmt.Errorf("arrow: unknown method %q", name)
+	}
+}
+
 // Kernel selects the GP covariance family for MethodNaiveBO.
 type Kernel int
 
@@ -136,6 +169,23 @@ func (k Kernel) toInternal() kernel.Kind {
 
 // String names the kernel.
 func (k Kernel) String() string { return k.toInternal().String() }
+
+// ParseKernel maps a kernel's short name (rbf, matern12, matern32,
+// matern52), in any case, onto the kernel.
+func ParseKernel(name string) (Kernel, error) {
+	switch strings.ToLower(name) {
+	case "rbf":
+		return KernelRBF, nil
+	case "matern12":
+		return KernelMatern12, nil
+	case "matern32":
+		return KernelMatern32, nil
+	case "matern52":
+		return KernelMatern52, nil
+	default:
+		return 0, fmt.Errorf("arrow: unknown kernel %q", name)
+	}
+}
 
 // Outcome is one measurement of a candidate.
 type Outcome struct {

@@ -319,6 +319,53 @@ func TestObjectiveAndMethodStrings(t *testing.T) {
 	}
 }
 
+// TestParseNames pins the one name table per enum that serve and the
+// CLI share: every method and objective round-trips through its String
+// name, and every alias parses, in any case.
+func TestParseNames(t *testing.T) {
+	for _, m := range []Method{MethodNaiveBO, MethodAugmentedBO, MethodHybridBO, MethodRandomSearch} {
+		if got, err := ParseMethod(m.String()); err != nil || got != m {
+			t.Errorf("ParseMethod(%q) = %v, %v", m.String(), got, err)
+		}
+	}
+	for _, o := range []Objective{MinimizeTime, MinimizeCost, MinimizeTimeCostProduct} {
+		if got, err := ParseObjective(o.String()); err != nil || got != o {
+			t.Errorf("ParseObjective(%q) = %v, %v", o.String(), got, err)
+		}
+	}
+	for name, want := range map[string]Method{
+		"naive": MethodNaiveBO, "augmented": MethodAugmentedBO, "arrow": MethodAugmentedBO,
+		"hybrid": MethodHybridBO, "random": MethodRandomSearch, "Augmented-BO": MethodAugmentedBO,
+	} {
+		if got, err := ParseMethod(name); err != nil || got != want {
+			t.Errorf("ParseMethod(%q) = %v, %v, want %v", name, got, err, want)
+		}
+	}
+	for name, want := range map[string]Objective{
+		"product": MinimizeTimeCostProduct, "timecost": MinimizeTimeCostProduct, "COST": MinimizeCost,
+	} {
+		if got, err := ParseObjective(name); err != nil || got != want {
+			t.Errorf("ParseObjective(%q) = %v, %v, want %v", name, got, err, want)
+		}
+	}
+	for name, want := range map[string]Kernel{
+		"rbf": KernelRBF, "matern12": KernelMatern12, "matern32": KernelMatern32, "Matern52": KernelMatern52,
+	} {
+		if got, err := ParseKernel(name); err != nil || got != want {
+			t.Errorf("ParseKernel(%q) = %v, %v, want %v", name, got, err, want)
+		}
+	}
+	if _, err := ParseMethod("simulated-annealing"); err == nil {
+		t.Error("unknown method parsed")
+	}
+	if _, err := ParseObjective("speed"); err == nil {
+		t.Error("unknown objective parsed")
+	}
+	if _, err := ParseKernel("linear"); err == nil {
+		t.Error("unknown kernel parsed")
+	}
+}
+
 func TestErrorsAreErrors(t *testing.T) {
 	_, err := NewSimulatedTarget("classification/spark1.5/large", 1)
 	if err == nil {

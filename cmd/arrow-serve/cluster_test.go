@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -23,8 +24,11 @@ import (
 // heartbeat expiry hand its shards (and its in-flight sessions, adopted
 // from its directory) to the survivors with bumped lease epochs; then
 // SIGTERM a -drain-migrate replica and check it streamed its live
-// sessions to a successor before exiting. The nightly registry-mode
-// soak scales the same topology to thousands of sessions.
+// sessions to a successor before exiting. Two more tests run the
+// self-hosted topology, where the registry host journals and serves
+// sessions itself, and a rolling drain that meets a peer which has just
+// exited. The nightly registry-mode soak scales the same topology to
+// thousands of sessions.
 
 // registryState fetches the lease table through the hosting process's
 // serving port.
@@ -228,9 +232,9 @@ func TestRegistryClusterSmoke(t *testing.T) {
 
 	// Graceful exit second: a session mid-flight on the -drain-migrate
 	// replica survives a SIGTERM by being streamed to a successor. Wait
-	// for the dead victim to drop out of the live set first — the
-	// drainer picks the first live peer by name, and a freshly-dead
-	// "smoke-0" would sort ahead of "smoke-1".
+	// for the dead victim to drop out of the live set first, so the
+	// drain goes straight to "smoke-1": the drainer tries live peers in
+	// name order, and a freshly-dead "smoke-0" would sort ahead of it.
 	waitForState(t, regProc.base, "victim aged out of the live set", func(st *registry.StateResponse) bool {
 		for _, r := range st.Replicas {
 			if r.Replica == "smoke-0" && r.Live {
@@ -284,5 +288,269 @@ func TestRegistryClusterSmoke(t *testing.T) {
 	}
 
 	sc.procs[1].terminate(t)
+	regProc.terminate(t)
+}
+
+// clusterSession is one session a topology test drives across
+// replicas: its request, its id and its acknowledged observations.
+type clusterSession struct {
+	req   serve.SessionRequest
+	id    string
+	acked int
+}
+
+// openMidFlight creates n sessions on the replica at base and acks two
+// observations of each. DeltaThreshold -1 disarms the early stop, so
+// they are still mid-flight when their shards move.
+func openMidFlight(t *testing.T, base string, target arrow.Target, seed int64, n int) []*clusterSession {
+	t.Helper()
+	c := &httpClient{t: t, base: base}
+	var out []*clusterSession
+	for k := 0; k < n; k++ {
+		req := serve.SessionRequest{Method: "augmented-bo", Seed: seed + int64(k), DeltaThreshold: -1, MaxMeasurements: 8, Trace: true}
+		id := c.create(req)
+		if got := c.step(id, target, 2); got != 2 {
+			t.Fatalf("session %s acked %d of 2 observations", id, got)
+		}
+		out = append(out, &clusterSession{req: req, id: id, acked: 2})
+	}
+	return out
+}
+
+// finishIdentical finishes every session on the replica at base and
+// checks that none lost an acknowledged observation and that each
+// result and trace is byte-identical to a journal-less reference run of
+// the same request.
+func finishIdentical(t *testing.T, base string, target arrow.Target, sessions []*clusterSession) {
+	t.Helper()
+	refBase, refShutdown := startServer(t)
+	defer refShutdown()
+	ref := &httpClient{t: t, base: refBase}
+	sc := &soakCluster{procs: []*chaosProc{{base: base}}, alive: make([]atomic.Bool, 1), hc: &http.Client{Timeout: 60 * time.Second}}
+	sc.alive[0].Store(true)
+	for _, s := range sessions {
+		body, total, err := driveSession(sc, s.id, base, target, s.acked)
+		if err != nil {
+			t.Fatalf("finishing session %s: %v", s.id, err)
+		}
+		var res serve.ResultResponse
+		if err := json.Unmarshal(body, &res); err != nil {
+			t.Fatalf("session %s: undecodable result: %v", s.id, err)
+		}
+		if res.Result == nil || len(res.Result.Observations) != total {
+			t.Errorf("session %s: %d observations acked on the wire, result %s", s.id, total, body)
+		}
+		want := resultSubObjects(t, ref.finish(ref.create(s.req), target))
+		if got := resultSubObjects(t, body); !bytes.Equal(got, want) {
+			t.Errorf("session %s diverged from the journal-less reference:\n got %s\nwant %s", s.id, got, want)
+		}
+	}
+}
+
+// stdoutReports decodes every JSON line of the process's stdout that
+// carries the key.
+func stdoutReports[T any](t *testing.T, p *chaosProc, key string) []T {
+	t.Helper()
+	var out []T
+	for _, line := range strings.Split(p.stdout.String(), "\n") {
+		line = strings.TrimSpace(line)
+		if !strings.HasPrefix(line, "{") || !strings.Contains(line, `"`+key+`"`) {
+			continue
+		}
+		var rep T
+		if err := json.Unmarshal([]byte(line), &rep); err != nil {
+			t.Fatalf("undecodable %s report %q: %v", key, line, err)
+		}
+		out = append(out, rep)
+	}
+	return out
+}
+
+// leaseSplit maps each holder to its shards, sorted.
+func leaseSplit(st *registry.StateResponse) map[string][]int {
+	held := map[string][]int{}
+	for _, l := range st.Leases {
+		held[l.Holder] = append(held[l.Holder], l.Shard)
+	}
+	return held
+}
+
+// TestSelfHostedRegistryCluster runs the documented self-hosted
+// topology: the process hosting the registry also journals and serves
+// sessions from its own shards, leasing them through the registry in
+// its own process. A peer is SIGKILLed and the host reclaims its shards
+// through that registry; a -drain-migrate peer then streams its shards
+// to the host, whose takeover transfers the leases through it too.
+// Every session finishes on the host with no acknowledged observation
+// lost, byte-identical to a journal-less reference.
+func TestSelfHostedRegistryCluster(t *testing.T) {
+	if testing.Short() {
+		t.Skip("cluster smoke skipped in -short mode")
+	}
+	target, err := arrow.NewSimulatedTarget("als/spark2.1/medium", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	parent := t.TempDir()
+	replicaArgs := func(name string, claim int, extra ...string) []string {
+		return append([]string{
+			"-journal-dir", filepath.Join(parent, "journal-"+name),
+			"-replica", name,
+			"-claim-shards", fmt.Sprint(claim),
+			"-fsync", "always",
+			"-snapshot-interval", "2",
+			"-heartbeat-interval", "200ms",
+			"-session-ttl", "30s",
+		}, extra...)
+	}
+	// Only the host reclaims, so the victim's shards can go nowhere else.
+	host := spawnServer(t, replicaArgs("host", 4,
+		"-registry",
+		"-registry-state", filepath.Join(parent, "registry.json"),
+		"-lease-ttl", "2s",
+		"-reclaim-interval", "200ms",
+	)...)
+	victim := spawnServer(t, replicaArgs("peer-victim", 2, "-registry-addr", host.base)...)
+	drainer := spawnServer(t, replicaArgs("peer-drain", 2, "-registry-addr", host.base, "-drain-migrate")...)
+
+	pre := registryState(t, host.base)
+	held := leaseSplit(pre)
+	if len(held["host"]) != 4 || len(held["peer-victim"]) != 2 || len(held["peer-drain"]) != 2 {
+		t.Fatalf("unexpected claim split: %v", held)
+	}
+	sessions := openMidFlight(t, host.base, target, 100, 2)
+	sessions = append(sessions, openMidFlight(t, victim.base, target, 200, 2)...)
+	sessions = append(sessions, openMidFlight(t, drainer.base, target, 300, 2)...)
+
+	// The victim's grants lapse and the host's reclaim takes them from
+	// its own registry, each with a bumped epoch.
+	victim.kill9(t)
+	post := waitForState(t, host.base, "victim's shards reclaimed by the host", func(st *registry.StateResponse) bool {
+		h := leaseSplit(st)
+		return len(h["host"]) == 6 && len(h["peer-drain"]) == 2
+	})
+	for _, l := range post.Leases {
+		if containsShard(held["peer-victim"], l.Shard) && l.Epoch <= pre.Leases[l.Shard].Epoch {
+			t.Errorf("reclaimed shard %d kept epoch %d (was %d)", l.Shard, l.Epoch, pre.Leases[l.Shard].Epoch)
+		}
+	}
+	// The reclaim report follows the lease change once the adopted
+	// sessions have replayed.
+	var claimed []int
+	for deadline := time.Now().Add(30 * time.Second); ; {
+		set := map[int]bool{}
+		for _, rep := range stdoutReports[serve.ReclaimReport](t, host, "claimed") {
+			for _, shard := range rep.Claimed {
+				set[shard] = true
+			}
+		}
+		claimed = sortedKeys(set)
+		if len(claimed) >= len(held["peer-victim"]) || time.Now().After(deadline) {
+			break
+		}
+		time.Sleep(50 * time.Millisecond)
+	}
+	if fmt.Sprint(claimed) != fmt.Sprint(held["peer-victim"]) {
+		t.Errorf("host reclaimed shards %v, want the victim's %v", claimed, held["peer-victim"])
+	}
+
+	// The drainer's successor is the host: its takeover transfers each
+	// lease through its own registry before adopting the stream.
+	drainer.terminate(t)
+	migs := stdoutReports[serve.MigrateReport](t, drainer, "successor")
+	if len(migs) != 1 {
+		t.Fatalf("drainer printed %d migration reports, want 1:\nstdout: %s\nstderr: %s",
+			len(migs), drainer.stdout.String(), drainer.stderr.String())
+	}
+	mig := migs[0]
+	if mig.Successor != host.base || fmt.Sprint(mig.Shards) != fmt.Sprint(held["peer-drain"]) ||
+		mig.Sessions != 2 || mig.Observations != 4 || len(mig.Damaged) != 0 {
+		t.Errorf("migration report %+v, want shards %v with 2 sessions / 4 observations to %s",
+			mig, held["peer-drain"], host.base)
+	}
+	final := registryState(t, host.base)
+	if h := leaseSplit(final); len(h["host"]) != final.Shards {
+		t.Errorf("host holds %v of %d shards after the drain", h["host"], final.Shards)
+	}
+	for _, l := range final.Leases {
+		if containsShard(held["peer-drain"], l.Shard) && l.Epoch <= pre.Leases[l.Shard].Epoch {
+			t.Errorf("transferred shard %d kept epoch %d (was %d)", l.Shard, l.Epoch, pre.Leases[l.Shard].Epoch)
+		}
+	}
+
+	finishIdentical(t, host.base, target, sessions)
+	host.terminate(t)
+}
+
+// TestDrainSkipsExitedPeer is the rolling-drain regression. A replica
+// reads live for two lease TTLs after it was last heard from, so when
+// r1 drains to r2 and exits and r2 is stopped right after, r1 still
+// heads r2's successor list. r2's stream to r1's closed port is
+// refused; r2 must go on to r3 and move every shard it holds, r1's
+// included, instead of leaving them to lease expiry — which loses the
+// sessions wherever the survivor cannot read r2's journal directory.
+func TestDrainSkipsExitedPeer(t *testing.T) {
+	if testing.Short() {
+		t.Skip("cluster smoke skipped in -short mode")
+	}
+	target, err := arrow.NewSimulatedTarget("als/spark2.1/medium", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	parent := t.TempDir()
+	regProc := spawnServer(t, "-registry", "-lease-ttl", "2s")
+	var r []*chaosProc
+	for _, name := range []string{"r1", "r2", "r3"} {
+		r = append(r, spawnServer(t,
+			"-journal-dir", filepath.Join(parent, "journal-"+name),
+			"-replica", name,
+			"-registry-addr", regProc.base,
+			"-claim-shards", "3",
+			"-drain-migrate",
+			"-fsync", "always",
+			"-snapshot-interval", "2",
+			"-heartbeat-interval", "200ms",
+			"-session-ttl", "30s",
+		))
+	}
+	held := leaseSplit(registryState(t, regProc.base))
+	if len(held["r1"]) != 3 || len(held["r2"]) != 3 || len(held["r3"]) != 2 {
+		t.Fatalf("unexpected claim split: %v", held)
+	}
+	sessions := openMidFlight(t, r[0].base, target, 100, 2)
+	sessions = append(sessions, openMidFlight(t, r[1].base, target, 200, 2)...)
+
+	r[0].terminate(t)
+	st := registryState(t, regProc.base)
+	if h := leaseSplit(st); len(h["r2"]) != 6 {
+		t.Fatalf("r1 did not drain to r2: leases %v\nr1 stderr: %s", h, r[0].stderr.String())
+	}
+	for _, info := range st.Replicas {
+		if info.Replica == "r1" && !info.Live {
+			t.Fatalf("r1 aged out of the live set before r2's drain, so the drain cannot meet its closed port: %+v", info)
+		}
+	}
+	want := leaseSplit(st)["r2"]
+
+	r[1].terminate(t)
+	moved := map[int]bool{}
+	sessionsMoved, obsMoved := 0, 0
+	for _, mig := range stdoutReports[serve.MigrateReport](t, r[1], "successor") {
+		if mig.Successor != r[2].base {
+			t.Errorf("r2 drained shards %v to %s, want r3 at %s", mig.Shards, mig.Successor, r[2].base)
+		}
+		for _, shard := range mig.Shards {
+			moved[shard] = true
+		}
+		sessionsMoved += mig.Sessions
+		obsMoved += mig.Observations
+	}
+	if got := sortedKeys(moved); fmt.Sprint(got) != fmt.Sprint(want) || sessionsMoved != 4 || obsMoved != 8 {
+		t.Fatalf("r2 moved shards %v (%d sessions, %d observations), want %v (4 sessions, 8 observations)\nr2 stderr: %s",
+			got, sessionsMoved, obsMoved, want, r[1].stderr.String())
+	}
+
+	finishIdentical(t, r[2].base, target, sessions)
+	r[2].terminate(t)
 	regProc.terminate(t)
 }

@@ -61,16 +61,20 @@
 // Cross-host clusters replace the flock'd filesystem lease files with a
 // network registry. One process hosts the lease table with
 // -registry (mounted under /registry/v1/, persisted to -registry-state,
-// grants live -lease-ttl without renewal); every replica points at it
-// with -registry-addr and then needs no shared filesystem — each keeps
-// its own -journal-dir, heartbeats every -heartbeat-interval, and a
-// replica that stops renewing loses its shards to a survivor, which
+// grants live -lease-ttl without renewal); every other replica points
+// at it with -registry-addr and then needs no shared filesystem — each
+// keeps its own -journal-dir, heartbeats every -heartbeat-interval, and
+// a replica that stops renewing loses its shards to a survivor, which
 // adopts the sessions by scanning the dead peer's directory (the
-// registry remembers whose directory holds what). -advertise is how
-// peers reach this replica; -drain-migrate makes a graceful shutdown
-// stream each owned shard's live sessions (every op and the latest
-// snapshot) straight to a surviving replica, so planned restarts hand
-// over in milliseconds instead of a lease timeout.
+// registry remembers whose directory holds what). With -journal-dir the
+// hosting process is a replica too, leasing through the same registry
+// client as its peers, whose requests its own registry answers
+// in-process. -advertise is how peers reach this replica;
+// -drain-migrate makes a graceful shutdown stream each owned shard's
+// live sessions (every op and the latest snapshot) straight to a
+// surviving replica, trying the live peers in name order until one
+// takes them, so planned restarts hand over in milliseconds instead of
+// a lease timeout.
 //
 // Usage:
 //
@@ -107,14 +111,6 @@ func main() {
 		fmt.Fprintln(os.Stderr, "arrow-serve:", err)
 		os.Exit(1)
 	}
-}
-
-// clusterPeer is what the maintenance loops need from registry mode,
-// satisfied by both the HTTP client and the in-process LocalManager of
-// a self-hosted registry.
-type clusterPeer interface {
-	Heartbeat() error
-	State() (*registry.StateResponse, error)
 }
 
 // advertiseBase turns the bound listener address into a base URL peers
@@ -227,7 +223,9 @@ func run(args []string, errOut io.Writer, stop <-chan struct{}) error {
 		}
 	}
 
-	var peer clusterPeer
+	// client is this replica's registry lease client, nil under
+	// filesystem leases.
+	var client *registry.Client
 	var jnl *journal.Journal
 	if *journalDir != "" {
 		sync, err := journal.ParseSync(*fsyncPolicy)
@@ -244,7 +242,11 @@ func run(args []string, errOut io.Writer, stop <-chan struct{}) error {
 		}
 		switch {
 		case *registryAddr != "":
-			client := registry.NewClient(*registryAddr, replicaName, selfBase, absDir)
+			client = registry.NewClient(*registryAddr, replicaName, selfBase, absDir)
+		case reg != nil:
+			client = reg.Client(replicaName, selfBase, absDir)
+		}
+		if client != nil {
 			// The registry may still be booting alongside this replica
 			// (cluster bring-up is unordered); retry registration briefly
 			// before giving up.
@@ -254,7 +256,7 @@ func run(args []string, errOut io.Writer, stop <-chan struct{}) error {
 					break
 				}
 				if time.Now().After(deadline) {
-					return fmt.Errorf("registering with %s: %w", *registryAddr, rerr)
+					return fmt.Errorf("registering with the registry: %w", rerr)
 				}
 				time.Sleep(100 * time.Millisecond)
 			}
@@ -263,11 +265,6 @@ func run(args []string, errOut io.Writer, stop <-chan struct{}) error {
 				return err
 			}
 			opts = append(opts, journal.WithShards(n), journal.WithLeaseManager(client))
-			peer = client
-		case reg != nil:
-			mgr := reg.LocalManager(replicaName, selfBase, absDir)
-			opts = append(opts, journal.WithShards(reg.Shards()), journal.WithLeaseManager(mgr))
-			peer = mgr
 		}
 		jnl, err = journal.Open(absDir, opts...)
 		if err != nil {
@@ -371,7 +368,7 @@ func run(args []string, errOut io.Writer, stop <-chan struct{}) error {
 			}
 		}()
 	}
-	if jnl != nil && peer != nil {
+	if client != nil {
 		go func() {
 			tick := time.NewTicker(*heartbeatEvery)
 			defer tick.Stop()
@@ -381,7 +378,7 @@ func run(args []string, errOut io.Writer, stop <-chan struct{}) error {
 					return
 				case <-tick.C:
 				}
-				if err := peer.Heartbeat(); err != nil {
+				if err := client.Heartbeat(); err != nil {
 					fmt.Fprintf(errOut, "arrow-serve: heartbeat: %v\n", err)
 				}
 				lost, err := jnl.RenewLeases()
@@ -432,8 +429,8 @@ func run(args []string, errOut io.Writer, stop <-chan struct{}) error {
 	// before flushing: sessions keep running on the successor instead of
 	// being salvaged here. The listener is still serving, so the
 	// successor's lease transfer and any client retries land normally.
-	if *drainMigrate && jnl != nil && peer != nil {
-		if err := migrateOnDrain(jnl, srv, peer, replicaName, *drainWait, errOut); err != nil {
+	if *drainMigrate && client != nil {
+		if err := migrateOnDrain(jnl, srv, client, replicaName, *drainWait, errOut); err != nil {
 			fmt.Fprintf(errOut, "arrow-serve: drain migration: %v (remaining sessions will be salvaged; shards move by lease expiry)\n", err)
 		}
 	}
@@ -453,38 +450,43 @@ func run(args []string, errOut io.Writer, stop <-chan struct{}) error {
 	return nil
 }
 
-// migrateOnDrain picks the first live peer (by name) from the registry's
-// view and streams every owned shard to it. The migration report goes
-// to stdout as one JSON line, mirroring the recovery report.
-func migrateOnDrain(jnl *journal.Journal, srv *serve.Server, peer clusterPeer, self string, wait time.Duration, errOut io.Writer) error {
+// migrateOnDrain streams every owned shard to the live peers of the
+// registry's view, trying them in name order within the wait until the
+// shards are gone. A peer reads live for two lease TTLs after it was
+// last heard from, so one that has just drained and exited still does:
+// its refused stream reinstates the grant, and the next peer's
+// MigrateShards resumes from the shards still held. Each successor's
+// migration report goes to stdout as one JSON line, mirroring the
+// recovery report.
+func migrateOnDrain(jnl *journal.Journal, srv *serve.Server, client *registry.Client, self string, wait time.Duration, errOut io.Writer) error {
 	if len(jnl.Owned()) == 0 {
 		return nil
 	}
-	st, err := peer.State()
+	st, err := client.State()
 	if err != nil {
 		return fmt.Errorf("cluster state: %w", err)
 	}
-	var succ *registry.ReplicaInfo
-	sort.Slice(st.Replicas, func(a, b int) bool { return st.Replicas[a].Replica < st.Replicas[b].Replica })
-	for i := range st.Replicas {
-		r := &st.Replicas[i]
-		if r.Live && r.Replica != self && r.Addr != "" {
-			succ = r
-			break
-		}
-	}
-	if succ == nil {
-		return fmt.Errorf("no live successor registered")
-	}
 	ctx, cancel := context.WithTimeout(context.Background(), wait)
 	defer cancel()
-	report, err := srv.MigrateShards(ctx, succ.Addr)
-	if report != nil && len(report.Shards) > 0 {
-		if line, jerr := json.Marshal(report); jerr == nil {
-			fmt.Fprintf(os.Stdout, "%s\n", line)
+	err = fmt.Errorf("no live successor registered")
+	sort.Slice(st.Replicas, func(a, b int) bool { return st.Replicas[a].Replica < st.Replicas[b].Replica })
+	for _, succ := range st.Replicas {
+		if !succ.Live || succ.Replica == self || succ.Addr == "" {
+			continue
 		}
-		fmt.Fprintf(errOut, "arrow-serve: migrated shards %v (%d sessions, %d observations) to %s at %s\n",
-			report.Shards, report.Sessions, report.Observations, succ.Replica, succ.Addr)
+		var report *serve.MigrateReport
+		report, err = srv.MigrateShards(ctx, succ.Addr)
+		if report != nil && len(report.Shards) > 0 {
+			if line, jerr := json.Marshal(report); jerr == nil {
+				fmt.Fprintf(os.Stdout, "%s\n", line)
+			}
+			fmt.Fprintf(errOut, "arrow-serve: migrated shards %v (%d sessions, %d observations) to %s at %s\n",
+				report.Shards, report.Sessions, report.Observations, succ.Replica, succ.Addr)
+		}
+		if err == nil || ctx.Err() != nil {
+			return err
+		}
+		fmt.Fprintf(errOut, "arrow-serve: drain migration to %s: %v; trying the next live peer\n", succ.Replica, err)
 	}
 	return err
 }

@@ -370,50 +370,24 @@ func parseIndices(s string, n int) ([]int, error) {
 }
 
 func buildOptions(method, objective, kernelName string, seed int64, delta, eiStop float64, maxMeas int) ([]arrow.Option, error) {
-	var opts []arrow.Option
-
-	switch method {
-	case "naive":
-		opts = append(opts, arrow.WithMethod(arrow.MethodNaiveBO))
-	case "augmented":
-		opts = append(opts, arrow.WithMethod(arrow.MethodAugmentedBO))
-	case "hybrid":
-		opts = append(opts, arrow.WithMethod(arrow.MethodHybridBO))
-	case "random":
-		opts = append(opts, arrow.WithMethod(arrow.MethodRandomSearch))
-	default:
-		return nil, fmt.Errorf("unknown method %q", method)
+	m, err := arrow.ParseMethod(method)
+	if err != nil {
+		return nil, err
 	}
-
-	switch objective {
-	case "time":
-		opts = append(opts, arrow.WithObjective(arrow.MinimizeTime))
-	case "cost":
-		opts = append(opts, arrow.WithObjective(arrow.MinimizeCost))
-	case "product":
-		opts = append(opts, arrow.WithObjective(arrow.MinimizeTimeCostProduct))
-	default:
-		return nil, fmt.Errorf("unknown objective %q", objective)
+	o, err := arrow.ParseObjective(objective)
+	if err != nil {
+		return nil, err
 	}
-
-	switch kernelName {
-	case "rbf":
-		opts = append(opts, arrow.WithKernel(arrow.KernelRBF))
-	case "matern12":
-		opts = append(opts, arrow.WithKernel(arrow.KernelMatern12))
-	case "matern32":
-		opts = append(opts, arrow.WithKernel(arrow.KernelMatern32))
-	case "matern52":
-		opts = append(opts, arrow.WithKernel(arrow.KernelMatern52))
-	default:
-		return nil, fmt.Errorf("unknown kernel %q", kernelName)
+	k, err := arrow.ParseKernel(kernelName)
+	if err != nil {
+		return nil, err
 	}
-
-	opts = append(opts,
+	opts := []arrow.Option{
+		arrow.WithMethod(m), arrow.WithObjective(o), arrow.WithKernel(k),
 		arrow.WithSeed(seed),
 		arrow.WithDeltaThreshold(delta),
 		arrow.WithEIStopFraction(eiStop),
-	)
+	}
 	if maxMeas > 0 {
 		opts = append(opts, arrow.WithMaxMeasurements(maxMeas))
 	}

@@ -49,20 +49,6 @@ func (o Objective) String() string {
 	}
 }
 
-// ParseObjective maps CLI names to an Objective.
-func ParseObjective(name string) (Objective, error) {
-	switch name {
-	case "time":
-		return MinimizeTime, nil
-	case "cost":
-		return MinimizeCost, nil
-	case "product", "time-cost-product", "timecost":
-		return MinimizeTimeCostProduct, nil
-	default:
-		return 0, fmt.Errorf("core: unknown objective %q", name)
-	}
-}
-
 // Outcome is what one measurement of a candidate yields: the raw
 // performance plus the low-level metric vector a sysstat daemon would have
 // collected during the run.

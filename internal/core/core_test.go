@@ -66,17 +66,6 @@ func TestObjectiveString(t *testing.T) {
 	}
 }
 
-func TestParseObjective(t *testing.T) {
-	for _, name := range []string{"time", "cost", "product"} {
-		if _, err := ParseObjective(name); err != nil {
-			t.Errorf("ParseObjective(%q): %v", name, err)
-		}
-	}
-	if _, err := ParseObjective("speed"); err == nil {
-		t.Error("unknown objective should fail")
-	}
-}
-
 func TestOutcomeValue(t *testing.T) {
 	out := Outcome{TimeSec: 10, CostUSD: 3}
 	if v, _ := out.Value(MinimizeTime); v != 10 {

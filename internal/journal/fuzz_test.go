@@ -105,12 +105,16 @@ func FuzzDecodeSnapshot(f *testing.F) {
 // FuzzScanShard feeds an arbitrary shard file through the recovery
 // scan. Properties: Scan never panics or errors on content damage (only
 // on I/O), every recovered session has a contiguous chain starting with
-// a create record, and a second scan of the (possibly tail-truncated)
-// file is clean and finds the same sessions.
+// a create record — a seq-transparent snapshot carrying the seq of the
+// op after it — and a second scan of the (possibly tail-truncated) file
+// is clean and finds the same sessions. The fuzzer cannot forge a line
+// CRC, so snapshot lines come in only through the seeds, each of which
+// also pins whether session a comes back live.
 func FuzzScanShard(f *testing.F) {
+	createA := Record{Session: "a", Seq: 0, Kind: KindCreate, Request: json.RawMessage(`{"method":"random","seed":1}`)}
 	var healthy bytes.Buffer
 	for _, rec := range []Record{
-		{Session: "a", Seq: 0, Kind: KindCreate, Request: json.RawMessage(`{"method":"random","seed":1}`)},
+		createA,
 		{Session: "b", Seq: 0, Kind: KindCreate, Request: json.RawMessage(`{"method":"naive","seed":2}`)},
 		{Session: "a", Seq: 1, Kind: KindSuggest, Index: 3, Step: 0},
 		{Session: "b", Seq: 1, Kind: KindSuggest, Index: 5, Step: 0},
@@ -128,6 +132,29 @@ func FuzzScanShard(f *testing.F) {
 	f.Add([]byte("not json at all\n{\"crc\":1,\"rec\":{}}\n"))
 	f.Add([]byte("\n\n\n"))
 	f.Add([]byte{})
+	// Snapshot seeds: session a's next seq is 3.
+	snap := corpusSnapshot(Snapshot{Fingerprint: Fingerprint(createA.Request), Watermark: 3})
+	var env snapEnvelope
+	if err := json.Unmarshal(snap, &env); err != nil {
+		f.Fatal(err)
+	}
+	env.CRC++
+	innerDamaged, err := json.Marshal(env)
+	if err != nil {
+		f.Fatal(err)
+	}
+	withSnapshot := func(seq int, payload json.RawMessage) string {
+		return healthy.String() +
+			string(corpusLine(Record{Session: "a", Seq: seq, Kind: KindSnapshot, Request: payload})) +
+			string(corpusLine(Record{Session: "a", Seq: 3, Kind: KindSuggest, Index: 7, Step: 1}))
+	}
+	valid := withSnapshot(3, snap)
+	offSeq := withSnapshot(5, snap)          // off the chain's next seq
+	damaged := withSnapshot(3, innerDamaged) // the scan never reads the payload
+	aLive := map[string]bool{valid: true, offSeq: false, damaged: true}
+	for _, seed := range []string{valid, offSeq, damaged} {
+		f.Add([]byte(seed))
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		dir := t.TempDir()
 		// Construct the handle directly: the fuzz target exercises the
@@ -156,14 +183,22 @@ func FuzzScanShard(f *testing.F) {
 			if len(sl.Records) == 0 || sl.Records[0].Kind != KindCreate {
 				t.Fatalf("session %s does not start with create: %+v", sl.ID, sl.Records)
 			}
+			next := 0 // the seq of the chain's next op
 			for i, r := range sl.Records {
-				if r.Seq != i {
+				if r.Seq != next {
 					t.Fatalf("session %s chain not contiguous at %d: %+v", sl.ID, i, r)
 				}
+				if r.Kind == KindSnapshot {
+					continue
+				}
+				next++
 				if i > 0 && (r.Kind == KindEnd || r.Kind == KindAbort) && i != len(sl.Records)-1 {
 					t.Fatalf("session %s live with interior terminal record", sl.ID)
 				}
 			}
+		}
+		if want, ok := aLive[string(data)]; ok && seen["a"] != want {
+			t.Fatalf("session a live = %v, want %v (live %d, damage %v)", seen["a"], want, len(scan.Live), scan.Damage)
 		}
 		for _, id := range scan.Ended {
 			if seen[id] {

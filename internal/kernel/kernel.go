@@ -43,22 +43,6 @@ func (k Kind) String() string {
 	}
 }
 
-// ParseKind maps user-facing names (as accepted by the CLIs) to a Kind.
-func ParseKind(name string) (Kind, error) {
-	switch name {
-	case "rbf", "RBF":
-		return RBF, nil
-	case "matern12", "matern1/2", "MATERN 1/2":
-		return Matern12, nil
-	case "matern32", "matern3/2", "MATERN 3/2":
-		return Matern32, nil
-	case "matern52", "matern5/2", "MATERN 5/2":
-		return Matern52, nil
-	default:
-		return 0, fmt.Errorf("kernel: unknown kernel %q", name)
-	}
-}
-
 // All lists every kernel the paper compares, in Figure 7's order.
 func All() []Kind {
 	return []Kind{RBF, Matern12, Matern32, Matern52}

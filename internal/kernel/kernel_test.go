@@ -53,26 +53,6 @@ func TestKindString(t *testing.T) {
 	}
 }
 
-func TestParseKind(t *testing.T) {
-	for _, k := range All() {
-		parsed, err := ParseKind(k.String())
-		if err != nil || parsed != k {
-			t.Errorf("ParseKind(%q) = %v, %v", k.String(), parsed, err)
-		}
-	}
-	for name, want := range map[string]Kind{
-		"rbf": RBF, "matern12": Matern12, "matern32": Matern32, "matern52": Matern52,
-	} {
-		parsed, err := ParseKind(name)
-		if err != nil || parsed != want {
-			t.Errorf("ParseKind(%q) = %v, %v", name, parsed, err)
-		}
-	}
-	if _, err := ParseKind("nope"); err == nil {
-		t.Error("ParseKind of unknown name should fail")
-	}
-}
-
 func TestEvalAtZeroDistanceEqualsVariance(t *testing.T) {
 	for _, kind := range All() {
 		k, err := New(kind, 0.7, 2.5)

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"net/http/httptest"
 	"sync"
 	"time"
 
@@ -76,9 +77,12 @@ func WithClientNow(now func() time.Time) ClientOption {
 // Client speaks the registry protocol on a replica's behalf and
 // implements journal.LeaseManager and journal.TransferLeaser, so
 // journal.Open(..., WithLeaseManager(client)) swaps the filesystem
-// lease files for registry grants wholesale. It registers lazily and
-// re-registers whenever the registry answers 428 — the self-heal after
-// a registry restart without persisted state.
+// lease files for registry grants wholesale. It is the only lease
+// client: a peer's reaches the registry over HTTP (NewClient), and the
+// hosting replica's calls the registry's handler in-process
+// ((*Registry).Client). It registers lazily and re-registers whenever
+// the registry answers 428 — the self-heal after a registry restart
+// without persisted state.
 type Client struct {
 	base    string // registry base URL, e.g. http://host:port
 	replica string
@@ -297,70 +301,27 @@ func (c *Client) State() (*StateResponse, error) {
 	return &st, nil
 }
 
-// LocalManager returns a journal.LeaseManager (and TransferLeaser)
-// calling this registry in-process — the self-hosted topology, where
-// the replica hosting the registry must not HTTP itself before its own
-// listener is serving. It registers the replica immediately.
-func (r *Registry) LocalManager(replica, addr, dataDir string) *LocalManager {
-	r.register(replica, addr, dataDir)
-	return &LocalManager{reg: r, replica: replica}
+// Client returns the lease client of a replica in the process hosting
+// this registry: an ordinary Client whose transport hands each request
+// to the registry's own handler in the calling goroutine, so the
+// hosting replica registers and leases through the same code, wire
+// protocol and send-time anchoring as its peers before its own listener
+// serves. The client's clock is the registry's.
+func (r *Registry) Client(replica, addr, dataDir string) *Client {
+	return NewClient("http://registry.in-process", replica, addr, dataDir,
+		WithHTTPClient(&http.Client{Transport: handlerTransport{r}}),
+		WithClientNow(r.now))
 }
 
-// LocalManager is the in-process flavor of Client.
-type LocalManager struct {
-	reg     *Registry
-	replica string
-}
+// handlerTransport answers each request with its handler, without a
+// connection.
+type handlerTransport struct{ h http.Handler }
 
-// Acquire implements journal.LeaseManager.
-func (m *LocalManager) Acquire(shard int) (journal.Lease, bool, error) {
-	start := m.reg.now()
-	granted, err := m.reg.acquire(m.replica, []int{shard}, 1)
-	if err != nil || len(granted) == 0 {
-		return journal.Lease{}, false, err
+func (t handlerTransport) RoundTrip(req *http.Request) (*http.Response, error) {
+	rec := httptest.NewRecorder()
+	t.h.ServeHTTP(rec, req)
+	if req.Body != nil {
+		req.Body.Close()
 	}
-	return grantLease(granted[0], start), true, nil
-}
-
-// Renew implements journal.LeaseManager.
-func (m *LocalManager) Renew(l journal.Lease) (journal.Lease, bool, error) {
-	start := m.reg.now()
-	renewed, _, err := m.reg.renew(m.replica, []LeaseRef{{Shard: l.Shard, Epoch: l.Epoch}})
-	if err != nil {
-		return l, false, err
-	}
-	for _, shard := range renewed {
-		if shard == l.Shard {
-			ttl := m.reg.ttl
-			l.Expiry = start.Add(ttl - leaseMargin(ttl))
-			return l, true, nil
-		}
-	}
-	return l, false, nil
-}
-
-// Release implements journal.LeaseManager.
-func (m *LocalManager) Release(l journal.Lease) error {
-	m.reg.release(m.replica, l.Shard, l.Epoch)
-	return nil
-}
-
-// Transfer implements journal.TransferLeaser.
-func (m *LocalManager) Transfer(shard int, from string, fromEpoch uint64) (journal.Lease, bool, error) {
-	start := m.reg.now()
-	grant, _ := m.reg.transfer(shard, from, fromEpoch, m.replica)
-	if grant == nil {
-		return journal.Lease{}, false, nil
-	}
-	return grantLease(*grant, start), true, nil
-}
-
-// Heartbeat keeps the replica live in the registry's view.
-func (m *LocalManager) Heartbeat() error {
-	return m.reg.touch(m.replica)
-}
-
-// State returns the cluster view.
-func (m *LocalManager) State() (*StateResponse, error) {
-	return m.reg.StateSnapshot(), nil
+	return rec.Result(), nil
 }

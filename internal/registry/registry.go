@@ -3,7 +3,9 @@
 // release or transfer time-bound journal-shard leases. It replaces the
 // journal's flock'd filesystem lease files, which coordinate processes
 // on one host, when replicas live on different hosts and share nothing
-// but the network.
+// but the network. Every replica leases through one Client, the
+// replica in the registry's own process included: its Client serves
+// each request with the registry's handler instead of a connection.
 //
 // # Fencing
 //
@@ -230,18 +232,6 @@ func (r *Registry) register(replica, addr, dataDir string) (int, time.Duration) 
 	rs.Addr, rs.DataDir, rs.LastSeen = addr, dataDir, r.now()
 	r.persistLocked()
 	return r.shards, r.ttl
-}
-
-// touch refreshes a replica's liveness without touching leases.
-func (r *Registry) touch(replica string) error {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	rs := r.replicas[replica]
-	if rs == nil {
-		return errUnknownReplica
-	}
-	rs.LastSeen = r.now()
-	return nil
 }
 
 // grantLocked renders shard's current lease row as a wire grant.

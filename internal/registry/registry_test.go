@@ -55,7 +55,7 @@ func TestExpiredLeaseAppendRejected(t *testing.T) {
 	clock := newFakeClock()
 	reg := newTestRegistry(t, clock, Config{Shards: 1, LeaseTTL: time.Second})
 	dir := t.TempDir()
-	mgr := reg.LocalManager("a", "http://a", dir)
+	mgr := reg.Client("a", "http://a", dir)
 	j, err := journal.Open(dir,
 		journal.WithReplica("a"), journal.WithShards(1),
 		journal.WithLeaseManager(mgr), journal.WithNow(clock.Now),
@@ -99,7 +99,7 @@ func TestExpiredLeaseAppendRejected(t *testing.T) {
 func TestRenewAfterExpiryIsLostThenNewEpoch(t *testing.T) {
 	clock := newFakeClock()
 	reg := newTestRegistry(t, clock, Config{Shards: 1, LeaseTTL: time.Second})
-	mgr := reg.LocalManager("a", "http://a", t.TempDir())
+	mgr := reg.Client("a", "http://a", t.TempDir())
 
 	l1, ok, err := mgr.Acquire(0)
 	if err != nil || !ok {
@@ -244,8 +244,8 @@ func TestLeaseAnchoredAtSendTime(t *testing.T) {
 func TestTransferFencesStaleEpoch(t *testing.T) {
 	clock := newFakeClock()
 	reg := newTestRegistry(t, clock, Config{Shards: 1, LeaseTTL: time.Minute})
-	a := reg.LocalManager("a", "http://a", t.TempDir())
-	b := reg.LocalManager("b", "http://b", t.TempDir())
+	a := reg.Client("a", "http://a", t.TempDir())
+	b := reg.Client("b", "http://b", t.TempDir())
 
 	la, ok, err := a.Acquire(0)
 	if err != nil || !ok {
@@ -278,7 +278,7 @@ func TestRegistryRestartPreservesLeases(t *testing.T) {
 	clock := newFakeClock()
 	state := filepath.Join(t.TempDir(), "registry.json")
 	reg1 := newTestRegistry(t, clock, Config{Shards: 4, LeaseTTL: time.Minute, StatePath: state})
-	a := reg1.LocalManager("a", "http://a", t.TempDir())
+	a := reg1.Client("a", "http://a", t.TempDir())
 	var leases []journal.Lease
 	for shard := 0; shard < 4; shard++ {
 		l, ok, err := a.Acquire(shard)
@@ -303,8 +303,8 @@ func TestRegistryRestartPreservesLeases(t *testing.T) {
 	}
 	// The replica registration survived too: renew works without a
 	// fresh register round-trip.
-	a2 := &LocalManager{reg: reg2, replica: "a"}
-	if _, renewed, err := a2.Renew(leases[0]); err != nil || !renewed {
+	renewed, _, err := reg2.renew("a", []LeaseRef{{Shard: 0, Epoch: leases[0].Epoch}})
+	if err != nil || len(renewed) != 1 || renewed[0] != 0 {
 		t.Fatalf("renew against restarted registry: renewed=%v err=%v", renewed, err)
 	}
 }

@@ -23,7 +23,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
-	"strings"
 
 	arrow "repro"
 	"repro/internal/telemetry"
@@ -258,20 +257,20 @@ func decodeStrict(data []byte, v any) error {
 // validation so the HTTP surface rejects exactly what the API would.
 // extra options (the server's tracer wiring) are applied last.
 func BuildOptimizer(req *SessionRequest, extra ...arrow.Option) (*arrow.Optimizer, []arrow.Candidate, error) {
-	method, err := parseMethod(req.Method)
+	method, err := arrow.ParseMethod(req.Method)
 	if err != nil {
 		return nil, nil, err
 	}
 	opts := []arrow.Option{arrow.WithMethod(method), arrow.WithSeed(req.Seed)}
 	if req.Objective != "" {
-		obj, err := parseObjective(req.Objective)
+		obj, err := arrow.ParseObjective(req.Objective)
 		if err != nil {
 			return nil, nil, err
 		}
 		opts = append(opts, arrow.WithObjective(obj))
 	}
 	if req.Kernel != "" {
-		k, err := parseKernel(req.Kernel)
+		k, err := arrow.ParseKernel(req.Kernel)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -305,50 +304,4 @@ func BuildOptimizer(req *SessionRequest, extra ...arrow.Option) (*arrow.Optimize
 		candidates = arrow.CatalogCandidates()
 	}
 	return opt, candidates, nil
-}
-
-// parseMethod maps wire names onto methods.
-func parseMethod(name string) (arrow.Method, error) {
-	switch strings.ToLower(name) {
-	case "naive-bo", "naive":
-		return arrow.MethodNaiveBO, nil
-	case "augmented-bo", "augmented", "arrow":
-		return arrow.MethodAugmentedBO, nil
-	case "hybrid-bo", "hybrid":
-		return arrow.MethodHybridBO, nil
-	case "random-search", "random":
-		return arrow.MethodRandomSearch, nil
-	default:
-		return 0, fmt.Errorf("serve: unknown method %q", name)
-	}
-}
-
-// parseObjective maps wire names onto objectives.
-func parseObjective(name string) (arrow.Objective, error) {
-	switch strings.ToLower(name) {
-	case "time":
-		return arrow.MinimizeTime, nil
-	case "cost":
-		return arrow.MinimizeCost, nil
-	case "product", "time-cost-product", "timecost":
-		return arrow.MinimizeTimeCostProduct, nil
-	default:
-		return 0, fmt.Errorf("serve: unknown objective %q", name)
-	}
-}
-
-// parseKernel maps wire names onto GP kernels.
-func parseKernel(name string) (arrow.Kernel, error) {
-	switch strings.ToLower(name) {
-	case "rbf":
-		return arrow.KernelRBF, nil
-	case "matern12":
-		return arrow.KernelMatern12, nil
-	case "matern32":
-		return arrow.KernelMatern32, nil
-	case "matern52":
-		return arrow.KernelMatern52, nil
-	default:
-		return 0, fmt.Errorf("serve: unknown kernel %q", name)
-	}
 }

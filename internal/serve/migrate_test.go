@@ -477,7 +477,7 @@ func TestCreateUnderLapsedLeasesAnswers503(t *testing.T) {
 	}
 	dir := t.TempDir()
 	j, err := journal.Open(dir, journal.WithReplica("a"),
-		journal.WithLeaseManager(reg.LocalManager("a", "http://a", dir)),
+		journal.WithLeaseManager(reg.Client("a", "http://a", dir)),
 		journal.WithNow(now), journal.WithWarnf(t.Logf))
 	if err != nil {
 		t.Fatal(err)
@@ -583,7 +583,7 @@ func TestLapsedLeaseObserveNotAcked(t *testing.T) {
 			open := func(jnow func() time.Time) *journal.Journal {
 				t.Helper()
 				j, err := journal.Open(dir, journal.WithReplica("a"), journal.WithShards(1),
-					journal.WithLeaseManager(reg.LocalManager("a", "http://a", dir)),
+					journal.WithLeaseManager(reg.Client("a", "http://a", dir)),
 					journal.WithNow(jnow), journal.WithWarnf(t.Logf))
 				if err != nil {
 					t.Fatal(err)
