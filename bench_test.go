@@ -1,8 +1,6 @@
-// Benchmark harness: one testing.B benchmark per table and figure of the
-// paper's evaluation. Each benchmark regenerates the corresponding data
-// series on the simulator substrate and prints the same rows the paper
-// reports, so `go test -bench=. -benchmem` doubles as the reproduction
-// run. EXPERIMENTS.md records paper-vs-measured for each one.
+// Micro-benchmarks of the core components, plus the shared study runner
+// and repetition count the extension benchmarks use. The paper's tables
+// and figures are regenerated by cmd/arrow-study, not here.
 //
 // The repetition count per workload defaults to a laptop-friendly value;
 // set ARROW_BENCH_SEEDS=100 to match the paper's 100 repeats.
@@ -11,7 +9,6 @@ package arrow
 import (
 	"fmt"
 	"os"
-	"sort"
 	"strconv"
 	"sync"
 	"testing"
@@ -48,446 +45,6 @@ func benchRunner() *study.Runner {
 		benchRunnerVal = study.NewRunner(sim.New(cloud.DefaultCatalog()))
 	})
 	return benchRunnerVal
-}
-
-// BenchmarkTable1Inventory regenerates Table I: the application inventory
-// and the 107-workload study set.
-func BenchmarkTable1Inventory(b *testing.B) {
-	var studySet []workloads.Workload
-	for i := 0; i < b.N; i++ {
-		studySet = sim.New(cloud.DefaultCatalog()).StudyWorkloads()
-	}
-	b.StopTimer()
-	counts := map[workloads.Category]int{}
-	for _, w := range studySet {
-		counts[w.Category]++
-	}
-	fmt.Printf("\nTable I: %d applications; %d candidates; %d study workloads\n",
-		workloads.NumApplications, len(workloads.All()), len(studySet))
-	for _, cat := range []workloads.Category{workloads.Micro, workloads.OLAP, workloads.Statistics, workloads.MachineLearning} {
-		fmt.Printf("  %-20s %3d study workloads\n", cat, counts[cat])
-	}
-}
-
-// BenchmarkFig1NaiveBOCDF regenerates Figure 1: the CDF of Naive BO's
-// search cost across the 107 workloads and the Region I/II/III split.
-func BenchmarkFig1NaiveBOCDF(b *testing.B) {
-	r := benchRunner()
-	var cdfs []study.MethodCDF
-	for i := 0; i < b.N; i++ {
-		var err error
-		cdfs, err = r.SearchCostCDF([]study.MethodConfig{{Method: study.MethodNaive}}, core.MinimizeTime, benchSeeds())
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.StopTimer()
-	cdf := cdfs[0]
-	fmt.Printf("\nFig 1 (time objective, %d seeds): paper: 50%% within 6, 85%% within 12\n", benchSeeds())
-	for _, m := range []int{2, 4, 6, 8, 10, 12, 14, 16, 18} {
-		fmt.Printf("  within %2d measurements: %5.1f%%\n", m, 100*cdf.FractionWithin(m))
-	}
-}
-
-// BenchmarkFig2ALSTrajectory regenerates Figure 2: Naive BO's sluggish
-// trajectory on ALS (a Region III workload in the paper).
-func BenchmarkFig2ALSTrajectory(b *testing.B) {
-	r := benchRunner()
-	w, err := r.WorkloadByID("als/spark2.1/medium")
-	if err != nil {
-		b.Fatal(err)
-	}
-	var rep *study.TrajectoryReport
-	for i := 0; i < b.N; i++ {
-		rep, err = r.Trajectories(study.MethodConfig{Method: study.MethodNaive}, w, core.MinimizeTime, benchSeeds())
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.StopTimer()
-	fmt.Printf("\nFig 2 (als on Spark, normalized time): paper shows slow convergence\n")
-	for _, p := range rep.Points {
-		if p.Step%2 == 0 || p.Step == 1 {
-			fmt.Printf("  step %2d: median %.3f [Q1 %.3f, Q3 %.3f]\n", p.Step, p.Median, p.Q1, p.Q3)
-		}
-	}
-	fmt.Printf("  median steps to optimum: %.1f\n", rep.MedianStepOptimal)
-}
-
-// BenchmarkFig3Spread regenerates Figure 3: up-to-20x execution-time and
-// up-to-10x deployment-cost spreads.
-func BenchmarkFig3Spread(b *testing.B) {
-	r := benchRunner()
-	var rows []study.SpreadRow
-	for i := 0; i < b.N; i++ {
-		var err error
-		rows, err = r.Spread(nil)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.StopTimer()
-	sort.Slice(rows, func(i, j int) bool { return rows[i].TimeRatio > rows[j].TimeRatio })
-	fmt.Printf("\nFig 3: paper: up to 20x time, 10x cost; measured extremes:\n")
-	for _, row := range rows[:5] {
-		fmt.Printf("  %-34s time %5.1fx  cost %4.1fx\n", row.WorkloadID, row.TimeRatio, row.CostRatio)
-	}
-}
-
-// BenchmarkFig4ExpensiveCheap regenerates Figure 4: fixed most-expensive
-// VMs under time and least-expensive VMs under cost.
-func BenchmarkFig4ExpensiveCheap(b *testing.B) {
-	r := benchRunner()
-	var expensive, cheap []study.FixedVMSeries
-	for i := 0; i < b.N; i++ {
-		var err error
-		expensive, err = r.FixedVMDistribution([]string{"c4.2xlarge", "m4.2xlarge", "r4.2xlarge"}, core.MinimizeTime)
-		if err != nil {
-			b.Fatal(err)
-		}
-		cheap, err = r.FixedVMDistribution([]string{"c4.large", "m4.large", "r4.large"}, core.MinimizeCost)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.StopTimer()
-	fmt.Printf("\nFig 4(a) (time, most expensive VMs): paper: c4.2xlarge best for ~50%%\n")
-	for _, s := range expensive {
-		worst := s.NormalizedSorted[len(s.NormalizedSorted)-1]
-		fmt.Printf("  %-11s optimal for %4.0f%% of workloads; worst case %.1fx\n", s.VMName, 100*s.OptimalFraction, worst)
-	}
-	fmt.Printf("Fig 4(b) (cost, least expensive VMs): paper: c4.large does not rule either\n")
-	for _, s := range cheap {
-		worst := s.NormalizedSorted[len(s.NormalizedSorted)-1]
-		fmt.Printf("  %-11s optimal for %4.0f%% of workloads; worst case %.1fx\n", s.VMName, 100*s.OptimalFraction, worst)
-	}
-}
-
-// BenchmarkFig5InputSize regenerates Figure 5: the best VM changes with
-// input size.
-func BenchmarkFig5InputSize(b *testing.B) {
-	r := benchRunner()
-	pairs := []study.AppSystem{
-		{App: "pagerank", System: workloads.Hadoop27},
-		{App: "bayes", System: workloads.Spark21},
-		{App: "als", System: workloads.Spark21},
-		{App: "wordcount", System: workloads.Spark21},
-		{App: "terasort", System: workloads.Hadoop27},
-	}
-	var rows []study.InputSizeRow
-	for i := 0; i < b.N; i++ {
-		var err error
-		rows, err = r.InputSizeEffect(pairs, "m4.xlarge", core.MinimizeCost)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.StopTimer()
-	fmt.Printf("\nFig 5 (cost objective): paper: optimal VM shifts with input size\n")
-	for _, row := range rows {
-		fmt.Printf("  %-22s", row.AppName+"/"+row.System.String())
-		for _, size := range workloads.Sizes() {
-			if cell := row.PerSize[size]; cell != nil {
-				fmt.Printf("  %s=%s", size, cell.BestVM)
-			}
-		}
-		fmt.Printf("  (changes: %v)\n", row.BestVMChanges)
-	}
-}
-
-// BenchmarkFig6LevelPlayingField regenerates Figure 6: cost compresses the
-// differences between VM types for the regression workload.
-func BenchmarkFig6LevelPlayingField(b *testing.B) {
-	r := benchRunner()
-	var lf *study.LevelField
-	for i := 0; i < b.N; i++ {
-		var err error
-		lf, err = r.LevelPlayingField("regression/spark1.5/medium")
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.StopTimer()
-	fmt.Printf("\nFig 6 (regression/spark1.5): time spread %.1fx vs cost spread %.1fx\n", lf.TimeSpread, lf.CostSpread)
-	for _, row := range lf.Rows {
-		fmt.Printf("  %-11s time %6.2f  cost %5.2f\n", row.VMName, row.NormTime, row.NormCost)
-	}
-}
-
-// BenchmarkFig7KernelComparison regenerates Figure 7: how the GP kernel
-// changes Naive BO's search cost, on als (time) and bayes (cost).
-func BenchmarkFig7KernelComparison(b *testing.B) {
-	r := benchRunner()
-	panels := []struct {
-		workload  string
-		objective core.Objective
-	}{
-		{"als/spark2.1/medium", core.MinimizeTime},
-		{"bayes/spark2.1/medium", core.MinimizeCost},
-	}
-	type panelResult struct {
-		label   string
-		reports []*study.TrajectoryReport
-	}
-	var results []panelResult
-	for i := 0; i < b.N; i++ {
-		results = results[:0]
-		for _, p := range panels {
-			w, err := r.WorkloadByID(p.workload)
-			if err != nil {
-				b.Fatal(err)
-			}
-			reports, err := r.KernelComparison(w, p.objective, kernel.All(), benchSeeds())
-			if err != nil {
-				b.Fatal(err)
-			}
-			results = append(results, panelResult{label: fmt.Sprintf("%s (%s)", p.workload, p.objective), reports: reports})
-		}
-	}
-	b.StopTimer()
-	fmt.Printf("\nFig 7: paper: no kernel wins both panels\n")
-	for _, pr := range results {
-		fmt.Printf("  %s\n", pr.label)
-		for _, rep := range pr.reports {
-			fmt.Printf("    %-11s median steps to optimum %4.1f\n", rep.Label, rep.MedianStepOptimal)
-		}
-	}
-}
-
-// BenchmarkFig8MemoryBottleneck regenerates Figure 8: low-level metrics
-// exposing the memory bottleneck of logistic regression.
-func BenchmarkFig8MemoryBottleneck(b *testing.B) {
-	r := benchRunner()
-	var rows []study.BottleneckRow
-	for i := 0; i < b.N; i++ {
-		var err error
-		rows, err = r.BottleneckProfile("lr/spark1.5/medium")
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.StopTimer()
-	fmt.Printf("\nFig 8 (lr/spark1.5): paper: c3.large 14.8x with memory pressure; c4.2xlarge best\n")
-	for _, row := range rows {
-		fmt.Printf("  %-11s (%5.1fx)  %%commit %6.1f  %%iowait %5.1f\n", row.VMName, row.NormTime, row.MemCommit, row.IOWait)
-	}
-}
-
-// BenchmarkFig9SearchCostCDF regenerates Figure 9: Naive vs Augmented vs
-// Hybrid search-cost CDFs under both objectives.
-func BenchmarkFig9SearchCostCDF(b *testing.B) {
-	r := benchRunner()
-	methods := []study.MethodConfig{
-		{Method: study.MethodNaive},
-		{Method: study.MethodAugmented},
-		{Method: study.MethodHybrid},
-	}
-	type panel struct {
-		label string
-		cdfs  []study.MethodCDF
-	}
-	var panels []panel
-	for i := 0; i < b.N; i++ {
-		panels = panels[:0]
-		for _, obj := range []core.Objective{core.MinimizeTime, core.MinimizeCost} {
-			cdfs, err := r.SearchCostCDF(methods, obj, benchSeeds())
-			if err != nil {
-				b.Fatal(err)
-			}
-			panels = append(panels, panel{label: obj.String(), cdfs: cdfs})
-		}
-	}
-	b.StopTimer()
-	fmt.Printf("\nFig 9 (%d seeds): paper: Augmented overtakes Naive past ~6 measurements; Hybrid dominates Naive\n", benchSeeds())
-	for _, p := range panels {
-		fmt.Printf("  objective %s:\n", p.label)
-		for _, cdf := range p.cdfs {
-			fmt.Printf("    %-12s within6 %4.0f%%  within10 %4.0f%%  within12 %4.0f%%\n",
-				cdf.Label, 100*cdf.FractionWithin(6), 100*cdf.FractionWithin(10), 100*cdf.FractionWithin(12))
-		}
-	}
-}
-
-// BenchmarkFig10Trajectories regenerates Figure 10: trajectories with IQR
-// bands on the paper's three example workloads.
-func BenchmarkFig10Trajectories(b *testing.B) {
-	r := benchRunner()
-	panels := []struct {
-		id, workload string
-		objective    core.Objective
-	}{
-		{"a", "pagerank/hadoop2.7/medium", core.MinimizeTime},
-		{"b", "als/spark2.1/medium", core.MinimizeTime},
-		{"c", "lr/spark1.5/medium", core.MinimizeCost},
-	}
-	type row struct {
-		panel string
-		reps  []*study.TrajectoryReport
-	}
-	var rowsOut []row
-	for i := 0; i < b.N; i++ {
-		rowsOut = rowsOut[:0]
-		for _, p := range panels {
-			w, err := r.WorkloadByID(p.workload)
-			if err != nil {
-				b.Fatal(err)
-			}
-			var reps []*study.TrajectoryReport
-			for _, mc := range []study.MethodConfig{{Method: study.MethodNaive}, {Method: study.MethodAugmented}} {
-				rep, err := r.Trajectories(mc, w, p.objective, benchSeeds())
-				if err != nil {
-					b.Fatal(err)
-				}
-				reps = append(reps, rep)
-			}
-			rowsOut = append(rowsOut, row{panel: p.id + " " + p.workload, reps: reps})
-		}
-	}
-	b.StopTimer()
-	fmt.Printf("\nFig 10: paper: Augmented BO reaches the optimum sooner with narrower IQR\n")
-	for _, ro := range rowsOut {
-		fmt.Printf("  panel %s\n", ro.panel)
-		for _, rep := range ro.reps {
-			var iqr float64
-			for _, p := range rep.Points {
-				iqr += p.Q3 - p.Q1
-			}
-			fmt.Printf("    %-12s median steps %4.1f  mean IQR %.3f\n",
-				rep.Label, rep.MedianStepOptimal, iqr/float64(len(rep.Points)))
-		}
-	}
-}
-
-// BenchmarkFig11StoppingTradeoff regenerates Figure 11: the stopping-
-// criterion sweep per region under the cost objective.
-func BenchmarkFig11StoppingTradeoff(b *testing.B) {
-	r := benchRunner()
-	var points []study.SweepPoint
-	var regions map[string]study.Region
-	for i := 0; i < b.N; i++ {
-		var err error
-		regions, err = r.ClassifyRegions(core.MinimizeCost, benchSeeds())
-		if err != nil {
-			b.Fatal(err)
-		}
-		points, err = r.StoppingSweep(core.MinimizeCost, benchSeeds(),
-			[]float64{0.05, 0.10, 0.20},
-			[]float64{0.9, 1.0, 1.1, 1.2, 1.3},
-			regions)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.StopTimer()
-	counts := map[study.Region]int{}
-	for _, reg := range regions {
-		counts[reg]++
-	}
-	fmt.Printf("\nFig 11 (cost objective): regions I=%d II=%d III=%d; paper recommends delta 1.1\n",
-		counts[study.RegionI], counts[study.RegionII], counts[study.RegionIII])
-	for _, reg := range []study.Region{study.RegionI, study.RegionII, study.RegionIII} {
-		fmt.Printf("  %s:\n", reg)
-		for _, p := range points {
-			if p.Region == reg {
-				fmt.Printf("    %-28s search %5.2f  norm cost %.3f\n", p.Label, p.SearchCost, p.FoundNorm)
-			}
-		}
-	}
-}
-
-// BenchmarkFig12WinLoss regenerates Figure 12: the per-workload comparison
-// of Augmented (delta 1.1) vs Naive (EI 10%) under the cost objective.
-func BenchmarkFig12WinLoss(b *testing.B) {
-	r := benchRunner()
-	rep := benchCompare(b, r, core.MinimizeCost, 1.1)
-	fmt.Printf("\nFig 12 (cost): paper: win 46 / same 39 / draw 17 / loss 5\n")
-	fmt.Printf("  measured: win %d / same %d / draw %d / loss %d\n",
-		rep.Counts[study.Win], rep.Counts[study.Same], rep.Counts[study.Draw], rep.Counts[study.Loss])
-}
-
-// BenchmarkFig13TimeCostProduct regenerates Figure 13: the same comparison
-// under the time-cost-product objective with delta 1.05.
-func BenchmarkFig13TimeCostProduct(b *testing.B) {
-	r := benchRunner()
-	rep := benchCompare(b, r, core.MinimizeTimeCostProduct, 1.05)
-	fmt.Printf("\nFig 13 (time-cost product): paper: win 53 / same 14 / draw 32+2 / loss 6\n")
-	fmt.Printf("  measured: win %d / same %d / draw %d / loss %d\n",
-		rep.Counts[study.Win], rep.Counts[study.Same], rep.Counts[study.Draw], rep.Counts[study.Loss])
-	var maxRed float64
-	for _, p := range rep.Points {
-		if p.SearchCostReduction > maxRed {
-			maxRed = p.SearchCostReduction
-		}
-	}
-	fmt.Printf("  max search-cost reduction: %.0f%% (paper: >50%%)\n", maxRed)
-}
-
-func benchCompare(b *testing.B, r *study.Runner, objective core.Objective, delta float64) *study.CompareReport {
-	b.Helper()
-	var rep *study.CompareReport
-	for i := 0; i < b.N; i++ {
-		regions, err := r.ClassifyRegions(core.MinimizeCost, benchSeeds())
-		if err != nil {
-			b.Fatal(err)
-		}
-		rep, err = r.Compare(
-			study.MethodConfig{Method: study.MethodNaive, EIStop: 0.10},
-			study.MethodConfig{Method: study.MethodAugmented, Delta: delta},
-			objective, benchSeeds(), regions)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.StopTimer()
-	return rep
-}
-
-// BenchmarkInitialPointSensitivity regenerates the Section III-C
-// experiment: Naive BO's sensitivity to the fixed initial VM triplet.
-func BenchmarkInitialPointSensitivity(b *testing.B) {
-	r := benchRunner()
-	var reports []study.InitialPointReport
-	for i := 0; i < b.N; i++ {
-		var err error
-		reports, err = r.InitialPointSensitivity(core.MinimizeCost, map[string][]string{
-			"paper-triplet": {"c4.xlarge", "m4.large", "r3.2xlarge"},
-			"all-large":     {"c4.large", "m4.large", "r4.large"},
-			"all-2xlarge":   {"c4.2xlarge", "m4.2xlarge", "r4.2xlarge"},
-			"diverse":       {"c3.large", "m4.xlarge", "r4.2xlarge"},
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.StopTimer()
-	fmt.Printf("\nSec III-C: paper: ~15%% of workloads miss the optimum within 6 for a bad triplet\n")
-	for _, rep := range reports {
-		fmt.Printf("  %-15s miss-within-6 rate %4.0f%%\n", rep.Label, 100*rep.FailFraction)
-	}
-}
-
-// BenchmarkCategoryBreakdown reports search cost per Table I category —
-// a finer view of which workload families are hard than the paper gives.
-func BenchmarkCategoryBreakdown(b *testing.B) {
-	r := benchRunner()
-	var naive, augmented []study.GroupStats
-	for i := 0; i < b.N; i++ {
-		var err error
-		naive, err = r.BreakdownByGroup(study.MethodConfig{Method: study.MethodNaive}, core.MinimizeCost, benchSeeds(), study.ByCategory)
-		if err != nil {
-			b.Fatal(err)
-		}
-		augmented, err = r.BreakdownByGroup(study.MethodConfig{Method: study.MethodAugmented}, core.MinimizeCost, benchSeeds(), study.ByCategory)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.StopTimer()
-	fmt.Printf("\nSearch cost per Table I category (cost objective, mean of per-workload medians):\n")
-	fmt.Printf("  %-22s %-6s %-10s %-10s\n", "category", "n", "Naive", "Augmented")
-	for i := range naive {
-		fmt.Printf("  %-22s %-6d %-10.2f %-10.2f\n", naive[i].Group, naive[i].Workloads, naive[i].MeanStep, augmented[i].MeanStep)
-	}
 }
 
 // --- Micro-benchmarks of the core components -----------------------------

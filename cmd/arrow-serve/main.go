@@ -276,7 +276,7 @@ func run(args []string, errOut io.Writer, stop <-chan struct{}) error {
 	if *maxBatch < 1 {
 		return fmt.Errorf("-batch must be at least 1, got %d", *maxBatch)
 	}
-	srv := serve.New(serve.Config{
+	cfg := serve.Config{
 		MaxSessions:        *maxSessions,
 		SessionTTL:         *sessionTTL,
 		RequestTimeout:     *reqTimeout,
@@ -285,8 +285,13 @@ func run(args []string, errOut io.Writer, stop <-chan struct{}) error {
 		SnapshotInterval:   *snapInterval,
 		MaxBatch:           *maxBatch,
 		DisableSpeculation: *noSpeculate,
-		Registry:           reg,
-	})
+	}
+	if reg != nil {
+		// Only a hosting replica mounts the routes: a nil *Registry in
+		// the interface field would pass serve's nil check and panic.
+		cfg.Registry = reg
+	}
+	srv := serve.New(cfg)
 
 	if jnl != nil {
 		// Rehydrate before the listener opens so no request can race the

@@ -187,3 +187,20 @@ func TestServeCLIAddrInUse(t *testing.T) {
 		t.Error("binding a taken address should fail")
 	}
 }
+
+// TestRegistryRoutesOnlyOnHost: a replica that does not host the
+// registry answers its routes 404 instead of dropping the connection.
+func TestRegistryRoutesOnlyOnHost(t *testing.T) {
+	base, shutdown := startServer(t)
+	resp, err := http.Get(base + "/registry/v1/state")
+	if err != nil {
+		t.Fatalf("GET /registry/v1/state on a non-hosting replica: %v", err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusNotFound {
+		t.Errorf("status %d, want 404", resp.StatusCode)
+	}
+	if err := shutdown(); err != nil {
+		t.Fatal(err)
+	}
+}

@@ -1,6 +1,9 @@
 // Command arrow-study regenerates the paper's evaluation: every figure's
 // data series is recomputed on the simulator substrate, written as CSV
 // into the output directory, and sketched as an ASCII chart on stdout.
+// The experiments themselves (workloads, methods, thresholds, CSV names)
+// are the entries of study.Experiments; this command selects, runs and
+// merges them and writes their CSV files.
 //
 // The selected experiments run as a work queue over one shared runner:
 // every search pulls through the content-addressed run cache
@@ -28,16 +31,13 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"repro/internal/cloud"
-	"repro/internal/core"
 	"repro/internal/parallel"
-	"repro/internal/runcache"
 	"repro/internal/sim"
 	"repro/internal/study"
 	"repro/internal/telemetry"
@@ -49,46 +49,6 @@ func main() {
 		fmt.Fprintln(os.Stderr, "arrow-study:", err)
 		os.Exit(1)
 	}
-}
-
-// ctx carries the shared state of one study invocation.
-type ctx struct {
-	runner *study.Runner
-	seeds  int
-	outDir string
-
-	// regions memoizes the Figure 1 classification, which several
-	// experiments reuse; the singleflight keeps concurrent figures from
-	// classifying twice (the underlying searches dedup in the run cache
-	// either way).
-	regions *runcache.Store[map[string]study.Region]
-}
-
-type experiment struct {
-	name string
-	desc string
-	run  func(*ctx, io.Writer) error
-}
-
-// experiments in paper order — also the deterministic merge order of the
-// work-queue executor.
-var experiments = []experiment{
-	{"table1", "Table I: application and workload inventory", runTable1},
-	{"fig1", "Fig 1: Naive BO search-cost CDF and regions", runFig1},
-	{"fig2", "Fig 2: Naive BO trajectory for ALS on Spark", runFig2},
-	{"fig3", "Fig 3: best-to-worst spread in time and cost", runFig3},
-	{"fig4", "Fig 4: fixed most/least expensive VM distributions", runFig4},
-	{"fig5", "Fig 5: input size changes the best VM", runFig5},
-	{"fig6", "Fig 6: cost levels the playing field (regression)", runFig6},
-	{"fig7", "Fig 7: kernel choice changes BO effectiveness", runFig7},
-	{"fig8", "Fig 8: low-level metrics expose a memory bottleneck", runFig8},
-	{"fig9", "Fig 9: search-cost CDFs, Naive vs Augmented vs Hybrid", runFig9},
-	{"fig10", "Fig 10: trajectories with IQR bands", runFig10},
-	{"fig11", "Fig 11: stopping-criterion trade-off per region", runFig11},
-	{"fig12", "Fig 12: win/same/draw/loss under the cost objective", runFig12},
-	{"fig13", "Fig 13: win/same/draw/loss under the time-cost product", runFig13},
-	{"initpoints", "Sec III-C: initial-point sensitivity", runInitPoints},
-	{"breakdown", "extension: search cost per category/system/size", runBreakdown},
 }
 
 func run(args []string, out, progress io.Writer) error {
@@ -109,8 +69,8 @@ func run(args []string, out, progress io.Writer) error {
 		return err
 	}
 	if *list {
-		for _, e := range experiments {
-			fmt.Fprintf(out, "%-12s %s\n", e.name, e.desc)
+		for _, e := range study.Experiments {
+			fmt.Fprintf(out, "%-12s %s\n", e.Name, e.Desc)
 		}
 		return nil
 	}
@@ -161,20 +121,14 @@ func run(args []string, out, progress io.Writer) error {
 	if t := telemetry.Multi(tracers...); t != nil {
 		opts = append(opts, study.WithTracer(t))
 	}
-	regions, _ := runcache.Open[map[string]study.Region]("", sim.SubstrateVersion) // memory-only Open cannot fail
-	c := &ctx{
-		runner:  study.NewRunner(simulator, opts...),
-		seeds:   *seeds,
-		outDir:  *outDir,
-		regions: regions,
-	}
-	defer c.runner.Close()
+	runner := study.NewRunner(simulator, opts...)
+	defer runner.Close()
 
 	selected, err := selectExperiments(*figures)
 	if err != nil {
 		return err
 	}
-	err = runQueue(c, selected, out, progress)
+	err = runQueue(runner, study.NewPaper(runner, *seeds, csvWriter(*outDir)), selected, out, progress)
 	// The trace is flushed even after a failed study: partial traces are
 	// how an aborted run gets diagnosed.
 	if traceSink != nil {
@@ -193,11 +147,11 @@ func run(args []string, out, progress io.Writer) error {
 
 // selectExperiments resolves the -figures flag against the experiment
 // list, preserving paper order.
-func selectExperiments(figures string) ([]experiment, error) {
+func selectExperiments(figures string) ([]study.Experiment, error) {
 	want := map[string]bool{}
 	if figures == "all" {
-		for _, e := range experiments {
-			want[e.name] = true
+		for _, e := range study.Experiments {
+			want[e.Name] = true
 		}
 	} else {
 		for _, name := range strings.Split(figures, ",") {
@@ -205,17 +159,17 @@ func selectExperiments(figures string) ([]experiment, error) {
 		}
 	}
 	known := map[string]bool{}
-	for _, e := range experiments {
-		known[e.name] = true
+	for _, e := range study.Experiments {
+		known[e.Name] = true
 	}
 	for name := range want {
 		if !known[name] {
 			return nil, fmt.Errorf("unknown experiment %q (see -list)", name)
 		}
 	}
-	var sel []experiment
-	for _, e := range experiments {
-		if want[e.name] {
+	var sel []study.Experiment
+	for _, e := range study.Experiments {
+		if want[e.Name] {
 			sel = append(sel, e)
 		}
 	}
@@ -260,7 +214,7 @@ func (s *syncWriter) Write(p []byte) (int, error) {
 // plus the cache/wall-clock summary footer stream to progress. Keeping
 // timing out of `out` is what makes cold, warm and any-concurrency runs
 // byte-identical.
-func runQueue(c *ctx, sel []experiment, out, progress io.Writer) error {
+func runQueue(runner *study.Runner, paper *study.Paper, sel []study.Experiment, out, progress io.Writer) error {
 	type outcome struct {
 		buf bytes.Buffer
 		dur time.Duration
@@ -274,7 +228,7 @@ func runQueue(c *ctx, sel []experiment, out, progress io.Writer) error {
 	parallel.Do(len(sel), len(sel), func(i int) {
 		e := sel[i]
 		t0 := time.Now()
-		outcomes[i].err = e.run(c, &outcomes[i].buf)
+		outcomes[i].err = e.Run(paper, &outcomes[i].buf)
 		outcomes[i].dur = time.Since(t0)
 
 		d := done.Add(1)
@@ -287,15 +241,15 @@ func runQueue(c *ctx, sel []experiment, out, progress io.Writer) error {
 		// a warm cache it converges to ~0 immediately.
 		eta := time.Duration(float64(elapsed) / float64(d) * float64(int64(len(sel))-d))
 		fmt.Fprintf(pw, "[%d/%d] %-12s %s in %-8v (elapsed %v, ETA %v)\n",
-			d, len(sel), e.name, status, outcomes[i].dur.Round(time.Millisecond),
+			d, len(sel), e.Name, status, outcomes[i].dur.Round(time.Millisecond),
 			elapsed.Round(time.Millisecond), eta.Round(time.Second))
 	})
 
 	// Deterministic merge: paper order, independent of completion order.
 	for i, e := range sel {
-		fmt.Fprintf(out, "=== %s: %s\n", e.name, e.desc)
+		fmt.Fprintf(out, "=== %s: %s\n", e.Name, e.Desc)
 		if outcomes[i].err != nil {
-			return fmt.Errorf("%s: %w", e.name, outcomes[i].err)
+			return fmt.Errorf("%s: %w", e.Name, outcomes[i].err)
 		}
 		if _, err := out.Write(outcomes[i].buf.Bytes()); err != nil {
 			return err
@@ -306,9 +260,9 @@ func runQueue(c *ctx, sel []experiment, out, progress io.Writer) error {
 	// Summary footer: per-figure wall-clock and cache counters.
 	fmt.Fprintf(pw, "\nper-figure wall-clock:\n")
 	for i, e := range sel {
-		fmt.Fprintf(pw, "  %-12s %v\n", e.name, outcomes[i].dur.Round(time.Millisecond))
+		fmt.Fprintf(pw, "  %-12s %v\n", e.Name, outcomes[i].dur.Round(time.Millisecond))
 	}
-	runs, truth := c.runner.CacheStats()
+	runs, truth := runner.CacheStats()
 	fmt.Fprintf(pw, "run cache: %d computed, %d memory hits, %d disk hits, %d deduplicated in-flight (%.1f%% of %d lookups reused)\n",
 		runs.Misses, runs.Hits, runs.DiskHits, runs.Shared, 100*runs.ReuseRatio(), runs.Lookups())
 	if runs.Loaded > 0 || runs.Invalidated > 0 || runs.Corrupt > 0 {
@@ -320,46 +274,18 @@ func runQueue(c *ctx, sel []experiment, out, progress io.Writer) error {
 	return nil
 }
 
-// regionsFor computes (and memoizes) the Figure 1 region classification.
-func (c *ctx) regionsFor(objective core.Objective) (map[string]study.Region, error) {
-	key := runcache.Key("regions\x00" + objective.String())
-	return c.regions.Do(key, func() (map[string]study.Region, error) {
-		return c.runner.ClassifyRegions(objective, c.seeds)
-	})
-}
-
-// writeCSV writes one CSV file into the output directory.
-func (c *ctx) writeCSV(name string, header []string, rows [][]string) error {
-	path := filepath.Join(c.outDir, name)
-	f, err := os.Create(path)
-	if err != nil {
-		return fmt.Errorf("creating %s: %w", path, err)
+// csvWriter writes each CSV file into the output directory.
+func csvWriter(outDir string) study.CSVSink {
+	return func(name string, header []string, rows [][]string) error {
+		path := filepath.Join(outDir, name)
+		f, err := os.Create(path)
+		if err != nil {
+			return fmt.Errorf("creating %s: %w", path, err)
+		}
+		if err := csv.NewWriter(f).WriteAll(append([][]string{header}, rows...)); err != nil {
+			_ = f.Close()
+			return err
+		}
+		return f.Close()
 	}
-	w := csv.NewWriter(f)
-	if err := w.Write(header); err != nil {
-		_ = f.Close()
-		return err
-	}
-	if err := w.WriteAll(rows); err != nil {
-		_ = f.Close()
-		return err
-	}
-	w.Flush()
-	if err := w.Error(); err != nil {
-		_ = f.Close()
-		return err
-	}
-	return f.Close()
-}
-
-func f(v float64) string { return fmt.Sprintf("%.6g", v) }
-
-// sortedIDs returns map keys in stable order.
-func sortedIDs[V any](m map[string]V) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
 }

@@ -18,16 +18,11 @@ type SpreadRow struct {
 	CostRatio  float64 // worst/best deployment cost
 }
 
-// Spread computes the best-to-worst spread for the given workload IDs
-// (empty means the whole study set). Figure 3 reports up to ~20x in time
-// and ~10x in cost.
-func (r *Runner) Spread(ids []string) ([]SpreadRow, error) {
-	ws, err := r.resolveIDs(ids)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]SpreadRow, 0, len(ws))
-	for _, w := range ws {
+// Spread computes the best-to-worst spread of every study workload.
+// Figure 3 reports up to ~20x in time and ~10x in cost.
+func (r *Runner) Spread() ([]SpreadRow, error) {
+	out := make([]SpreadRow, 0, len(r.workloads))
+	for _, w := range r.workloads {
 		times, err := r.TruthValues(w, core.MinimizeTime)
 		if err != nil {
 			return nil, err
@@ -41,22 +36,6 @@ func (r *Runner) Spread(ids []string) ([]SpreadRow, error) {
 		minC, _ := stats.Min(costs)
 		maxC, _ := stats.Max(costs)
 		out = append(out, SpreadRow{WorkloadID: w.ID(), TimeRatio: maxT / minT, CostRatio: maxC / minC})
-	}
-	return out, nil
-}
-
-// resolveIDs maps IDs to workloads, defaulting to the full study set.
-func (r *Runner) resolveIDs(ids []string) ([]workloads.Workload, error) {
-	if len(ids) == 0 {
-		return r.Workloads(), nil
-	}
-	out := make([]workloads.Workload, 0, len(ids))
-	for _, id := range ids {
-		w, err := r.WorkloadByID(id)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, w)
 	}
 	return out, nil
 }

@@ -9,8 +9,16 @@ import (
 )
 
 func TestSpreadSelectedWorkloads(t *testing.T) {
-	r := testRunner(t)
-	rows, err := r.Spread([]string{"lr/spark1.5/medium", "scan/hadoop2.7/medium"})
+	var ws []workloads.Workload
+	for _, id := range []string{"lr/spark1.5/medium", "scan/hadoop2.7/medium"} {
+		w, err := workloads.ByID(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ws = append(ws, w)
+	}
+	r := NewRunner(testRunner(t).Simulator(), WithWorkloads(ws))
+	rows, err := r.Spread()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -30,19 +38,12 @@ func TestSpreadSelectedWorkloads(t *testing.T) {
 
 func TestSpreadDefaultsToAll(t *testing.T) {
 	r := testRunner(t)
-	rows, err := r.Spread(nil)
+	rows, err := r.Spread()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(rows) != len(r.Workloads()) {
 		t.Fatalf("%d rows, want %d", len(rows), len(r.Workloads()))
-	}
-}
-
-func TestSpreadUnknownID(t *testing.T) {
-	r := testRunner(t)
-	if _, err := r.Spread([]string{"nope"}); err == nil {
-		t.Error("unknown ID should fail")
 	}
 }
 
