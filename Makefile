@@ -130,7 +130,7 @@ bench:
 		-bench 'BenchmarkForestFit$$|BenchmarkGPFit|BenchmarkFullSearchNaive|BenchmarkFullSearchAugmented' . \
 		> /tmp/arrow-bench-root.txt
 	$(GO) test -run xxx -benchmem -benchtime 300x \
-		-bench 'BenchmarkAdvisorNext' . \
+		-bench 'BenchmarkAdvisorNext|BenchmarkNewSimulatedTarget' . \
 		> /tmp/arrow-bench-advisor.txt
 	$(GO) test -run xxx -benchmem -benchtime 20x \
 		-bench 'BenchmarkForestFitParallel|BenchmarkForestPredictPairs|BenchmarkForestRefit' ./internal/forest \
@@ -148,7 +148,7 @@ bench:
 		-bench 'BenchmarkStudyThroughputCold' ./internal/study \
 		> /tmp/arrow-bench-study.txt
 	$(GO) test -run xxx -benchmem -benchtime 500x \
-		-bench 'BenchmarkStudyThroughputWarm' ./internal/study \
+		-bench 'BenchmarkStudyThroughputWarm|BenchmarkNewRunner' ./internal/study \
 		> /tmp/arrow-bench-study-warm.txt
 	$(GO) test -run xxx -benchmem -benchtime 20x -timeout 40m \
 		-bench 'BenchmarkRecoverSnapshot$$' ./internal/serve \

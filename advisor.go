@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 
 	"repro/internal/core"
 	"repro/internal/lowlevel"
@@ -26,12 +27,13 @@ type Candidate struct {
 }
 
 // CatalogCandidates returns the built-in 18-type AWS catalog as advisor
-// candidates, in the same order as CatalogVMs.
+// candidates, in the same order as CatalogVMs. The result is a fresh
+// copy, feature vectors included, of a table built once per process.
 func CatalogCandidates() []Candidate {
-	vms := CatalogVMs()
+	vms := catalogVMs()
 	out := make([]Candidate, len(vms))
 	for i, vm := range vms {
-		out[i] = Candidate{Name: vm.Name, Features: vm.Features}
+		out[i] = Candidate{Name: vm.Name, Features: slices.Clone(vm.Features)}
 	}
 	return out
 }

@@ -35,7 +35,9 @@ package arrow
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
+	"sync"
 	"time"
 
 	"repro/internal/cloud"
@@ -647,9 +649,9 @@ type VMInfo struct {
 	Features   []float64
 }
 
-// CatalogVMs lists the built-in 18-type AWS catalog used by the simulated
-// targets, in candidate-index order.
-func CatalogVMs() []VMInfo {
+// catalogVMs renders the built-in catalog once per process. CatalogVMs
+// and CatalogCandidates copy it, since callers may modify what they get.
+var catalogVMs = sync.OnceValue(func() []VMInfo {
 	cat := cloud.DefaultCatalog()
 	out := make([]VMInfo, cat.Len())
 	for i := 0; i < cat.Len(); i++ {
@@ -661,6 +663,17 @@ func CatalogVMs() []VMInfo {
 			PricePerHr: vm.PricePerHr,
 			Features:   vm.Encode(),
 		}
+	}
+	return out
+})
+
+// CatalogVMs lists the built-in 18-type AWS catalog used by the simulated
+// targets, in candidate-index order. The result is a fresh copy, feature
+// vectors included, of a table built once per process.
+func CatalogVMs() []VMInfo {
+	out := append([]VMInfo(nil), catalogVMs()...)
+	for i := range out {
+		out[i].Features = slices.Clone(out[i].Features)
 	}
 	return out
 }

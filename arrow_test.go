@@ -4,7 +4,12 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"reflect"
+	"sync"
 	"testing"
+
+	"repro/internal/cloud"
+	"repro/internal/workloads"
 )
 
 func TestWorkloadIDsCount(t *testing.T) {
@@ -422,6 +427,92 @@ func TestCatalogVMsReturnsCopies(t *testing.T) {
 	b := CatalogVMs()
 	if b[0].Name == "mutated" || b[0].Features[0] == -99 {
 		t.Error("CatalogVMs aliases shared state")
+	}
+}
+
+// TestCatalogTablesStable checks that CatalogCandidates and WorkloadIDs
+// return equal values on every call, that the candidates are the
+// simulated targets' catalog, and that a caller mutating a result cannot
+// reach the next call's.
+func TestCatalogTablesStable(t *testing.T) {
+	cands, ids := CatalogCandidates(), WorkloadIDs()
+	if !reflect.DeepEqual(CatalogCandidates(), cands) || !reflect.DeepEqual(WorkloadIDs(), ids) {
+		t.Fatal("catalog tables differ between calls")
+	}
+	target, err := NewSimulatedTarget(ids[0], 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(TargetCandidates(target), cands) {
+		t.Error("CatalogCandidates differs from a simulated target's catalog")
+	}
+	mutated := CatalogCandidates()
+	mutated[0].Name = "mutated"
+	mutated[0].Features[0] = -99
+	_ = append(mutated[1].Features[:1], -99)
+	WorkloadIDs()[0] = "mutated"
+	if !reflect.DeepEqual(CatalogCandidates(), cands) || !reflect.DeepEqual(WorkloadIDs(), ids) {
+		t.Error("mutating a returned table changed the next call's")
+	}
+}
+
+// TestNoCatalogRebuildAfterFirstUse bounds what the catalog accessors
+// allocate after their first call (AllocsPerRun's warm-up), when their
+// tables exist. A rebuild would allocate again for each of the 135
+// candidate workloads or the 18 VM types.
+func TestNoCatalogRebuildAfterFirstUse(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		max  float64
+		f    func()
+	}{
+		{"workloads.ByID", 0, func() { _, _ = workloads.ByID("als/spark2.1/medium") }},
+		{"cloud.DefaultCatalog", 0, func() { cloud.DefaultCatalog() }},
+		{"CatalogCandidates", 1 + 18, func() { CatalogCandidates() }},
+		{"NewSimulatedTarget", 8, func() { _, _ = NewSimulatedTarget("als/spark2.1/medium", 1) }},
+	} {
+		if got := testing.AllocsPerRun(20, c.f); got > c.max {
+			t.Errorf("%s: %v allocations per call, want at most %v", c.name, got, c.max)
+		}
+	}
+}
+
+// TestCatalogConcurrentUse builds candidates, workload lists and
+// simulated targets from many goroutines at once and compares each
+// goroutine's measurements; run it under -race.
+func TestCatalogConcurrentUse(t *testing.T) {
+	const n = 8
+	got := make([][]Outcome, n)
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for g := 0; g < n; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			<-start
+			if len(CatalogCandidates()) != 18 || len(WorkloadIDs()) != 107 {
+				t.Error("short catalog table")
+			}
+			target, err := NewSimulatedTarget("als/spark2.1/medium", 1)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			for i := 0; i < target.NumCandidates(); i++ {
+				out, err := target.Measure(i)
+				if err != nil {
+					t.Error(err)
+				}
+				got[g] = append(got[g], out)
+			}
+		}(g)
+	}
+	close(start)
+	wg.Wait()
+	for g := 1; g < n; g++ {
+		if !reflect.DeepEqual(got[g], got[0]) {
+			t.Errorf("goroutine %d measured differently", g)
+		}
 	}
 }
 

@@ -102,6 +102,16 @@ func BenchmarkSimulatorMeasure(b *testing.B) {
 	}
 }
 
+// BenchmarkNewSimulatedTarget measures building one simulated target: the
+// workload lookup, the feasibility check and the simulator behind it.
+func BenchmarkNewSimulatedTarget(b *testing.B) {
+	for i := 0; i < b.N; i++ {
+		if _, err := NewSimulatedTarget("als/spark2.1/medium", int64(i)); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkFullSearchNaive measures one complete Naive BO search.
 func BenchmarkFullSearchNaive(b *testing.B) {
 	benchFullSearch(b, study.MethodConfig{Method: study.MethodNaive, EIStop: -1})

@@ -17,7 +17,7 @@
 //
 // Usage:
 //
-//	arrow-study                      # all experiments, 30 seeds
+//	arrow-study                      # all experiments, 20 seeds (results/)
 //	arrow-study -figures fig9,fig12  # a subset
 //	arrow-study -seeds 100           # the paper's repeat count
 //	arrow-study -no-cache            # force every search to execute
@@ -54,7 +54,7 @@ func main() {
 func run(args []string, out, progress io.Writer) error {
 	fs := flag.NewFlagSet("arrow-study", flag.ContinueOnError)
 	var (
-		seeds    = fs.Int("seeds", 30, "independent repetitions per workload (paper uses 100)")
+		seeds    = fs.Int("seeds", 20, "independent repetitions per workload (paper uses 100)")
 		outDir   = fs.String("out", "results", "directory for CSV output")
 		figures  = fs.String("figures", "all", "comma-separated experiment list (see -list)")
 		list     = fs.Bool("list", false, "list experiments and exit")

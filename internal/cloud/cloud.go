@@ -14,6 +14,7 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+	"sync"
 )
 
 // Family is an EC2 instance family.
@@ -183,8 +184,12 @@ type Catalog struct {
 // ErrUnknownVM reports a lookup for a VM type not in the catalog.
 var ErrUnknownVM = errors.New("cloud: unknown VM type")
 
-// DefaultCatalog builds the paper's 18-type instance space.
-func DefaultCatalog() *Catalog {
+// DefaultCatalog returns the paper's 18-type instance space. The catalog
+// is built once per process and shared: every call returns the same
+// *Catalog, which nothing can modify.
+func DefaultCatalog() *Catalog { return defaultCatalog() }
+
+var defaultCatalog = sync.OnceValue(func() *Catalog {
 	var vms []VM
 	for _, fs := range familySpecs {
 		for _, size := range []Size{Large, XLarge, XXLarge} {
@@ -210,7 +215,7 @@ func DefaultCatalog() *Catalog {
 		byName[vm.Name()] = i
 	}
 	return &Catalog{vms: vms, byName: byName}
-}
+})
 
 // Len returns the number of VM types.
 func (c *Catalog) Len() int { return len(c.vms) }

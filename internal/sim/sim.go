@@ -197,16 +197,17 @@ func (s *Simulator) Measure(w workloads.Workload, vm cloud.VM, trial int64) (Res
 }
 
 func (s *Simulator) run(w workloads.Workload, vm cloud.VM, trial int64, noisy bool) (Result, error) {
+	id := w.ID()
 	d := w.Demands
 	if d.CPUCoreSeconds <= 0 || d.WorkingSetGiB <= 0 || d.IOGiB < 0 {
-		return Result{}, fmt.Errorf("sim: invalid demands %+v for %s", d, w.ID())
+		return Result{}, fmt.Errorf("sim: invalid demands %+v for %s", d, id)
 	}
 	if d.SerialFraction < 0 || d.SerialFraction > 1 {
-		return Result{}, fmt.Errorf("sim: serial fraction %v out of [0,1] for %s", d.SerialFraction, w.ID())
+		return Result{}, fmt.Errorf("sim: serial fraction %v out of [0,1] for %s", d.SerialFraction, id)
 	}
 	if !s.Feasible(w, vm) {
 		return Result{}, fmt.Errorf("sim: %s on %s (working set %.1f GiB, memory %.1f GiB): %w",
-			w.ID(), vm.Name(), d.WorkingSetGiB, vm.MemGiB, ErrInfeasible)
+			id, vm.Name(), d.WorkingSetGiB, vm.MemGiB, ErrInfeasible)
 	}
 
 	// Phase 1: compute, limited by Amdahl's law and per-core speed.
@@ -246,13 +247,13 @@ func (s *Simulator) run(w workloads.Workload, vm cloud.VM, trial int64, noisy bo
 
 	// Systematic affinity: a deterministic, pair-specific factor standing
 	// in for everything the published characteristics cannot explain.
-	affinity := affinityFactor(w.ID(), vm.Name())
+	affinity := affinityFactor(id, vm.Name())
 	totalSec := (cpuBusySec + totalIOSec) * affinity
 
 	noiseFactor := 1.0
 	var seed uint64
 	if noisy {
-		seed = noiseSeed(w.ID(), vm.Name(), trial)
+		seed = noiseSeed(id, vm.Name(), trial)
 		rng := seededRNG(seed)
 		noiseFactor = math.Exp(s.noiseSigma * rng.NormFloat64())
 		rngPool.Put(rng)
@@ -273,7 +274,7 @@ func (s *Simulator) run(w workloads.Workload, vm cloud.VM, trial int64, noisy bo
 		trial:    trial,
 	})
 	if err := metrics.Validate(); err != nil {
-		return Result{}, fmt.Errorf("sim: derived metrics for %s on %s: %w", w.ID(), vm.Name(), err)
+		return Result{}, fmt.Errorf("sim: derived metrics for %s on %s: %w", id, vm.Name(), err)
 	}
 
 	return Result{

@@ -528,3 +528,32 @@ func TestNoSingleVMOptimalEverywhere(t *testing.T) {
 		}
 	}
 }
+
+// TestAffinityMatchesDirectRecomputation checks every study pair's Truth
+// and Measure bit for bit against a direct recomputation of its affinity
+// factor from the canonical workload ID and VM name.
+func TestAffinityMatchesDirectRecomputation(t *testing.T) {
+	s := newSim(t)
+	cat := s.Catalog()
+	for _, w := range s.StudyWorkloads() {
+		for i := 0; i < cat.Len(); i++ {
+			vm := cat.VM(i)
+			direct := affinityFactor(w.ID(), vm.Name())
+			truth, err := s.Truth(w, vm)
+			if err != nil {
+				t.Fatal(err)
+			}
+			measured, err := s.Measure(w, vm, 3)
+			if err != nil {
+				t.Fatal(err)
+			}
+			b, m := truth.Breakdown, measured.Breakdown
+			if math.Float64bits(b.Affinity) != math.Float64bits(direct) ||
+				math.Float64bits(truth.TimeSec) != math.Float64bits((b.CPUBusySec+b.TotalIOSec)*direct) ||
+				math.Float64bits(measured.TimeSec) != math.Float64bits((m.CPUBusySec+m.TotalIOSec)*direct*m.NoiseFactor) {
+				t.Fatalf("%s on %s: truth %v, measured %v, direct affinity %v",
+					w.ID(), vm.Name(), truth.TimeSec, measured.TimeSec, direct)
+			}
+		}
+	}
+}

@@ -215,7 +215,7 @@ func runFig3(p *Paper, out io.Writer) error {
 	sort.Slice(byCost, func(i, j int) bool { return byCost[i].CostRatio > byCost[j].CostRatio })
 	fmt.Fprintf(out, "largest cost spread: %s at %.1fx\n", byCost[0].WorkloadID, byCost[0].CostRatio)
 	var bars []textplot.Bar
-	for _, r := range rows[:6] {
+	for _, r := range rows[:min(6, len(rows))] {
 		bars = append(bars, textplot.Bar{Label: r.WorkloadID, Value: r.TimeRatio, Annotation: fmt.Sprintf("cost %.1fx", r.CostRatio)})
 	}
 	return plotBars(out, "Fig 3: worst/best execution-time ratio (top workloads)", bars)

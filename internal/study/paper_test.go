@@ -76,3 +76,39 @@ func TestExperiments(t *testing.T) {
 		}
 	}
 }
+
+// TestFig3SmallStudySet runs Fig 3 on a study set smaller than the six
+// workloads its chart shows: the chart shows what there is.
+func TestFig3SmallStudySet(t *testing.T) {
+	var ws []workloads.Workload
+	for _, id := range []string{"pearson/spark2.1/medium", "scan/hadoop2.7/medium"} {
+		w, err := workloads.ByID(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ws = append(ws, w)
+	}
+	r := NewRunner(sim.New(cloud.DefaultCatalog()), WithWorkloads(ws), WithoutRunCache())
+	defer r.Close()
+	var rows int
+	p := NewPaper(r, 1, func(_ string, _ []string, csv [][]string) error {
+		rows = len(csv)
+		return nil
+	})
+	var out strings.Builder
+	for _, e := range Experiments {
+		if e.Name == "fig3" {
+			if err := e.Run(p, &out); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if rows != len(ws) {
+		t.Errorf("fig3 wrote %d rows, want %d", rows, len(ws))
+	}
+	for _, w := range ws {
+		if !strings.Contains(out.String(), w.ID()) {
+			t.Errorf("fig3 chart does not show %s:\n%s", w.ID(), out.String())
+		}
+	}
+}

@@ -187,7 +187,9 @@ func WithConcurrency(n int) Option {
 
 // WithWorkloads restricts the study set (default: the full 107 workloads).
 func WithWorkloads(ws []workloads.Workload) Option {
-	return func(r *Runner) { r.workloads = append([]workloads.Workload(nil), ws...) }
+	// The copy is non-nil even when ws is empty, so NewRunner keeps an
+	// empty set rather than building the default one.
+	return func(r *Runner) { r.workloads = append(make([]workloads.Workload, 0, len(ws)), ws...) }
 }
 
 // WithCacheDir enables the persistent run-cache tier: completed searches
@@ -227,12 +229,12 @@ func WithTracer(t telemetry.Tracer) Option {
 	return func(r *Runner) { r.tracer = t }
 }
 
-// NewRunner builds a Runner over the simulator's study set.
+// NewRunner builds a Runner over the simulator's study set, or over the
+// set WithWorkloads gives.
 func NewRunner(s *sim.Simulator, opts ...Option) *Runner {
 	r := &Runner{
 		sim:         s,
 		catalog:     s.Catalog(),
-		workloads:   s.StudyWorkloads(),
 		concurrency: runtime.GOMAXPROCS(0),
 		warnf: func(format string, args ...any) {
 			fmt.Fprintf(os.Stderr, "study: "+format+"\n", args...)
@@ -240,6 +242,9 @@ func NewRunner(s *sim.Simulator, opts ...Option) *Runner {
 	}
 	for _, opt := range opts {
 		opt(r)
+	}
+	if r.workloads == nil {
+		r.workloads = s.StudyWorkloads()
 	}
 	r.sem = make(chan struct{}, r.concurrency)
 	r.truth, _ = runcache.Open[[]float64]("", sim.SubstrateVersion) // memory-only Open cannot fail

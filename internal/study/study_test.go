@@ -47,6 +47,17 @@ func TestNewRunnerDefaultsToFullStudySet(t *testing.T) {
 	}
 }
 
+// TestNewRunnerEmptyWorkloads checks that an empty WithWorkloads list
+// gives an empty study set, not the default one.
+func TestNewRunnerEmptyWorkloads(t *testing.T) {
+	for _, ws := range [][]workloads.Workload{nil, {}} {
+		r := NewRunner(sim.New(cloud.DefaultCatalog()), WithWorkloads(ws))
+		if got := len(r.Workloads()); got != 0 {
+			t.Errorf("WithWorkloads(%#v): runner has %d workloads, want 0", ws, got)
+		}
+	}
+}
+
 func TestTruthValuesCachedAndConsistent(t *testing.T) {
 	r := testRunner(t)
 	w := r.Workloads()[0]

@@ -1,6 +1,9 @@
 package study
 
 import (
+	"os"
+	"path/filepath"
+	"strconv"
 	"testing"
 
 	"repro/internal/cloud"
@@ -9,12 +12,11 @@ import (
 	"repro/internal/workloads"
 )
 
-// throughputRunner builds a Runner over a paper-shaped subset: the
-// study's redundancy pattern (the same method rerun by several figures)
-// at a size the benchmark can grow cold in seconds.
-func throughputRunner(b *testing.B, opts ...Option) *Runner {
+// throughputWorkloads is a paper-shaped subset: the study's redundancy
+// pattern (the same method rerun by several figures) at a size the
+// benchmark can grow cold in seconds.
+func throughputWorkloads(b *testing.B) []workloads.Workload {
 	b.Helper()
-	s := sim.New(cloud.DefaultCatalog())
 	ids := []string{
 		"pearson/spark2.1/medium",
 		"scan/hadoop2.7/medium",
@@ -29,7 +31,13 @@ func throughputRunner(b *testing.B, opts ...Option) *Runner {
 		}
 		ws = append(ws, w)
 	}
-	return NewRunner(s, append([]Option{WithWorkloads(ws)}, opts...)...)
+	return ws
+}
+
+// throughputRunner builds a Runner over throughputWorkloads.
+func throughputRunner(b *testing.B, opts ...Option) *Runner {
+	b.Helper()
+	return NewRunner(sim.New(cloud.DefaultCatalog()), append([]Option{WithWorkloads(throughputWorkloads(b))}, opts...)...)
 }
 
 // studySlice replays the cross-experiment redundancy of cmd/arrow-study:
@@ -90,4 +98,28 @@ func BenchmarkStudyThroughputWarm(b *testing.B) {
 	b.StopTimer()
 	runs, _ := r.CacheStats()
 	b.ReportMetric(runs.ReuseRatio(), "dedup-ratio")
+}
+
+// BenchmarkNewRunner measures a cold Runner's bring-up the way the
+// end-to-end study-cold workload times it (its setup_s): a fresh
+// simulator, a given study set and an empty cache directory, which the
+// untimed part of each iteration creates.
+func BenchmarkNewRunner(b *testing.B) {
+	ws := throughputWorkloads(b)
+	root := b.TempDir()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		dir := filepath.Join(root, strconv.Itoa(i))
+		if err := os.Mkdir(dir, 0o755); err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+		r := NewRunner(sim.New(cloud.DefaultCatalog()), WithWorkloads(ws), WithCacheDir(dir), WithConcurrency(2))
+		b.StopTimer()
+		if err := r.Close(); err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+	}
 }

@@ -17,6 +17,7 @@ package workloads
 import (
 	"fmt"
 	"sort"
+	"sync"
 )
 
 // Category groups applications as in Table I.
@@ -377,7 +378,7 @@ type Workload struct {
 
 // ID returns the canonical workload identifier, e.g. "als/spark2.1/medium".
 func (w Workload) ID() string {
-	return fmt.Sprintf("%s/%s/%s", w.AppName, w.System, w.Size)
+	return w.AppName + "/" + w.System.String() + "/" + w.Size.String()
 }
 
 // sizeMult returns the demand multiplier for a size given a growth factor.
@@ -424,30 +425,47 @@ func Resolve(app Application, system System, size InputSize) Workload {
 	}
 }
 
-// All returns every (application, system, size) candidate combination —
-// before the out-of-memory exclusions that internal/sim applies to derive
-// the 107-workload study set.
-func All() []Workload {
-	var out []Workload
+// catalog is the candidate list in ID order, indexed by ID.
+type catalog struct {
+	all  []Workload
+	byID map[string]int
+}
+
+// table builds the catalog once per process, on first use: the
+// applications it resolves never change.
+var table = sync.OnceValue(func() catalog {
+	var c catalog
 	for _, app := range applications {
 		for _, system := range app.Systems {
 			for _, size := range Sizes() {
-				out = append(out, Resolve(app, system, size))
+				c.all = append(c.all, Resolve(app, system, size))
 			}
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID() < out[j].ID() })
-	return out
+	sort.Slice(c.all, func(i, j int) bool { return c.all[i].ID() < c.all[j].ID() })
+	c.byID = make(map[string]int, len(c.all))
+	for i, w := range c.all {
+		c.byID[w.ID()] = i
+	}
+	return c
+})
+
+// All returns every (application, system, size) candidate combination —
+// before the out-of-memory exclusions that internal/sim applies to derive
+// the 107-workload study set — in ID order. The result is a fresh copy of
+// a table built once per process.
+func All() []Workload {
+	return append([]Workload(nil), table().all...)
 }
 
 // ByID returns the workload with the given canonical ID.
 func ByID(id string) (Workload, error) {
-	for _, w := range All() {
-		if w.ID() == id {
-			return w, nil
-		}
+	t := table()
+	i, ok := t.byID[id]
+	if !ok {
+		return Workload{}, fmt.Errorf("workloads: unknown workload %q", id)
 	}
-	return Workload{}, fmt.Errorf("workloads: unknown workload %q", id)
+	return t.all[i], nil
 }
 
 // NumApplications is the Table I application count.
