@@ -91,8 +91,10 @@ cover:
 # Fuzz the trace decoders, the serve-layer request decoders, the session
 # journal's line decoder and CRC'd snapshot payload decoder, the shard-log
 # scan under the run cache and the journal (through the cache's shard
-# loader and the journal's recovery scan), and the forest's tree growth
-# against its per-candidate reference grower, FUZZTIME each. Minimizing
+# loader and the journal's recovery scan), the forest's tree growth
+# against its per-candidate reference grower, and advisor schedules
+# (batches, out-of-order observations, resumes, aborts) against the
+# same schedule without its resumes, FUZZTIME each. Minimizing
 # a newly interesting input is bounded: at Go's 60s default a target
 # whose every exec writes a temp-dir shard (FuzzScanShard) spent a whole
 # 10s window minimizing one input after about nine execs.
@@ -109,6 +111,7 @@ fuzz:
 	$(FUZZ) FuzzScanShard ./internal/journal
 	$(FUZZ) FuzzDecodeSnapshot ./internal/journal
 	$(FUZZ) FuzzGrowMatchesReference ./internal/forest
+	$(FUZZ) FuzzAdvisorSchedule .
 
 # The CI-sized fuzz pass: every target for 10s — long enough to catch a
 # decoder regression, short enough for every push.

@@ -40,7 +40,7 @@ type goldenBatchConfig struct {
 
 // warmStartHistory measures six catalog entries of the workload under a
 // different trial, the history the warm-started configurations carry.
-func warmStartHistory(t *testing.T, workload string) []PriorRun {
+func warmStartHistory(t testing.TB, workload string) []PriorRun {
 	t.Helper()
 	target, err := NewSimulatedTarget(workload, 99)
 	if err != nil {
@@ -57,7 +57,7 @@ func warmStartHistory(t *testing.T, workload string) []PriorRun {
 	return history
 }
 
-func goldenBatchConfigs(t *testing.T, workload string) []goldenBatchConfig {
+func goldenBatchConfigs(t testing.TB, workload string) []goldenBatchConfig {
 	t.Helper()
 	methods := []struct {
 		name   string
