@@ -145,7 +145,7 @@ bench:
 		-bench 'BenchmarkAugmentedIteration' ./internal/core \
 		> /tmp/arrow-bench-core.txt
 	$(GO) test -run xxx -benchmem -benchtime 300x \
-		-bench 'BenchmarkServeSession|BenchmarkServeJSONPlumbing|BenchmarkServeNextPipelined' ./internal/serve \
+		-bench 'BenchmarkServeSession|BenchmarkServeJSONPlumbing' ./internal/serve \
 		> /tmp/arrow-bench-serve.txt
 	$(GO) test -run xxx -benchmem -benchtime 1x \
 		-bench 'BenchmarkStudyThroughputCold' ./internal/study \
@@ -213,15 +213,14 @@ bench-tables-recover:
 # protocol last changed: BenchmarkForestFit from PR 5; the search-loop
 # and refit benchmarks and StudyThroughputWarm (500x) from PR 7, which
 # made refits incremental; BenchmarkAdvisorNext and
-# BenchmarkServeSession (300x, speculation off, so they guard the
-# sequential loop) from PR 8, as medians of three runs; the snapshot
-# restore and full replay of a 300-observation session from PR 9 — the
-# recovery-time contract and the baseline that keeps its ≥5x headline
-# honest. The unguarded entries are the PR 9 run.
-# BenchmarkAdvisorNextBatch and BenchmarkServeNextPipelined are
-# recorded but not guarded — their headline numbers are the latency
-# quantile extras, which the guard does not read; track them via
-# bench-compare.
+# BenchmarkServeSession (300x, the sequential next/observe loop, whose
+# observe returns the next suggestion inline) from PR 8, as medians of
+# three runs; the snapshot restore and full replay of a 300-observation
+# session from PR 9 — the recovery-time contract and the baseline that
+# keeps its ≥5x headline honest. The unguarded entries are the PR 9
+# run. BenchmarkAdvisorNextBatch is recorded but not guarded — its
+# headline numbers are the latency quantile extras, which the guard does
+# not read; track it via bench-compare.
 BENCH_GUARD ?= BenchmarkForestFit=5,BenchmarkAugmentedIteration=5,BenchmarkFullSearchAugmented=5,BenchmarkForestRefitIncremental=5,BenchmarkGPExtend=5,BenchmarkStudyThroughputWarm=5,BenchmarkAdvisorNext=5,BenchmarkServeSession=5,BenchmarkRecoverSnapshot=5,BenchmarkRecoverFullReplay=5
 BENCH_GUARD_OUT ?= /tmp/arrow-bench-guard.json
 bench-guard:
@@ -279,12 +278,11 @@ study-smoke:
 # and the damaged-snapshot tests: a compacted chain whose kept snapshot
 # fails its inner CRC still scans live with every op, and a session
 # whose snapshots are damaged, compacted or not, recovers by full replay
-# byte-identical to an uninterrupted run. Then the observe-path tests repeat 5 times under -race: whenever the
-# journal syncs, observe plans on the request goroutine under the
-# session mutex and journals the follow-up in the observation's own
-# write, a plan that misses its deadline is acknowledged while the
-# search loop still runs, and a Done answer outlives its lost end
-# record, so their races are timing dependent.
+# byte-identical to an uninterrupted run. Then the observe-path tests
+# repeat 5 times under -race: observe plans on the request goroutine
+# under the session mutex and journals the follow-up in the
+# observation's own write, and a Done answer outlives its lost end
+# record.
 recover-smoke:
 	$(GO) test -race -run 'TestServeCLIKillNineRecovery' ./cmd/arrow-serve
 	$(GO) test -race -run 'TestCompactedChainSurvivesSnapshotDamage' ./internal/journal
@@ -320,12 +318,12 @@ cluster-smoke:
 
 # Race-detected batch-planning smoke. A plan hook runs on the NextBatch
 # caller's goroutine and writes search state the loop reads — the GP
-# fitters, the pair cache's rows and model heads, the incumbent — while
-# only the stepper's park/wake protocol keeps the loop parked, so these
-# races are timing dependent. The stepper's planning concurrency tests
-# repeat 10 times, and the advisor batch tests plus the batch-pick golden
-# (every fantasy pick of a 108-session grid) 3 times: about 25 s of test
-# time on a 2-vCPU host.
+# fitters, the pair cache's rows and model heads, the incumbent. The
+# stepper's mutex keeps the two apart: the loop runs only while a
+# caller holding it waits for the loop. The stepper's planning
+# concurrency tests repeat 10 times, and the advisor batch tests plus
+# the batch-pick golden (every fantasy pick of a 108-session grid) 3
+# times: about 16 s of test time on a 2-vCPU host.
 plan-smoke:
 	$(GO) test -race -count=10 -run 'TestStepperConcurrentBatchObserveScriptAbort|TestStepperPlanHookHoldsLoopParked|TestStepperNextBatchWaitsOutAbort' ./internal/core
 	$(GO) test -race -count=3 -run 'TestAdvisorNextBatch|TestNextBatchPicksGolden' .

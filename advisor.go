@@ -16,8 +16,9 @@ import (
 // anything itself. A client loops Next -> measure -> Observe until Next
 // reports Done, then reads Result. The step-driven search runs the
 // exact batch search loop (internal/core's Stepper runs it against a
-// channel-backed target), so the same seed and observations produce the
-// same recommendation and the same deterministic trace as Search.
+// channel-backed target, advancing it only inside Next, NextBatch and
+// Abort), so the same seed and observations produce the same
+// recommendation and the same deterministic trace as Search.
 
 // Candidate describes one advisable option: a name and the same
 // instance-space feature encoding Target.Features would return.
@@ -145,17 +146,18 @@ func (o *Optimizer) newAdvisor(candidates []Candidate, script core.ResumeScript)
 	return &Advisor{stepper: core.ResumeStepper(opt, cat, script), cat: cat}, nil
 }
 
-// Script exports a copy of the decision script recorded so far. It must
-// only be called while a suggestion is pending (right after Next or
-// NextBatch returned one) or after the search finished — called while
-// the optimizer is mid-plan it blocks until the plan parks.
+// Script exports a copy of the decision script recorded so far: as of
+// the last suggestion Next or NextBatch returned, or of the search's end.
+// Called while another caller's plan runs, it waits for that plan.
 func (a *Advisor) Script() ResumeScript { return a.stepper.Script() }
 
 // Next returns the candidate the advisor wants measured next, blocking
 // while the optimizer plans (model fit + acquisition — milliseconds, not
 // a measurement). While a suggestion is pending, Next returns the same
-// suggestion again. After the search ends it returns Done. ctx bounds
-// the wait; nil means no deadline.
+// suggestion again. After the search ends it returns Done. ctx is
+// checked once, before planning starts: an expired ctx fails the call
+// and leaves the session as it was, and a plan once begun runs to its
+// end; nil means no deadline.
 func (a *Advisor) Next(ctx context.Context) (Suggestion, error) {
 	sug, err := a.stepper.Next(ctx)
 	if err != nil {
@@ -195,9 +197,10 @@ func convertSuggestion(sug core.StepSuggestion) Suggestion {
 	return Suggestion{Index: sug.Index, Name: sug.Name, Step: sug.Step, Seq: sug.Seq, Done: sug.Done}
 }
 
-// Observe delivers the measurement of the pending suggestion. The index
-// must match; out.Metrics may be nil when low-level metrics are
-// unavailable (Augmented BO requires them, like in a batch search).
+// Observe records the measurement of a pending suggestion; the optimizer
+// takes it in at the next Next, NextBatch or Abort. The index must match;
+// out.Metrics may be nil when low-level metrics are unavailable
+// (Augmented BO requires them, like in a batch search).
 func (a *Advisor) Observe(index int, out Outcome) error {
 	var metrics lowlevel.Vector
 	if out.Metrics != nil {
@@ -224,7 +227,8 @@ func (a *Advisor) ObserveFailure(index int, cause error) error {
 	return a.convertStepErr(a.stepper.Observe(index, core.Outcome{}, cause))
 }
 
-// Done reports whether the search has finished and Result is ready.
+// Done reports whether the search has finished and Result is ready. It
+// changes only inside Next, NextBatch or Abort, never at an Observe.
 func (a *Advisor) Done() bool { return a.stepper.Done() }
 
 // Result returns the finished search outcome, converted exactly as
@@ -244,7 +248,9 @@ func (a *Advisor) Result() (*Result, error) {
 
 // Abort ends the session now, salvaging a Partial result that keeps
 // every delivered observation (the same path SearchContext cancellation
-// takes). It blocks until the search loop has finalized. Aborting a
+// takes): an observation of the suggestion Next returned counts, one of
+// a batch's other suggestions the optimizer has not asked for yet does
+// not. It blocks until the search loop has finalized. Aborting a
 // finished advisor returns the finished result unchanged.
 func (a *Advisor) Abort(cause error) (*Result, error) {
 	res, err := a.stepper.Abort(cause)

@@ -16,14 +16,11 @@
 //
 // The store holds at most -max-sessions advisors and evicts sessions
 // idle past -session-ttl (evicted ids answer 410 Gone). A session's
-// search loop plans the next suggestion as soon as an observation
-// reaches it. Under -fsync always observe waits for that plan and
-// returns it, journaled with the observation in one synced write, so a
-// step costs one fsync (while a /nextbatch batch is outstanding it acks
-// at once: the batch journaled its suggestions); otherwise observe acks
-// once journaled and the next GET next collects the plan, usually done
-// while the client measured (-no-speculate makes observe wait for it
-// there too). A plan that misses -request-timeout is left to GET next.
+// search loop plans only inside a request: observe plans the next
+// suggestion and returns it, journaled with the observation in one
+// write, so a step costs one fsync under -fsync always (while a
+// /nextbatch batch is outstanding observe acks without planning: the
+// batch journaled its suggestions, and the next GET next plans).
 // /nextbatch hands out up to -batch concurrent suggestions per request,
 // which the client may observe in any order. On SIGINT/SIGTERM the
 // server stops accepting sessions, flushes every in-flight session to a
@@ -139,15 +136,13 @@ func run(args []string, errOut io.Writer, stop <-chan struct{}) error {
 		addr        = fs.String("addr", ":8080", "listen address")
 		maxSessions = fs.Int("max-sessions", serve.DefaultMaxSessions, "live session cap; creates past it answer 429")
 		sessionTTL  = fs.Duration("session-ttl", serve.DefaultSessionTTL, "evict sessions idle longer than this (negative disables)")
-		reqTimeout  = fs.Duration("request-timeout", serve.DefaultRequestTimeout, "per-request deadline on waiting for a plan (negative disables)")
 		auditPath   = fs.String("audit", "", "append a JSONL audit stream (requests, session lifecycle, search events) to this file")
 		drainWait   = fs.Duration("drain", 10*time.Second, "how long shutdown waits for in-flight requests to drain")
 		journalDir  = fs.String("journal-dir", "", "write-ahead session journal directory; empty disables durability")
-		fsyncPolicy = fs.String("fsync", "always", "journal fsync policy: always (durable through kill -9; observe returns the next suggestion, synced with the observation in one write) or never (faster, crash loses the unsynced tail; observe speculates)")
+		fsyncPolicy = fs.String("fsync", "always", "journal fsync policy: always (durable through kill -9; each observe and the next suggestion it returns share one synced write) or never (faster, crash loses the unsynced tail)")
 		replica     = fs.String("replica", "", "replica name in recovery reports and to the registry (default host-<hostname>)")
 		claimShards = fs.Int("claim-shards", 0, "max journal shards to claim, 0 = all unclaimed; run R replicas with shards/R each")
 		maxBatch    = fs.Int("batch", serve.DefaultMaxBatch, "per-request cap on the /nextbatch batch size k")
-		noSpeculate = fs.Bool("no-speculate", false, "observe waits for the next suggestion and returns it inline even with -fsync never (-fsync always already does)")
 
 		snapInterval    = fs.Int("snapshot-interval", 0, "journal a session checkpoint every N accepted observations, 0 disables; recovery skips the surrogate fits below the latest snapshot")
 		compactInterval = fs.Duration("compact-interval", 0, "compact owned journal shards this often (drop ended/damaged chains and all but each live chain's latest usable snapshot), 0 disables")
@@ -277,14 +272,12 @@ func run(args []string, errOut io.Writer, stop <-chan struct{}) error {
 		return fmt.Errorf("-batch must be at least 1, got %d", *maxBatch)
 	}
 	cfg := serve.Config{
-		MaxSessions:        *maxSessions,
-		SessionTTL:         *sessionTTL,
-		RequestTimeout:     *reqTimeout,
-		Tracer:             tracer,
-		Journal:            jnl,
-		SnapshotInterval:   *snapInterval,
-		MaxBatch:           *maxBatch,
-		DisableSpeculation: *noSpeculate,
+		MaxSessions:      *maxSessions,
+		SessionTTL:       *sessionTTL,
+		Tracer:           tracer,
+		Journal:          jnl,
+		SnapshotInterval: *snapInterval,
+		MaxBatch:         *maxBatch,
 	}
 	if reg != nil {
 		// Only a hosting replica mounts the routes: a nil *Registry in

@@ -51,9 +51,10 @@ func main() {
 	}, &info)
 	fmt.Printf("session %s: %s over %d candidate VMs\n\n", info.ID, info.Method, info.NumCandidates)
 
-	// The advisor loop: next -> measure -> observe. The server acks an
-	// observe once it is journaled and plans the following suggestion
-	// while the client measures, so the next GET usually finds it ready.
+	// The advisor loop: next -> measure -> observe. Each observe plans the
+	// following suggestion and returns it as "next", so after the first
+	// GET a step costs one round trip. (While suggestions of a /nextbatch
+	// batch are unobserved, the response omits next and GET next plans.)
 	var sug arrow.Suggestion
 	get(base+"/v1/sessions/"+info.ID+"/next", &sug)
 	for step := 1; !sug.Done; step++ {
@@ -69,8 +70,9 @@ func main() {
 			obs["metrics"] = out.Metrics
 			fmt.Printf("  step %2d: %-12s %6.0f s  $%.3f\n", step, sug.Name, out.TimeSec, out.CostUSD)
 		}
-		post(base+"/v1/sessions/"+info.ID+"/observe", obs, &struct{}{})
-		get(base+"/v1/sessions/"+info.ID+"/next", &sug)
+		var ack serve.ObserveResponse
+		post(base+"/v1/sessions/"+info.ID+"/observe", obs, &ack)
+		sug = *ack.Next
 	}
 
 	// The recommendation.

@@ -77,14 +77,20 @@ func (out Outcome) Value(o Objective) (float64, error) {
 // be measured at a cost. internal/sim provides the simulator-backed
 // implementation; anything that can run a workload can implement it.
 type Target interface {
+	Catalog
+	// Measure runs the workload on candidate i and reports the outcome.
+	Measure(i int) (Outcome, error)
+}
+
+// Catalog is the measurement-free slice of Target: candidate metadata
+// the advisor needs to plan, with the measurement left to the caller.
+type Catalog interface {
 	// NumCandidates returns the catalog size.
 	NumCandidates() int
 	// Features returns the instance-space encoding of candidate i.
 	Features(i int) []float64
 	// Name returns a human-readable name for candidate i.
 	Name(i int) string
-	// Measure runs the workload on candidate i and reports the outcome.
-	Measure(i int) (Outcome, error)
 }
 
 // Observation is one measured candidate.

@@ -579,3 +579,135 @@ func TestStepperNextBatchWaitsOutAbort(t *testing.T) {
 	}
 	<-aborted
 }
+
+// TestStepperObserveLeavesLoopParked: Observe only records an outcome,
+// and Script only copies the decision script. The loop stays where the
+// last Next left it — the probe's state counts the measurements the loop
+// has taken in, and is read here without synchronization of its own —
+// until the next Next hands the outcome over.
+func TestStepperObserveLeavesLoopParked(t *testing.T) {
+	p := &hookProbe{}
+	target := newFakeTarget(exhaustiveValues())
+	s := NewStepper(p, target)
+	defer s.Abort(nil)
+	for i := range 3 {
+		sug, err := s.Next(context.Background())
+		if err != nil || sug.Index != i {
+			t.Fatalf("Next = %+v, %v; want candidate %d", sug, err, i)
+		}
+		out, merr := target.Measure(i)
+		if err := s.Observe(i, out, merr); err != nil {
+			t.Fatal(err)
+		}
+		s.Script()
+		if p.state != i {
+			t.Fatalf("after Observe(%d) and Script the loop's state is %d, want %d: the loop ran", i, p.state, i)
+		}
+	}
+}
+
+// TestStepperCancelledNextDoesNotResume: a Next whose ctx is already
+// cancelled returns context.Canceled before it resumes the loop, which
+// stays where it was, and a later Next carries on: with a cancelled Next
+// after every observation, the session still ends in the uninterrupted
+// search's result.
+func TestStepperCancelledNextDoesNotResume(t *testing.T) {
+	cancelled, cancel := context.WithCancel(context.Background())
+	cancel()
+
+	p := &hookProbe{}
+	target := newFakeTarget(exhaustiveValues())
+	probe := NewStepper(p, target)
+	defer probe.Abort(nil)
+	if _, err := probe.Next(cancelled); !errors.Is(err, context.Canceled) {
+		t.Fatalf("Next with a cancelled ctx before the search started = %v, want context.Canceled", err)
+	}
+	sug, err := probe.Next(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, merr := target.Measure(sug.Index)
+	if err := probe.Observe(sug.Index, out, merr); err != nil {
+		t.Fatal(err)
+	}
+	probe.Script()
+	if _, err := probe.Next(cancelled); !errors.Is(err, context.Canceled) {
+		t.Fatalf("Next with a cancelled ctx = %v, want context.Canceled", err)
+	}
+	if p.state != 0 {
+		t.Fatalf("the loop's state is %d after a cancelled Next, want 0: it resumed", p.state)
+	}
+
+	for name, opt := range allOptimizers(t, MinimizeTime, 5, false) {
+		t.Run(name, func(t *testing.T) {
+			want, err := opt.Search(newFakeTarget(exhaustiveValues()))
+			if err != nil {
+				t.Fatal(err)
+			}
+			target := newFakeTarget(exhaustiveValues())
+			s := NewStepper(opt, target)
+			for {
+				sug, err := s.Next(context.Background())
+				if err != nil {
+					t.Fatal(err)
+				}
+				if sug.Done {
+					break
+				}
+				out, merr := target.Measure(sug.Index)
+				if err := s.Observe(sug.Index, out, merr); err != nil {
+					t.Fatal(err)
+				}
+				if _, err := s.Next(cancelled); !errors.Is(err, context.Canceled) {
+					t.Fatalf("Next with a cancelled ctx = %v, want context.Canceled", err)
+				}
+			}
+			got, err := s.Result()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got.Observations, want.Observations) || got.BestIndex != want.BestIndex {
+				t.Errorf("result after cancelled Nexts diverged:\n got %+v\nwant %+v", got.Observations, want.Observations)
+			}
+		})
+	}
+}
+
+// TestStepperDoneChangesOnlyInNext: no Observe finishes the search, the
+// final one included, and neither does a Script after it. Done stays
+// false and Result running until the Next that hands the last outcome to
+// the loop finds the search over.
+func TestStepperDoneChangesOnlyInNext(t *testing.T) {
+	opt, err := NewRandomSearch(RandomSearchConfig{Objective: MinimizeTime, Seed: 2, MaxMeasurements: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	target := newFakeTarget(exhaustiveValues())
+	s := NewStepper(opt, target)
+	for step := 0; ; step++ {
+		sug, err := s.Next(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sug.Done {
+			if step != 4 || !s.Done() {
+				t.Fatalf("Done after %d observations, Done() = %v; want 4 and true", step, s.Done())
+			}
+			break
+		}
+		out, merr := target.Measure(sug.Index)
+		if err := s.Observe(sug.Index, out, merr); err != nil {
+			t.Fatal(err)
+		}
+		s.Script()
+		if s.Done() {
+			t.Fatalf("Done after Observe %d, before any Next handed it over", step+1)
+		}
+		if _, err := s.Result(); !errors.Is(err, ErrStepperRunning) {
+			t.Fatalf("Result after Observe %d = %v, want ErrStepperRunning", step+1, err)
+		}
+	}
+	if res, err := s.Result(); err != nil || res.NumMeasurements() != 4 {
+		t.Fatalf("Result = %+v, %v; want the 4-measurement search", res, err)
+	}
+}

@@ -11,11 +11,10 @@
 //
 // The server is production-shaped: a bounded in-memory session store
 // with TTL eviction and a max-session cap, a per-session mutex, one
-// planner per session (the advisor's own search loop), request-scoped
-// deadlines on every wait for a plan, graceful
-// shutdown that flushes every in-flight session to a salvaged Partial
-// result, /healthz and /metricsz, and JSONL audit logging through
-// internal/telemetry.
+// planner per session (the advisor's own search loop, which plans only
+// inside a request), graceful shutdown that flushes every in-flight
+// session to a salvaged Partial result, /healthz and /metricsz, and
+// JSONL audit logging through internal/telemetry.
 package serve
 
 import (
@@ -106,23 +105,19 @@ type SessionInfo struct {
 	Done          bool   `json:"done,omitempty"`
 }
 
-// ObserveResponse acknowledges an observation. Handing the observation
-// to the session's search loop starts it planning the follow-up
-// suggestion. When the journal syncs every append (fsync always, the
-// durable default) and no batch suggestion is outstanding, or
-// speculation is disabled (Config.DisableSpeculation), the observe waits
-// for that suggestion, journals it in the observation's own write and
-// Next carries it; the client's GET next then returns it again without
-// touching the journal. Otherwise the
-// server acknowledges as soon as the observation is journaled, Next is
-// omitted and the client's next GET next collects the plan, usually
-// finished while the client was measuring. A plan that misses the
-// request deadline is also left to GET next.
+// ObserveResponse acknowledges an observation. Unless a suggestion of a
+// /nextbatch batch is still unobserved, the observe plans the follow-up
+// suggestion, journals it in the observation's own write (under any
+// fsync policy, or none) and Next carries it; the client's GET next then
+// returns it again without touching the journal. While a batch
+// suggestion is outstanding the server acknowledges as soon as the
+// observation is journaled, Next is omitted, and the client's next GET
+// next or /nextbatch plans.
 type ObserveResponse struct {
 	// Step counts the observations accepted so far.
 	Step int `json:"step"`
 	// Next is the follow-up suggestion (Done when the stop rule fired).
-	// Omitted when the observe did not wait for it; fetch it with GET
+	// Omitted while a batch suggestion is outstanding; fetch it with GET
 	// next.
 	Next *arrow.Suggestion `json:"next,omitempty"`
 }

@@ -48,9 +48,8 @@ func TestServeChaos(t *testing.T) {
 	var (
 		wg       sync.WaitGroup
 		finished atomic.Int64 // sessions whose client saw Done (naturally or via the abort)
-		// walked counts clients that walked away at the top of their loop.
-		// Their search may already be over: an acknowledged final observe
-		// leaves nothing for the shutdown to salvage.
+		// walked counts clients that walked away at the top of their loop,
+		// mid-search: a final observe would have answered Done.
 		walked      atomic.Int64
 		shutdownNow = make(chan struct{})
 	)
@@ -97,11 +96,7 @@ func TestServeChaos(t *testing.T) {
 				default:
 				}
 				var sug arrow.Suggestion
-				switch st := c.do("GET", "/v1/sessions/"+info.ID+"/next", nil, &sug); st {
-				case http.StatusOK:
-				case http.StatusGatewayTimeout:
-					continue // the plan outlived the request deadline; retry
-				default:
+				if st := c.do("GET", "/v1/sessions/"+info.ID+"/next", nil, &sug); st != http.StatusOK {
 					t.Errorf("session %s: next status %d", info.ID, st)
 					return
 				}
@@ -135,8 +130,8 @@ func TestServeChaos(t *testing.T) {
 				}
 				switch st {
 				case http.StatusOK:
-					// Under speculation (the default) Next is omitted and
-					// the loop's GET next collects the plan.
+					// Next carries the follow-up, which the loop's GET next
+					// returns again.
 					if oresp.Next != nil && oresp.Next.Done {
 						finished.Add(1)
 						return
@@ -211,11 +206,9 @@ func TestServeChaos(t *testing.T) {
 	t.Logf("chaos: %d complete, %d partial results", complete, partial)
 }
 
-// TestShutdownAfterFinalObserveKeepsCompleteResult pins what the chaos
-// test's walk-away clients rely on: the observe response omits the next
-// suggestion, so a client can walk away after an acknowledged final
-// observe without knowing its search already finished. Shutdown's abort
-// then finds nothing to salvage and the result stays complete.
+// TestShutdownAfterFinalObserveKeepsCompleteResult: the final observe
+// answers Done, and a client that walks away after it leaves nothing for
+// Shutdown's abort to salvage: the result stays complete.
 func TestShutdownAfterFinalObserveKeepsCompleteResult(t *testing.T) {
 	s, c := newTestServer(t, Config{})
 	target, err := arrow.NewSimulatedTarget("als/spark2.1/medium", 1)
@@ -232,8 +225,9 @@ func TestShutdownAfterFinalObserveKeepsCompleteResult(t *testing.T) {
 		if merr != nil {
 			t.Fatal(merr)
 		}
-		if resp := c.observe(info.ID, ObserveRequest{Index: sug.Index, TimeSec: out.TimeSec, CostUSD: out.CostUSD, Metrics: out.Metrics}); resp.Next != nil {
-			t.Fatalf("observe response carries %+v; the default acknowledges without the next suggestion", resp.Next)
+		resp := c.observe(info.ID, ObserveRequest{Index: sug.Index, TimeSec: out.TimeSec, CostUSD: out.CostUSD, Metrics: out.Metrics})
+		if resp.Next == nil || resp.Next.Done != (resp.Step == 2) {
+			t.Fatalf("observe %d answered next %+v; want Done on the final observe only", resp.Step, resp.Next)
 		}
 	}
 	if err := s.Shutdown(context.Background()); err != nil {

@@ -3,21 +3,16 @@ package serve
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"net/http"
-	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"reflect"
-	"strings"
-	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	arrow "repro"
 	"repro/internal/journal"
-	"repro/internal/telemetry"
 )
 
 // shardSizes maps every shard file in a journal directory to its size.
@@ -148,51 +143,80 @@ func TestObserveJournalsFollowUpInOneAppend(t *testing.T) {
 	}
 }
 
-// TestObserveSpeculatesWithoutSync: a journal that does not sync keeps
-// speculation: observe acknowledges without next, and the GET next that
-// collects the plan journals its suggestion and counts a speculate_hit.
-func TestObserveSpeculatesWithoutSync(t *testing.T) {
+// TestObserveCarriesNextWithoutSync: observe plans the follow-up and
+// returns it as next under any fsync policy, and without a journal.
+// Under fsync never the observe journals the observation followed by
+// the suggestion (or the end record), and the client's GET next returns
+// the same suggestion without journaling anything.
+func TestObserveCarriesNextWithoutSync(t *testing.T) {
 	target, err := arrow.NewSimulatedTarget("als/spark2.1/medium", 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	j, err := journal.Open(t.TempDir(), journal.WithReplica("a"), journal.WithSync(journal.SyncNever))
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { j.Close() })
-	rec := telemetry.NewRecorder()
-	_, c := newTestServer(t, Config{Journal: j, Tracer: rec, Warnf: t.Logf})
-	info := c.create(SessionRequest{Method: "random-search", Seed: 3, MaxMeasurements: 4})
-	suggestions := 0
-	for sug := c.next(info.ID); !sug.Done; sug = c.next(info.ID) {
-		if resp := c.observe(info.ID, measure(t, target, sug)); resp.Next != nil {
-			t.Fatalf("observe under fsync never carries next %+v; want speculation", resp.Next)
-		}
-		suggestions++
-	}
-	hits := 0
-	for _, e := range rec.Events() {
-		if e.Kind == telemetry.KindSpeculateHit && e.Name == info.ID {
-			hits++
-		}
-	}
-	// Every suggestion after the first collected a plan an observe left
-	// running; the last observe's plan ended in Done.
-	if hits != suggestions-1 || hits == 0 {
-		t.Fatalf("%d speculate_hit events over %d suggestions, want %d", hits, suggestions, suggestions-1)
+	for _, mode := range []string{"fsync-never", "no-journal"} {
+		t.Run(mode, func(t *testing.T) {
+			cfg := Config{Warnf: t.Logf}
+			dir := t.TempDir()
+			var j *journal.Journal
+			if mode == "fsync-never" {
+				if j, err = journal.Open(dir, journal.WithReplica("a"), journal.WithSync(journal.SyncNever)); err != nil {
+					t.Fatal(err)
+				}
+				t.Cleanup(func() { j.Close() })
+				cfg.Journal = j
+			}
+			_, c := newTestServer(t, cfg)
+			info := c.create(SessionRequest{Method: "random-search", Seed: 3, MaxMeasurements: 4})
+			var path string
+			if j != nil {
+				path = filepath.Join(dir, shardName(journal.ShardOf(info.ID, j.Shards())))
+			}
+			steps := 0
+			for sug := c.next(info.ID); !sug.Done; steps++ {
+				var before map[string]int64
+				if j != nil {
+					before = shardSizes(t, dir)
+				}
+				resp := c.observe(info.ID, measure(t, target, sug))
+				if resp.Next == nil {
+					t.Fatalf("step %d: observe acknowledged without next", steps+1)
+				}
+				if j != nil {
+					want := []journal.Kind{journal.KindObserve, journal.KindSuggest}
+					if resp.Next.Done {
+						want[1] = journal.KindEnd
+					}
+					if got := kindsSince(t, path, before[path]); !reflect.DeepEqual(got, want) {
+						t.Fatalf("step %d: observe journaled %v, want %v", steps+1, got, want)
+					}
+					before = shardSizes(t, dir)
+				}
+				if got := c.next(info.ID); got != *resp.Next {
+					t.Fatalf("step %d: GET next = %+v, want the observe's next %+v", steps+1, got, *resp.Next)
+				}
+				if j != nil && !reflect.DeepEqual(shardSizes(t, dir), before) {
+					t.Fatalf("step %d: GET next journaled a record", steps+1)
+				}
+				sug = *resp.Next
+			}
+			if steps != 4 {
+				t.Fatalf("session took %d steps, want its budget of 4", steps)
+			}
+			if res := c.result(info.ID); res.Result == nil || res.Result.Partial {
+				t.Fatalf("result = %+v, want the complete search", res.Result)
+			}
+		})
 	}
 }
 
-// TestObserveSpeculatesWhileBatchOutstanding: under a journal that
-// syncs every append, an observe returns its follow-up inline only once
-// every suggestion the session served has been observed. While a batch's
-// other suggestions are outstanding the batch has journaled them, so the
-// observe is acknowledged without next and writes its observation
-// alone; the batch's last observe carries next, journaled in its write.
-// The outstanding count survives a crash: the batch is finished on a
-// recovered server.
-func TestObserveSpeculatesWhileBatchOutstanding(t *testing.T) {
+// TestObserveDefersNextWhileBatchOutstanding: an observe returns its
+// follow-up only once every suggestion the session served has been
+// observed. While a batch's other suggestions are outstanding the batch
+// has journaled them, so the observe is acknowledged without next and
+// writes its observation alone; the batch's last observe carries next,
+// journaled in its write. The outstanding count survives a crash: the
+// batch is finished on a recovered server.
+func TestObserveDefersNextWhileBatchOutstanding(t *testing.T) {
 	target, err := arrow.NewSimulatedTarget("als/spark2.1/medium", 1)
 	if err != nil {
 		t.Fatal(err)
@@ -287,9 +311,12 @@ func (hourLeases) Release(journal.Lease) error { return nil }
 // search finished answers Done even when its end record cannot be
 // written. That record only closes the chain — a finished session left
 // live in the journal is rehydrated by recovery — so the session stays
-// served and its result reachable. The journal's clock lapses the lease
-// for exactly the end record's Append: each request's two shard fences
-// read the clock first.
+// served and its result reachable. The final observe journals the end
+// record itself, so the session here is recovered from a journal that
+// lost that record: its last observation replays, and the next request
+// finds the search finished. The journal's clock lapses the lease for
+// exactly the end record's Append: each request's two shard fences read
+// the clock first.
 func TestDoneSurvivesLostEndRecord(t *testing.T) {
 	target, err := arrow.NewSimulatedTarget("als/spark2.1/medium", 1)
 	if err != nil {
@@ -297,22 +324,44 @@ func TestDoneSurvivesLostEndRecord(t *testing.T) {
 	}
 	for _, endpoint := range []string{"next", "nextbatch"} {
 		t.Run(endpoint, func(t *testing.T) {
+			dir := t.TempDir()
 			var reads, lapseAt atomic.Int32
-			j, err := journal.Open(t.TempDir(), journal.WithReplica("a"), journal.WithSync(journal.SyncNever),
-				journal.WithLeaseManager(hourLeases{}), journal.WithNow(func() time.Time {
-					if reads.Add(1) == lapseAt.Load() {
-						return time.Now().Add(24 * time.Hour)
-					}
-					return time.Now()
-				}))
+			open := func() *journal.Journal {
+				j, err := journal.Open(dir, journal.WithReplica("a"), journal.WithSync(journal.SyncNever),
+					journal.WithLeaseManager(hourLeases{}), journal.WithNow(func() time.Time {
+						if reads.Add(1) == lapseAt.Load() {
+							return time.Now().Add(24 * time.Hour)
+						}
+						return time.Now()
+					}))
+				if err != nil {
+					t.Fatal(err)
+				}
+				t.Cleanup(func() { j.Close() })
+				return j
+			}
+			j := open()
+			_, c := newTestServer(t, Config{Journal: j, Warnf: t.Logf})
+			info := c.create(SessionRequest{Method: "random-search", Seed: 3, MaxMeasurements: 2})
+			for sug := c.next(info.ID); !sug.Done; {
+				sug = *c.observe(info.ID, measure(t, target, sug)).Next
+			}
+			j.Close()
+			path := filepath.Join(dir, shardName(journal.ShardOf(info.ID, j.Shards())))
+			data, err := os.ReadFile(path)
 			if err != nil {
 				t.Fatal(err)
 			}
-			t.Cleanup(func() { j.Close() })
-			_, c := newTestServer(t, Config{Journal: j, Warnf: t.Logf})
-			info := c.create(SessionRequest{Method: "random-search", Seed: 3, MaxMeasurements: 2})
-			for i := 0; i < 2; i++ {
-				c.observe(info.ID, measure(t, target, c.next(info.ID)))
+			cut := bytes.LastIndexByte(data[:len(data)-1], '\n') + 1
+			if rec, err := journal.DecodeLine(data[cut : len(data)-1]); err != nil || rec.Kind != journal.KindEnd {
+				t.Fatalf("last journaled record = %+v, %v; want the end record", rec, err)
+			}
+			if err := os.WriteFile(path, data[:cut], 0o644); err != nil {
+				t.Fatal(err)
+			}
+			s, c := newTestServer(t, Config{Journal: open(), Warnf: t.Logf})
+			if _, err := s.Recover(context.Background()); err != nil {
+				t.Fatal(err)
 			}
 
 			lapseAt.Store(reads.Load() + 3)
@@ -334,105 +383,6 @@ func TestDoneSurvivesLostEndRecord(t *testing.T) {
 			}
 			if !c.next(info.ID).Done {
 				t.Fatal("GET next after the lost end record did not answer Done")
-			}
-		})
-	}
-}
-
-// stallTracer blocks the first search-loop event emitted after it is
-// armed until released, holding a session's plan back for as long as a
-// test needs. Search events carry the session id in Workload; the serve
-// layer's own events do not and pass through.
-type stallTracer struct {
-	armed   atomic.Bool
-	stalled chan struct{}
-	release chan struct{}
-}
-
-func (st *stallTracer) Emit(e telemetry.Event) {
-	if e.Workload != "" && st.armed.CompareAndSwap(true, false) {
-		close(st.stalled)
-		<-st.release
-	}
-}
-
-// TestObserveAcksPastPlanDeadline: on the inline path an observe whose
-// plan misses the request deadline (here the client hung up before the
-// server read its body) is still acknowledged. The advisor already holds
-// the observation, so a 504 would leave the client a retry that can only
-// meet 409. The observation is journaled alone, the response carries no
-// next, and GET next collects the plan once it finishes.
-func TestObserveAcksPastPlanDeadline(t *testing.T) {
-	target, err := arrow.NewSimulatedTarget("als/spark2.1/medium", 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	req := SessionRequest{Method: "augmented-bo", Seed: 7, MaxMeasurements: 6}
-	_, ref := newTestServer(t, Config{})
-	want := mustJSON(t, ref.run(ref.create(req).ID, target).Result)
-
-	for _, mode := range []string{"no-speculate", "fsync-always"} {
-		t.Run(mode, func(t *testing.T) {
-			stall := &stallTracer{stalled: make(chan struct{}), release: make(chan struct{})}
-			cfg := Config{Tracer: stall, Warnf: t.Logf}
-			dir := t.TempDir()
-			var j *journal.Journal
-			if mode == "no-speculate" {
-				cfg.DisableSpeculation = true
-			} else {
-				if j, err = journal.Open(dir, journal.WithReplica("a")); err != nil {
-					t.Fatal(err)
-				}
-				t.Cleanup(func() { j.Close() })
-				cfg.Journal = j
-			}
-			s, c := newTestServer(t, cfg)
-			// Registered after the server's Shutdown cleanup, so it runs
-			// first: a held-back loop would block Shutdown's abort.
-			release := sync.OnceFunc(func() { close(stall.release) })
-			t.Cleanup(release)
-			info := c.create(req)
-			sug := c.next(info.ID)
-
-			stall.armed.Store(true)
-			ctx, cancel := context.WithCancel(context.Background())
-			cancel()
-			hr := httptest.NewRequest(http.MethodPost, "/v1/sessions/"+info.ID+"/observe",
-				bytes.NewReader(mustJSON(t, measure(t, target, sug)))).WithContext(ctx)
-			rr := httptest.NewRecorder()
-			served := make(chan struct{})
-			go func() {
-				s.ServeHTTP(rr, hr)
-				close(served)
-			}()
-			select {
-			case <-served:
-			case <-time.After(10 * time.Second):
-				t.Fatal("observe did not answer while its plan was held back")
-			}
-			select {
-			case <-stall.stalled:
-			case <-time.After(10 * time.Second):
-				t.Fatal("the search loop never reached the held-back plan")
-			}
-			var resp ObserveResponse
-			if err := json.Unmarshal(rr.Body.Bytes(), &resp); rr.Code != http.StatusOK || err != nil {
-				t.Fatalf("observe past its deadline answered %d %s, want 200", rr.Code, strings.TrimSpace(rr.Body.String()))
-			}
-			if resp.Next != nil || resp.Step != 1 {
-				t.Fatalf("observe past its deadline = %+v, want step 1 without next", resp)
-			}
-			if j != nil {
-				path := filepath.Join(dir, shardName(journal.ShardOf(info.ID, j.Shards())))
-				got := kindsSince(t, path, 0)
-				if wantKinds := []journal.Kind{journal.KindCreate, journal.KindSuggest, journal.KindObserve}; !reflect.DeepEqual(got, wantKinds) {
-					t.Fatalf("journal holds %v, want the observation journaled alone: %v", got, wantKinds)
-				}
-			}
-			release()
-
-			if got := mustJSON(t, c.run(info.ID, target).Result); !bytes.Equal(got, want) {
-				t.Errorf("result diverged from the uninterrupted run:\n got %s\nwant %s", got, want)
 			}
 		})
 	}

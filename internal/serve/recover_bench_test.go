@@ -58,7 +58,7 @@ func benchRecoveryJournal(b *testing.B, dir string, interval, obs int) string {
 	if err != nil {
 		b.Fatal(err)
 	}
-	s := New(Config{Journal: j, SnapshotInterval: interval, DisableSpeculation: true})
+	s := New(Config{Journal: j, SnapshotInterval: interval})
 	var info SessionInfo
 	req := SessionRequest{
 		Method:          "naive-bo",

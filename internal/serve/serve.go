@@ -22,10 +22,9 @@ import (
 
 // Defaults for the zero Config fields.
 const (
-	DefaultMaxSessions    = 256
-	DefaultSessionTTL     = 30 * time.Minute
-	DefaultRequestTimeout = 30 * time.Second
-	DefaultMaxBatch       = 16
+	DefaultMaxSessions = 256
+	DefaultSessionTTL  = 30 * time.Minute
+	DefaultMaxBatch    = 16
 )
 
 // ErrShuttingDown rejects new sessions during graceful shutdown.
@@ -60,30 +59,10 @@ type Config struct {
 	// for them get 410 Gone. 0 means DefaultSessionTTL; negative
 	// disables eviction.
 	SessionTTL time.Duration
-	// RequestTimeout bounds each request's wait for a plan. 0 means
-	// DefaultRequestTimeout; negative disables the deadline.
-	RequestTimeout time.Duration
 	// MaxBatch caps the batch size one /nextbatch request may ask for
 	// (larger k values are clamped, not rejected — the wire cap MaxBatchK
 	// rejects). 0 means DefaultMaxBatch.
 	MaxBatch int
-	// DisableSpeculation makes observe wait for the next suggestion and
-	// return it inline: the observe response then carries it. Either way
-	// the session's search loop starts planning the follow-up the moment
-	// the observation is handed to it. Without it, and unless the Journal
-	// syncs every append, an observe is acknowledged as soon as it is
-	// journaled, the plan keeps running while the response travels, and
-	// the client's next GET next collects it (counted as a
-	// speculate_hit). A Journal under journal.SyncAlways takes the inline
-	// path too: the suggestion is journaled in the observation's own
-	// synced write, where speculation would pay a second fsync to hide at
-	// most the client's turnaround. It speculates while a batch's
-	// suggestions are outstanding, since the batch journaled them. A plan
-	// that misses the request deadline is left to GET next either way. A
-	// plan in flight is never journaled ahead of its suggestion being
-	// served: crash recovery replays only acked history and regenerates
-	// it deterministically.
-	DisableSpeculation bool
 	// Tracer receives the audit stream: one http_request event per API
 	// call, session lifecycle events, and every session's search events
 	// stamped with the session id in the Workload field. Nil disables
@@ -133,10 +112,6 @@ type Server struct {
 	down    atomic.Bool
 	flushMu sync.Mutex
 
-	// syncs records that the journal syncs every append, so an observe
-	// that returns its follow-up inline spares that follow-up an fsync.
-	syncs bool
-
 	// handoffMu serializes MigrateShards with ReclaimShards: between a
 	// drain's DropShard and its hand-off's outcome the lease manager
 	// still names this replica the shard's holder, so a reclaim in that
@@ -181,7 +156,8 @@ type session struct {
 	// same suggestion twice; guarded by mu.
 	journaledSeq int
 	// steps counts the accepted observations, for the observe
-	// acknowledgment that answers before the plan; guarded by mu.
+	// acknowledgment that leaves the plan to a later request; guarded by
+	// mu.
 	steps int
 	// observed counts the accepted observations and observe-failures.
 	// While it does not exceed journaledSeq, a suggestion the session
@@ -200,12 +176,6 @@ type session struct {
 	// was journaled, or an append failed and left a seq gap behind it.
 	// It fences racing snapshot captures and appends; guarded by mu.
 	closed bool
-	// unserved is set while the search loop plans the follow-up to an
-	// acknowledged observe that no client has fetched yet (an observe
-	// acknowledged without next): it holds the observation count of that
-	// acknowledgment plus one, and 0 means no such plan. Atomic because
-	// endSession reads it without the session mutex.
-	unserved atomic.Int64
 }
 
 // New builds a Server.
@@ -215,9 +185,6 @@ func New(cfg Config) *Server {
 	}
 	if cfg.SessionTTL == 0 {
 		cfg.SessionTTL = DefaultSessionTTL
-	}
-	if cfg.RequestTimeout == 0 {
-		cfg.RequestTimeout = DefaultRequestTimeout
 	}
 	if cfg.MaxBatch == 0 {
 		cfg.MaxBatch = DefaultMaxBatch
@@ -235,7 +202,6 @@ func New(cfg Config) *Server {
 		store:   newStore(cfg.MaxSessions, cfg.SessionTTL, cfg.Now),
 		tracer:  telemetry.Multi(cfg.Tracer, metrics),
 		metrics: metrics,
-		syncs:   cfg.Journal != nil && cfg.Journal.SyncPolicy() == journal.SyncAlways,
 	}
 	s.route("POST /v1/sessions", s.handleCreate)
 	s.route("GET /v1/sessions", s.handleList)
@@ -261,9 +227,9 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.Serve
 // SessionCount reports the live sessions (for health and tests).
 func (s *Server) SessionCount() int { return s.store.len() }
 
-// route registers a handler wrapped with the audit middleware: a
-// request-scoped deadline, a body cap, and one http_request event per
-// call carrying the route, session id, status and handling duration.
+// route registers a handler wrapped with the audit middleware: a body
+// cap, and one http_request event per call carrying the route, session
+// id, status and handling duration.
 func (s *Server) route(pattern string, h func(http.ResponseWriter, *http.Request) int) {
 	s.routeCap(pattern, MaxRequestBytes, h)
 }
@@ -273,11 +239,6 @@ func (s *Server) route(pattern string, h func(http.ResponseWriter, *http.Request
 func (s *Server) routeCap(pattern string, bodyCap int64, h func(http.ResponseWriter, *http.Request) int) {
 	s.mux.HandleFunc(pattern, func(w http.ResponseWriter, r *http.Request) {
 		t0 := time.Now()
-		if s.cfg.RequestTimeout > 0 {
-			ctx, cancel := context.WithTimeout(r.Context(), s.cfg.RequestTimeout)
-			defer cancel()
-			r = r.WithContext(ctx)
-		}
 		r.Body = http.MaxBytesReader(w, r.Body, bodyCap)
 		status := h(w, r)
 		if s.tracer != nil {
@@ -403,10 +364,7 @@ func (s *Server) handleNext(w http.ResponseWriter, r *http.Request) int {
 	if st := s.fence(w, sess.id); st != 0 {
 		return st
 	}
-	sug, err := s.stageNext(r.Context(), sess)
-	if err != nil {
-		return writeErr(w, http.StatusGatewayTimeout, fmt.Sprintf("planning: %v", err))
-	}
+	sug := s.stageNext(sess)
 	// Done's write carries only the end record; losing it leaves the
 	// finished session live for recovery, so Done is still the answer.
 	if err := s.commit(sess); err != nil && !sug.Done {
@@ -416,12 +374,10 @@ func (s *Server) handleNext(w http.ResponseWriter, r *http.Request) int {
 }
 
 // handleObserve ingests a measurement (or a measurement failure) and
-// acknowledges it once it is journaled. Handing the outcome to the
-// advisor starts the search loop planning the follow-up. On the inline
-// path (speculation disabled, or a journal that syncs every append while
-// no batch suggestion is outstanding) the response waits for that plan
-// and carries it, journaled with the observation in one write; otherwise
-// the client's next GET next collects it.
+// acknowledges it once it is journaled. Unless a batch suggestion is
+// still unobserved, the response carries the follow-up suggestion,
+// planned on this request and journaled with the observation in one
+// write; otherwise the client's next GET next or nextbatch plans it.
 func (s *Server) handleObserve(w http.ResponseWriter, r *http.Request) int {
 	sess, status := s.resolve(w, r)
 	if sess == nil {
@@ -449,8 +405,8 @@ func (s *Server) handleObserve(w http.ResponseWriter, r *http.Request) int {
 	switch {
 	case sess.advisor.Done():
 		// A batch can leave suggestions the search never came back to.
-		// The advisor still accepts one after the search ended, but the
-		// session's chain may already be closed by its end record.
+		// The advisor still accepts one after a Next saw the search end,
+		// but that Next closed the session's chain with its end record.
 		err = arrow.ErrNoPendingSuggestion
 	case req.Failed:
 		err = sess.advisor.ObserveFailure(req.Index, errors.New(reason))
@@ -489,41 +445,33 @@ func (s *Server) handleObserve(w http.ResponseWriter, r *http.Request) int {
 		})
 	}
 	resp := ObserveResponse{Step: sess.steps}
-	// Inline, the follow-up's records join the observation's write, which
-	// under a syncing journal spares them an fsync of their own. Not while
-	// a batch's suggestions are outstanding: the batch journaled them
-	// already, and waiting would hold the session mutex through the plan
-	// while the batch's other observes queue behind it. A plan that
-	// misses the request deadline stays with the search loop: the
-	// observation is journaled alone and acknowledged without next, since
-	// the advisor already holds it and a retry would only meet 409.
-	if s.cfg.DisableSpeculation || (s.syncs && sess.observed > sess.journaledSeq) {
-		if sug, err := s.stageNext(r.Context(), sess); err == nil {
-			resp = ObserveResponse{Step: sug.Step, Next: &sug}
-		}
+	// The follow-up's records join the observation's write, which under a
+	// syncing journal spares them an fsync of their own. Not while a
+	// batch's suggestions are outstanding: the batch journaled them
+	// already, and planning here would hold the session mutex through
+	// the plan while the batch's other observes queue behind it.
+	if sess.observed > sess.journaledSeq {
+		sug := s.stageNext(sess)
+		resp = ObserveResponse{Step: sug.Step, Next: &sug}
 	}
 	if err := s.commit(sess); err != nil {
 		return s.dropUnjournaled(w, sess, err)
 	}
-	if resp.Next == nil {
-		sess.unserved.Store(int64(sess.steps) + 1)
-	}
 	return writeJSON(w, http.StatusOK, resp)
 }
 
-// stageNext collects the session's next suggestion (or Done) from its
-// search loop and stages what serving it journals: a suggest record the
-// first time it is served, plus a snapshot when one falls due, or the
-// session's end. Callers hold the session mutex and commit before
-// answering. A planning error (the request's deadline) stages nothing.
-func (s *Server) stageNext(ctx context.Context, sess *session) (arrow.Suggestion, error) {
-	sug, err := sess.advisor.Next(ctx)
-	if err != nil {
-		return sug, err
-	}
+// stageNext plans the session's next suggestion (or Done) and stages
+// what serving it journals: a suggest record the first time it is
+// served, plus a snapshot when one falls due, or the session's end.
+// Callers hold the session mutex and commit before answering. No
+// request context reaches the advisor: a plan, once begun, runs to its
+// end, and it takes milliseconds.
+func (s *Server) stageNext(sess *session) arrow.Suggestion {
+	// Next fails only on an expired context, which Background never is.
+	sug, _ := sess.advisor.Next(context.Background())
 	if sug.Done {
 		s.endSession(sess, "done")
-		return sug, nil
+		return sug
 	}
 	// Journal each suggestion once (Next is idempotent while one is
 	// pending, and a batch may have journaled it already); replay asserts
@@ -534,7 +482,7 @@ func (s *Server) stageNext(ctx context.Context, sess *session) (arrow.Suggestion
 		s.stage(sess, journal.Record{Kind: journal.KindSuggest, Index: sug.Index, Step: sug.Step})
 		s.maybeSnapshot(sess)
 	}
-	return sug, nil
+	return sug
 }
 
 // handleNextBatch answers "what k things should I measure concurrently?"
@@ -566,9 +514,10 @@ func (s *Server) handleNextBatch(w http.ResponseWriter, r *http.Request) int {
 	if st := s.fence(w, sess.id); st != 0 {
 		return st
 	}
-	sugs, err := sess.advisor.NextBatch(r.Context(), k)
+	sugs, err := sess.advisor.NextBatch(context.Background(), k)
 	if err != nil {
-		return writeErr(w, http.StatusGatewayTimeout, fmt.Sprintf("planning: %v", err))
+		// Only a MaxBatch below 1 gets here.
+		return writeErr(w, http.StatusInternalServerError, err.Error())
 	}
 	if sugs[0].Done {
 		s.endSession(sess, "done")
@@ -606,29 +555,6 @@ func (s *Server) handleNextBatch(w http.ResponseWriter, r *http.Request) int {
 	return writeJSON(w, http.StatusOK, NextBatchResponse{Suggestions: sugs})
 }
 
-// emitHit audits the first suggestion newly served after an acknowledged
-// observe: the plan the search loop began at that observe was already
-// under way when the client asked for it. seq is the served issue
-// ordinal.
-func (s *Server) emitHit(sess *session, seq int) {
-	if sess.unserved.Swap(0) != 0 {
-		s.emitSpeculate(telemetry.KindSpeculateHit, sess, seq)
-	}
-}
-
-// emitSpeculate records a speculation disposition in the audit stream.
-func (s *Server) emitSpeculate(kind telemetry.Kind, sess *session, value int) {
-	if s.tracer == nil {
-		return
-	}
-	s.tracer.Emit(telemetry.Event{
-		Kind:      kind,
-		Name:      sess.id,
-		Candidate: -1,
-		Value:     float64(value),
-	})
-}
-
 // handleResult returns the recommendation once the session is done
 // (naturally or salvaged); before that it answers 409 so clients can
 // tell "keep stepping" from "gone".
@@ -646,15 +572,9 @@ func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) int {
 	if errors.Is(err, arrow.ErrSearchRunning) {
 		return writeErr(w, http.StatusConflict, "session still running; keep observing until next reports done")
 	}
-	// Under speculation a polling client can learn the session finished
-	// from the result itself without ever fetching the Done suggestion;
-	// reading the result is then the terminal client-visible transition.
-	// (endSession is idempotent — a session ended through next or delete
-	// is untouched.)
-	if sess.advisor.Done() {
-		s.endSession(sess, "done")
-		_ = s.commit(sess)
-	}
+	// Whatever made the result ready ends the session too: the next,
+	// nextbatch or observe that saw the search end, a delete, or the
+	// flush or eviction that aborted it.
 	return writeJSON(w, http.StatusOK, s.resultResponse(sess, res, err))
 }
 
@@ -788,19 +708,13 @@ func (s *Server) finalize(sess *session, cause error, disposition string) {
 func (s *Server) endSession(sess *session, disposition string) {
 	if disposition == "done" {
 		// Shutdown's flush aborts each search before it takes the session
-		// mutex, and a request waiting on the plan meanwhile sees Done.
+		// mutex, and a request that takes the mutex in between sees Done.
 		// The drained session stays live in the journal; the flush ends it.
 		if _, err := sess.advisor.Result(); errors.Is(err, errShutdownFlush) {
 			return
 		}
 	}
 	sess.endOnce.Do(func() {
-		// A plan begun at an acknowledged observe that no client fetched
-		// dies with the session; surface the wasted compute in the audit
-		// stream. A session that finished answered that plan with Done.
-		if n := sess.unserved.Swap(0); n != 0 && disposition != "done" {
-			s.emitSpeculate(telemetry.KindSpeculateWaste, sess, int(n-1))
-		}
 		switch disposition {
 		case "shutdown-flush":
 			// Not terminal in the journal; see above.
@@ -864,12 +778,11 @@ func (s *Server) stage(sess *session, rec journal.Record) {
 }
 
 // commit journals the session's staged records in one Append — one
-// write and, under SyncAlways, one fsync — and then audits what it made
-// durable: a newly served suggestion settles the plan an acknowledged
-// observe left unfetched, and a snapshot lands. Callers hold the session
-// mutex. A failed write is warned about and closes the chain, as a
-// terminal record does: no later record may land past the gap, so the
-// journal keeps the session's durable prefix intact for recovery.
+// write and, under SyncAlways, one fsync — and then audits the snapshot
+// it made durable, if any. Callers hold the session mutex. A failed
+// write is warned about and closes the chain, as a terminal record
+// does: no later record may land past the gap, so the journal keeps the
+// session's durable prefix intact for recovery.
 func (s *Server) commit(sess *session) error {
 	batch := sess.staged
 	sess.staged = sess.staged[:0]
@@ -892,8 +805,6 @@ func (s *Server) commit(sess *session) error {
 		switch rec.Kind {
 		case journal.KindAbort, journal.KindEnd:
 			sess.closed = true
-		case journal.KindSuggest, journal.KindSuggestBatch:
-			s.emitHit(sess, sess.journaledSeq)
 		case journal.KindSnapshot:
 			sess.lastSnapSteps = sess.steps
 			if s.tracer != nil {
@@ -929,10 +840,10 @@ func (s *Server) dropUnjournaled(w http.ResponseWriter, sess *session, err error
 
 // maybeSnapshot stages a session checkpoint when SnapshotInterval
 // observations have accumulated since the last one. Callers hold the
-// session mutex right after staging a suggestion, so the advisor's
-// search loop is parked on the pending suggestion — the one moment the
-// resume script and the trace recorder are both quiescent and
-// exportable. The snapshot record is seq-transparent: it carries the
+// session mutex right after staging a suggestion, where recovery's fast
+// path expects a snapshot: the advisor's search loop is parked on that
+// suggestion, so the resume script and the trace recorder are quiescent
+// and exportable. The snapshot record is seq-transparent: it carries the
 // session's watermark without consuming a sequence number, so replay
 // chains are unchanged whether snapshots exist or not. It joins the
 // suggestion's write; a closed chain takes none.

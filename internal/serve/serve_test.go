@@ -89,10 +89,8 @@ func (c *client) observe(id string, req ObserveRequest) ObserveResponse {
 }
 
 // followUp resolves the suggestion after an observe: directly from the
-// response when the observe waited for the plan (a journal that syncs
-// every append, or speculation disabled), via GET next when it was
-// acknowledged early — the round trip that collects the plan the
-// session's search loop began at the observe.
+// response when the observe planned it, via GET next when a batch
+// suggestion was still outstanding and the observe left the plan to it.
 func (c *client) followUp(id string, resp ObserveResponse) arrow.Suggestion {
 	c.t.Helper()
 	if resp.Next != nil {
@@ -652,113 +650,23 @@ func TestServeNextBatch(t *testing.T) {
 	}
 }
 
-// TestServeSpeculationAudit drives the speculation lifecycle over HTTP
-// alone and checks the audit stream: a batch handout is recorded with
-// its k and served size; the first suggestion newly served after an
-// acknowledged observe is a hit naming its issue ordinal; a session that
-// ends with such a plan unfetched records waste naming the observation
-// count of that acknowledgment; a session that finishes answers its last
-// plan with Done and records no waste; and with speculation disabled
-// neither kind is emitted.
-func TestServeSpeculationAudit(t *testing.T) {
-	target, err := arrow.NewSimulatedTarget("als/spark2.1/medium", 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	observe := func(c *client, id string, sug arrow.Suggestion) {
-		t.Helper()
-		out, merr := target.Measure(sug.Index)
-		if merr != nil {
-			t.Fatalf("measuring %d: %v", sug.Index, merr)
-		}
-		c.observe(id, ObserveRequest{Index: sug.Index, TimeSec: out.TimeSec, CostUSD: out.CostUSD, Metrics: out.Metrics})
-	}
-	// audit groups the speculation and batch events by session.
-	audit := func(rec *telemetry.Recorder) map[string]map[telemetry.Kind][]telemetry.Event {
-		got := map[string]map[telemetry.Kind][]telemetry.Event{}
-		for _, e := range rec.Events() {
-			switch e.Kind {
-			case telemetry.KindSuggestBatch, telemetry.KindSpeculateHit, telemetry.KindSpeculateWaste:
-				if got[e.Name] == nil {
-					got[e.Name] = map[telemetry.Kind][]telemetry.Event{}
-				}
-				got[e.Name][e.Kind] = append(got[e.Name][e.Kind], e)
-			}
-		}
-		return got
-	}
-
+// TestServeBatchAudit: a batch handout is recorded in the audit stream
+// once, naming its session, k and served size.
+func TestServeBatchAudit(t *testing.T) {
 	rec := telemetry.NewRecorder()
 	_, c := newTestServer(t, Config{Tracer: rec})
-	// Random search never stops early, so the session outlives the few
-	// observations this test feeds it.
 	info := c.create(SessionRequest{Method: "random-search", Seed: 5, MaxMeasurements: 10})
 	sugs := c.nextBatch(info.ID, 2)
 	if len(sugs) != 2 {
 		t.Fatalf("batch of %d suggestions, want 2", len(sugs))
 	}
-	for i := len(sugs) - 1; i >= 0; i-- {
-		observe(c, info.ID, sugs[i])
-	}
-	hit := c.next(info.ID)
-	if hit.Done || hit.Seq != 2 {
-		t.Fatalf("next after the batch = %+v, want a fresh suggestion with Seq 2", hit)
-	}
-	if again := c.next(info.ID); again != hit {
-		t.Fatalf("reissued next %+v, want %+v", again, hit)
-	}
-	observe(c, info.ID, hit)
-	if st := c.do("DELETE", "/v1/sessions/"+info.ID, nil, nil); st != http.StatusOK {
-		t.Fatalf("delete: status %d", st)
-	}
-
-	// A session run to its natural end: every suggestion after the first
-	// is a hit, and the plan begun at the final observe ends in Done.
-	done := c.create(SessionRequest{Method: "random-search", Seed: 6, MaxMeasurements: 3})
-	for sug := c.next(done.ID); !sug.Done; sug = c.next(done.ID) {
-		observe(c, done.ID, sug)
-	}
-	c.result(done.ID)
-
-	got := audit(rec)
-	batch := got[info.ID][telemetry.KindSuggestBatch]
-	if len(batch) != 1 || batch[0].Step != 2 || int(batch[0].Value) != len(sugs) {
-		t.Errorf("suggest_batch events %+v, want one with k=2 served=%d", batch, len(sugs))
-	}
-	if hits := got[info.ID][telemetry.KindSpeculateHit]; len(hits) != 1 || int(hits[0].Value) != hit.Seq {
-		t.Errorf("speculate_hit events %+v, want one naming Seq %d", hits, hit.Seq)
-	}
-	if waste := got[info.ID][telemetry.KindSpeculateWaste]; len(waste) != 1 || waste[0].Value != 3 {
-		t.Errorf("speculate_waste events %+v, want one naming the third observation", waste)
-	}
-	if hits := got[done.ID][telemetry.KindSpeculateHit]; len(hits) != 2 {
-		t.Errorf("finished session: %d speculate_hit events, want 2", len(hits))
-	}
-	if waste := got[done.ID][telemetry.KindSpeculateWaste]; len(waste) != 0 {
-		t.Errorf("finished session recorded waste %+v", waste)
-	}
-
-	// With speculation off, observe returns the next suggestion inline:
-	// nothing is left to hit or waste.
-	syncRec := telemetry.NewRecorder()
-	_, sc := newTestServer(t, Config{Tracer: syncRec, DisableSpeculation: true})
-	syncInfo := sc.create(SessionRequest{Method: "random-search", Seed: 5, MaxMeasurements: 10})
-	sug := sc.next(syncInfo.ID)
-	for i := 0; i < 3; i++ {
-		out, merr := target.Measure(sug.Index)
-		if merr != nil {
-			t.Fatalf("measuring %d: %v", sug.Index, merr)
+	var batch []telemetry.Event
+	for _, e := range rec.Events() {
+		if e.Kind == telemetry.KindSuggestBatch {
+			batch = append(batch, e)
 		}
-		resp := sc.observe(syncInfo.ID, ObserveRequest{Index: sug.Index, TimeSec: out.TimeSec, CostUSD: out.CostUSD, Metrics: out.Metrics})
-		if resp.Next == nil {
-			t.Fatal("synchronous observe response carries no next suggestion")
-		}
-		sug = *resp.Next
 	}
-	if st := sc.do("DELETE", "/v1/sessions/"+syncInfo.ID, nil, nil); st != http.StatusOK {
-		t.Fatalf("delete: status %d", st)
-	}
-	if kinds := audit(syncRec)[syncInfo.ID]; len(kinds[telemetry.KindSpeculateHit])+len(kinds[telemetry.KindSpeculateWaste]) != 0 {
-		t.Errorf("speculation disabled, yet the audit stream holds %+v", kinds)
+	if len(batch) != 1 || batch[0].Name != info.ID || batch[0].Step != 2 || int(batch[0].Value) != len(sugs) {
+		t.Errorf("suggest_batch events %+v, want one for %s with k=2 served=%d", batch, info.ID, len(sugs))
 	}
 }

@@ -113,21 +113,12 @@ const (
 	// contract; the search trace itself never contains it — batch
 	// planning runs with the tracer detached.
 	KindSuggestBatch Kind = "suggest_batch"
-	// KindSpeculateHit records the first suggestion newly served by
-	// /next or /nextbatch after an observe the server acknowledged
-	// without waiting for the plan: the session's search loop began
-	// planning at that observe, so the request collected a plan already
-	// under way. Name is the session id, Value the served suggestion's
-	// issue ordinal (Seq; the batch's highest for /nextbatch). The
-	// suggestion itself is identical either way — only the latency
-	// differs — so the event is serve-audit-only, like http_request.
+	// KindSpeculateHit named a suggestion a server had planned in the
+	// background after acknowledging an observe. Nothing emits it: the
+	// serving layer plans only inside a request. It stays for readers of
+	// old audit streams and for e2ebench, whose serve.speculate_hit_ratio
+	// counts it (and so reads 0).
 	KindSpeculateHit Kind = "speculate_hit"
-	// KindSpeculateWaste records a session ending before any client
-	// fetched the plan its search loop began at the last acknowledged
-	// observe (a search that finished instead answers that plan with
-	// Done and records none): Name is the session id, Value the accepted
-	// observation count that acknowledgment reported. Serve-audit-only.
-	KindSpeculateWaste Kind = "speculate_waste"
 	// KindStudyRun summarizes one (method, workload, seed) search of the
 	// study harness: Method is the method label, Step the measurement
 	// count, Value the normalized best value found, Aux the 1-based step

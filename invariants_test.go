@@ -165,12 +165,11 @@ func checkTraceInvariants(t *testing.T, res *Result, events []Event) {
 	}
 
 	// Serve-audit kinds never appear in a search trace: batch planning
-	// runs with the tracer detached, and speculation bookkeeping belongs
-	// to the serving layer, not the search.
+	// runs with the tracer detached, and the rest belong to the serving
+	// layer, not the search.
 	for i, e := range events {
 		switch e.Kind {
-		case EventSuggestBatch, EventSpeculateHit, EventSpeculateWaste,
-			EventHTTPRequest, EventSessionCreate, EventSessionEnd:
+		case EventSuggestBatch, EventHTTPRequest, EventSessionCreate, EventSessionEnd:
 			t.Errorf("event %d: serve-audit kind %s leaked into a search trace", i, e.Kind)
 		}
 	}

@@ -19,7 +19,7 @@ import (
 //	0, 7  Next; NextBatch(1) must then return the same head and every
 //	      outstanding pick
 //	1     NextBatch(k), k = 1 + arg%4
-//	2, 3  Observe outstanding pick arg%n, picks in issue order
+//	2, 3  Observe outstanding pick arg%n, picks in the order suggested
 //	4     ObserveFailure of outstanding pick arg%n
 //	5     resume: Next, then Script, and a NewResumedAdvisor that replays
 //	      every call so far (the serve layer snapshots right after
@@ -32,7 +32,7 @@ import (
 // reduced to its Next, the resumed trace stitched at each resume point
 // from the prefix recorded before it, as snapshot recovery stitches it;
 // a replayed call returns what it returned live; a suggestion keeps its
-// Seq and Step when issued again; and checkTraceInvariants holds.
+// Seq and Step when returned again; and checkTraceInvariants holds.
 func FuzzAdvisorSchedule(f *testing.F) {
 	cfgs := goldenBatchConfigs(f, fuzzWorkload)
 	target, err := NewSimulatedTarget(fuzzWorkload, 1)
@@ -74,7 +74,7 @@ func FuzzAdvisorSchedule(f *testing.F) {
 		}
 		run := func(resumes bool) (string, []Event, *Result) {
 			s := &fuzzSchedule{t: t, opts: opts, candidates: candidates, outcomes: outcomes,
-				issued: map[int]Suggestion{}, resumes: resumes}
+				seen: map[int]Suggestion{}, resumes: resumes}
 			return s.run(ops)
 		}
 		want, wantTrace, res := run(false)
@@ -134,8 +134,8 @@ type fuzzSchedule struct {
 	advisor *Advisor
 	gate    *fuzzGate
 	calls   []fuzzCall
-	pending []int              // outstanding picks, in issue order
-	issued  map[int]Suggestion // every suggestion as first issued
+	pending []int              // outstanding picks, in the order suggested
+	seen    map[int]Suggestion // every suggestion as first returned
 	resumes bool               // false reduces a resume to its Next
 	resumed int
 }
@@ -215,7 +215,7 @@ func (s *fuzzSchedule) run(ops []byte) (string, []Event, *Result) {
 			res, serr = s.advisor.Result()
 			break
 		}
-		s.issue(sug)
+		s.note(sug)
 		s.observe(slices.Index(s.pending, sug.Index), false)
 	}
 	if res == nil {
@@ -235,19 +235,19 @@ func (s *fuzzSchedule) run(ops []byte) (string, []Event, *Result) {
 	return string(out), events, res
 }
 
-// issue notes a returned suggestion: a new one joins the outstanding
-// picks, and one issued before must come back unchanged.
-func (s *fuzzSchedule) issue(sug Suggestion) {
+// note records a returned suggestion: a new one joins the outstanding
+// picks, and one returned before must come back unchanged.
+func (s *fuzzSchedule) note(sug Suggestion) {
 	if sug.Done {
 		return
 	}
-	if first, ok := s.issued[sug.Index]; ok {
+	if first, ok := s.seen[sug.Index]; ok {
 		if first != sug {
-			s.t.Fatalf("candidate %d reissued as %+v, first issued as %+v", sug.Index, sug, first)
+			s.t.Fatalf("candidate %d returned again as %+v, first as %+v", sug.Index, sug, first)
 		}
 		return
 	}
-	s.issued[sug.Index] = sug
+	s.seen[sug.Index] = sug
 	s.pending = append(s.pending, sug.Index)
 }
 
@@ -259,7 +259,7 @@ func (s *fuzzSchedule) next() {
 	if err != nil {
 		s.t.Fatalf("Next: %v", err)
 	}
-	s.issue(sug)
+	s.note(sug)
 	batch, err := s.advisor.NextBatch(ctx, 1)
 	if err != nil {
 		s.t.Fatalf("NextBatch(1): %v", err)
@@ -274,7 +274,7 @@ func (s *fuzzSchedule) next() {
 	} else {
 		got := make([]int, len(batch))
 		for i, b := range batch {
-			s.issue(b)
+			s.note(b)
 			got[i] = b.Index
 		}
 		want := slices.Clone(s.pending)
@@ -297,7 +297,7 @@ func (s *fuzzSchedule) batch(k int) {
 		s.t.Fatalf("NextBatch(%d) after Done returned %+v", k, sugs)
 	}
 	for _, sug := range sugs {
-		s.issue(sug)
+		s.note(sug)
 	}
 	s.calls = append(s.calls, fuzzCall{op: opBatch, arg: k, sugs: sugs})
 }

@@ -50,12 +50,10 @@ const (
 // The event kinds the serving layer (cmd/arrow-serve) emits into its
 // audit stream, alongside the per-session search events above.
 const (
-	EventSessionCreate  = telemetry.KindSessionCreate
-	EventSessionEnd     = telemetry.KindSessionEnd
-	EventHTTPRequest    = telemetry.KindHTTPRequest
-	EventSuggestBatch   = telemetry.KindSuggestBatch
-	EventSpeculateHit   = telemetry.KindSpeculateHit
-	EventSpeculateWaste = telemetry.KindSpeculateWaste
+	EventSessionCreate = telemetry.KindSessionCreate
+	EventSessionEnd    = telemetry.KindSessionEnd
+	EventHTTPRequest   = telemetry.KindHTTPRequest
+	EventSuggestBatch  = telemetry.KindSuggestBatch
 )
 
 // WithTracer streams every search event into t: one search_start, the
