@@ -146,6 +146,10 @@ func BenchmarkFullSearchAugmentedTraced(b *testing.B) {
 	}
 }
 
+// benchFullSearch runs mc's search on a bare simulated target, not
+// through Runner.RunSearch: the study settles a search with stopping
+// disabled once it has measured the optimum, and these benchmarks
+// measure the whole search.
 func benchFullSearch(b *testing.B, mc study.MethodConfig) {
 	b.Helper()
 	r := benchRunner()
@@ -155,7 +159,11 @@ func benchFullSearch(b *testing.B, mc study.MethodConfig) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := r.RunSearch(mc, w, core.MinimizeCost, int64(i)); err != nil {
+		opt, err := mc.Build(core.MinimizeCost, int64(i))
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := opt.Search(r.Simulator().NewTarget(w, int64(i))); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -247,6 +247,30 @@ func ValidateOutcome(out Outcome) error {
 	return nil
 }
 
+// AcceptMeasurement is the search loop's rule for one Measure(i) on cat:
+// given what Measure returned, it reports the objective value the loop
+// records, or the error it rejects the measurement with. A rejection
+// that is search-fatal (a Fatal-marked or context error) aborts the
+// search; any other quarantines candidate i. Code that must predict what
+// a search accepts calls it rather than restating the checks.
+func AcceptMeasurement(cat Catalog, i int, objective Objective, out Outcome, merr error) (float64, error) {
+	if merr != nil {
+		return 0, fmt.Errorf("core: measuring %s: %w", cat.Name(i), merr)
+	}
+	if err := ValidateOutcome(out); err != nil {
+		return 0, fmt.Errorf("core: measurement of %s: %w", cat.Name(i), err)
+	}
+	val, err := out.Value(objective)
+	if err != nil {
+		return 0, Fatal(err)
+	}
+	if val <= 0 || math.IsNaN(val) || math.IsInf(val, 0) {
+		return 0, fmt.Errorf("core: measurement of %s yielded invalid objective %v: %w",
+			cat.Name(i), val, ErrInvalidOutcome)
+	}
+	return val, nil
+}
+
 // searchState carries the bookkeeping shared by every optimizer.
 type searchState struct {
 	target    Target
@@ -467,26 +491,13 @@ func (s *searchState) measure(idx int, score float64, fromDesign bool) (ok bool,
 			FromDesign: fromDesign,
 		})
 	}
-	out, err := s.target.Measure(idx)
+	out, merr := s.target.Measure(idx)
+	val, err := AcceptMeasurement(s.target, idx, s.objective, out, merr)
 	if err != nil {
-		wrapped := fmt.Errorf("core: measuring %s: %w", s.target.Name(idx), err)
 		if fatalMeasurement(err) {
-			return false, wrapped
+			return false, err
 		}
-		s.quarantine(idx, wrapped, fromDesign)
-		return false, nil
-	}
-	if verr := ValidateOutcome(out); verr != nil {
-		s.quarantine(idx, fmt.Errorf("core: measurement of %s: %w", s.target.Name(idx), verr), fromDesign)
-		return false, nil
-	}
-	val, err := out.Value(s.objective)
-	if err != nil {
-		return false, err
-	}
-	if val <= 0 || math.IsNaN(val) || math.IsInf(val, 0) {
-		s.quarantine(idx, fmt.Errorf("core: measurement of %s yielded invalid objective %v: %w",
-			s.target.Name(idx), val, ErrInvalidOutcome), fromDesign)
+		s.quarantine(idx, err, fromDesign)
 		return false, nil
 	}
 	s.measured[idx] = true

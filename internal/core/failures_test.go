@@ -248,3 +248,48 @@ func TestValidateOutcome(t *testing.T) {
 		t.Errorf("bad metrics: error = %v, want ErrInvalidOutcome", err)
 	}
 }
+
+// TestAcceptMeasurement pins the search loop's acceptance rule on each
+// kind of Measure return: accepted, quarantined (a plain error or an
+// outcome that would poison the surrogates, a zero objective included)
+// or search-fatal.
+func TestAcceptMeasurement(t *testing.T) {
+	target := newFakeTarget(exhaustiveValues())
+	good, err := target.Measure(3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	free := good
+	free.CostUSD = 0
+	negative := good
+	negative.TimeSec = -1
+	cases := []struct {
+		name      string
+		objective Objective
+		out       Outcome
+		merr      error
+		fatal     bool
+		want      string // error text, "" when accepted
+	}{
+		{"accepted", MinimizeTime, good, nil, false, ""},
+		{"zero cost under the time objective", MinimizeTime, free, nil, false, ""},
+		{"measure error", MinimizeTime, Outcome{}, errors.New("down"), false, "core: measuring vm-3: down"},
+		{"fatal measure error", MinimizeTime, Outcome{}, Fatal(errors.New("abort")), true, "core: measuring vm-3: abort"},
+		{"cancelled", MinimizeTime, Outcome{}, context.Canceled, true, "core: measuring vm-3: context canceled"},
+		{"invalid outcome", MinimizeTime, negative, nil, false, "core: measurement of vm-3: core: invalid measurement outcome: execution time -1"},
+		{"zero objective", MinimizeCost, free, nil, false, "core: measurement of vm-3 yielded invalid objective 0: core: invalid measurement outcome"},
+		{"invalid objective", Objective(0), good, nil, true, "core: invalid objective 0"},
+	}
+	for _, tc := range cases {
+		val, err := AcceptMeasurement(target, 3, tc.objective, tc.out, tc.merr)
+		if tc.want == "" {
+			if err != nil || val != good.TimeSec {
+				t.Errorf("%s: got (%v, %v), want (%v, nil)", tc.name, val, err, good.TimeSec)
+			}
+			continue
+		}
+		if err == nil || err.Error() != tc.want || fatalMeasurement(err) != tc.fatal {
+			t.Errorf("%s: got %v (fatal %v), want %q (fatal %v)", tc.name, err, err != nil && fatalMeasurement(err), tc.want, tc.fatal)
+		}
+	}
+}

@@ -189,39 +189,6 @@ func TestStepperResultBeforeDone(t *testing.T) {
 	}
 }
 
-func TestStepperNextHonorsContext(t *testing.T) {
-	opt, err := NewRandomSearch(RandomSearchConfig{Objective: MinimizeTime, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	target := newFakeTarget(exhaustiveValues())
-	s := NewStepper(opt, target)
-	defer s.Abort(nil)
-
-	// Consume the pending suggestion but never observe; the loop is now
-	// parked waiting for an observation, so a second... actually Next
-	// returns the pending suggestion. Instead: observe, then race Next
-	// against an already-cancelled context before the loop suggests.
-	sug, err := s.Next(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Observe(sug.Index, Outcome{}, errors.New("skip")); err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	if _, err := s.Next(ctx); !errors.Is(err, context.Canceled) {
-		// The loop may already have parked the next suggestion on the
-		// channel, in which case Next legitimately returns it; only a
-		// still-computing loop surfaces the context error. Accept both,
-		// but a nil error must carry a valid suggestion.
-		if err != nil {
-			t.Fatalf("Next with cancelled ctx = %v, want context.Canceled or a suggestion", err)
-		}
-	}
-}
-
 func TestStepperAbortSalvagesPartialResult(t *testing.T) {
 	opt, err := NewAugmentedBO(AugmentedBOConfig{Objective: MinimizeTime, Seed: 2, DeltaThreshold: -1})
 	if err != nil {

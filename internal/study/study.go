@@ -412,15 +412,6 @@ func (r *Runner) searchUncached(mc MethodConfig, w workloads.Workload, objective
 	if err != nil {
 		return nil, err
 	}
-	target := r.sim.NewTarget(w, seed)
-	res, err := opt.Search(target)
-	if err != nil {
-		return nil, fmt.Errorf("study: %s on %s (seed %d): %w", mc.Label(), w.ID(), seed, err)
-	}
-	return r.summarize(res, w, objective, seed)
-}
-
-func (r *Runner) summarize(res *core.Result, w workloads.Workload, objective core.Objective, seed int64) (*RunSummary, error) {
 	truth, err := r.TruthValues(w, objective)
 	if err != nil {
 		return nil, err
@@ -429,29 +420,135 @@ func (r *Runner) summarize(res *core.Result, w workloads.Workload, objective cor
 	if err != nil {
 		return nil, err
 	}
+	res, rest, err := settledSearch(mc, opt, r.sim.NewTarget(w, seed), objective, optIdx)
+	if err != nil {
+		return nil, fmt.Errorf("study: %s on %s (seed %d): %w", mc.Label(), w.ID(), seed, err)
+	}
+	return summarize(res, rest, truth, optIdx, w.ID(), seed), nil
+}
+
+// settledSearch runs opt, built from mc, on target. A search with no
+// stopping rule is settled (see settleTarget): it ends once it has
+// measured candidate optimum, the true optimum, and rest counts the
+// measurements the rest of the search would have added. Any other
+// search runs as it is, with rest 0.
+func settledSearch(mc MethodConfig, opt core.Optimizer, target core.Target, objective core.Objective, optimum int) (res *core.Result, rest int, err error) {
+	if !mc.runsToEnd() {
+		res, err = opt.Search(target)
+		return res, 0, err
+	}
+	st := &settleTarget{Target: target, objective: objective, optimum: optimum}
+	res, err = opt.Search(st)
+	if errors.Is(err, errSettled) {
+		return res, st.rest(res), nil
+	}
+	return res, 0, err
+}
+
+// runsToEnd reports whether mc builds a search with no stopping rule:
+// one that measures every candidate it does not quarantine. It reads the
+// thresholds as Fingerprint canonicalizes them, negative meaning off.
+func (mc MethodConfig) runsToEnd() bool {
+	switch mc.Method {
+	case MethodNaive:
+		return mc.EIStop < 0
+	case MethodAugmented, MethodHybrid:
+		return mc.Delta < 0
+	case MethodRandom:
+		return true
+	default:
+		return false
+	}
+}
+
+// errSettled ends a settled search; see settleTarget.
+var errSettled = errors.New("study: search settled at the true optimum")
+
+// settleTarget wraps the target of a search with no stopping rule. Once
+// such a search has measured the true optimum its summary can only grow:
+// every later step leaves the best-so-far value at exactly the optimum,
+// and the search goes on until it has measured every candidate it does
+// not quarantine. So after core accepts the optimum's measurement, the
+// next Measure aborts the search with errSettled, sparing the surrogate
+// fits that would pick the rest, and rest counts the measurements the
+// search would still have made.
+type settleTarget struct {
+	core.Target
+	objective core.Objective
+	optimum   int
+	settled   bool
+}
+
+// Measure implements core.Target.
+func (t *settleTarget) Measure(i int) (core.Outcome, error) {
+	if t.settled {
+		return core.Outcome{}, core.Fatal(errSettled)
+	}
+	out, merr := t.Target.Measure(i)
+	if i == t.optimum {
+		_, err := core.AcceptMeasurement(t.Target, i, t.objective, out, merr)
+		t.settled = err == nil
+	}
+	return out, merr
+}
+
+// rest measures, through the wrapped target, every candidate the settled
+// search res neither measured nor quarantined, and returns how many of
+// those measurements core would accept. It measures in catalog order,
+// not in the order the search would have, which is exact for a target
+// whose outcomes do not depend on that order: a simulated measurement
+// depends only on the workload, the VM and the trial.
+func (t *settleTarget) rest(res *core.Result) int {
+	done := make([]bool, t.NumCandidates())
+	for _, obs := range res.Observations {
+		done[obs.Index] = true
+	}
+	for _, f := range res.Failures {
+		done[f.Index] = true
+	}
+	n := 0
+	for i, d := range done {
+		if d {
+			continue
+		}
+		out, merr := t.Target.Measure(i)
+		if _, err := core.AcceptMeasurement(t.Target, i, t.objective, out, merr); err == nil {
+			n++
+		}
+	}
+	return n
+}
+
+// summarize condenses res, followed by rest measurements after the true
+// optimum, into a RunSummary against the truth values and their ArgMin
+// optIdx.
+func summarize(res *core.Result, rest int, truth []float64, optIdx int, workloadID string, seed int64) *RunSummary {
 	optVal := truth[optIdx]
 
 	summary := &RunSummary{
-		WorkloadID:   w.ID(),
+		WorkloadID:   workloadID,
 		Seed:         seed,
-		Measurements: res.NumMeasurements(),
+		Measurements: res.NumMeasurements() + rest,
 		StepOptimal:  res.MeasuredAtStep(optIdx),
 		StoppedEarly: res.StoppedEarly,
 	}
 	// Best-so-far trajectory in true, normalized units: the observation
 	// order is what the optimizer chose; the value credited is the VM's
 	// true performance (the paper plots measured medians, which converge
-	// to the same thing).
+	// to the same thing). Every step after the optimum reads exactly 1.
 	best := truth[res.Observations[0].Index]
-	summary.Trajectory = make([]float64, len(res.Observations))
+	summary.Trajectory = make([]float64, summary.Measurements)
 	for i, obs := range res.Observations {
 		if truth[obs.Index] < best {
 			best = truth[obs.Index]
 		}
 		summary.Trajectory[i] = best / optVal
 	}
+	for i := len(res.Observations); i < len(summary.Trajectory); i++ {
+		summary.Trajectory[i] = 1
+	}
 	summary.FoundNorm = best / optVal
-	return summary, nil
+	return summary
 }
 
 // forEach runs fn(i) for i in [0,n) over internal/parallel, gated by the
