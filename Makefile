@@ -92,9 +92,10 @@ cover:
 # journal's line decoder and CRC'd snapshot payload decoder, the shard-log
 # scan under the run cache and the journal (through the cache's shard
 # loader and the journal's recovery scan), the forest's tree growth
-# against its per-candidate reference grower, and advisor schedules
+# against its per-candidate reference grower, advisor schedules
 # (batches, out-of-order observations, resumes, aborts) against the
-# same schedule without its resumes, FUZZTIME each. Minimizing
+# same schedule without its resumes, and the simulator's noise source
+# against math/rand, FUZZTIME each. Minimizing
 # a newly interesting input is bounded: at Go's 60s default a target
 # whose every exec writes a temp-dir shard (FuzzScanShard) spent a whole
 # 10s window minimizing one input after about nine execs.
@@ -112,6 +113,7 @@ fuzz:
 	$(FUZZ) FuzzDecodeSnapshot ./internal/journal
 	$(FUZZ) FuzzGrowMatchesReference ./internal/forest
 	$(FUZZ) FuzzAdvisorSchedule .
+	$(FUZZ) FuzzNoiseSource ./internal/sim
 
 # The CI-sized fuzz pass: every target for 10s — long enough to catch a
 # decoder regression, short enough for every push.
@@ -135,6 +137,9 @@ bench:
 	$(GO) test -run xxx -benchmem -benchtime 300x \
 		-bench 'BenchmarkAdvisorNext|BenchmarkNewSimulatedTarget' . \
 		> /tmp/arrow-bench-advisor.txt
+	$(GO) test -run xxx -benchmem -benchtime 100000x \
+		-bench 'BenchmarkSimulatorMeasure' . \
+		> /tmp/arrow-bench-sim.txt
 	$(GO) test -run xxx -benchmem -benchtime 20x \
 		-bench 'BenchmarkForestFitParallel|BenchmarkForestPredictPairs|BenchmarkForestRefit' ./internal/forest \
 		> /tmp/arrow-bench-forest.txt
@@ -160,7 +165,7 @@ bench:
 		-bench 'BenchmarkRecoverFullReplay' ./internal/serve \
 		>> /tmp/arrow-bench-recover.txt
 	cat /tmp/arrow-bench-root.txt /tmp/arrow-bench-advisor.txt \
-		/tmp/arrow-bench-forest.txt /tmp/arrow-bench-gp.txt \
+		/tmp/arrow-bench-sim.txt /tmp/arrow-bench-forest.txt /tmp/arrow-bench-gp.txt \
 		/tmp/arrow-bench-core.txt /tmp/arrow-bench-serve.txt \
 		/tmp/arrow-bench-study.txt /tmp/arrow-bench-study-warm.txt \
 		/tmp/arrow-bench-recover.txt \
@@ -220,8 +225,11 @@ bench-tables-recover:
 # keeps its ≥5x headline honest. The unguarded entries are the PR 9
 # run. BenchmarkAdvisorNextBatch is recorded but not guarded — its
 # headline numbers are the latency quantile extras, which the guard does
-# not read; track it via bench-compare.
-BENCH_GUARD ?= BenchmarkForestFit=5,BenchmarkAugmentedIteration=5,BenchmarkFullSearchAugmented=5,BenchmarkForestRefitIncremental=5,BenchmarkGPExtend=5,BenchmarkStudyThroughputWarm=5,BenchmarkAdvisorNext=5,BenchmarkServeSession=5,BenchmarkRecoverSnapshot=5,BenchmarkRecoverFullReplay=5
+# not read; track it via bench-compare. BenchmarkSimulatorMeasure
+# (100000x) is anchored by the first run that drew the simulator's noise
+# without math/rand's seeding warm-up. Its 300% budget tolerates a 4x
+# slower runner but fails a return to the full warm-up, about 40x.
+BENCH_GUARD ?= BenchmarkForestFit=5,BenchmarkAugmentedIteration=5,BenchmarkFullSearchAugmented=5,BenchmarkForestRefitIncremental=5,BenchmarkGPExtend=5,BenchmarkStudyThroughputWarm=5,BenchmarkAdvisorNext=5,BenchmarkServeSession=5,BenchmarkRecoverSnapshot=5,BenchmarkRecoverFullReplay=5,BenchmarkSimulatorMeasure=300
 BENCH_GUARD_OUT ?= /tmp/arrow-bench-guard.json
 bench-guard:
 	$(MAKE) bench BENCH_OUT=$(BENCH_GUARD_OUT)
@@ -236,7 +244,9 @@ bench-guard:
 # tears. The run cache's shard-log scan cuts each torn tail at open, so a
 # last run with the same flags must compute nothing and print the same
 # stdout: no new entry was glued to a torn line and lost. Last, the
-# throughput benchmarks run once under -race.
+# throughput benchmarks run once under -race, and the simulator's
+# concurrent measurements through its shared rng pool are held to a
+# serial pass 10 times under -race.
 SMOKE_DIR ?= /tmp/arrow-study-smoke
 SMOKE_WORKLOADS = als/spark2.1/medium,pagerank/hadoop2.7/medium,lr/spark1.5/medium,terasort/hadoop2.7/large
 study-smoke:
@@ -269,6 +279,7 @@ study-smoke:
 	grep -q 'run cache: 0 computed' $(SMOKE_DIR)/reopened.err || { cat $(SMOKE_DIR)/reopened.err; exit 1; }
 	diff $(SMOKE_DIR)/torn.txt $(SMOKE_DIR)/reopened.txt
 	$(GO) test -race -run xxx -benchtime 1x -bench 'BenchmarkStudyThroughput' ./internal/study
+	$(GO) test -race -count=10 -run 'TestConcurrentMeasureMatchesSerial' ./internal/sim
 	@echo "study smoke OK: cold and warm runs and wall-stripped traces byte-identical; torn cache shards lost no entry"
 
 # Race-detected crash-recovery smoke: the kill -9 chaos test (a real

@@ -26,7 +26,8 @@
 // as the paper excludes its failed tests, yielding 107 workloads.
 //
 // Measurements add seeded multiplicative log-normal noise to model cloud
-// performance interference; Truth returns the noise-free response.
+// performance interference; Truth returns the noise-free response. The
+// noise streams are math/rand's, drawn without its seeding warm-up.
 package sim
 
 import (
@@ -395,15 +396,14 @@ func affinityFactor(workloadID, vmName string) float64 {
 	return f
 }
 
-// rngPool recycles the several-KB math/rand source behind each
-// deterministic noise draw: every Measure builds three identity-seeded
-// streams, which made the source the simulator's dominant allocation.
-// Rand.Seed restores the exact NewSource stream, so pooled draws are
-// bit-identical to freshly constructed ones.
-var rngPool = sync.Pool{New: func() any { return rand.New(rand.NewSource(0)) }}
+// rngPool recycles the rand.Rand behind each deterministic noise draw:
+// every Measure draws three identity-seeded streams. Each Rand reads a
+// noiseSource, so the streams are math/rand's, drawn without the 607-word
+// seeding warm-up, and Rand.Seed restores the exact NewSource stream.
+var rngPool = sync.Pool{New: func() any { return rand.New(new(noiseSource)) }}
 
-// seededRNG returns a pooled rng reset to the NewSource(seed) stream.
-// The caller hands it back with rngPool.Put once its draws are done.
+// seededRNG returns a pooled rng reset, in O(1), to the NewSource(seed)
+// stream. The caller hands it back with rngPool.Put once its draws are done.
 func seededRNG(seed uint64) *rand.Rand {
 	rng := rngPool.Get().(*rand.Rand)
 	rng.Seed(int64(seed))

@@ -14,7 +14,6 @@ type Target struct {
 	sim      *Simulator
 	workload workloads.Workload
 	trial    int64
-	count    int
 }
 
 // Compile-time interface check.
@@ -42,12 +41,8 @@ func (t *Target) Measure(i int) (core.Outcome, error) {
 	if err != nil {
 		return core.Outcome{}, fmt.Errorf("sim: target measure: %w", err)
 	}
-	t.count++
 	return core.Outcome{TimeSec: res.TimeSec, CostUSD: res.CostUSD, Metrics: res.Metrics}, nil
 }
-
-// MeasureCount returns how many measurements were issued (across calls).
-func (t *Target) MeasureCount() int { return t.count }
 
 // Workload returns the workload under search.
 func (t *Target) Workload() workloads.Workload { return t.workload }

@@ -28,20 +28,6 @@ func TestTargetImplementsCoreTarget(t *testing.T) {
 	}
 }
 
-func TestTargetMeasureCounting(t *testing.T) {
-	s := newSim(t)
-	w := mustWorkload(t, "kmeans/spark2.1/medium")
-	target := s.NewTarget(w, 2)
-	for i := 0; i < 5; i++ {
-		if _, err := target.Measure(i); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if target.MeasureCount() != 5 {
-		t.Errorf("MeasureCount = %d", target.MeasureCount())
-	}
-}
-
 func TestTargetMeasureMatchesSimulator(t *testing.T) {
 	s := newSim(t)
 	w := mustWorkload(t, "pearson/spark2.1/medium")
@@ -69,9 +55,5 @@ func TestTargetInfeasibleWorkloadError(t *testing.T) {
 	}
 	if _, err := target.Measure(smallIdx); !errors.Is(err, ErrInfeasible) {
 		t.Errorf("error = %v, want ErrInfeasible", err)
-	}
-	// The error must not increment the measure count.
-	if target.MeasureCount() != 0 {
-		t.Errorf("MeasureCount = %d after failed measure", target.MeasureCount())
 	}
 }

@@ -233,6 +233,40 @@ func TestMeasureTimeout(t *testing.T) {
 	}
 }
 
+// TestTimedOutAttemptsShareSimulatedTarget searches a simulated target
+// with a 1 ns timeout, which nearly every attempt misses. Each timed-out
+// attempt's goroutine keeps measuring while its retry measures the same
+// target again, so the target must take concurrent Measure calls: make
+// check runs this under -race. Whatever got through must be the
+// simulator's own value, and every candidate is observed or quarantined.
+func TestTimedOutAttemptsShareSimulatedTarget(t *testing.T) {
+	target, err := NewSimulatedTarget("als/spark2.1/medium", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opt, err := New(WithMethod(MethodRandomSearch), WithSeed(1), WithMeasureTimeout(time.Nanosecond),
+		WithRetry(RetryPolicy{MaxAttempts: 3, Sleep: func(time.Duration) {}}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := opt.Search(target)
+	if res == nil {
+		t.Fatalf("no result: %v", err)
+	}
+	for _, o := range res.Observations {
+		want, err := target.Measure(o.Index)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if o.Outcome.TimeSec != want.TimeSec || o.Outcome.CostUSD != want.CostUSD {
+			t.Errorf("candidate %s: observed %+v, simulator measures %+v", o.Name, o.Outcome, want)
+		}
+	}
+	if len(res.Observations)+len(res.Failures) != target.NumCandidates() {
+		t.Errorf("%d observed + %d quarantined of %d candidates", len(res.Observations), len(res.Failures), target.NumCandidates())
+	}
+}
+
 // blockingTarget hangs in Measure until released.
 type blockingTarget struct{ release chan struct{} }
 
