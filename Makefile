@@ -89,16 +89,17 @@ cover:
 		{ echo "coverage $$total% fell below the $(COVER_BASELINE)% baseline"; exit 1; } || true
 
 # Fuzz the trace decoders, the serve-layer request decoders, the session
-# journal's line decoder and CRC'd snapshot payload decoder, the shard-log
+# journal's line decoder and snapshot payload decoder, the shard-log
 # scan under the run cache and the journal (through the cache's shard
-# loader and the journal's recovery scan), the forest's tree growth
+# loader, and the journal's reader scan on in-memory bytes: the scan
+# recovery and /v1/migrate share), the forest's tree growth
 # against its per-candidate reference grower, advisor schedules
 # (batches, out-of-order observations, resumes, aborts) against the
 # same schedule without its resumes, and the simulator's noise source
-# against math/rand, FUZZTIME each. Minimizing
-# a newly interesting input is bounded: at Go's 60s default a target
-# whose every exec writes a temp-dir shard (FuzzScanShard) spent a whole
-# 10s window minimizing one input after about nine execs.
+# against math/rand, FUZZTIME each. Minimizing a newly interesting input
+# is bounded at 2s, so a slow target keeps fuzzing: at Go's 60s default
+# the journal scan, when it still wrote a temp-dir shard for every exec,
+# spent a whole 10s window minimizing one input after about nine execs.
 FUZZTIME ?= 30s
 FUZZ = $(GO) test -run xxx -fuzztime $(FUZZTIME) -fuzzminimizetime 2s -fuzz
 fuzz:
@@ -285,11 +286,12 @@ study-smoke:
 # Race-detected crash-recovery smoke: the kill -9 chaos test (a real
 # arrow-serve process SIGKILLed mid-session, restarted, every session
 # finished with a byte-identical result) plus the serve-layer recovery
-# suite — damaged journals, rolling restarts, two-replica partitions —
-# and the damaged-snapshot tests: a compacted chain whose kept snapshot
-# fails its inner CRC still scans live with every op, and a session
-# whose snapshots are damaged, compacted or not, recovers by full replay
-# byte-identical to an uninterrupted run. Then the observe-path tests
+# suite — damaged journals, rolling restarts, two-replica partitions,
+# snapshots in the earlier enveloped payload format — and the
+# damaged-snapshot tests: a compacted chain whose kept snapshot is
+# damaged under a re-sealed line still scans live with every op, and a
+# session whose snapshots are damaged, compacted or not, recovers by
+# full replay byte-identical to an uninterrupted run. Then the observe-path tests
 # repeat 5 times under -race: observe plans on the request goroutine
 # under the session mutex and journals the follow-up in the
 # observation's own write, and a Done answer outlives its lost end
@@ -312,8 +314,9 @@ recover-smoke:
 # a journal-less reference. So does the rolling drain: r1 drains to r2
 # and exits, and r2, stopped right after, must skip r1's closed port and
 # move every shard to r3. Then the shard-fencing tests repeat under -race, since their races are timing
-# dependent: the serve-level migration tests (a drain whose streamed
-# snapshots are damaged in transit included), create-vs-drain,
+# dependent: the serve-level migration tests (a stream damaged or cut in
+# transit, or sent by an earlier release, refused whole before the
+# fence; an ended session bounced back by a drain staying gone), create-vs-drain,
 # lapsed-lease and lapsed-create tests 5 times, the journal's drop-vs-append fence
 # 20 times, and the filesystem-lease tests 3 times — claimants racing
 # for a dead holder's lease file (exactly one winner in each of 2,000

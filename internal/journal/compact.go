@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 
 	"repro/internal/shardlog"
@@ -18,10 +19,12 @@ import (
 // snapshot record of a live chain but its latest usable one. Every op
 // of a live chain is kept: a snapshot carries no op history, so it only
 // ever speeds recovery up, and a kept snapshot damaged later costs a
-// full replay, not the session. Compaction writes an owned shard's image
-// into a fresh file swapped in by atomic rename; a drain streams the
-// image to its successor. Both read the shard under its append lock, so
-// they are safe while the shard is being served.
+// full replay, not the session. The image is shard lines, re-encoded
+// from records whose lines verified: compaction writes them into a
+// fresh file swapped in by atomic rename, and a drain streams the same
+// bytes to its successor, which reads them with ReadImage. Both read
+// the shard under its append lock, so they are safe while the shard is
+// being served.
 
 // CompactOptions gates when a shard is actually rewritten.
 type CompactOptions struct {
@@ -54,77 +57,76 @@ type CompactStats struct {
 	Tombstones int `json:"tombstones"`
 }
 
-// ShardImage is a shard's compacted form: what Compact writes back to
-// disk and what a drain streams to its successor.
-type ShardImage struct {
-	// Live holds the live chains in first-seen order, each with every
-	// op and only its latest usable snapshot (see LatestSnapshot).
-	Live [][]Record
-	// Tombstones lists, sorted, every id the shard owes a 410: earlier
-	// tombstone_index entries plus the ended and the damaged chains.
-	Tombstones []string
-	// Damage reports the shard's undecodable lines and broken chains.
-	Damage []string
-}
-
-// Image reads one shard's compacted form under its file mutex. It reads
-// the shard whether or not this replica still holds it: a drain reads
-// the shard after dropping the grant, so the image is final.
-func (j *Journal) Image(shard int) (*ShardImage, error) {
+// Image reads one shard's compacted form under its file mutex: the
+// lines Compact would write — the merged tombstone_index line, then
+// each live chain with every op and its latest usable snapshot — and
+// the damage the read found. It reads the shard whether or not this
+// replica still holds it: a drain reads the shard after dropping the
+// grant, so the image is final.
+func (j *Journal) Image(shard int) (lines []byte, damage []string, err error) {
 	if shard < 0 || shard >= j.shards {
-		return nil, fmt.Errorf("journal: reading shard %d of %d", shard, j.shards)
+		return nil, nil, fmt.Errorf("journal: reading shard %d of %d", shard, j.shards)
 	}
 	sf := &j.files[shard]
 	sf.Lock()
 	defer sf.Unlock()
-	img, _, err := j.image(shard)
-	return img, err
+	lines, damage, _, err = j.image(shard)
+	return lines, damage, err
 }
 
-// image builds a shard's compacted form; callers hold its file mutex.
+// image renders a shard's compacted lines; callers hold its file mutex.
 // The stats carry the size and chain counts Compact reports.
-func (j *Journal) image(shard int) (*ShardImage, CompactStats, error) {
-	stats := CompactStats{Shard: shard}
-	img := &ShardImage{}
+func (j *Journal) image(shard int) (buf []byte, damage []string, stats CompactStats, err error) {
+	stats = CompactStats{Shard: shard}
 	path := j.shardPath(shard)
 	info, err := os.Stat(path)
 	if os.IsNotExist(err) {
-		return img, stats, nil
+		return nil, nil, stats, nil
 	}
 	if err != nil {
-		return nil, stats, fmt.Errorf("journal: reading %s: %w", path, err)
+		return nil, nil, stats, fmt.Errorf("journal: reading %s: %w", path, err)
 	}
 	stats.BytesBefore = info.Size()
 	scan, order, err := readShards(j.dir, []int{shard}, false, j.warnf)
 	if err != nil {
-		return nil, stats, err
-	}
-	img.Damage = scan.Damage
-	live := make(map[string]bool, len(scan.Live))
-	for _, log := range scan.Live {
-		live[log.ID] = true
-		img.Live = append(img.Live, keepLatestSnapshot(log.Records))
+		return nil, nil, stats, err
 	}
 	// Every chain that is not live ended or was damaged; both leave a
-	// tombstone behind.
-	tombstones := make(map[string]bool)
-	for _, id := range scan.Tombstones {
-		tombstones[id] = true
+	// tombstone behind. No tombstoned id scans live.
+	tombstoned := make(map[string]bool)
+	for _, id := range slices.Concat(scan.Tombstones, order) {
+		tombstoned[id] = true
 	}
-	for _, id := range order {
-		if !live[id] {
-			tombstones[id] = true
+	for _, log := range scan.Live {
+		delete(tombstoned, log.ID)
+	}
+	tombstones := make([]string, 0, len(tombstoned))
+	for id := range tombstoned {
+		tombstones = append(tombstones, id)
+	}
+	sort.Strings(tombstones)
+	if len(tombstones) > 0 {
+		if buf, err = shardlog.AppendLine(buf, Record{Kind: KindTombstoneIndex, Tombstones: tombstones}); err != nil {
+			return nil, nil, stats, err
 		}
 	}
+	for _, log := range scan.Live {
+		_, latest := LatestSnapshot(log.Records)
+		for i, r := range log.Records {
+			if r.Kind == KindSnapshot && i != latest {
+				continue
+			}
+			if buf, err = shardlog.AppendLine(buf, r); err != nil {
+				return nil, nil, stats, err
+			}
+		}
+	}
+	stats.BytesAfter = int64(len(buf))
+	stats.LiveSessions = len(scan.Live)
 	stats.DroppedEnded = len(scan.Ended)
 	stats.DroppedDamaged = len(order) - len(scan.Live) - len(scan.Ended)
-	for id := range tombstones {
-		img.Tombstones = append(img.Tombstones, id)
-	}
-	sort.Strings(img.Tombstones)
-	stats.LiveSessions = len(img.Live)
-	stats.Tombstones = len(img.Tombstones)
-	return img, stats, nil
+	stats.Tombstones = len(tombstones)
+	return buf, scan.Damage, stats, nil
 }
 
 // Compact reads one owned shard's image and, when the thresholds say it
@@ -144,7 +146,7 @@ func (j *Journal) Compact(shard int, opts CompactOptions) (CompactStats, error) 
 	if !j.ownsShard(shard) {
 		return CompactStats{Shard: shard}, fmt.Errorf("%w: shard %d", ErrNotOwned, shard)
 	}
-	img, stats, err := j.image(shard)
+	buf, _, stats, err := j.image(shard)
 	if err != nil {
 		return stats, err
 	}
@@ -152,23 +154,6 @@ func (j *Journal) Compact(shard int, opts CompactOptions) (CompactStats, error) 
 		stats.SkipReason = "empty"
 		return stats, nil
 	}
-
-	// The merged tombstone index first, then each live chain.
-	var buf []byte
-	if len(img.Tombstones) > 0 {
-		if buf, err = shardlog.AppendLine(buf, Record{Kind: KindTombstoneIndex, Tombstones: img.Tombstones}); err != nil {
-			return stats, err
-		}
-	}
-	for _, chain := range img.Live {
-		for _, r := range chain {
-			if buf, err = shardlog.AppendLine(buf, r); err != nil {
-				return stats, err
-			}
-		}
-	}
-	stats.BytesAfter = int64(len(buf))
-
 	if !opts.Force {
 		if stats.BytesBefore < opts.MinBytes {
 			stats.SkipReason = "below size floor"
@@ -233,19 +218,6 @@ func (j *Journal) CompactOwned(opts CompactOptions) ([]CompactStats, error) {
 		out = append(out, stats)
 	}
 	return out, errors.Join(errs...)
-}
-
-// keepLatestSnapshot drops every snapshot record of a live chain but its
-// latest usable one; the ops are all kept.
-func keepLatestSnapshot(records []Record) []Record {
-	_, at := LatestSnapshot(records)
-	out := make([]Record, 0, len(records))
-	for i, r := range records {
-		if r.Kind != KindSnapshot || i == at {
-			out = append(out, r)
-		}
-	}
-	return out
 }
 
 // syncDir fsyncs a directory so a rename survives power loss; failures

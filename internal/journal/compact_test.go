@@ -151,40 +151,92 @@ func TestCompactKeepsOpsAndLatestSnapshot(t *testing.T) {
 }
 
 // TestImageKeepsSnapshotlessChainWhole pins the compacted form a drain
-// streams: a live chain without a usable snapshot comes back whole, and
-// the ended and damaged chains come back as sorted tombstones.
+// streams, read back the way the successor reads it: a live chain
+// without a usable snapshot comes back whole, and the ended and damaged
+// chains come back as sorted tombstones.
 func TestImageKeepsSnapshotlessChainWhole(t *testing.T) {
 	j := openAll(t, t.TempDir(), WithReplica("r1"), WithShards(1))
 	live := sessionRecords("s-000003", 1, false)
 	appendAll(t, j, live...)
 	appendAll(t, j, sessionRecords("s-000002", 0, true)...)
 	appendAll(t, j, Record{Session: "s-000001", Seq: 1, Kind: KindSuggest}) // no create record
-	img, err := j.Image(0)
+	lines, damage, err := j.Image(0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(img.Live) != 1 || !reflect.DeepEqual(img.Live[0], live) {
+	if len(damage) != 1 {
+		t.Fatalf("damage %v, want the one broken chain", damage)
+	}
+	img, err := ReadImage(bytes.NewReader(lines))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(img.Damage) != 0 || img.TruncatedTails != 0 {
+		t.Fatalf("the image reads back damaged: %v, %d torn tails", img.Damage, img.TruncatedTails)
+	}
+	if len(img.Live) != 1 || !reflect.DeepEqual(img.Live[0].Records, live) {
 		t.Fatalf("snapshot-less chain did not come back whole: %+v", img.Live)
 	}
 	if want := []string{"s-000001", "s-000002"}; !reflect.DeepEqual(img.Tombstones, want) {
 		t.Fatalf("tombstones %v, want %v", img.Tombstones, want)
 	}
-	if len(img.Damage) != 1 {
-		t.Fatalf("damage %v, want the one broken chain", img.Damage)
+}
+
+// TestTombstoneOutranksStaleLiveChain: a session drained away, ended on
+// the successor and drained back leaves its old live chain in the shard
+// beside a later tombstone_index naming it. The scan reports the session
+// ended, never live, and compaction drops the chain and keeps the
+// tombstone.
+func TestTombstoneOutranksStaleLiveChain(t *testing.T) {
+	j := openAll(t, t.TempDir(), WithReplica("r1"), WithShards(1))
+	appendAll(t, j, sessionRecords("s-000001", 2, false)...)
+	appendAll(t, j, sessionRecords("s-000002", 1, false)...)
+	if err := j.AppendShard(0, Record{Kind: KindTombstoneIndex, Tombstones: []string{"s-000001"}}); err != nil {
+		t.Fatal(err)
+	}
+	check := func(when string) {
+		t.Helper()
+		scan, err := j.Scan()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(scan.Live) != 1 || scan.Live[0].ID != "s-000002" || len(scan.Damage) != 0 {
+			t.Fatalf("%s: live %+v, damage %v; want s-000002 alone, clean", when, scan.Live, scan.Damage)
+		}
+		if !reflect.DeepEqual(scan.Tombstones, []string{"s-000001"}) {
+			t.Fatalf("%s: tombstones %v, want [s-000001]", when, scan.Tombstones)
+		}
+	}
+	check("before compaction")
+	stats, err := j.Compact(0, CompactOptions{Force: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stats.DroppedEnded != 1 || stats.LiveSessions != 1 || stats.Tombstones != 1 {
+		t.Fatalf("compaction kept the stale chain: %+v", stats)
+	}
+	check("after compaction")
+	data, err := os.ReadFile(j.shardPath(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bytes.Contains(data, []byte(`"sid":"s-000001"`)) {
+		t.Fatalf("compacted shard still holds the tombstoned chain:\n%s", data)
 	}
 }
 
-// TestCompactKeepsChainWithBadSnapshot: a snapshot whose payload fails
-// its own CRC is dead weight on an intact chain — compaction drops the
-// snapshot record but must keep the full op history.
+// TestCompactKeepsChainWithBadSnapshot: an unusable snapshot — its
+// fingerprint is not the create record's — is dead weight on an intact
+// chain: compaction drops the snapshot record but must keep the full op
+// history.
 func TestCompactKeepsChainWithBadSnapshot(t *testing.T) {
 	dir := t.TempDir()
 	j := openAll(t, dir, WithReplica("r1"), WithShards(1))
 	chain := sessionRecords("s-000001", 2, false)
 	appendAll(t, j, chain...)
 	snap := snapshotFor(t, chain)
-	// Break the inner payload under a valid line CRC.
-	snap.Request = json.RawMessage(strings.Replace(string(snap.Request), `"crc":`, `"crc":1`, 1))
+	// Break the fingerprint; the line CRC is computed over the broken bytes.
+	snap.Request = json.RawMessage(strings.Replace(string(snap.Request), `"fp":"`, `"fp":"x`, 1))
 	appendAll(t, j, snap)
 
 	stats, err := j.Compact(0, CompactOptions{Force: true})
@@ -204,7 +256,7 @@ func TestCompactKeepsChainWithBadSnapshot(t *testing.T) {
 }
 
 // TestCompactedChainSurvivesSnapshotDamage: compaction keeps every op,
-// so a kept snapshot whose payload later fails its inner CRC under a
+// so a kept snapshot whose payload is later damaged under a re-sealed,
 // valid line CRC is only an unusable snapshot — the chain still scans
 // live with all its ops, and recovery can replay it in full.
 func TestCompactedChainSurvivesSnapshotDamage(t *testing.T) {
@@ -219,8 +271,7 @@ func TestCompactedChainSurvivesSnapshotDamage(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Break the kept snapshot's payload under its inner CRC and re-seal
-	// its line.
+	// Break the kept snapshot's fingerprint and re-seal its line.
 	data, err := os.ReadFile(j.shardPath(0))
 	if err != nil {
 		t.Fatal(err)

@@ -3,10 +3,10 @@ package journal
 import (
 	"bytes"
 	"encoding/json"
-	"os"
-	"path/filepath"
+	"fmt"
+	"hash/crc32"
+	"reflect"
 	"testing"
-	"time"
 
 	"repro/internal/shardlog"
 )
@@ -62,10 +62,23 @@ func corpusSnapshot(snap Snapshot) []byte {
 	return payload
 }
 
+// parentSnapshotPayload renders a snapshot payload the way releases
+// before the one-checksum format did: the snapshot object inside a
+// second {"crc","snap"} envelope of its own.
+func parentSnapshotPayload(snap Snapshot) []byte {
+	inner, err := json.Marshal(snap)
+	if err != nil {
+		panic(err)
+	}
+	return []byte(fmt.Sprintf(`{"crc":%d,"snap":%s}`, crc32.ChecksumIEEE(inner), inner))
+}
+
 // FuzzDecodeSnapshot drives the snapshot payload decoder with arbitrary
 // bytes. Properties: it never panics, everything it accepts satisfies
 // the snapshot invariants (fingerprint present, watermark at least 1),
-// and an accepted snapshot survives an encode/decode round trip.
+// an accepted snapshot survives an encode/decode round trip, and a
+// parent release's enveloped payload is refused — unusable, which costs
+// its session a full replay, never a misread.
 func FuzzDecodeSnapshot(f *testing.F) {
 	f.Add(corpusSnapshot(Snapshot{Fingerprint: "00d1b2c3d4e5f607", Watermark: 1}))
 	f.Add(corpusSnapshot(Snapshot{
@@ -75,13 +88,17 @@ func FuzzDecodeSnapshot(f *testing.F) {
 		Events:      json.RawMessage(`[{"kind":"search_start","candidate":-1,"value":18}]`),
 	}))
 	f.Add(corpusSnapshot(Snapshot{Fingerprint: "ffffffffffffffff", Watermark: 3}))
-	f.Add([]byte(`{"crc":1,"snap":{"fp":"x","watermark":1}}`)) // bad crc
+	parent := parentSnapshotPayload(Snapshot{Fingerprint: "00d1b2c3d4e5f607", Watermark: 4})
+	f.Add(parent)
 	f.Add([]byte(`{"crc":0,"snap":null}`))
-	f.Add([]byte(`{"snap":{"fp":"","watermark":0}}`))
+	f.Add([]byte(`{"fp":"","watermark":0}`))
 	f.Add([]byte(`garbage`))
 	f.Add([]byte(``))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		snap, err := DecodeSnapshot(data)
+		if err == nil && bytes.Equal(data, parent) {
+			t.Fatalf("decoded a parent-format payload as %+v", snap)
+		}
 		if err != nil {
 			return
 		}
@@ -102,14 +119,18 @@ func FuzzDecodeSnapshot(f *testing.F) {
 	})
 }
 
-// FuzzScanShard feeds an arbitrary shard file through the recovery
-// scan. Properties: Scan never panics or errors on content damage (only
-// on I/O), every recovered session has a contiguous chain starting with
+// FuzzScanShard feeds arbitrary shard bytes through ReadImage: the scan
+// recovery runs over shard files, and the function /v1/migrate reads a
+// drain's stream with. Properties: it never panics or errors on content
+// damage, every recovered session has a contiguous chain starting with
 // a create record — a seq-transparent snapshot carrying the seq of the
-// op after it — and a second scan of the (possibly tail-truncated) file
-// is clean and finds the same sessions. The fuzzer cannot forge a line
-// CRC, so snapshot lines come in only through the seeds, each of which
-// also pins whether session a comes back live.
+// op after it — no session is both live and ended, and the bytes up to
+// the last good line, which is what a repair of the file leaves, rescan
+// with no torn tail and the same sessions. File repair itself is covered
+// by shardlog's TestScanTornAtEveryOffset and TestScanRestoresLostNewline
+// and by runcache's FuzzLoadShard. The fuzzer cannot forge a line CRC,
+// so snapshot lines come in only through the seeds, each of which also
+// pins whether session a comes back live.
 func FuzzScanShard(f *testing.F) {
 	createA := Record{Session: "a", Seq: 0, Kind: KindCreate, Request: json.RawMessage(`{"method":"random","seed":1}`)}
 	var healthy bytes.Buffer
@@ -134,45 +155,23 @@ func FuzzScanShard(f *testing.F) {
 	f.Add([]byte{})
 	// Snapshot seeds: session a's next seq is 3.
 	snap := corpusSnapshot(Snapshot{Fingerprint: Fingerprint(createA.Request), Watermark: 3})
-	var env snapEnvelope
-	if err := json.Unmarshal(snap, &env); err != nil {
-		f.Fatal(err)
-	}
-	env.CRC++
-	innerDamaged, err := json.Marshal(env)
-	if err != nil {
-		f.Fatal(err)
-	}
+	foreign := corpusSnapshot(Snapshot{Fingerprint: Fingerprint([]byte(`{"method":"naive","seed":2}`)), Watermark: 3})
 	withSnapshot := func(seq int, payload json.RawMessage) string {
 		return healthy.String() +
 			string(corpusLine(Record{Session: "a", Seq: seq, Kind: KindSnapshot, Request: payload})) +
 			string(corpusLine(Record{Session: "a", Seq: 3, Kind: KindSuggest, Index: 7, Step: 1}))
 	}
 	valid := withSnapshot(3, snap)
-	offSeq := withSnapshot(5, snap)          // off the chain's next seq
-	damaged := withSnapshot(3, innerDamaged) // the scan never reads the payload
-	aLive := map[string]bool{valid: true, offSeq: false, damaged: true}
-	for _, seed := range []string{valid, offSeq, damaged} {
+	offSeq := withSnapshot(5, snap)       // off the chain's next seq
+	foreignFP := withSnapshot(3, foreign) // the scan never reads the payload
+	aLive := map[string]bool{valid: true, offSeq: false, foreignFP: true}
+	for _, seed := range []string{valid, offSeq, foreignFP} {
 		f.Add([]byte(seed))
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		dir := t.TempDir()
-		// Construct the handle directly: the fuzz target exercises the
-		// shard decoder and tail recovery, not the lease protocol, and
-		// skipping Open's lease/meta writes keeps the loop fast.
-		j := &Journal{
-			dir: dir, shards: 1, replica: "fuzz",
-			owned: map[int]Lease{0: {Epoch: 1}},
-			files: make([]shardlog.File, 1),
-			warnf: func(string, ...any) {},
-			now:   time.Now,
-		}
-		if err := os.WriteFile(filepath.Join(dir, "journal-00.jsonl"), data, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		scan, err := j.Scan()
+		scan, err := ReadImage(bytes.NewReader(data))
 		if err != nil {
-			t.Fatalf("Scan errored on content damage: %v", err)
+			t.Fatalf("ReadImage errored on content damage: %v", err)
 		}
 		seen := make(map[string]bool)
 		for _, sl := range scan.Live {
@@ -205,16 +204,26 @@ func FuzzScanShard(f *testing.F) {
 				t.Fatalf("session %s both live and ended", id)
 			}
 		}
-		// Rescan: the torn tail (if any) was truncated, so the second
-		// pass is stable — same live sessions, no new truncation.
-		scan2, err := j.Scan()
+		// Rescan what a repair leaves: the bytes up to the last good line,
+		// with its newline given back. The torn tail is gone, so the
+		// rescan is stable — same sessions, no tail.
+		c := &collector{bySession: make(map[string][]Record)}
+		_, _, goodEnd, torn, err := shardlog.ScanReader(bytes.NewReader(data), c.use)
+		if err != nil {
+			t.Fatal(err)
+		}
+		repaired := bytes.Clone(data[:goodEnd])
+		if torn {
+			repaired = append(repaired, '\n')
+		}
+		scan2, err := ReadImage(bytes.NewReader(repaired))
 		if err != nil {
 			t.Fatalf("rescan: %v", err)
 		}
 		if scan2.TruncatedTails != 0 {
-			t.Fatalf("rescan truncated again (%d): truncation did not converge", scan2.TruncatedTails)
+			t.Fatalf("rescan found a torn tail again (%d): repair did not converge", scan2.TruncatedTails)
 		}
-		if len(scan2.Live) != len(scan.Live) || len(scan2.Ended) != len(scan.Ended) {
+		if !reflect.DeepEqual(scan2.Live, scan.Live) || !reflect.DeepEqual(scan2.Ended, scan.Ended) {
 			t.Fatalf("rescan diverged: %d/%d live, %d/%d ended",
 				len(scan.Live), len(scan2.Live), len(scan.Ended), len(scan2.Ended))
 		}

@@ -40,6 +40,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -84,7 +85,7 @@ const (
 	// rehydrates it.
 	KindEnd Kind = "end"
 	// KindSnapshot is a seq-transparent checkpoint of one live session:
-	// Request carries a CRC'd Snapshot payload (config fingerprint, the
+	// Request carries a Snapshot payload (config fingerprint, the
 	// resume script and trace events, no ops), and Seq carries the
 	// watermark without consuming it. Recovery replays the chain's ops
 	// below the latest usable snapshot's watermark with the surrogate
@@ -120,7 +121,7 @@ type Record struct {
 	// Reason is an observe_failure's cause or an end's disposition.
 	Reason string `json:"reason,omitempty"`
 	// Request is a create record's session request, verbatim JSON, or a
-	// snapshot record's CRC'd Snapshot payload.
+	// snapshot record's Snapshot payload.
 	Request json.RawMessage `json:"request,omitempty"`
 	// Tombstones is a tombstone_index record's dropped-session list.
 	Tombstones []string `json:"tombs,omitempty"`
@@ -536,8 +537,9 @@ type SessionLog struct {
 type Recovery struct {
 	// Live holds the sessions with no terminal record, replayable.
 	Live []SessionLog
-	// Ended lists session ids whose journal says ended or aborted;
-	// the serving layer answers 410 Gone for them.
+	// Ended lists session ids whose journal says ended or aborted, or
+	// whose chain the tombstone index names; the serving layer answers
+	// 410 Gone for them.
 	Ended []string
 	// Damage reports every problem found: mid-file corrupt lines,
 	// broken record chains. One entry per problem, human-readable.
@@ -593,59 +595,106 @@ func ScanDir(dir string, shards []int, warnf func(format string, args ...any)) (
 	return rec, err
 }
 
+// ReadImage reads shard lines from r — a drain's stream, as Image
+// renders it — with the scan recovery uses, and partitions the chains
+// as Scan does. It only reads: bad lines land in Damage and a torn tail
+// in TruncatedTails, as a read-only ScanDir reports them. It fails only
+// when reading r does.
+func ReadImage(r io.Reader) (*Recovery, error) {
+	c := &collector{bySession: make(map[string][]Record)}
+	mid, tail, _, _, err := shardlog.ScanReader(r, c.use)
+	if err != nil {
+		return nil, fmt.Errorf("journal: reading image: %w", err)
+	}
+	c.bad("image", mid, tail)
+	return c.partition(), nil
+}
+
 // readShards reads shards of dir (repairing torn tails and lost final
-// newlines when repair is set), validates the per-session chains they
-// hold and partitions them into the Recovery buckets. order lists every
-// session id seen, in first-seen order, for deterministic output.
+// newlines when repair is set) and partitions the chains they hold.
+// order lists every session id seen, in first-seen order.
 func readShards(dir string, shards []int, repair bool, warnf func(format string, args ...any)) (rec *Recovery, order []string, err error) {
-	rec = &Recovery{}
-	bySession := make(map[string][]Record)
+	c := &collector{bySession: make(map[string][]Record)}
 	for _, shard := range shards {
 		path := shardPath(dir, shard)
-		mid, tail, err := shardlog.Scan(path, repair, warnf, func(payload []byte) error {
-			r, err := decodeRecord(payload)
-			switch {
-			case err != nil:
-				return err
-			case r.Kind == KindTombstoneIndex:
-				// Shard-level record, not part of any session chain.
-				rec.Tombstones = append(rec.Tombstones, r.Tombstones...)
-			default:
-				if _, seen := bySession[r.Session]; !seen {
-					order = append(order, r.Session)
-				}
-				bySession[r.Session] = append(bySession[r.Session], r)
-			}
-			return nil
-		})
+		mid, tail, err := shardlog.Scan(path, repair, warnf, c.use)
 		if err != nil {
 			return nil, nil, err
 		}
-		for _, b := range mid {
-			rec.Damage = append(rec.Damage, fmt.Sprintf("%s:%d: %v", path, b.No, b.Err))
+		c.bad(path, mid, tail)
+	}
+	return c.partition(), c.order, nil
+}
+
+// collector gathers scanned records into per-session chains and sorts
+// them into a Recovery: the one record collector and partition behind
+// every scan, of shard files and of streams alike.
+type collector struct {
+	rec       Recovery
+	bySession map[string][]Record
+	order     []string // every session id seen, in first-seen order
+}
+
+// use is the scan's per-line hook: it decodes a verified line's record
+// and files it under its session, or its ids under the tombstones.
+func (c *collector) use(payload []byte) error {
+	r, err := decodeRecord(payload)
+	switch {
+	case err != nil:
+		return err
+	case r.Kind == KindTombstoneIndex:
+		// Shard-level record, not part of any session chain.
+		c.rec.Tombstones = append(c.rec.Tombstones, r.Tombstones...)
+	default:
+		if _, seen := c.bySession[r.Session]; !seen {
+			c.order = append(c.order, r.Session)
 		}
-		if len(tail) > 0 {
-			rec.TruncatedTails++
-			// A multi-line damaged suffix is more than one crash's torn
-			// write; surface the extra lines as damage so heavy tail
-			// corruption stays visible while recovery still proceeds.
-			for _, b := range tail[1:] {
-				rec.Damage = append(rec.Damage, fmt.Sprintf("%s:%d: truncated with tail: %v", path, b.No, b.Err))
-			}
+		c.bySession[r.Session] = append(c.bySession[r.Session], r)
+	}
+	return nil
+}
+
+// bad reports one scan's bad lines, naming them by source and line.
+func (c *collector) bad(source string, mid, tail []shardlog.BadLine) {
+	for _, b := range mid {
+		c.rec.Damage = append(c.rec.Damage, fmt.Sprintf("%s:%d: %v", source, b.No, b.Err))
+	}
+	if len(tail) > 0 {
+		c.rec.TruncatedTails++
+		// A multi-line damaged suffix is more than one crash's torn
+		// write; surface the extra lines as damage so heavy tail
+		// corruption stays visible while recovery still proceeds.
+		for _, b := range tail[1:] {
+			c.rec.Damage = append(c.rec.Damage, fmt.Sprintf("%s:%d: truncated with tail: %v", source, b.No, b.Err))
 		}
 	}
-	for _, id := range order {
-		log, ended, problem := ValidateChain(id, bySession[id])
+}
+
+// partition validates every chain and sorts it into Live, Ended or
+// Damage. A chain the scanned tombstone index names is ended, whatever
+// it holds: a session drained away, ended on the successor and drained
+// back leaves its old live chain here beside the tombstone.
+func (c *collector) partition() *Recovery {
+	tombstoned := make(map[string]bool, len(c.rec.Tombstones))
+	for _, id := range c.rec.Tombstones {
+		tombstoned[id] = true
+	}
+	for _, id := range c.order {
+		if tombstoned[id] {
+			c.rec.Ended = append(c.rec.Ended, id)
+			continue
+		}
+		log, ended, problem := ValidateChain(id, c.bySession[id])
 		switch {
 		case problem != "":
-			rec.Damage = append(rec.Damage, problem)
+			c.rec.Damage = append(c.rec.Damage, problem)
 		case ended:
-			rec.Ended = append(rec.Ended, id)
+			c.rec.Ended = append(c.rec.Ended, id)
 		default:
-			rec.Live = append(rec.Live, log)
+			c.rec.Live = append(c.rec.Live, log)
 		}
 	}
-	return rec, order, nil
+	return &c.rec
 }
 
 // ValidateChain sorts one session's records in place into chain order

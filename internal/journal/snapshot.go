@@ -4,17 +4,14 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"hash/fnv"
 )
 
-// This file is the snapshot payload format. A snapshot record's Request
-// field carries a second CRC'd envelope — independent of the line-level
-// envelope, because compaction copies snapshot records between files
-// and a drain streams them between replicas, so the payload must stay
-// verifiable on its own — wrapping a Snapshot object: what recovery
-// needs to skip the surrogate fits below the watermark. The ops
-// themselves stay in the chain, journaled once.
+// This file is the snapshot payload format: a snapshot record's
+// Request field carries a Snapshot object, what recovery needs to skip
+// the surrogate fits below the watermark. The ops themselves stay in
+// the chain, journaled once. The record's line CRC is the payload's one
+// checksum, on disk, through compaction and on a drain's stream alike.
 
 // Snapshot is one live session's checkpoint: the session-config
 // fingerprint, the watermark, the optimizer's resume script and the
@@ -43,12 +40,6 @@ type Snapshot struct {
 	Events json.RawMessage `json:"events,omitempty"`
 }
 
-// snapEnvelope wraps the snapshot payload with its own checksum.
-type snapEnvelope struct {
-	CRC  uint32          `json:"crc"`
-	Snap json.RawMessage `json:"snap"`
-}
-
 // Fingerprint hashes a create record's request bytes into the session
 // config fingerprint snapshots carry.
 func Fingerprint(request []byte) string {
@@ -57,8 +48,8 @@ func Fingerprint(request []byte) string {
 	return fmt.Sprintf("%016x", h.Sum64())
 }
 
-// EncodeSnapshot renders a snapshot as the CRC'd payload a snapshot
-// record carries in its Request field.
+// EncodeSnapshot renders a snapshot as the payload a snapshot record
+// carries in its Request field.
 func EncodeSnapshot(snap Snapshot) (json.RawMessage, error) {
 	if err := validateSnapshot(snap); err != nil {
 		return nil, fmt.Errorf("journal: encoding snapshot: %w", err)
@@ -67,30 +58,17 @@ func EncodeSnapshot(snap Snapshot) (json.RawMessage, error) {
 	if err != nil {
 		return nil, fmt.Errorf("journal: marshaling snapshot: %w", err)
 	}
-	env, err := json.Marshal(snapEnvelope{CRC: crc32.ChecksumIEEE(payload), Snap: payload})
-	if err != nil {
-		return nil, fmt.Errorf("journal: marshaling snapshot envelope: %w", err)
-	}
-	return env, nil
+	return payload, nil
 }
 
-// DecodeSnapshot parses, checksum-verifies and invariant-checks a
-// snapshot record's Request payload. Any failure means the snapshot is
-// unusable and recovery falls back — to an older snapshot or a full
-// replay — never to a guess.
+// DecodeSnapshot parses and invariant-checks a snapshot record's
+// Request payload. Any failure means the snapshot is unusable and
+// recovery falls back — to an older snapshot or a full replay — never
+// to a guess. An older release's {"crc":…,"snap":…} payload decodes to
+// no fingerprint, so it is unusable too.
 func DecodeSnapshot(data []byte) (Snapshot, error) {
-	var env snapEnvelope
-	if err := json.Unmarshal(data, &env); err != nil {
-		return Snapshot{}, fmt.Errorf("journal: undecodable snapshot envelope: %w", err)
-	}
-	if len(env.Snap) == 0 {
-		return Snapshot{}, errors.New("journal: snapshot envelope has no payload")
-	}
-	if got := crc32.ChecksumIEEE(env.Snap); got != env.CRC {
-		return Snapshot{}, fmt.Errorf("journal: snapshot crc mismatch: envelope says %d, payload hashes to %d", env.CRC, got)
-	}
 	var snap Snapshot
-	if err := json.Unmarshal(env.Snap, &snap); err != nil {
+	if err := json.Unmarshal(data, &snap); err != nil {
 		return Snapshot{}, fmt.Errorf("journal: undecodable snapshot: %w", err)
 	}
 	if err := validateSnapshot(snap); err != nil {

@@ -8,6 +8,8 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"net/url"
+	"strconv"
 	"time"
 
 	"repro/internal/journal"
@@ -15,8 +17,8 @@ import (
 )
 
 // This file is graceful live shard migration: a draining replica
-// streams each owned shard's image — every op of its live chains and
-// the latest usable snapshot of each, the form compaction writes —
+// streams each owned shard's image — the shard lines compaction writes,
+// every op of its live chains and the latest usable snapshot of each —
 // directly to a successor over HTTP, instead of dying and making the
 // successor re-read the shard from disk after lease expiry. The
 // registry fences the handoff: the successor takes the lease over by
@@ -30,9 +32,11 @@ import (
 // advisors. Read the shard's image and POST it. On a 200 evict the
 // shard's sessions; on a failure reinstate the grant and keep serving
 // them, unless the registry says the grant moved. On the adopting side:
-// transfer the lease first (fencing), re-journal the streamed records
-// write-ahead into the local directory (durability before service),
-// then adopt through the same replay machinery recovery uses.
+// read the whole stream with the scan recovery uses and refuse it if any
+// line is bad, then transfer the lease (fencing), re-journal the
+// streamed records write-ahead into the local directory (durability
+// before service), and adopt through the same replay machinery recovery
+// uses.
 
 // MaxMigrateBytes bounds a migration stream's body: whole session
 // chains, snapshots included, dwarf ordinary session requests.
@@ -47,20 +51,10 @@ var errSessionMigrated = errors.New("serve: session migrated to another replica"
 // replica's shard lease expired and was re-granted elsewhere.
 var errLeaseLost = errors.New("serve: shard lease lost to another replica")
 
-// MigrateRequest is one shard's migration stream: the lease handoff
-// citation plus the shard's image.
-type MigrateRequest struct {
-	Shard     int    `json:"shard"`
-	From      string `json:"from"`
-	FromEpoch uint64 `json:"from_epoch"`
-	// Sessions are the live chains in record form, each with every op
-	// and its latest usable snapshot. A snapshot damaged in transit costs
-	// the successor a full replay, not the session.
-	Sessions [][]journal.Record `json:"sessions,omitempty"`
-	// Tombstones are the shard's ended, compacted and damaged ids, so
-	// 410 Gone survives the move.
-	Tombstones []string `json:"tombstones,omitempty"`
-}
+// shardLinesType is a migration stream's media type: shard lines, the
+// journal's own format on disk, as Journal.Image renders them. The lease
+// citation (shard, from, from_epoch) travels in the query.
+const shardLinesType = "application/vnd.arrow.shard-lines"
 
 // MigrateResponse reports what the successor adopted.
 type MigrateResponse struct {
@@ -83,61 +77,60 @@ type MigrateReport struct {
 	Damaged      []string `json:"damaged,omitempty"`
 }
 
-// handleMigrate is the adopting side: fence via lease transfer,
-// re-journal the stream write-ahead, then adopt the sessions.
+// handleMigrate is the adopting side: read and check the whole stream,
+// fence via lease transfer, re-journal the stream write-ahead, then
+// adopt the sessions.
 func (s *Server) handleMigrate(w http.ResponseWriter, r *http.Request) int {
 	j := s.cfg.Journal
 	if j == nil {
 		return writeErr(w, http.StatusServiceUnavailable, "no journal configured; cannot adopt shards")
 	}
-	var req MigrateRequest
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		return writeErr(w, http.StatusBadRequest, fmt.Sprintf("decoding migration stream: %v", err))
+	if ct := r.Header.Get("Content-Type"); ct != shardLinesType {
+		return writeErr(w, http.StatusUnsupportedMediaType, fmt.Sprintf("migration stream is %q, want %q", ct, shardLinesType))
 	}
-	if req.Shard < 0 || req.Shard >= j.Shards() {
-		return writeErr(w, http.StatusBadRequest, fmt.Sprintf("shard %d out of range (journal has %d)", req.Shard, j.Shards()))
+	q := r.URL.Query()
+	shard, err := strconv.Atoi(q.Get("shard"))
+	if err != nil || shard < 0 || shard >= j.Shards() {
+		return writeErr(w, http.StatusBadRequest, fmt.Sprintf("shard %q out of range (journal has %d)", q.Get("shard"), j.Shards()))
 	}
-	if req.From == "" {
-		return writeErr(w, http.StatusBadRequest, "migration stream names no source replica")
+	from := q.Get("from")
+	fromEpoch, err := strconv.ParseUint(q.Get("from_epoch"), 10, 64)
+	if from == "" || err != nil {
+		return writeErr(w, http.StatusBadRequest, fmt.Sprintf("migration stream cites no grant (from %q, from_epoch %q)", from, q.Get("from_epoch")))
+	}
+
+	// The stream is all or nothing, checked before the fence. A damaged
+	// line's kind sits inside its damaged bytes, so it may be an op, and
+	// adopting around a lost op would drop acknowledged observations of a
+	// session the drainer evicts. Refused here, the lease never moves and
+	// the drainer serves on.
+	scan, err := journal.ReadImage(r.Body)
+	if err == nil && (scan.TruncatedTails > 0 || len(scan.Damage) > 0) {
+		err = fmt.Errorf("%d torn tail(s), damage %v", scan.TruncatedTails, scan.Damage)
+	}
+	if err != nil {
+		return writeErr(w, http.StatusBadRequest, fmt.Sprintf("refusing migration stream: %v", err))
 	}
 
 	// Fence first: the lease moves (epoch bump) before any record is
 	// accepted, so a drainer whose grant was superseded is refused here
 	// and nothing it streamed can land.
-	lease, ok, err := j.TakeOver(req.Shard, req.From, req.FromEpoch)
+	lease, ok, err := j.TakeOver(shard, from, fromEpoch)
 	if err != nil {
 		return writeErr(w, http.StatusServiceUnavailable, fmt.Sprintf("lease transfer failed: %v", err))
 	}
 	if !ok {
 		return writeErr(w, http.StatusConflict,
-			fmt.Sprintf("lease transfer refused: shard %d is not held by %q at epoch %d", req.Shard, req.From, req.FromEpoch))
+			fmt.Sprintf("lease transfer refused: shard %d is not held by %q at epoch %d", shard, from, fromEpoch))
 	}
 
-	scan := &journal.Recovery{Tombstones: req.Tombstones}
-	for _, chain := range req.Sessions {
-		if len(chain) == 0 {
-			continue
-		}
-		id := chain[0].Session
-		log, ended, problem := journal.ValidateChain(id, chain)
-		switch {
-		case problem != "":
-			scan.Damage = append(scan.Damage, problem)
-		case ended:
-			scan.Ended = append(scan.Ended, id)
-		default:
-			scan.Live = append(scan.Live, log)
-		}
-	}
 	// Adopt on a background context: the sessions outlive this request,
 	// and a replay tied to r.Context() would abort them all the moment
 	// the drainer's POST returns.
 	var report RecoveryReport
-	s.importScan(context.Background(), []int{req.Shard}, scan, &report)
+	s.importScan(context.Background(), []int{shard}, scan, &report)
 	resp := MigrateResponse{
-		Shard:            req.Shard,
+		Shard:            shard,
 		Epoch:            lease.Epoch,
 		Adopted:          report.Recovered,
 		Observations:     report.Observations,
@@ -148,10 +141,10 @@ func (s *Server) handleMigrate(w http.ResponseWriter, r *http.Request) int {
 	if s.tracer != nil {
 		s.tracer.Emit(telemetry.Event{
 			Kind:      telemetry.KindMigrate,
-			Candidate: req.Shard,
+			Candidate: shard,
 			Step:      resp.Adopted,
 			Value:     float64(lease.Epoch),
-			Detail:    "from " + req.From,
+			Detail:    "from " + from,
 		})
 	}
 	return writeJSON(w, http.StatusOK, resp)
@@ -202,14 +195,10 @@ func (s *Server) migrateShard(ctx context.Context, successor string, shard int, 
 		return nil // lost between Owned() and here; nothing to move
 	}
 
-	img, err := j.Image(shard)
+	lines, damage, err := j.Image(shard)
 	var resp *MigrateResponse
 	if err == nil {
-		report.Damaged = append(report.Damaged, img.Damage...)
-		resp, err = postMigrate(ctx, successor, MigrateRequest{
-			Shard: shard, From: j.Replica(), FromEpoch: lease.Epoch,
-			Sessions: img.Live, Tombstones: img.Tombstones,
-		})
+		resp, err = postMigrate(ctx, successor, j.Replica(), lease, lines)
 	}
 	if err != nil {
 		// The POST failing does not mean the handoff failed: the
@@ -234,6 +223,8 @@ func (s *Server) migrateShard(ctx context.Context, successor string, shard int, 
 	report.Sessions += resp.Adopted
 	report.Observations += resp.Observations
 	report.Tombstones += resp.Tombstones
+	// The shard's damage is reported once, by the drain that moved it.
+	report.Damaged = append(report.Damaged, damage...)
 	report.Damaged = append(report.Damaged, resp.Damaged...)
 	if s.tracer != nil {
 		s.tracer.Emit(telemetry.Event{
@@ -247,17 +238,15 @@ func (s *Server) migrateShard(ctx context.Context, successor string, shard int, 
 	return nil
 }
 
-// postMigrate ships one shard stream and decodes the verdict.
-func postMigrate(ctx context.Context, successor string, req MigrateRequest) (*MigrateResponse, error) {
-	payload, err := json.Marshal(req)
-	if err != nil {
-		return nil, fmt.Errorf("marshaling stream: %w", err)
-	}
-	hreq, err := http.NewRequestWithContext(ctx, http.MethodPost, successor+"/v1/migrate", bytes.NewReader(payload))
+// postMigrate ships one shard's image, citing the dropped grant, and
+// decodes the verdict.
+func postMigrate(ctx context.Context, successor, from string, l journal.Lease, lines []byte) (*MigrateResponse, error) {
+	q := url.Values{"shard": {strconv.Itoa(l.Shard)}, "from": {from}, "from_epoch": {strconv.FormatUint(l.Epoch, 10)}}
+	hreq, err := http.NewRequestWithContext(ctx, http.MethodPost, successor+"/v1/migrate?"+q.Encode(), bytes.NewReader(lines))
 	if err != nil {
 		return nil, err
 	}
-	hreq.Header.Set("Content-Type", "application/json")
+	hreq.Header.Set("Content-Type", shardLinesType)
 	hresp, err := migrateHTTP.Do(hreq)
 	if err != nil {
 		return nil, err

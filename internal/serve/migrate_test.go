@@ -1,14 +1,20 @@
 package serve
 
 import (
+	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"os"
+	"path/filepath"
+	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -145,12 +151,49 @@ func TestMigrateStreamsLiveSessions(t *testing.T) {
 	}
 }
 
-// TestMigrateDamagedSnapshotFallsBackToFullReplay drives a real drain
-// through a proxy that breaks every streamed snapshot's inner CRC. The
-// stream carries every op of the chain, so the successor adopts the
-// session by full replay — no snapshot restore, no damage — and the
-// session finishes byte-identical to an uninterrupted journal-less run.
-func TestMigrateDamagedSnapshotFallsBackToFullReplay(t *testing.T) {
+// postStream POSTs body to base's /v1/migrate as the given media type,
+// citing the shard, source replica and epoch in the query as a drain
+// does. It returns the status and, on a 200, the successor's verdict.
+func postStream(t *testing.T, base, mediaType string, shard int, from string, epoch uint64, body []byte) (int, MigrateResponse) {
+	t.Helper()
+	q := url.Values{"shard": {strconv.Itoa(shard)}, "from": {from}, "from_epoch": {strconv.FormatUint(epoch, 10)}}
+	resp, err := http.Post(base+"/v1/migrate?"+q.Encode(), mediaType, bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var verdict MigrateResponse
+	if resp.StatusCode == http.StatusOK {
+		if err := json.NewDecoder(resp.Body).Decode(&verdict); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return resp.StatusCode, verdict
+}
+
+// shardLines renders records as a migration stream's shard lines.
+func shardLines(t *testing.T, recs ...journal.Record) []byte {
+	t.Helper()
+	var out []byte
+	for _, rec := range recs {
+		line, err := journal.EncodeLine(rec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out = append(out, line...)
+	}
+	return out
+}
+
+// TestMigrateDamagedStreamRefusedWhole drives a real drain through a
+// proxy that flips one streamed byte, a fingerprint character of the
+// session's snapshot line. A damaged line's kind sits inside its damaged
+// bytes, so the successor refuses the whole stream with 400 before the
+// fence: the lease stays with the drainer at its epoch, the drainer
+// keeps serving the session, and the refused drain reports no damage. A
+// clean re-drain then moves the session, and it finishes byte-identical
+// to an uninterrupted journal-less run.
+func TestMigrateDamagedStreamRefusedWhole(t *testing.T) {
 	req := SessionRequest{Method: "augmented-bo", Seed: 42, Trace: true, DeltaThreshold: -1, MaxMeasurements: 8}
 	target, err := arrow.NewSimulatedTarget("als/spark2.1/medium", 1)
 	if err != nil {
@@ -161,8 +204,8 @@ func TestMigrateDamagedSnapshotFallsBackToFullReplay(t *testing.T) {
 	want := mustJSON(t, ref.run(refInfo.ID, target))
 
 	_, regURL := registryFixture(t)
-	sA, cA, _ := registryServer(t, regURL.URL, "a", t.TempDir(), 2)
-	_, cB, _ := registryServer(t, regURL.URL, "b", t.TempDir(), 2)
+	sA, cA, jA := registryServer(t, regURL.URL, "a", t.TempDir(), 2)
+	_, cB, jB := registryServer(t, regURL.URL, "b", t.TempDir(), 2)
 	info := cA.create(req)
 	if info.ID != refInfo.ID {
 		t.Fatalf("id skew breaks the byte comparison: %s vs %s", info.ID, refInfo.ID)
@@ -170,62 +213,191 @@ func TestMigrateDamagedSnapshotFallsBackToFullReplay(t *testing.T) {
 	if sug := stepSession(t, cA, info.ID, target, 3); sug.Done {
 		t.Fatal("session finished before the drain point")
 	}
+	shard := journal.ShardOf(info.ID, jA.Shards())
+	before, ok := jA.Lease(shard)
+	if !ok {
+		t.Fatalf("no lease for the session's shard %d", shard)
+	}
 
-	var broken, restores atomic.Int64
+	var flipped atomic.Int64
 	proxy := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		var stream MigrateRequest
-		if err := json.NewDecoder(r.Body).Decode(&stream); err != nil {
+		body, err := io.ReadAll(r.Body)
+		if err != nil {
 			http.Error(w, err.Error(), http.StatusBadRequest)
 			return
 		}
-		for _, chain := range stream.Sessions {
-			for _, rec := range chain {
-				if rec.Kind != journal.KindSnapshot {
-					continue
-				}
-				if !breakSnapshot(rec.Request) {
-					t.Error("streamed snapshot payload has no fingerprint field")
-				}
-				broken.Add(1)
-			}
+		if breakSnapshot(body) {
+			flipped.Add(1)
 		}
-		body, err := json.Marshal(stream)
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-			return
-		}
-		resp, err := http.Post(cB.base+r.URL.Path, "application/json", bytes.NewReader(body))
+		resp, err := http.Post(cB.base+r.URL.RequestURI(), r.Header.Get("Content-Type"), bytes.NewReader(body))
 		if err != nil {
 			http.Error(w, err.Error(), http.StatusBadGateway)
 			return
 		}
 		defer resp.Body.Close()
 		out, _ := io.ReadAll(resp.Body)
-		var verdict MigrateResponse
-		if json.Unmarshal(out, &verdict) == nil {
-			restores.Add(int64(verdict.SnapshotRestores))
-		}
 		w.WriteHeader(resp.StatusCode)
 		w.Write(out)
 	}))
 	t.Cleanup(proxy.Close)
 
 	report, err := sA.MigrateShards(context.Background(), proxy.URL)
+	if err == nil || !strings.Contains(err.Error(), "successor answered 400") {
+		t.Fatalf("drain through a byte-flipping proxy: %v, want the successor's 400", err)
+	}
+	if flipped.Load() != 1 {
+		t.Fatalf("the proxy flipped %d streams, want the session shard's one", flipped.Load())
+	}
+	if len(report.Damaged) != 0 || report.Sessions != 0 {
+		t.Fatalf("refused drain reported %d sessions, damage %v", report.Sessions, report.Damaged)
+	}
+	if after, ok := jA.Lease(shard); !ok || after.Epoch != before.Epoch {
+		t.Fatalf("grant after the refused stream: held %v at epoch %d, want epoch %d", ok, after.Epoch, before.Epoch)
+	}
+	if jB.Owns(info.ID) {
+		t.Fatalf("successor took shard %d over from a refused stream", shard)
+	}
+	if sug := stepSession(t, cA, info.ID, target, 1); sug.Done {
+		t.Fatal("session finished on the drainer before the re-drain")
+	}
+
+	report, err = sA.MigrateShards(context.Background(), cB.base)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if broken.Load() == 0 {
-		t.Fatal("the stream carried no snapshot to break")
-	}
-	if report.Sessions != 1 || report.Observations != 3 || len(report.Damaged) != 0 {
-		t.Fatalf("successor adopted %d sessions / %d observations, damage %v; want 1/3 by full replay",
+	if report.Sessions != 1 || report.Observations != 4 || len(report.Damaged) != 0 {
+		t.Fatalf("clean re-drain moved %d sessions / %d observations, damage %v; want 1/4 clean",
 			report.Sessions, report.Observations, report.Damaged)
-	}
-	if n := restores.Load(); n != 0 {
-		t.Fatalf("successor restored %d sessions off a damaged snapshot", n)
 	}
 	if got := mustJSON(t, cB.run(info.ID, target)); !bytes.Equal(got, want) {
 		t.Errorf("migrated result diverged from uninterrupted run:\n got %s\nwant %s", got, want)
+	}
+}
+
+// TestMigrateCutStreamRefused: a stream cut mid-line, and a body cut at a
+// line boundary short of its Content-Length, are each refused with 400
+// before the fence. The lease does not move, so the whole stream, citing
+// the same grant, goes through afterwards.
+func TestMigrateCutStreamRefused(t *testing.T) {
+	target, err := arrow.NewSimulatedTarget("als/spark2.1/medium", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, regURL := registryFixture(t)
+	_, cA, jA := registryServer(t, regURL.URL, "a", t.TempDir(), 2)
+	_, cB, jB := registryServer(t, regURL.URL, "b", t.TempDir(), 2)
+	info := cA.create(SessionRequest{Method: "augmented-bo", Seed: 42, DeltaThreshold: -1, MaxMeasurements: 8})
+	stepSession(t, cA, info.ID, target, 3)
+	shard := journal.ShardOf(info.ID, jA.Shards())
+	lease, ok := jA.Lease(shard)
+	if !ok {
+		t.Fatalf("no lease for the session's shard %d", shard)
+	}
+	lines, _, err := jA.Image(shard)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	if st, _ := postStream(t, cB.base, shardLinesType, shard, "a", lease.Epoch, lines[:len(lines)-10]); st != http.StatusBadRequest {
+		t.Fatalf("stream cut mid-line answered %d, want 400", st)
+	}
+
+	// The header promises the whole image; the body stops after its first
+	// line, whole, and the client closes its side.
+	conn, err := net.Dial("tcp", strings.TrimPrefix(cB.base, "http://"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	q := url.Values{"shard": {strconv.Itoa(shard)}, "from": {"a"}, "from_epoch": {strconv.FormatUint(lease.Epoch, 10)}}
+	head := fmt.Sprintf("POST /v1/migrate?%s HTTP/1.1\r\nHost: b\r\nContent-Type: %s\r\nContent-Length: %d\r\n\r\n",
+		q.Encode(), shardLinesType, len(lines))
+	if _, err := conn.Write(append([]byte(head), lines[:bytes.IndexByte(lines, '\n')+1]...)); err != nil {
+		t.Fatal(err)
+	}
+	if err := conn.(*net.TCPConn).CloseWrite(); err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.ReadResponse(bufio.NewReader(conn), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), "reading image") {
+		t.Fatalf("body cut short of its Content-Length answered %d %s, want 400 for the read error", resp.StatusCode, body)
+	}
+	if len(jB.Owned()) != 0 {
+		t.Fatalf("refused streams moved shards: %v", jB.Owned())
+	}
+
+	st, verdict := postStream(t, cB.base, shardLinesType, shard, "a", lease.Epoch, lines)
+	if st != http.StatusOK || verdict.Adopted != 1 || verdict.Epoch <= lease.Epoch {
+		t.Fatalf("whole stream at the cited epoch answered %d, adopted %d at epoch %d; want 200, 1 past %d",
+			st, verdict.Adopted, verdict.Epoch, lease.Epoch)
+	}
+}
+
+// TestMigrateMixedVersionsRefused: a drain between this release and the
+// one before it is refused in both directions, never misread, so the
+// drainer keeps serving. The previous release's drainer POSTs JSON, which
+// gets 415 and adopts nothing; the previous release's successor decodes
+// a line stream into its request shape with unknown fields disallowed,
+// which fails on the first line's "crc" key.
+func TestMigrateMixedVersionsRefused(t *testing.T) {
+	target, err := arrow.NewSimulatedTarget("als/spark2.1/medium", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, regURL := registryFixture(t)
+	_, cA, jA := registryServer(t, regURL.URL, "a", t.TempDir(), 2)
+	_, cB, jB := registryServer(t, regURL.URL, "b", t.TempDir(), 2)
+	info := cA.create(SessionRequest{Method: "augmented-bo", Seed: 42, DeltaThreshold: -1, MaxMeasurements: 8})
+	stepSession(t, cA, info.ID, target, 3)
+	shard := journal.ShardOf(info.ID, jA.Shards())
+	lease, ok := jA.Lease(shard)
+	if !ok {
+		t.Fatalf("no lease for the session's shard %d", shard)
+	}
+	lines, _, err := jA.Image(shard)
+	if err != nil {
+		t.Fatal(err)
+	}
+	image, err := journal.ReadImage(bytes.NewReader(lines))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(image.Live) != 1 {
+		t.Fatalf("image holds %d live chains, want the session's", len(image.Live))
+	}
+
+	// parentRequest is the previous release's migration request shape.
+	type parentRequest struct {
+		Shard      int                `json:"shard"`
+		From       string             `json:"from"`
+		FromEpoch  uint64             `json:"from_epoch"`
+		Sessions   [][]journal.Record `json:"sessions,omitempty"`
+		Tombstones []string           `json:"tombstones,omitempty"`
+	}
+	parent := mustJSON(t, parentRequest{Shard: shard, From: "a", FromEpoch: lease.Epoch, Sessions: [][]journal.Record{image.Live[0].Records}})
+	if st, _ := postStream(t, cB.base, "application/json", shard, "a", lease.Epoch, parent); st != http.StatusUnsupportedMediaType {
+		t.Fatalf("previous release's JSON stream answered %d, want 415", st)
+	}
+	if len(jB.Owned()) != 0 || jB.Owns(info.ID) {
+		t.Fatalf("refused JSON stream moved shards: %v", jB.Owned())
+	}
+	if st := cB.do("GET", "/v1/sessions/"+info.ID+"/next", nil, nil); st != http.StatusMisdirectedRequest {
+		t.Fatalf("successor answered %d for the session after a refused stream, want 421", st)
+	}
+
+	var decoded parentRequest
+	dec := json.NewDecoder(bytes.NewReader(lines))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&decoded); err == nil || !strings.Contains(err.Error(), `"crc"`) {
+		t.Fatalf("previous release's decoder read a line stream: %+v, %v", decoded, err)
 	}
 }
 
@@ -244,8 +416,11 @@ func TestMigrateRejectsStaleEpoch(t *testing.T) {
 	if !ok {
 		t.Fatalf("no lease for owned shard %d", shard)
 	}
-	stale := MigrateRequest{Shard: shard, From: "a", FromEpoch: lease.Epoch + 5}
-	if st := cB.do("POST", "/v1/migrate", stale, nil); st != http.StatusConflict {
+	lines, _, err := jA.Image(shard)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st, _ := postStream(t, cB.base, shardLinesType, shard, "a", lease.Epoch+5, lines); st != http.StatusConflict {
 		t.Fatalf("stale-epoch migration answered %d, want 409", st)
 	}
 	if jB.Owns("anything") || len(jB.Owned()) != 0 {
@@ -253,9 +428,8 @@ func TestMigrateRejectsStaleEpoch(t *testing.T) {
 	}
 
 	// The genuine epoch goes through, and ownership flips.
-	good := MigrateRequest{Shard: shard, From: "a", FromEpoch: lease.Epoch}
-	var resp MigrateResponse
-	if st := cB.do("POST", "/v1/migrate", good, &resp); st != http.StatusOK {
+	st, resp := postStream(t, cB.base, shardLinesType, shard, "a", lease.Epoch, lines)
+	if st != http.StatusOK {
 		t.Fatalf("current-epoch migration answered %d", st)
 	}
 	if resp.Epoch <= lease.Epoch {
@@ -297,7 +471,7 @@ func TestMigrateLostResponseDropsShard(t *testing.T) {
 		if err != nil {
 			panic(http.ErrAbortHandler)
 		}
-		resp, err := http.Post(cB.base+r.URL.Path, "application/json", bytes.NewReader(body))
+		resp, err := http.Post(cB.base+r.URL.RequestURI(), r.Header.Get("Content-Type"), bytes.NewReader(body))
 		if err == nil {
 			resp.Body.Close()
 			relayed <- resp.StatusCode
@@ -394,6 +568,112 @@ func TestMigrateRefusedHandoffResumes(t *testing.T) {
 	}
 	if got := mustJSON(t, cA.run(info.ID, target)); !bytes.Equal(got, want) {
 		t.Errorf("resumed result diverged from uninterrupted run:\n got %s\nwant %s", got, want)
+	}
+}
+
+// TestMigrateReportsShardDamageOnce: a shard's mid-file damage is
+// reported by the drain that moves the shard, and only by it. A drain
+// the successor refuses reports none, and the retry that moves the
+// shard reports the damaged line once.
+func TestMigrateReportsShardDamageOnce(t *testing.T) {
+	target, err := arrow.NewSimulatedTarget("als/spark2.1/medium", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, regURL := registryFixture(t)
+	dirA := t.TempDir()
+	sA, cA, jA := registryServer(t, regURL.URL, "a", dirA, 0)
+	_, cB, _ := registryServer(t, regURL.URL, "b", t.TempDir(), 0)
+	info := cA.create(SessionRequest{Method: "augmented-bo", Seed: 7, DeltaThreshold: -1, MaxMeasurements: 8})
+	stepSession(t, cA, info.ID, target, 1)
+	// A damaged line, then the session's next step after it: mid-file
+	// damage, which breaks no chain.
+	shard := journal.ShardOf(info.ID, jA.Shards())
+	f, err := os.OpenFile(filepath.Join(dirA, shardName(shard)), os.O_APPEND|os.O_WRONLY, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, werr := f.WriteString("{\"crc\":1,\"rec\":{}}\n")
+	if cerr := f.Close(); werr != nil || cerr != nil {
+		t.Fatal(werr, cerr)
+	}
+	stepSession(t, cA, info.ID, target, 1)
+
+	refuser := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		http.Error(w, "successor unavailable", http.StatusServiceUnavailable)
+	}))
+	t.Cleanup(refuser.Close)
+	refused := &MigrateReport{}
+	if err := sA.migrateShard(context.Background(), refuser.URL, shard, refused); err == nil {
+		t.Fatal("migrateShard returned nil though the successor refused the stream")
+	}
+	if len(refused.Shards) != 0 || len(refused.Damaged) != 0 {
+		t.Fatalf("refused drain reported shards %v, damage %v; want neither", refused.Shards, refused.Damaged)
+	}
+
+	report, err := sA.MigrateShards(context.Background(), cB.base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if report.Sessions != 1 || len(report.Damaged) != 1 || !strings.Contains(report.Damaged[0], shardName(shard)) {
+		t.Fatalf("moving drain: %d sessions, damage %v; want 1 and shard %d's damaged line once", report.Sessions, report.Damaged, shard)
+	}
+}
+
+// TestMigrateBouncedEndedSessionStaysGone: a session drained from A to
+// B, run to its end on B and drained back leaves its old live chain in
+// A's shard beside the tombstone the drain back delivered. The tombstone
+// outranks the chain: A answers 410 for the session after a restart, and
+// again after a forced compaction and another restart.
+func TestMigrateBouncedEndedSessionStaysGone(t *testing.T) {
+	target, err := arrow.NewSimulatedTarget("als/spark2.1/medium", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, regURL := registryFixture(t)
+	dirA := t.TempDir()
+	sA, cA, jA := registryServer(t, regURL.URL, "a", dirA, 0)
+	sB, cB, _ := registryServer(t, regURL.URL, "b", t.TempDir(), 0)
+	info := cA.create(SessionRequest{Method: "augmented-bo", Seed: 42, DeltaThreshold: -1, MaxMeasurements: 4})
+	if sug := stepSession(t, cA, info.ID, target, 2); sug.Done {
+		t.Fatal("session finished before the first drain")
+	}
+	if _, err := sA.MigrateShards(context.Background(), cB.base); err != nil {
+		t.Fatal(err)
+	}
+	cB.run(info.ID, target)
+	if _, err := sB.MigrateShards(context.Background(), cA.base); err != nil {
+		t.Fatal(err)
+	}
+	gone := func(c *client, when string) {
+		t.Helper()
+		if st := c.do("GET", "/v1/sessions/"+info.ID+"/next", nil, nil); st != http.StatusGone {
+			t.Fatalf("%s: ended session answered %d, want 410", when, st)
+		}
+	}
+	gone(cA, "after the drain back")
+
+	for _, compact := range []bool{false, true} {
+		if compact {
+			if _, err := sA.CompactJournal(journal.CompactOptions{Force: true}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := sA.Shutdown(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		if err := jA.Close(); err != nil {
+			t.Fatal(err)
+		}
+		sA, cA, jA = registryServer(t, regURL.URL, "a", dirA, 0)
+		report, err := sA.Recover(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if report.Recovered != 0 {
+			t.Fatalf("restart (compacted %v) recovered %d sessions, want the ended one tombstoned: %+v", compact, report.Recovered, report)
+		}
+		gone(cA, fmt.Sprintf("after a restart, compacted %v", compact))
 	}
 }
 
@@ -515,25 +795,21 @@ func TestMigrateRejectsForeignShardChains(t *testing.T) {
 	if !ok {
 		t.Fatalf("no lease for owned shard %d", shard)
 	}
-	inShard, outShard := "", ""
-	for i := 0; inShard == "" || outShard == ""; i++ {
+	var inShard, outShard []string
+	for i := 0; len(inShard) < 1 || len(outShard) < 2; i++ {
 		id := fmt.Sprintf("x-%06d", i)
 		if journal.ShardOf(id, jA.Shards()) == shard {
-			if inShard == "" {
-				inShard = id
-			}
-		} else if outShard == "" {
-			outShard = id
+			inShard = append(inShard, id)
+		} else {
+			outShard = append(outShard, id)
 		}
 	}
 
-	req := MigrateRequest{
-		Shard: shard, From: "a", FromEpoch: lease.Epoch,
-		Sessions:   [][]journal.Record{{{Session: outShard, Seq: 0, Kind: journal.KindCreate}}},
-		Tombstones: []string{inShard, outShard},
-	}
-	var resp MigrateResponse
-	if st := cB.do("POST", "/v1/migrate", req, &resp); st != http.StatusOK {
+	stream := shardLines(t,
+		journal.Record{Kind: journal.KindTombstoneIndex, Tombstones: []string{inShard[0], outShard[1]}},
+		journal.Record{Session: outShard[0], Seq: 0, Kind: journal.KindCreate})
+	st, resp := postStream(t, cB.base, shardLinesType, shard, "a", lease.Epoch, stream)
+	if st != http.StatusOK {
 		t.Fatalf("migration answered %d", st)
 	}
 	if resp.Adopted != 0 {

@@ -3,6 +3,8 @@ package serve
 import (
 	"bytes"
 	"context"
+	"fmt"
+	"hash/crc32"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
@@ -13,7 +15,7 @@ import (
 )
 
 // snapshotServer is journaledServer with session checkpointing on: every
-// interval accepted observations the server journals a CRC'd snapshot.
+// interval accepted observations the server journals a snapshot.
 func snapshotServer(t *testing.T, dir, replica string, interval int, opts ...journal.Option) (*Server, *client, *journal.Journal) {
 	t.Helper()
 	opts = append([]journal.Option{journal.WithReplica(replica)}, opts...)
@@ -148,9 +150,10 @@ func TestSnapshotWatermarkMonotonic(t *testing.T) {
 }
 
 // breakSnapshot flips one fingerprint character inside a snapshot
-// payload without updating the payload's own CRC: damage only the
-// snapshot's inner checksum can see. It reports false, changing
-// nothing, for a payload with no fingerprint field.
+// payload, or inside a shard line that carries one, in place. Under a
+// re-sealed line the snapshot no longer matches its session, so it is
+// unusable; on a stream as sent, the line's CRC fails. It reports false,
+// changing nothing, for bytes with no fingerprint field.
 func breakSnapshot(payload []byte) bool {
 	idx := bytes.Index(payload, []byte(`"fp":"`))
 	if idx < 0 {
@@ -170,13 +173,26 @@ func breakSnapshot(payload []byte) bool {
 // so its line-level CRC stays valid. It returns the snapshots broken.
 func breakShardSnapshots(t *testing.T, dir string, shards int, id string) int {
 	t.Helper()
+	return rewriteShardSnapshots(t, dir, shards, id, func(payload []byte) []byte {
+		if !breakSnapshot(payload) {
+			t.Fatal("snapshot payload has no fingerprint field")
+		}
+		return payload
+	})
+}
+
+// rewriteShardSnapshots rewrites a session's shard with every snapshot
+// payload of the session passed through rewrite, each line re-sealed so
+// its line-level CRC stays valid. It returns the snapshots rewritten.
+func rewriteShardSnapshots(t *testing.T, dir string, shards int, id string, rewrite func(payload []byte) []byte) int {
+	t.Helper()
 	shard := filepath.Join(dir, shardName(journal.ShardOf(id, shards)))
 	data, err := os.ReadFile(shard)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var out []byte
-	broken := 0
+	rewritten := 0
 	for _, line := range bytes.SplitAfter(data, []byte("\n")) {
 		if len(line) == 0 {
 			continue
@@ -186,28 +202,26 @@ func breakShardSnapshots(t *testing.T, dir string, shards int, id string) int {
 			t.Fatalf("shard line undecodable before corruption: %v", err)
 		}
 		if rec.Session == id && rec.Kind == journal.KindSnapshot {
-			if !breakSnapshot(rec.Request) {
-				t.Fatal("snapshot payload has no fingerprint field")
-			}
+			rec.Request = rewrite(rec.Request)
 			if line, err = journal.EncodeLine(rec); err != nil {
 				t.Fatal(err)
 			}
-			broken++
+			rewritten++
 		}
 		out = append(out, line...)
 	}
 	if err := os.WriteFile(shard, out, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	return broken
+	return rewritten
 }
 
 // TestSnapshotInnerDamageFallsBackToFullReplay corrupts the payload of
-// every snapshot a session journaled — under an intact line-level CRC,
-// the damage only the snapshot's own checksum can see. The chain stays
-// contiguous (snapshots are seq-transparent), so recovery must fall
-// back to a full replay, lose nothing, and reproduce the uninterrupted
-// run byte for byte.
+// every snapshot a session journaled and re-seals each line, so the
+// line-level CRC holds and only the payload's fingerprint check can see
+// the damage. The chain stays contiguous (snapshots are
+// seq-transparent), so recovery must fall back to a full replay, lose
+// nothing, and reproduce the uninterrupted run byte for byte.
 func TestSnapshotInnerDamageFallsBackToFullReplay(t *testing.T) {
 	req := SessionRequest{Method: "augmented-bo", Seed: 42, Trace: true, DeltaThreshold: -1, MaxMeasurements: 12}
 	target, err := arrow.NewSimulatedTarget("als/spark2.1/medium", 1)
@@ -244,9 +258,9 @@ func TestSnapshotInnerDamageFallsBackToFullReplay(t *testing.T) {
 
 // TestCompactedSnapshotDamageFallsBackToFullReplay: compaction keeps
 // every op of a live chain next to its latest snapshot, so when that
-// snapshot's payload is damaged after compaction, recovery still
-// rebuilds the session by full replay and it finishes byte-identical
-// to an uninterrupted journal-less run.
+// snapshot's payload is damaged after compaction under a re-sealed line,
+// recovery still rebuilds the session by full replay and it finishes
+// byte-identical to an uninterrupted journal-less run.
 func TestCompactedSnapshotDamageFallsBackToFullReplay(t *testing.T) {
 	req := SessionRequest{Method: "augmented-bo", Seed: 42, Trace: true, DeltaThreshold: -1, MaxMeasurements: 12}
 	target, err := arrow.NewSimulatedTarget("als/spark2.1/medium", 1)
@@ -294,6 +308,49 @@ func TestCompactedSnapshotDamageFallsBackToFullReplay(t *testing.T) {
 	}
 }
 
+// TestRecoverParentFormatSnapshotsByFullReplay is the upgrade path: a
+// session journaled by a release whose snapshot payloads carried a
+// second {"crc","snap"} envelope of their own — modeled by re-enveloping
+// every snapshot payload and re-sealing its line — finds no usable
+// snapshot, recovers by full replay, loses nothing, and finishes
+// byte-identical to an uninterrupted journal-less run.
+func TestRecoverParentFormatSnapshotsByFullReplay(t *testing.T) {
+	req := SessionRequest{Method: "augmented-bo", Seed: 42, Trace: true, DeltaThreshold: -1, MaxMeasurements: 12}
+	target, err := arrow.NewSimulatedTarget("als/spark2.1/medium", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, ref := newTestServer(t, Config{})
+	want := mustJSON(t, ref.run(ref.create(req).ID, target))
+
+	dir := t.TempDir()
+	_, c1, j1 := snapshotServer(t, dir, "upgrade", 2)
+	info := c1.create(req)
+	stepSession(t, c1, info.ID, target, 5)
+	j1.Close() // abandon (kill -9 semantics)
+	enveloped := rewriteShardSnapshots(t, dir, j1.Shards(), info.ID, func(payload []byte) []byte {
+		return []byte(fmt.Sprintf(`{"crc":%d,"snap":%s}`, crc32.ChecksumIEEE(payload), payload))
+	})
+	if enveloped == 0 {
+		t.Fatal("no snapshot records found to re-envelope")
+	}
+
+	s2, c2, _ := snapshotServer(t, dir, "upgrade", 2)
+	report, err := s2.Recover(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if report.Recovered != 1 || report.Observations != 5 || len(report.Damaged) != 0 {
+		t.Fatalf("session with parent-format snapshots not recovered whole: %+v", report)
+	}
+	if report.SnapshotRestores != 0 {
+		t.Fatalf("recovery restored off a parent-format snapshot: %+v", report)
+	}
+	if got := mustJSON(t, c2.run(info.ID, target)); !bytes.Equal(got, want) {
+		t.Errorf("full-replay result diverged from uninterrupted run:\n got %s\nwant %s", got, want)
+	}
+}
+
 // TestRecoverMergedChainCopies: a session that bounced between replicas
 // can sit in one shard twice — first as a drain streamed it (every op,
 // only its latest snapshot), then as a reclaim re-journaled it from a
@@ -314,7 +371,11 @@ func TestRecoverMergedChainCopies(t *testing.T) {
 	info := c1.create(req)
 	stepSession(t, c1, info.ID, target, 5)
 	shard := journal.ShardOf(info.ID, j1.Shards())
-	img, err := j1.Image(shard)
+	lines, _, err := j1.Image(shard)
+	if err != nil {
+		t.Fatal(err)
+	}
+	img, err := journal.ReadImage(bytes.NewReader(lines))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -323,7 +384,7 @@ func TestRecoverMergedChainCopies(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(img.Live) != 1 || len(full.Live) != 1 || len(full.Live[0].Records) != len(img.Live[0])+1 {
+	if len(img.Live) != 1 || len(full.Live) != 1 || len(full.Live[0].Records) != len(img.Live[0].Records)+1 {
 		t.Fatalf("want the image to drop exactly the older of two snapshots: image %d chains, full %d", len(img.Live), len(full.Live))
 	}
 
@@ -332,7 +393,7 @@ func TestRecoverMergedChainCopies(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, chain := range [][]journal.Record{img.Live[0], full.Live[0].Records} {
+	for _, chain := range [][]journal.Record{img.Live[0].Records, full.Live[0].Records} {
 		if err := j2.Append(chain...); err != nil {
 			t.Fatal(err)
 		}

@@ -122,46 +122,31 @@ func CloseAll(files []File) error {
 	return first
 }
 
-// BadLine is a line Scan could not use: its 1-based number and why.
+// BadLine is a line a scan could not use: its 1-based number and why.
 type BadLine struct {
 	No  int
 	Err error
 }
 
-// Scan reads the shard file at path line by line (a missing file is
-// empty) and hands each line's checksum-verified record bytes to use. A
-// line whose envelope fails, or that use rejects, is bad. Bad lines
-// before the last good one are mid-file damage, skipped and returned in
-// mid. The bad lines after it are the torn tail, returned in tail. With
-// repair set, Scan cuts the whole tail off at once, so a rescan finds
-// none, and gives an intact last line back the newline a crash took, so
-// the next append starts on a fresh line; with repair off it only
-// reads. warnf hears of the tail and of a repair that failed.
-func Scan(path string, repair bool, warnf func(format string, args ...any), use func(rec []byte) error) (mid, tail []BadLine, err error) {
-	f, err := os.Open(path)
-	if os.IsNotExist(err) {
-		return nil, nil, nil
-	}
-	if err != nil {
-		return nil, nil, fmt.Errorf("shardlog: opening %s: %w", path, err)
-	}
-	defer f.Close()
-	var (
-		br      = bufio.NewReaderSize(f, 1<<16)
-		offset  int64 // byte offset just past the line being read
-		goodEnd int64 // offset just past the last good line
-		lineNo  int
-		torn    bool // the last good line had no trailing newline
-	)
-	for {
+// ScanReader reads shard lines from r and hands each line's
+// checksum-verified record bytes to use; it only reads. A line whose
+// envelope fails, or that use rejects, is bad. Bad lines before the last
+// good one are mid-file damage, skipped and returned in mid. The bad
+// lines after it are the torn tail, returned in tail. goodEnd is the
+// byte offset just past the last good line, and torn reports that line
+// lacks its newline: what a repair cuts back to and what it restores. A
+// read error is r's, returned as it is.
+func ScanReader(r io.Reader, use func(rec []byte) error) (mid, tail []BadLine, goodEnd int64, torn bool, err error) {
+	br := bufio.NewReaderSize(r, 1<<16)
+	var offset int64 // byte offset just past the line being read
+	for lineNo := 1; ; lineNo++ {
 		line, rerr := br.ReadBytes('\n')
 		if len(line) == 0 && rerr == io.EOF {
-			break
+			return mid, tail, goodEnd, torn, nil
 		}
 		if rerr != nil && rerr != io.EOF {
-			return nil, nil, fmt.Errorf("shardlog: reading %s: %w", path, rerr)
+			return nil, nil, 0, false, rerr
 		}
-		lineNo++
 		offset += int64(len(line))
 		// The terminator goes, and a CR with it, for shards that crossed
 		// a Windows filesystem.
@@ -178,6 +163,26 @@ func Scan(path string, repair bool, warnf func(format string, args ...any), use 
 		mid = append(mid, tail...)
 		tail = tail[:0]
 		goodEnd, torn = offset, rerr == io.EOF
+	}
+}
+
+// Scan is ScanReader over the shard file at path (a missing file is
+// empty). With repair set, Scan cuts the whole torn tail off at once, so
+// a rescan finds none, and gives an intact last line back the newline a
+// crash took, so the next append starts on a fresh line; with repair off
+// it only reads. warnf hears of the tail and of a repair that failed.
+func Scan(path string, repair bool, warnf func(format string, args ...any), use func(rec []byte) error) (mid, tail []BadLine, err error) {
+	f, err := os.Open(path)
+	if os.IsNotExist(err) {
+		return nil, nil, nil
+	}
+	if err != nil {
+		return nil, nil, fmt.Errorf("shardlog: opening %s: %w", path, err)
+	}
+	defer f.Close()
+	mid, tail, goodEnd, torn, err := ScanReader(f, use)
+	if err != nil {
+		return nil, nil, fmt.Errorf("shardlog: reading %s: %w", path, err)
 	}
 	switch {
 	case len(tail) > 0:
