@@ -123,8 +123,19 @@ func (j *Journal) image(shard int) (buf []byte, damage []string, stats CompactSt
 	}
 	stats.BytesAfter = int64(len(buf))
 	stats.LiveSessions = len(scan.Live)
+	// A chain the tombstone index names ended elsewhere: it is dropped as
+	// ended, though the scan reports it under Tombstones alone.
 	stats.DroppedEnded = len(scan.Ended)
-	stats.DroppedDamaged = len(order) - len(scan.Live) - len(scan.Ended)
+	indexed := make(map[string]bool, len(scan.Tombstones))
+	for _, id := range scan.Tombstones {
+		indexed[id] = true
+	}
+	for _, id := range order {
+		if indexed[id] {
+			stats.DroppedEnded++
+		}
+	}
+	stats.DroppedDamaged = len(order) - len(scan.Live) - stats.DroppedEnded
 	stats.Tombstones = len(tombstones)
 	return buf, scan.Damage, stats, nil
 }

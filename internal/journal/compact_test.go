@@ -206,6 +206,9 @@ func TestTombstoneOutranksStaleLiveChain(t *testing.T) {
 		if !reflect.DeepEqual(scan.Tombstones, []string{"s-000001"}) {
 			t.Fatalf("%s: tombstones %v, want [s-000001]", when, scan.Tombstones)
 		}
+		if len(scan.Ended) != 0 {
+			t.Fatalf("%s: ended %v, want the tombstoned chain reported under tombstones alone", when, scan.Ended)
+		}
 	}
 	check("before compaction")
 	stats, err := j.Compact(0, CompactOptions{Force: true})

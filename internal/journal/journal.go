@@ -537,17 +537,17 @@ type SessionLog struct {
 type Recovery struct {
 	// Live holds the sessions with no terminal record, replayable.
 	Live []SessionLog
-	// Ended lists session ids whose journal says ended or aborted, or
-	// whose chain the tombstone index names; the serving layer answers
-	// 410 Gone for them.
+	// Ended lists session ids whose journal says ended or aborted; the
+	// serving layer answers 410 Gone for them.
 	Ended []string
 	// Damage reports every problem found: mid-file corrupt lines,
 	// broken record chains. One entry per problem, human-readable.
 	Damage []string
-	// Tombstones lists session ids recorded in tombstone_index records:
-	// sessions compaction dropped from a shard after they ended. The
-	// serving layer answers 410 Gone for them without any chain left to
-	// scan.
+	// Tombstones lists, once each, the session ids recorded in
+	// tombstone_index records: sessions compaction dropped from a shard
+	// after they ended, or drained away and ended elsewhere. The serving
+	// layer answers 410 Gone for them whether or not a stale chain is
+	// left to scan; such a chain is in no other list.
 	Tombstones []string
 	// TruncatedTails counts shard files whose torn final line was
 	// truncated away (the normal aftermath of kill -9 mid-write).
@@ -672,16 +672,21 @@ func (c *collector) bad(source string, mid, tail []shardlog.BadLine) {
 
 // partition validates every chain and sorts it into Live, Ended or
 // Damage. A chain the scanned tombstone index names is ended, whatever
-// it holds: a session drained away, ended on the successor and drained
-// back leaves its old live chain here beside the tombstone.
+// it holds — a session drained away, ended on the successor and drained
+// back leaves its old live chain here beside the tombstone — and is
+// reported once, in Tombstones only.
 func (c *collector) partition() *Recovery {
 	tombstoned := make(map[string]bool, len(c.rec.Tombstones))
+	ids := c.rec.Tombstones[:0]
 	for _, id := range c.rec.Tombstones {
-		tombstoned[id] = true
+		if !tombstoned[id] {
+			tombstoned[id] = true
+			ids = append(ids, id)
+		}
 	}
+	c.rec.Tombstones = ids
 	for _, id := range c.order {
 		if tombstoned[id] {
-			c.rec.Ended = append(c.rec.Ended, id)
 			continue
 		}
 		log, ended, problem := ValidateChain(id, c.bySession[id])

@@ -673,6 +673,9 @@ func TestMigrateBouncedEndedSessionStaysGone(t *testing.T) {
 		if report.Recovered != 0 {
 			t.Fatalf("restart (compacted %v) recovered %d sessions, want the ended one tombstoned: %+v", compact, report.Recovered, report)
 		}
+		if report.Ended+report.Tombstones != 1 {
+			t.Fatalf("restart (compacted %v) counted the one bounced session %d times: %+v", compact, report.Ended+report.Tombstones, report)
+		}
 		gone(cA, fmt.Sprintf("after a restart, compacted %v", compact))
 	}
 }
