@@ -81,7 +81,8 @@ func BenchmarkAblationLowLevel(b *testing.B) {
 				}
 			}
 			for seed := 0; seed < benchSeeds(); seed++ {
-				aug, err := core.NewAugmentedBO(core.AugmentedBOConfig{
+				aug, err := core.New(core.Config{
+					Method:          core.MethodAugmentedBO,
 					Objective:       core.MinimizeCost,
 					DeltaThreshold:  -1,
 					DisableLowLevel: disable,
@@ -201,7 +202,8 @@ func BenchmarkWarmStart(b *testing.B) {
 	run := func(warm []core.PriorObservation) float64 {
 		total, n := 0.0, 0
 		for seed := 0; seed < benchSeeds(); seed++ {
-			aug, err := core.NewAugmentedBO(core.AugmentedBOConfig{
+			aug, err := core.New(core.Config{
+				Method:         core.MethodAugmentedBO,
 				Objective:      core.MinimizeCost,
 				DeltaThreshold: -1,
 				WarmStart:      warm,

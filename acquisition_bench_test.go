@@ -18,15 +18,15 @@ func BenchmarkAcquisitionComparison(b *testing.B) {
 	ws := ablationWorkloads(b)
 	type variant struct {
 		label string
-		cfg   core.NaiveBOConfig
+		cfg   core.Config
 	}
 	variants := []variant{
-		{"EI (CherryPick)", core.NaiveBOConfig{Acquisition: acquisition.ExpectedImprovement}},
-		{"PI", core.NaiveBOConfig{Acquisition: acquisition.ProbabilityOfImprovement}},
-		{"GP-UCB", core.NaiveBOConfig{Acquisition: acquisition.UpperConfidenceBound}},
-		{"MES", core.NaiveBOConfig{Acquisition: acquisition.EntropySearch}},
-		{"EI + ARD", core.NaiveBOConfig{Acquisition: acquisition.ExpectedImprovement, ARD: true}},
-		{"EI + auto-kernel", core.NaiveBOConfig{Acquisition: acquisition.ExpectedImprovement, AutoKernel: true}},
+		{"EI (CherryPick)", core.Config{Acquisition: acquisition.ExpectedImprovement}},
+		{"PI", core.Config{Acquisition: acquisition.ProbabilityOfImprovement}},
+		{"GP-UCB", core.Config{Acquisition: acquisition.UpperConfidenceBound}},
+		{"MES", core.Config{Acquisition: acquisition.EntropySearch}},
+		{"EI + ARD", core.Config{Acquisition: acquisition.ExpectedImprovement, ARD: true}},
+		{"EI + auto-kernel", core.Config{Acquisition: acquisition.ExpectedImprovement, AutoKernel: true}},
 	}
 	results := make([]float64, len(variants))
 	for i := 0; i < b.N; i++ {
@@ -45,10 +45,11 @@ func BenchmarkAcquisitionComparison(b *testing.B) {
 				}
 				for seed := 0; seed < benchSeeds(); seed++ {
 					cfg := v.cfg
+					cfg.Method = core.MethodNaiveBO
 					cfg.Objective = core.MinimizeCost
 					cfg.EIStopFraction = -1
 					cfg.Seed = int64(seed)
-					naive, err := core.NewNaiveBO(cfg)
+					naive, err := core.New(cfg)
 					if err != nil {
 						b.Fatal(err)
 					}

@@ -139,7 +139,7 @@ func (o *Optimizer) newAdvisor(candidates []Candidate, script core.ResumeScript)
 		cat.names = append(cat.names, name)
 		cat.features = append(cat.features, append([]float64(nil), c.Features...))
 	}
-	opt, err := buildCore(o.cfg)
+	opt, err := core.New(o.cfg.Config)
 	if err != nil {
 		return nil, err
 	}

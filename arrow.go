@@ -45,7 +45,6 @@ import (
 	"repro/internal/kernel"
 	"repro/internal/lowlevel"
 	"repro/internal/sim"
-	"repro/internal/telemetry"
 	"repro/internal/workloads"
 )
 
@@ -94,37 +93,22 @@ func (o Objective) toCore() core.Objective {
 	}
 }
 
-// Method selects the search algorithm.
-type Method int
+// Method selects the search algorithm; its String is the method's name
+// ("naive-bo", "augmented-bo", "hybrid-bo", "random-search").
+type Method = core.Method
 
 // The supported methods.
 const (
 	// MethodNaiveBO is the CherryPick-style GP + EI baseline.
-	MethodNaiveBO Method = iota + 1
+	MethodNaiveBO = core.MethodNaiveBO
 	// MethodAugmentedBO is the paper's contribution.
-	MethodAugmentedBO
+	MethodAugmentedBO = core.MethodAugmentedBO
 	// MethodHybridBO switches from Naive to Augmented after a few
 	// measurements.
-	MethodHybridBO
+	MethodHybridBO = core.MethodHybridBO
 	// MethodRandomSearch is a calibration baseline.
-	MethodRandomSearch
+	MethodRandomSearch = core.MethodRandomSearch
 )
-
-// String names the method.
-func (m Method) String() string {
-	switch m {
-	case MethodNaiveBO:
-		return "naive-bo"
-	case MethodAugmentedBO:
-		return "augmented-bo"
-	case MethodHybridBO:
-		return "hybrid-bo"
-	case MethodRandomSearch:
-		return "random-search"
-	default:
-		return fmt.Sprintf("Method(%d)", int(m))
-	}
-}
 
 // ParseMethod maps a method's String name or an alias (naive,
 // augmented, arrow, hybrid, random), in any case, onto the method.
@@ -285,31 +269,15 @@ func (r *Result) NumMeasurements() int { return len(r.Observations) }
 // Optimizer runs searches. Construct with New; a zero Optimizer is not
 // usable.
 type Optimizer struct {
-	method Method
-	cfg    config
+	cfg config
 }
 
+// config is what the options fill: the optimizer's configuration plus the
+// measurement middleware wrapped around every search target.
 type config struct {
-	method          Method
-	objective       Objective
-	kernel          Kernel
-	autoKernel      bool
-	ard             bool
-	acquisition     Acquisition
-	eiStop          float64
-	delta           float64
-	switchAfter     int
-	seed            int64
-	numInitial      int
-	initialIndices  []int
-	designKind      Design
-	maxMeasurements int
-	disableLowLevel bool
-	warmStart       []core.PriorObservation
-	maxTimeSLO      float64
-	retry           *RetryPolicy
-	measureTimeout  time.Duration
-	tracer          telemetry.Tracer
+	core.Config
+	retry          *RetryPolicy
+	measureTimeout time.Duration
 }
 
 // Option configures an Optimizer.
@@ -322,7 +290,7 @@ func WithObjective(o Objective) Option {
 		if o.toCore() == 0 {
 			return fmt.Errorf("arrow: invalid objective %d", int(o))
 		}
-		c.objective = o
+		c.Objective = o.toCore()
 		return nil
 	}
 }
@@ -333,7 +301,7 @@ func WithKernel(k Kernel) Option {
 		if k.toInternal() == 0 {
 			return fmt.Errorf("arrow: invalid kernel %d", int(k))
 		}
-		c.kernel = k
+		c.Kernel = k.toInternal()
 		return nil
 	}
 }
@@ -346,7 +314,7 @@ func WithEIStopFraction(f float64) Option {
 		if f > 1 {
 			return fmt.Errorf("arrow: EI stop fraction %v > 1", f)
 		}
-		c.eiStop = f
+		c.EIStopFraction = f
 		return nil
 	}
 }
@@ -357,7 +325,7 @@ func WithEIStopFraction(f float64) Option {
 // Pass a negative value to disable.
 func WithDeltaThreshold(t float64) Option {
 	return func(c *config) error {
-		c.delta = t
+		c.DeltaThreshold = t
 		return nil
 	}
 }
@@ -369,7 +337,7 @@ func WithSwitchAfter(n int) Option {
 		if n < 2 {
 			return fmt.Errorf("arrow: switch-after %d < 2", n)
 		}
-		c.switchAfter = n
+		c.SwitchAfter = n
 		return nil
 	}
 }
@@ -378,18 +346,21 @@ func WithSwitchAfter(n int) Option {
 // with the same seed and target are reproducible.
 func WithSeed(seed int64) Option {
 	return func(c *config) error {
-		c.seed = seed
+		c.Seed = seed
 		return nil
 	}
 }
 
 // WithNumInitial sets the initial quasi-random design size (default 3).
+// Overridden by WithInitialCandidates.
 func WithNumInitial(n int) Option {
 	return func(c *config) error {
 		if n < 1 {
 			return fmt.Errorf("arrow: initial design size %d < 1", n)
 		}
-		c.numInitial = n
+		if c.Design.Kind != core.DesignFixed {
+			c.Design.NumInitial = n
+		}
 		return nil
 	}
 }
@@ -402,7 +373,11 @@ func WithInitialCandidates(indices ...int) Option {
 		if len(indices) == 0 {
 			return errors.New("arrow: empty initial design")
 		}
-		c.initialIndices = append([]int(nil), indices...)
+		c.Design = core.DesignConfig{
+			Kind:       core.DesignFixed,
+			NumInitial: len(indices),
+			Fixed:      append([]int(nil), indices...),
+		}
 		return nil
 	}
 }
@@ -413,7 +388,7 @@ func WithMaxMeasurements(n int) Option {
 		if n < 1 {
 			return fmt.Errorf("arrow: max measurements %d < 1", n)
 		}
-		c.maxMeasurements = n
+		c.MaxMeasurements = n
 		return nil
 	}
 }
@@ -426,109 +401,37 @@ func WithMethod(m Method) Option {
 		default:
 			return fmt.Errorf("arrow: invalid method %d", int(m))
 		}
-		c.method = m
+		c.Method = m
 		return nil
 	}
 }
 
 // New builds an Optimizer.
 func New(opts ...Option) (*Optimizer, error) {
-	cfg := config{
-		objective: MinimizeCost,
-		kernel:    KernelMatern52,
-		method:    MethodAugmentedBO,
-	}
+	cfg := config{Config: core.Config{Method: MethodAugmentedBO, Objective: core.MinimizeCost}}
 	for _, opt := range opts {
 		if err := opt(&cfg); err != nil {
 			return nil, err
 		}
 	}
 	// Validate eagerly by building the underlying optimizer once.
-	if _, err := buildCore(cfg); err != nil {
+	if _, err := core.New(cfg.Config); err != nil {
 		return nil, err
 	}
-	return &Optimizer{method: cfg.method, cfg: cfg}, nil
+	return &Optimizer{cfg: cfg}, nil
 }
 
 // Method returns the configured search method.
-func (o *Optimizer) Method() Method { return o.cfg.method }
+func (o *Optimizer) Method() Method { return o.cfg.Method }
 
 // Objective returns the configured objective.
-func (o *Optimizer) Objective() Objective { return o.cfg.objective }
-
-func (cfg config) designConfig() core.DesignConfig {
-	if len(cfg.initialIndices) > 0 {
-		return core.DesignConfig{
-			Kind:       core.DesignFixed,
-			NumInitial: len(cfg.initialIndices),
-			Fixed:      cfg.initialIndices,
+func (o *Optimizer) Objective() Objective {
+	for obj := MinimizeTime; obj <= MinimizeTimeCostProduct; obj++ {
+		if obj.toCore() == o.cfg.Objective {
+			return obj
 		}
 	}
-	return core.DesignConfig{Kind: cfg.designKind.toCore(), NumInitial: cfg.numInitial}
-}
-
-func buildCore(cfg config) (core.Optimizer, error) {
-	switch cfg.method {
-	case MethodNaiveBO:
-		return core.NewNaiveBO(core.NaiveBOConfig{
-			Objective:       cfg.objective.toCore(),
-			Kernel:          cfg.kernel.toInternal(),
-			AutoKernel:      cfg.autoKernel,
-			ARD:             cfg.ard,
-			Acquisition:     cfg.acquisition.toInternal(),
-			EIStopFraction:  cfg.eiStop,
-			MaxTimeSLO:      cfg.maxTimeSLO,
-			MaxMeasurements: cfg.maxMeasurements,
-			Design:          cfg.designConfig(),
-			Seed:            cfg.seed,
-			Tracer:          cfg.tracer,
-		})
-	case MethodAugmentedBO:
-		return core.NewAugmentedBO(core.AugmentedBOConfig{
-			Objective:       cfg.objective.toCore(),
-			DeltaThreshold:  cfg.delta,
-			MaxTimeSLO:      cfg.maxTimeSLO,
-			MaxMeasurements: cfg.maxMeasurements,
-			Design:          cfg.designConfig(),
-			Seed:            cfg.seed,
-			DisableLowLevel: cfg.disableLowLevel,
-			WarmStart:       cfg.warmStart,
-			Tracer:          cfg.tracer,
-		})
-	case MethodHybridBO:
-		return core.NewHybridBO(core.HybridBOConfig{
-			Naive: core.NaiveBOConfig{
-				Objective:   cfg.objective.toCore(),
-				Kernel:      cfg.kernel.toInternal(),
-				AutoKernel:  cfg.autoKernel,
-				ARD:         cfg.ard,
-				Acquisition: cfg.acquisition.toInternal(),
-				MaxTimeSLO:  cfg.maxTimeSLO,
-				Design:      cfg.designConfig(),
-				Seed:        cfg.seed,
-			},
-			Augmented: core.AugmentedBOConfig{
-				Objective:       cfg.objective.toCore(),
-				DeltaThreshold:  cfg.delta,
-				MaxTimeSLO:      cfg.maxTimeSLO,
-				MaxMeasurements: cfg.maxMeasurements,
-				Seed:            cfg.seed,
-				DisableLowLevel: cfg.disableLowLevel,
-				WarmStart:       cfg.warmStart,
-			},
-			SwitchAfter: cfg.switchAfter,
-			Tracer:      cfg.tracer,
-		})
-	case MethodRandomSearch:
-		return core.NewRandomSearch(core.RandomSearchConfig{
-			Objective:       cfg.objective.toCore(),
-			MaxMeasurements: cfg.maxMeasurements,
-			Seed:            cfg.seed,
-			Tracer:          cfg.tracer,
-		})
-	default:
-		return nil, fmt.Errorf("arrow: invalid method %d", int(cfg.method))
-	}
+	return 0
 }
 
 // Search runs the configured optimizer against target.
@@ -549,7 +452,7 @@ func (o *Optimizer) Search(target Target) (*Result, error) {
 // cancellation checks and progress callbacks see exactly the measurements
 // the search loop accepts.
 func (o *Optimizer) searchTarget(target Target, outer func(Target) Target) (*Result, error) {
-	opt, err := buildCore(o.cfg)
+	opt, err := core.New(o.cfg.Config)
 	if err != nil {
 		return nil, err
 	}

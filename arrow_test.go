@@ -247,6 +247,43 @@ func TestWithMaxMeasurements(t *testing.T) {
 	}
 }
 
+// TestHybridBudgetBelowSwitchPoint: Hybrid BO opens with Naive BO's own
+// run, so under a measurement cap at or below its switch point it must
+// measure exactly what Naive BO measures under the same cap — the cap
+// ends the opening phase before the handover, never after it.
+func TestHybridBudgetBelowSwitchPoint(t *testing.T) {
+	target, err := NewSimulatedTarget("als/spark2.1/medium", 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	measured := func(opts ...Option) []int {
+		t.Helper()
+		opts = append(opts, WithSeed(3), WithEIStopFraction(-1), WithDeltaThreshold(-1))
+		opt, err := New(opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := opt.Search(target)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var idx []int
+		for _, obs := range res.Observations {
+			idx = append(idx, obs.Index)
+		}
+		return idx
+	}
+	for _, switchAfter := range []int{4, 6} {
+		for limit := 1; limit <= switchAfter; limit++ {
+			naive := measured(WithMethod(MethodNaiveBO), WithMaxMeasurements(limit))
+			hybrid := measured(WithMethod(MethodHybridBO), WithMaxMeasurements(limit), WithSwitchAfter(switchAfter))
+			if !reflect.DeepEqual(hybrid, naive) {
+				t.Errorf("switch-after %d, cap %d: hybrid measured %v, naive %v", switchAfter, limit, hybrid, naive)
+			}
+		}
+	}
+}
+
 // customTarget checks the public Target interface with user-provided
 // metrics (and without).
 type customTarget struct {

@@ -68,7 +68,7 @@ func WithAcquisition(a Acquisition) Option {
 		if a.toInternal() == 0 {
 			return fmt.Errorf("arrow: invalid acquisition %d", int(a))
 		}
-		c.acquisition = a
+		c.Acquisition = a.toInternal()
 		return nil
 	}
 }
@@ -78,7 +78,7 @@ func WithAcquisition(a Acquisition) Option {
 // model selection" alternative the paper's Section III-B discusses.
 func WithAutoKernel() Option {
 	return func(c *config) error {
-		c.autoKernel = true
+		c.AutoKernel = true
 		return nil
 	}
 }
@@ -88,7 +88,7 @@ func WithAutoKernel() Option {
 // marginal likelihood.
 func WithARD() Option {
 	return func(c *config) error {
-		c.ard = true
+		c.ARD = true
 		return nil
 	}
 }
@@ -98,7 +98,7 @@ func WithARD() Option {
 // isolating how much of Arrow's advantage comes from the augmentation.
 func WithoutLowLevelMetrics() Option {
 	return func(c *config) error {
-		c.disableLowLevel = true
+		c.DisableLowLevel = true
 		return nil
 	}
 }
@@ -139,7 +139,7 @@ func WithWarmStart(history ...PriorRun) Option {
 				Value:    h.Value,
 			}
 		}
-		c.warmStart = priors
+		c.WarmStart = priors
 		return nil
 	}
 }
@@ -159,22 +159,14 @@ type FeatureWeight struct {
 // the model actually leans on the low-level metrics. It errors for
 // non-augmented optimizers.
 func (o *Optimizer) Explain(target Target, result *Result) ([]FeatureWeight, error) {
-	if o.cfg.method != MethodAugmentedBO {
-		return nil, fmt.Errorf("arrow: Explain requires MethodAugmentedBO, have %v", o.cfg.method)
+	if o.cfg.Method != MethodAugmentedBO {
+		return nil, fmt.Errorf("arrow: Explain requires MethodAugmentedBO, have %v", o.cfg.Method)
 	}
-	opt, err := buildCore(o.cfg)
-	if err != nil {
-		return nil, err
-	}
-	aug, ok := opt.(*core.AugmentedBO)
-	if !ok {
-		return nil, errors.New("arrow: internal optimizer is not augmented")
-	}
-	adapter := &targetAdapter{t: target}
-	coreRes := &core.Result{Objective: o.cfg.objective.toCore()}
+	coreRes := &core.Result{Objective: o.cfg.Objective}
 	for _, obs := range result.Observations {
 		var metrics lowlevel.Vector
 		if obs.Outcome.Metrics != nil {
+			var err error
 			metrics, err = lowlevel.FromSlice(obs.Outcome.Metrics)
 			if err != nil {
 				return nil, fmt.Errorf("arrow: observation %s: %w", obs.Name, err)
@@ -190,7 +182,7 @@ func (o *Optimizer) Explain(target Target, result *Result) ([]FeatureWeight, err
 			},
 		})
 	}
-	imps, err := aug.ExplainSurrogate(adapter, coreRes)
+	imps, err := core.ExplainSurrogate(o.cfg.Config, &targetAdapter{t: target}, coreRes)
 	if err != nil {
 		return nil, err
 	}
@@ -246,7 +238,9 @@ func WithInitialDesign(d Design) Option {
 		if d.toCore() == 0 {
 			return fmt.Errorf("arrow: invalid design %d", int(d))
 		}
-		c.designKind = d
+		if c.Design.Kind != core.DesignFixed {
+			c.Design.Kind = d.toCore()
+		}
 		return nil
 	}
 }
@@ -262,7 +256,7 @@ func WithMaxTimeSLO(seconds float64) Option {
 		if seconds <= 0 {
 			return fmt.Errorf("arrow: time SLO %v must be positive", seconds)
 		}
-		c.maxTimeSLO = seconds
+		c.MaxTimeSLO = seconds
 		return nil
 	}
 }

@@ -192,10 +192,10 @@ func TestClusterTargetSearch(t *testing.T) {
 	w := mustWorkload(t, "als/spark2.1/medium")
 	for _, mk := range []func() (core.Optimizer, error){
 		func() (core.Optimizer, error) {
-			return core.NewNaiveBO(core.NaiveBOConfig{Objective: core.MinimizeCost, Seed: 1})
+			return core.New(core.Config{Method: core.MethodNaiveBO, Objective: core.MinimizeCost, Seed: 1})
 		},
 		func() (core.Optimizer, error) {
-			return core.NewAugmentedBO(core.AugmentedBOConfig{Objective: core.MinimizeCost, Seed: 1})
+			return core.New(core.Config{Method: core.MethodAugmentedBO, Objective: core.MinimizeCost, Seed: 1})
 		},
 	} {
 		opt, err := mk()

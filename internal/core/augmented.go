@@ -12,60 +12,6 @@ import (
 	"repro/internal/telemetry"
 )
 
-// AugmentedBOConfig configures Arrow's low-level augmented optimizer.
-type AugmentedBOConfig struct {
-	// Objective selects what to minimize. Required.
-	Objective Objective
-	// DeltaThreshold is the Prediction-Delta stopping threshold theta:
-	// the search stops once every unmeasured VM's predicted objective
-	// exceeds theta x the incumbent, i.e. no VM is predicted to be worth
-	// exploring. The paper sweeps theta in [0.9, 1.3] and recommends 1.1
-	// (Section VI-A). Zero means DefaultDeltaThreshold; negative disables
-	// early stopping.
-	DeltaThreshold float64
-	// MaxTimeSLO, when positive, constrains the search to VMs whose
-	// execution time stays within the SLO (CherryPick's constrained
-	// formulation): a second pairwise model predicts execution time,
-	// candidates predicted to violate the SLO are deprioritized, and only
-	// SLO-meeting observations can become the incumbent.
-	MaxTimeSLO float64
-	// MinObservations is the smallest number of measurements before the
-	// stopping rule may fire. Zero means the design size plus one.
-	MinObservations int
-	// MaxMeasurements caps the search cost. Zero means the whole catalog.
-	MaxMeasurements int
-	// Forest configures the Extra-Trees surrogate. Zero values use the
-	// forest package defaults (100 trees, sqrt(d) split candidates).
-	Forest forest.Config
-	// Design configures the initial sample.
-	Design DesignConfig
-	// Seed drives the initial design and the tree randomization.
-	Seed int64
-	// DisableLowLevel is the ablation switch: the pairwise surrogate is
-	// trained on instance features only, zeroing out the low-level
-	// metrics. Used to quantify how much of Arrow's advantage comes from
-	// the low-level augmentation versus the tree surrogate + pairwise
-	// encoding alone.
-	DisableLowLevel bool
-	// fullRefit forces every surrogate fit to re-grow the whole ensemble
-	// from scratch instead of reusing trees whose sampled rows did not
-	// change. The search is bit-identical either way (forest.Refit
-	// guarantees it); only this package's tests set it, as the oracle
-	// the incremental path is checked against.
-	fullRefit bool
-	// WarmStart seeds the surrogate with observations from a previous
-	// run of a *related* workload on the same candidate catalog (the
-	// paper's stated future work: "augment Bayesian Optimizer with
-	// historical performance data"). Prior observations contribute
-	// (src -> dst) training pairs among themselves but are never used as
-	// prediction sources, so stale history can bias early picks at worst
-	// — it cannot fabricate measurements.
-	WarmStart []PriorObservation
-	// Tracer receives the search's event stream (see internal/telemetry).
-	// Nil disables tracing at zero cost.
-	Tracer telemetry.Tracer
-}
-
 // PriorObservation is one historical measurement used for warm starting.
 type PriorObservation struct {
 	// Features is the candidate's instance-space encoding (must use the
@@ -77,22 +23,9 @@ type PriorObservation struct {
 	Value float64
 }
 
-// DefaultDeltaThreshold is the paper's recommended Prediction-Delta
-// stopping threshold.
-const DefaultDeltaThreshold = 1.1
-
-// defaultPairSampleRate is the per-tree observation-unit keep probability
-// of the pairwise surrogate when Forest.SampleRate is unset. Each tree
-// trains on the pair rows whose source and destination units it keeps
-// (~49% of rows), so measuring one more VM re-grows only the ~70% of
-// trees that keep the new unit — the lever behind incremental refits.
-// Set Forest.SampleRate to 1 for the classic every-tree-sees-everything
-// ensemble.
-const defaultPairSampleRate = 0.7
-
-// AugmentedBO is Arrow: Bayesian optimization whose surrogate sees not
-// just the instance space but the low-level performance metrics of every
-// VM measured so far (Algorithm 2 in the paper).
+// searchAugmented is Arrow: Bayesian optimization whose surrogate sees
+// not just the instance space but the low-level performance metrics of
+// every VM measured so far (Algorithm 2 in the paper).
 //
 // The surrogate is trained on ordered pairs of measured VMs: the feature
 // row [features(src) || lowlevel(src) || features(dst)] has target y(dst).
@@ -100,80 +33,29 @@ const defaultPairSampleRate = 0.7
 // measured source VMs — "what does the workload's behaviour on src say
 // about its performance on dst?" — which is how the model exploits
 // low-level information about VMs the workload has never run on.
-type AugmentedBO struct {
-	cfg AugmentedBOConfig
-}
-
-// Compile-time interface check.
-var _ Optimizer = (*AugmentedBO)(nil)
-
-// NewAugmentedBO validates the configuration and builds the optimizer.
-func NewAugmentedBO(cfg AugmentedBOConfig) (*AugmentedBO, error) {
-	if cfg.DeltaThreshold == 0 {
-		cfg.DeltaThreshold = DefaultDeltaThreshold
-	}
-	if math.IsNaN(cfg.DeltaThreshold) || math.IsInf(cfg.DeltaThreshold, 1) {
-		return nil, fmt.Errorf("core: delta threshold %v would never fire: %w", cfg.DeltaThreshold, ErrBadConfig)
-	}
-	if cfg.DeltaThreshold > 0 && cfg.DeltaThreshold < 0.5 {
-		return nil, fmt.Errorf("core: delta threshold %v is below any sensible value: %w", cfg.DeltaThreshold, ErrBadConfig)
-	}
-	if cfg.MaxTimeSLO < 0 || math.IsNaN(cfg.MaxTimeSLO) || math.IsInf(cfg.MaxTimeSLO, 0) {
-		return nil, fmt.Errorf("core: time SLO %v invalid: %w", cfg.MaxTimeSLO, ErrBadConfig)
-	}
-	for i, prior := range cfg.WarmStart {
-		if len(prior.Features) == 0 {
-			return nil, fmt.Errorf("core: warm-start observation %d has no features: %w", i, ErrBadConfig)
-		}
-		if prior.Value <= 0 || math.IsNaN(prior.Value) || math.IsInf(prior.Value, 0) {
-			return nil, fmt.Errorf("core: warm-start observation %d has invalid value %v: %w", i, prior.Value, ErrBadConfig)
-		}
-		if err := prior.Metrics.Validate(); err != nil {
-			return nil, fmt.Errorf("core: warm-start observation %d: %w", i, err)
-		}
-	}
-	return &AugmentedBO{cfg: cfg}, nil
-}
-
-// Name implements Optimizer.
-func (a *AugmentedBO) Name() string { return "augmented-bo" }
-
-// Search implements Optimizer.
-func (a *AugmentedBO) Search(target Target) (*Result, error) {
-	st, err := newSearchState(target, a.cfg.Objective)
-	if err != nil {
-		return nil, err
-	}
-	st.sloTime = a.cfg.MaxTimeSLO
-	st.setTracer(a.cfg.Tracer, a.Name())
-	st.emitSearchStart()
-	rng := rand.New(rand.NewSource(a.cfg.Seed))
-
+func (o *optimizer) searchAugmented(st *searchState, rng *rand.Rand) (*Result, error) {
 	// Batch planning during the design phase reads ahead in the design
-	// plan; continueSearch swaps in the model-backed planner.
-	if ph, ok := target.(PlanHookSetter); ok {
+	// plan; runAugmented swaps in the model-backed planner.
+	if ph, ok := st.target.(PlanHookSetter); ok {
 		ph.SetPlanHook(func(pending []PendingPoint, extra int) []int {
 			return st.readAhead(st.designPlan, pendingSet(pending), extra)
 		})
 	}
 
-	if err := st.runInitialDesign(a.cfg.Design, rng); err != nil {
+	if err := st.runInitialDesign(o.cfg.Design, rng); err != nil {
 		return st.abort(err)
 	}
-	return a.continueSearch(st, len(st.obs)+1, rng)
+	return o.runAugmented(st, rng)
 }
 
-// continueSearch runs the augmented loop on an already seeded state. It is
-// shared with HybridBO, which hands over a state seeded by Naive BO.
-func (a *AugmentedBO) continueSearch(st *searchState, defaultMinObs int, rng *rand.Rand) (*Result, error) {
-	minObs := a.cfg.MinObservations
-	if minObs == 0 {
-		minObs = defaultMinObs
-	}
-	maxMeas := a.cfg.MaxMeasurements
-	if maxMeas == 0 || maxMeas > st.target.NumCandidates() {
-		maxMeas = st.target.NumCandidates()
-	}
+// runAugmented runs the augmented loop on an already seeded state until
+// the stopping rule fires, MaxMeasurements observations exist or the
+// catalog runs out; the stopping rule may fire once one more than the
+// seeded observations exist. Hybrid BO hands it a state seeded by Naive
+// BO.
+func (o *optimizer) runAugmented(st *searchState, rng *rand.Rand) (*Result, error) {
+	minObs := len(st.obs) + 1
+	maxMeas := st.budget(o.cfg.MaxMeasurements)
 
 	// One tree seed for the whole search, drawn up front: per-tree row
 	// sampling is a pure function of (seed, unit ids), so a stable seed is
@@ -183,7 +65,7 @@ func (a *AugmentedBO) continueSearch(st *searchState, defaultMinObs int, rng *ra
 	treeSeed := rng.Int63()
 
 	if ph, ok := st.target.(PlanHookSetter); ok {
-		p := &augPlanner{a: a, st: st, treeSeed: treeSeed, minObs: minObs, maxMeas: maxMeas}
+		p := &augPlanner{o: o, st: st, treeSeed: treeSeed, minObs: minObs, maxMeas: maxMeas}
 		ph.SetPlanHook(p.plan)
 	}
 
@@ -213,15 +95,15 @@ func (a *AugmentedBO) continueSearch(st *searchState, defaultMinObs int, rng *ra
 			next, predicted = d.Index, d.aux()
 		} else {
 			var err error
-			next, predicted, _, err = a.selectByDelta(st, remaining, treeSeed)
+			next, predicted, _, err = o.selectByDelta(st, remaining, treeSeed)
 			if err != nil {
 				return st.abort(err)
 			}
 			st.recordDecision(next, 0, predicted)
 		}
-		if a.stops(st, predicted, len(st.obs), minObs) {
-			return st.stopEarly(predicted, a.cfg.DeltaThreshold*st.bestVal,
-				fmt.Sprintf("best predicted %.4g exceeds %.2f x incumbent %.4g", predicted, a.cfg.DeltaThreshold, st.bestVal))
+		if o.deltaStops(st, predicted, len(st.obs), minObs) {
+			return st.stopEarly(predicted, o.cfg.DeltaThreshold*st.bestVal,
+				fmt.Sprintf("best predicted %.4g exceeds %.2f x incumbent %.4g", predicted, o.cfg.DeltaThreshold, st.bestVal))
 		}
 		score := 0.0
 		if st.hasIncumbent() {
@@ -244,9 +126,9 @@ func (a *AugmentedBO) continueSearch(st *searchState, defaultMinObs int, rng *ra
 // minObs, stop when even the most promising unmeasured VM is predicted
 // worse than theta x incumbent — nothing left is worth paying for. With
 // a time SLO the rule only fires once something feasible exists.
-func (a *AugmentedBO) stops(st *searchState, predicted float64, observed, minObs int) bool {
-	return a.cfg.DeltaThreshold > 0 && observed >= minObs && st.hasIncumbent() &&
-		predicted > a.cfg.DeltaThreshold*st.bestVal
+func (o *optimizer) deltaStops(st *searchState, predicted float64, observed, minObs int) bool {
+	return o.cfg.DeltaThreshold > 0 && observed >= minObs && st.hasIncumbent() &&
+		predicted > o.cfg.DeltaThreshold*st.bestVal
 }
 
 // selectByDelta fits the pairwise Extra-Trees surrogate and returns the
@@ -257,14 +139,14 @@ func (a *AugmentedBO) stops(st *searchState, predicted float64, observed, minObs
 // candidate predicted fastest is chosen to hunt for feasibility. The
 // batch planner calls it too, for its picks and — with remaining holding
 // one index — to impute a pending point.
-func (a *AugmentedBO) selectByDelta(st *searchState, remaining []int, treeSeed int64) (next int, predicted, predTime float64, err error) {
-	model, err := a.fitPairModel(st, treeSeed)
+func (o *optimizer) selectByDelta(st *searchState, remaining []int, treeSeed int64) (next int, predicted, predTime float64, err error) {
+	model, err := o.fitPairModel(st, treeSeed)
 	if err != nil {
 		return 0, 0, 0, err
 	}
 	var timeModel *forest.Regressor
-	if a.cfg.MaxTimeSLO > 0 {
-		timeModel, err = a.fitPairModelFor(st, treeSeed+1, pairTargetTime, false)
+	if o.cfg.MaxTimeSLO > 0 {
+		timeModel, err = o.fitPairModelFor(st, treeSeed+1, pairTargetTime, false)
 		if err != nil {
 			return 0, 0, 0, err
 		}
@@ -277,7 +159,7 @@ func (a *AugmentedBO) selectByDelta(st *searchState, remaining []int, treeSeed i
 	// predictions are averaged in log space, matching the paper's
 	// "Surrogate Model Update" design of pooling every (src -> dst)
 	// estimate.
-	cache := a.pairs(st)
+	cache := o.pairs(st)
 	srcs, dsts := cache.queryHalves(st, remaining)
 	cache.rawPreds, err = model.PredictPairs(srcs, dsts, cache.rawPreds)
 	if err != nil {
@@ -319,7 +201,7 @@ func (a *AugmentedBO) selectByDelta(st *searchState, remaining []int, treeSeed i
 			if t < fallbackTime {
 				fallback, fallbackTime, fallbackPred = idx, t, pred
 			}
-			if t > a.cfg.MaxTimeSLO {
+			if t > o.cfg.MaxTimeSLO {
 				continue // predicted to violate the SLO
 			}
 		}
@@ -341,8 +223,8 @@ func (a *AugmentedBO) selectByDelta(st *searchState, remaining []int, treeSeed i
 // response surface is multiplicative (thrash factors, speed ratios) and
 // averaging source predictions in log space takes a geometric mean, which
 // is robust to one source predicting a blow-up.
-func (a *AugmentedBO) fitPairModel(st *searchState, treeSeed int64) (*forest.Regressor, error) {
-	return a.fitPairModelFor(st, treeSeed, pairTargetObjective, true)
+func (o *optimizer) fitPairModel(st *searchState, treeSeed int64) (*forest.Regressor, error) {
+	return o.fitPairModelFor(st, treeSeed, pairTargetObjective, true)
 }
 
 // fitPairModelFor fits the Extra-Trees regressor on the cached pairwise
@@ -350,20 +232,17 @@ func (a *AugmentedBO) fitPairModel(st *searchState, treeSeed int64) (*forest.Reg
 // both modeled in log space). Warm-start history carries objective values
 // only, so it contributes rows only when the target is the objective
 // (withHistory).
-func (a *AugmentedBO) fitPairModelFor(st *searchState, treeSeed int64, target pairTarget, withHistory bool) (*forest.Regressor, error) {
+func (o *optimizer) fitPairModelFor(st *searchState, treeSeed int64, target pairTarget, withHistory bool) (*forest.Regressor, error) {
 	if len(st.obs) < 2 {
 		return nil, fmt.Errorf("core: pairwise surrogate needs >= 2 observations, have %d: %w", len(st.obs), ErrBadConfig)
 	}
-	cache := a.pairs(st)
+	cache := o.pairs(st)
 	cache.sync(st)
 	xs, ys, units := cache.trainingSet(target, withHistory)
-	cfg := a.cfg.Forest
+	cfg := o.cfg.forest
 	cfg.Seed = treeSeed
-	if cfg.SampleRate == 0 {
-		cfg.SampleRate = defaultPairSampleRate
-	}
 	var prev *forest.Regressor
-	if !a.cfg.fullRefit {
+	if !o.cfg.fullRefit {
 		if target == pairTargetTime {
 			prev = cache.prevTime
 		} else {
@@ -394,10 +273,10 @@ func (a *AugmentedBO) fitPairModelFor(st *searchState, treeSeed int64, target pa
 // pairs returns the state's pair-row cache, building it (and the
 // warm-start pairs that teach the src->dst transfer structure before the
 // current search has enough of its own observations) on first use.
-func (a *AugmentedBO) pairs(st *searchState) *pairCache {
+func (o *optimizer) pairs(st *searchState) *pairCache {
 	if st.pairs == nil {
-		st.pairs = newPairCache(st.target.NumCandidates(), len(st.features[0]), a.cfg.DisableLowLevel)
-		st.pairs.addWarm(a.cfg.WarmStart)
+		st.pairs = newPairCache(st.target.NumCandidates(), len(st.features[0]), o.cfg.DisableLowLevel)
+		st.pairs.addWarm(o.cfg.WarmStart)
 	}
 	return st.pairs
 }
@@ -411,11 +290,21 @@ type FeatureImportance struct {
 	Fraction float64
 }
 
-// ExplainSurrogate refits the pairwise surrogate on a finished search and
-// reports which columns its trees split on — a cheap view of whether the
-// model leans on the low-level metrics (Section IV-A's feature-selection
-// discussion). The result must come from a search over target.
-func (a *AugmentedBO) ExplainSurrogate(target Target, res *Result) ([]FeatureImportance, error) {
+// ExplainSurrogate refits the pairwise surrogate c's search fits on a
+// finished search and reports which columns its trees split on — a cheap
+// view of whether the model leans on the low-level metrics (Section
+// IV-A's feature-selection discussion). c's method must have the
+// surrogate (Augmented or Hybrid BO); the result must come from a search
+// over target.
+func ExplainSurrogate(c Config, target Target, res *Result) ([]FeatureImportance, error) {
+	opt, err := New(c)
+	if err != nil {
+		return nil, err
+	}
+	o := opt.(*optimizer)
+	if reads[o.cfg.Method]&readsPairs == 0 {
+		return nil, fmt.Errorf("core: %v has no pairwise surrogate: %w", o.cfg.Method, ErrBadConfig)
+	}
 	st, err := newSearchState(target, res.Objective)
 	if err != nil {
 		return nil, err
@@ -430,7 +319,7 @@ func (a *AugmentedBO) ExplainSurrogate(target Target, res *Result) ([]FeatureImp
 		st.measured[obs.Index] = true
 		st.obs = append(st.obs, obs)
 	}
-	model, err := a.fitPairModel(st, a.cfg.Seed)
+	model, err := o.fitPairModel(st, o.cfg.Seed)
 	if err != nil {
 		return nil, err
 	}

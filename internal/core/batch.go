@@ -15,7 +15,7 @@ import (
 // selection code of their own: each fantasy fit, imputation, pick and
 // stop check goes through the search loop's own functions (selectCandidate
 // and fitGP for Naive BO, selectByDelta for Augmented BO, and each
-// optimizer's stops predicate), so a fantasy asks exactly what the loop
+// method's stopping rule), so a fantasy asks exactly what the loop
 // would ask. Incremental refits make the imputed fits cheap: the GP
 // extends cached Cholesky factors (rolled back with Fitter.Truncate) and
 // the forest appends virtual pair rows to the pairCache slab (rolled back
@@ -91,12 +91,12 @@ func (s *searchState) observedValue(pp PendingPoint) (val float64, ok bool) {
 // or execution time.
 func finitePositive(v float64) bool { return v > 0 && !math.IsInf(v, 1) }
 
-// naivePlanner is NaiveBO's plan hook: posterior-mean imputation through
+// naivePlanner is Naive BO's plan hook: posterior-mean imputation through
 // the GP's cached Cholesky factors. The post-design fields are filled in
 // by the search loop once the main loop starts and read by the hook,
 // which only runs while the loop is held parked.
 type naivePlanner struct {
-	n  *NaiveBO
+	o  *optimizer
 	st *searchState
 
 	ready   bool // main loop started; sc/minObs/maxMeas valid
@@ -125,7 +125,7 @@ func (p *naivePlanner) plan(pending []PendingPoint, extra int) []int {
 func (p *naivePlanner) impute(idx int) (val float64, out Outcome, ok bool) {
 	val, ok = p.posteriorMean(idx, false)
 	out = Outcome{TimeSec: 1}
-	if ok && p.n.cfg.MaxTimeSLO > 0 {
+	if ok && p.o.cfg.MaxTimeSLO > 0 {
 		out.TimeSec, ok = p.posteriorMean(idx, true)
 	}
 	return val, out, ok
@@ -135,7 +135,7 @@ func (p *naivePlanner) impute(idx int) (val float64, out Outcome, ok bool) {
 // fantasy-extended, observations and returns its mean at idx in
 // objective (or time) units.
 func (p *naivePlanner) posteriorMean(idx int, timeModel bool) (float64, bool) {
-	model, err := p.n.fitGP(p.st, p.sc, timeModel)
+	model, err := p.o.fitGP(p.st, p.sc, timeModel)
 	if err != nil {
 		return 0, false
 	}
@@ -143,13 +143,11 @@ func (p *naivePlanner) posteriorMean(idx int, timeModel bool) (float64, bool) {
 	if err != nil {
 		return 0, false
 	}
-	if timeModel || !p.n.cfg.DisableLogObjective {
-		mean = math.Exp(mean)
-	}
+	mean = math.Exp(mean)
 	return mean, finitePositive(mean)
 }
 
-// fantasize runs NaiveBO's speculative acquisition: absorb every pending
+// fantasize runs Naive BO's speculative acquisition: absorb every pending
 // suggestion as a fantasy observation (the caller's real outcome when it
 // already arrived, the posterior mean otherwise), then repeatedly ask
 // selectCandidate what it would measure next, fantasizing each pick in
@@ -157,12 +155,12 @@ func (p *naivePlanner) posteriorMean(idx int, timeModel bool) (float64, bool) {
 // incumbents, tracer, and the cached GP factors — is restored before
 // returning.
 func (p *naivePlanner) fantasize(pending []PendingPoint, excluded map[int]bool, extra int) (picks []int) {
-	st, n := p.st, p.n
+	st, o := p.st, p.o
 	savedObs := len(st.obs)
 	restore := st.beginFantasy()
 	defer func() {
 		restore()
-		if !n.cfg.fullRefit && savedObs > 0 {
+		if !o.cfg.fullRefit && savedObs > 0 {
 			for _, f := range p.sc.fitters {
 				if f.Len() > savedObs {
 					_ = f.Truncate(savedObs)
@@ -193,14 +191,14 @@ func (p *naivePlanner) fantasize(pending []PendingPoint, excluded map[int]bool, 
 	// posterior sampling; the real search RNG must never advance during
 	// planning, so a throwaway stream is derived from the seed and the
 	// planning position (deterministic given the delivered history).
-	sideRng := rand.New(rand.NewSource(n.cfg.Seed ^ (0x6c62272e07bb0142 + int64(len(st.obs)))))
+	sideRng := rand.New(rand.NewSource(o.cfg.Seed ^ (0x6c62272e07bb0142 + int64(len(st.obs)))))
 	for len(picks) < extra && len(st.obs) < p.maxMeas {
 		remaining := st.unmeasuredExcluding(excluded)
 		if len(remaining) == 0 {
 			break
 		}
-		next, _, maxEI, err := n.selectCandidate(st, remaining, sideRng, p.sc)
-		if err != nil || next < 0 || n.stops(st, maxEI, p.minObs) {
+		next, _, maxEI, err := o.selectCandidate(st, remaining, sideRng, p.sc)
+		if err != nil || next < 0 || o.eiStops(st, maxEI, p.minObs) {
 			break
 		}
 		val, out, ok := p.impute(next)
@@ -214,12 +212,12 @@ func (p *naivePlanner) fantasize(pending []PendingPoint, excluded map[int]bool, 
 	return picks
 }
 
-// augPlanner is AugmentedBO's plan hook: virtual (real source -> fantasy
+// augPlanner is Augmented BO's plan hook: virtual (real source -> fantasy
 // destination) pair rows appended to the pairCache slab and rolled back
-// by truncation. Installed by continueSearch, so it also serves the
+// by truncation. Installed by runAugmented, so it also serves the
 // hybrid search's augmented phase.
 type augPlanner struct {
-	a        *AugmentedBO
+	o        *optimizer
 	st       *searchState
 	treeSeed int64
 	minObs   int
@@ -241,7 +239,7 @@ func (p *augPlanner) plan(pending []PendingPoint, extra int) []int {
 	return p.fantasize(pending, excluded, extra)
 }
 
-// fantasize runs AugmentedBO's speculative acquisition through
+// fantasize runs Augmented BO's speculative acquisition through
 // selectByDelta: a pending point is imputed by asking it about that one
 // candidate, and each pick is its answer over the rest. Fantasized
 // destinations contribute (real source -> fantasy destination) training
@@ -252,8 +250,8 @@ func (p *augPlanner) plan(pending []PendingPoint, extra int) []int {
 // are restored before returning, so the real search's incremental-refit
 // lineage is untouched.
 func (p *augPlanner) fantasize(pending []PendingPoint, excluded map[int]bool, extra int) (picks []int) {
-	st, a := p.st, p.a
-	cache := a.pairs(st)
+	st, o := p.st, p.o
+	cache := o.pairs(st)
 	// Append the rows of any real observations the cache has not seen —
 	// the identical rows the next real fit would append, so doing it
 	// early is invisible to the real path.
@@ -282,7 +280,7 @@ func (p *augPlanner) fantasize(pending []PendingPoint, excluded map[int]bool, ex
 			}
 			continue
 		}
-		_, val, timeSec, err := a.selectByDelta(st, []int{pp.Index}, p.treeSeed)
+		_, val, timeSec, err := o.selectByDelta(st, []int{pp.Index}, p.treeSeed)
 		if err != nil || !finitePositive(val) || !finitePositive(timeSec) {
 			return nil
 		}
@@ -294,9 +292,9 @@ func (p *augPlanner) fantasize(pending []PendingPoint, excluded map[int]bool, ex
 		if len(remaining) == 0 {
 			break
 		}
-		next, predicted, timeSec, err := a.selectByDelta(st, remaining, p.treeSeed)
+		next, predicted, timeSec, err := o.selectByDelta(st, remaining, p.treeSeed)
 		if err != nil || next < 0 || !finitePositive(predicted) ||
-			a.stops(st, predicted, len(st.obs)+fantasies, p.minObs) {
+			o.deltaStops(st, predicted, len(st.obs)+fantasies, p.minObs) {
 			break
 		}
 		picks = append(picks, next)

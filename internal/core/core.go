@@ -1,17 +1,18 @@
 // Package core implements the paper's contribution: sequential model-based
 // optimization (SMBO) over a finite VM catalog, in three flavors —
 //
-//   - NaiveBO: CherryPick-style Bayesian optimization with a Gaussian-
-//     process surrogate and Expected Improvement (Section III);
-//   - AugmentedBO: Arrow's low-level augmented Bayesian optimization with
-//     an Extra-Trees surrogate trained on (source VM, source low-level
-//     metrics, destination VM) pairs and a Prediction-Delta acquisition
-//     and stopping rule (Section IV);
-//   - HybridBO: Naive BO for the first few measurements, Augmented BO
-//     afterwards, curing Augmented BO's slow start (Section V-B).
+//   - MethodNaiveBO: CherryPick-style Bayesian optimization with a
+//     Gaussian-process surrogate and Expected Improvement (Section III);
+//   - MethodAugmentedBO: Arrow's low-level augmented Bayesian
+//     optimization with an Extra-Trees surrogate trained on (source VM,
+//     source low-level metrics, destination VM) pairs and a
+//     Prediction-Delta acquisition and stopping rule (Section IV);
+//   - MethodHybridBO: Naive BO for the first few measurements, Augmented
+//     BO afterwards, curing Augmented BO's slow start (Section V-B).
 //
-// A RandomSearch baseline is included for calibration. All optimizers
-// minimize: smaller objective values are better.
+// A MethodRandomSearch baseline is included for calibration. New builds
+// every method from one Config. All optimizers minimize: smaller
+// objective values are better.
 package core
 
 import (
@@ -539,6 +540,15 @@ func (s *searchState) noteOutcome(idx int, val float64, out Outcome) {
 	if out.TimeSec < s.fastestTime {
 		s.fastestTime, s.fastestIdx = out.TimeSec, idx
 	}
+}
+
+// budget resolves a measurement cap: zero, or a cap past the catalog,
+// means the whole catalog.
+func (s *searchState) budget(maxMeas int) int {
+	if maxMeas == 0 || maxMeas > len(s.features) {
+		return len(s.features)
+	}
+	return maxMeas
 }
 
 // unmeasured returns the indices still available for measurement: not yet

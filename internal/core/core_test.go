@@ -122,22 +122,19 @@ func allOptimizers(t *testing.T, objective Objective, seed int64, disableStop bo
 	if disableStop {
 		eiStop, delta = -1, -1
 	}
-	naive, err := NewNaiveBO(NaiveBOConfig{Objective: objective, Seed: seed, EIStopFraction: eiStop})
+	naive, err := New(Config{Method: MethodNaiveBO, Objective: objective, Seed: seed, EIStopFraction: eiStop})
 	if err != nil {
 		t.Fatal(err)
 	}
-	aug, err := NewAugmentedBO(AugmentedBOConfig{Objective: objective, Seed: seed, DeltaThreshold: delta})
+	aug, err := New(Config{Method: MethodAugmentedBO, Objective: objective, Seed: seed, DeltaThreshold: delta})
 	if err != nil {
 		t.Fatal(err)
 	}
-	hybrid, err := NewHybridBO(HybridBOConfig{
-		Naive:     NaiveBOConfig{Objective: objective, Seed: seed},
-		Augmented: AugmentedBOConfig{Objective: objective, DeltaThreshold: delta},
-	})
+	hybrid, err := New(Config{Method: MethodHybridBO, Objective: objective, Seed: seed, DeltaThreshold: delta})
 	if err != nil {
 		t.Fatal(err)
 	}
-	random, err := NewRandomSearch(RandomSearchConfig{Objective: objective, Seed: seed})
+	random, err := New(Config{Method: MethodRandomSearch, Objective: objective, Seed: seed})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -280,7 +277,7 @@ func TestEmptyTarget(t *testing.T) {
 }
 
 func TestInvalidObjectiveRejectedAtSearch(t *testing.T) {
-	naive, err := NewNaiveBO(NaiveBOConfig{Objective: Objective(0)})
+	naive, err := New(Config{Method: MethodNaiveBO, Objective: Objective(0)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -291,7 +288,7 @@ func TestInvalidObjectiveRejectedAtSearch(t *testing.T) {
 
 func TestNegativeMeasurementRejected(t *testing.T) {
 	target := newFakeTarget([]float64{1, 2, -3, 4, 5})
-	opt, err := NewRandomSearch(RandomSearchConfig{Objective: MinimizeTime, Seed: 1})
+	opt, err := New(Config{Method: MethodRandomSearch, Objective: MinimizeTime, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -311,15 +308,15 @@ func TestNegativeMeasurementRejected(t *testing.T) {
 }
 
 func TestMaxMeasurementsRespected(t *testing.T) {
-	naive, err := NewNaiveBO(NaiveBOConfig{Objective: MinimizeTime, MaxMeasurements: 5, EIStopFraction: -1})
+	naive, err := New(Config{Method: MethodNaiveBO, Objective: MinimizeTime, MaxMeasurements: 5, EIStopFraction: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	aug, err := NewAugmentedBO(AugmentedBOConfig{Objective: MinimizeTime, MaxMeasurements: 5, DeltaThreshold: -1})
+	aug, err := New(Config{Method: MethodAugmentedBO, Objective: MinimizeTime, MaxMeasurements: 5, DeltaThreshold: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	random, err := NewRandomSearch(RandomSearchConfig{Objective: MinimizeTime, MaxMeasurements: 5})
+	random, err := New(Config{Method: MethodRandomSearch, Objective: MinimizeTime, MaxMeasurements: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -338,7 +335,7 @@ func TestMaxMeasurementsRespected(t *testing.T) {
 
 func TestInitialDesignRespected(t *testing.T) {
 	cfg := DesignConfig{Kind: DesignFixed, Fixed: []int{7, 0, 3}, NumInitial: 3}
-	naive, err := NewNaiveBO(NaiveBOConfig{Objective: MinimizeTime, Design: cfg, EIStopFraction: -1})
+	naive, err := New(Config{Method: MethodNaiveBO, Objective: MinimizeTime, Design: cfg, EIStopFraction: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -371,7 +368,7 @@ func TestDesignKindString(t *testing.T) {
 func TestRaggedFeaturesRejected(t *testing.T) {
 	target := newFakeTarget(exhaustiveValues())
 	target.features[3] = []float64{1} // break dimensionality
-	naive, err := NewNaiveBO(NaiveBOConfig{Objective: MinimizeTime})
+	naive, err := New(Config{Method: MethodNaiveBO, Objective: MinimizeTime})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -381,7 +378,8 @@ func TestRaggedFeaturesRejected(t *testing.T) {
 }
 
 func TestSobolDesignKind(t *testing.T) {
-	naive, err := NewNaiveBO(NaiveBOConfig{
+	naive, err := New(Config{
+		Method:         MethodNaiveBO,
 		Objective:      MinimizeTime,
 		Design:         DesignConfig{Kind: DesignSobol, NumInitial: 4},
 		EIStopFraction: -1,
@@ -412,7 +410,8 @@ func TestSobolDesignKind(t *testing.T) {
 
 func TestSobolDesignVariesWithSeed(t *testing.T) {
 	design := func(seed int64) []int {
-		naive, err := NewNaiveBO(NaiveBOConfig{
+		naive, err := New(Config{
+			Method:         MethodNaiveBO,
 			Objective:      MinimizeTime,
 			Design:         DesignConfig{Kind: DesignSobol, NumInitial: 3},
 			EIStopFraction: -1,
@@ -443,7 +442,8 @@ func TestSobolDesignVariesWithSeed(t *testing.T) {
 }
 
 func TestInvalidDesignKind(t *testing.T) {
-	naive, err := NewNaiveBO(NaiveBOConfig{
+	naive, err := New(Config{
+		Method:    MethodNaiveBO,
 		Objective: MinimizeTime,
 		Design:    DesignConfig{Kind: DesignKind(99)},
 	})
@@ -456,7 +456,8 @@ func TestInvalidDesignKind(t *testing.T) {
 }
 
 func TestUniformDesignKind(t *testing.T) {
-	naive, err := NewNaiveBO(NaiveBOConfig{
+	naive, err := New(Config{
+		Method:         MethodNaiveBO,
 		Objective:      MinimizeTime,
 		Design:         DesignConfig{Kind: DesignUniform, NumInitial: 4},
 		EIStopFraction: -1,

@@ -17,7 +17,8 @@ func TestNaiveBOAcquisitionVariants(t *testing.T) {
 		acquisition.EntropySearch,
 	} {
 		t.Run(acq.String(), func(t *testing.T) {
-			naive, err := NewNaiveBO(NaiveBOConfig{
+			naive, err := New(Config{
+				Method:         MethodNaiveBO,
 				Objective:      MinimizeTime,
 				Acquisition:    acq,
 				EIStopFraction: -1,
@@ -38,7 +39,8 @@ func TestNaiveBOAcquisitionVariants(t *testing.T) {
 }
 
 func TestNaiveBORejectsPredictionDeltaAcquisition(t *testing.T) {
-	_, err := NewNaiveBO(NaiveBOConfig{
+	_, err := New(Config{
+		Method:      MethodNaiveBO,
 		Objective:   MinimizeTime,
 		Acquisition: acquisition.PredictionDelta,
 	})
@@ -47,18 +49,9 @@ func TestNaiveBORejectsPredictionDeltaAcquisition(t *testing.T) {
 	}
 }
 
-func TestNaiveBORejectsNegativeUCBBeta(t *testing.T) {
-	_, err := NewNaiveBO(NaiveBOConfig{
-		Objective: MinimizeTime,
-		UCBBeta:   -1,
-	})
-	if !errors.Is(err, ErrBadConfig) {
-		t.Errorf("error = %v, want ErrBadConfig", err)
-	}
-}
-
 func TestNaiveBONonEIAcquisitionNeverStopsEarly(t *testing.T) {
-	naive, err := NewNaiveBO(NaiveBOConfig{
+	naive, err := New(Config{
+		Method:         MethodNaiveBO,
 		Objective:      MinimizeTime,
 		Acquisition:    acquisition.UpperConfidenceBound,
 		EIStopFraction: 0.10, // would stop EI quickly on a flat landscape
@@ -81,7 +74,8 @@ func TestNaiveBONonEIAcquisitionNeverStopsEarly(t *testing.T) {
 }
 
 func TestNaiveBOAutoKernel(t *testing.T) {
-	naive, err := NewNaiveBO(NaiveBOConfig{
+	naive, err := New(Config{
+		Method:         MethodNaiveBO,
 		Objective:      MinimizeTime,
 		AutoKernel:     true,
 		EIStopFraction: -1,
@@ -100,7 +94,8 @@ func TestNaiveBOAutoKernel(t *testing.T) {
 }
 
 func TestAugmentedBOAblationRuns(t *testing.T) {
-	aug, err := NewAugmentedBO(AugmentedBOConfig{
+	aug, err := New(Config{
+		Method:          MethodAugmentedBO,
 		Objective:       MinimizeTime,
 		DeltaThreshold:  -1,
 		DisableLowLevel: true,
@@ -127,7 +122,8 @@ func TestAblationLosesLowLevelSignal(t *testing.T) {
 		good := 0
 		for seed := int64(0); seed < 20; seed++ {
 			target := steppedTarget()
-			aug, err := NewAugmentedBO(AugmentedBOConfig{
+			aug, err := New(Config{
+				Method:          MethodAugmentedBO,
 				Objective:       MinimizeTime,
 				DeltaThreshold:  -1,
 				DisableLowLevel: disable,
@@ -174,7 +170,8 @@ func TestWarmStartValidation(t *testing.T) {
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
-			_, err := NewAugmentedBO(AugmentedBOConfig{
+			_, err := New(Config{
+				Method:    MethodAugmentedBO,
 				Objective: MinimizeTime,
 				WarmStart: []PriorObservation{tt.prior},
 			})
@@ -183,7 +180,8 @@ func TestWarmStartValidation(t *testing.T) {
 			}
 		})
 	}
-	if _, err := NewAugmentedBO(AugmentedBOConfig{
+	if _, err := New(Config{
+		Method:    MethodAugmentedBO,
 		Objective: MinimizeTime,
 		WarmStart: []PriorObservation{valid},
 	}); err != nil {
@@ -213,7 +211,8 @@ func TestWarmStartSteersEarlyPicks(t *testing.T) {
 		good := 0
 		for seed := int64(0); seed < 20; seed++ {
 			target := steppedTarget()
-			aug, err := NewAugmentedBO(AugmentedBOConfig{
+			aug, err := New(Config{
+				Method:         MethodAugmentedBO,
 				Objective:      MinimizeTime,
 				DeltaThreshold: -1,
 				WarmStart:      warm,
@@ -247,11 +246,13 @@ func TestWarmStartSteersEarlyPicks(t *testing.T) {
 
 func TestExplainSurrogate(t *testing.T) {
 	target := steppedTarget()
-	aug, err := NewAugmentedBO(AugmentedBOConfig{
+	cfg := Config{
+		Method:         MethodAugmentedBO,
 		Objective:      MinimizeTime,
 		DeltaThreshold: -1,
 		Seed:           6,
-	})
+	}
+	aug, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -259,7 +260,7 @@ func TestExplainSurrogate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	imps, err := aug.ExplainSurrogate(steppedTarget(), res)
+	imps, err := ExplainSurrogate(cfg, steppedTarget(), res)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -287,10 +288,7 @@ func TestExplainSurrogate(t *testing.T) {
 }
 
 func TestExplainSurrogateBadResult(t *testing.T) {
-	aug, err := NewAugmentedBO(AugmentedBOConfig{Objective: MinimizeTime})
-	if err != nil {
-		t.Fatal(err)
-	}
+	cfg := Config{Method: MethodAugmentedBO, Objective: MinimizeTime}
 	for name, obs := range map[string][]Observation{
 		"index outside target": {{Index: 99, Value: 1}},
 		// A duplicate would add self-pairs to the surrogate's training set.
@@ -301,8 +299,17 @@ func TestExplainSurrogateBadResult(t *testing.T) {
 		},
 	} {
 		res := &Result{Objective: MinimizeTime, Observations: obs}
-		if _, err := aug.ExplainSurrogate(steppedTarget(), res); !errors.Is(err, ErrBadConfig) {
+		if _, err := ExplainSurrogate(cfg, steppedTarget(), res); !errors.Is(err, ErrBadConfig) {
 			t.Errorf("%s: error = %v, want ErrBadConfig", name, err)
 		}
+	}
+	// Naive BO has no pairwise surrogate to explain.
+	naive := Config{Method: MethodNaiveBO, Objective: MinimizeTime}
+	res := &Result{Objective: MinimizeTime, Observations: []Observation{
+		{Index: 1, Value: 2.2, Outcome: Outcome{TimeSec: 2.2}},
+		{Index: 2, Value: 1.8, Outcome: Outcome{TimeSec: 1.8}},
+	}}
+	if _, err := ExplainSurrogate(naive, steppedTarget(), res); !errors.Is(err, ErrBadConfig) {
+		t.Errorf("naive config: error = %v, want ErrBadConfig", err)
 	}
 }

@@ -160,7 +160,7 @@ func TestFatalMarkedErrorAborts(t *testing.T) {
 	target := newFailingTarget(designValues())
 	target.fatalAfter = 2
 	target.fatalErr = Fatal(sentinel)
-	opt, err := NewRandomSearch(RandomSearchConfig{Objective: MinimizeTime, Seed: 3})
+	opt, err := New(Config{Method: MethodRandomSearch, Objective: MinimizeTime, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,7 +208,7 @@ func TestCorruptedOutcomeQuarantined(t *testing.T) {
 	var bad lowlevel.Vector
 	bad[lowlevel.CPUUser] = math.NaN()
 	target.metrics[2] = bad
-	opt, err := NewRandomSearch(RandomSearchConfig{Objective: MinimizeTime, Seed: 1})
+	opt, err := New(Config{Method: MethodRandomSearch, Objective: MinimizeTime, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,48 +3,50 @@ package core
 import (
 	"errors"
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 
+	"repro/internal/acquisition"
 	"repro/internal/forest"
 	"repro/internal/kernel"
 	"repro/internal/lowlevel"
 )
 
 func TestNewNaiveBOValidation(t *testing.T) {
-	if _, err := NewNaiveBO(NaiveBOConfig{EIStopFraction: 1.5}); err == nil {
+	if _, err := New(Config{Method: MethodNaiveBO, EIStopFraction: 1.5}); err == nil {
 		t.Error("EI fraction > 1 should fail")
 	}
-	nb, err := NewNaiveBO(NaiveBOConfig{Objective: MinimizeTime})
-	if err != nil {
+	c := Config{Method: MethodNaiveBO, Objective: MinimizeTime}
+	if _, err := New(c); err != nil {
 		t.Fatal(err)
 	}
-	if nb.cfg.Kernel != kernel.Matern52 {
-		t.Errorf("default kernel = %v, want Matérn 5/2 (CherryPick)", nb.cfg.Kernel)
+	c = c.Canonical()
+	if c.Kernel != kernel.Matern52 {
+		t.Errorf("default kernel = %v, want Matérn 5/2 (CherryPick)", c.Kernel)
 	}
-	if nb.cfg.EIStopFraction != DefaultEIStopFraction {
-		t.Errorf("default EI stop = %v", nb.cfg.EIStopFraction)
+	if c.EIStopFraction != DefaultEIStopFraction {
+		t.Errorf("default EI stop = %v", c.EIStopFraction)
 	}
 }
 
 func TestNewAugmentedBOValidation(t *testing.T) {
-	if _, err := NewAugmentedBO(AugmentedBOConfig{DeltaThreshold: 0.2}); err == nil {
+	if _, err := New(Config{Method: MethodAugmentedBO, DeltaThreshold: 0.2}); err == nil {
 		t.Error("absurd delta threshold should fail")
 	}
-	ab, err := NewAugmentedBO(AugmentedBOConfig{Objective: MinimizeCost})
-	if err != nil {
+	c := Config{Method: MethodAugmentedBO, Objective: MinimizeCost}
+	if _, err := New(c); err != nil {
 		t.Fatal(err)
 	}
-	if ab.cfg.DeltaThreshold != DefaultDeltaThreshold {
-		t.Errorf("default delta = %v, want %v", ab.cfg.DeltaThreshold, DefaultDeltaThreshold)
+	if got := c.Canonical().DeltaThreshold; got != DefaultDeltaThreshold {
+		t.Errorf("default delta = %v, want %v", got, DefaultDeltaThreshold)
 	}
 }
 
 // TestStopThresholdMustBeAbleToFire: a NaN or +Inf stop threshold makes
 // the stopping rule's comparison always false, so the search would
-// silently measure the whole catalog. The constructors reject them;
-// negative values, -Inf included, are the documented way to disable the
-// rule.
+// silently measure the whole catalog. New rejects them; negative values,
+// -Inf included, are the documented way to disable the rule.
 func TestStopThresholdMustBeAbleToFire(t *testing.T) {
 	for _, tc := range []struct {
 		threshold float64
@@ -55,12 +57,9 @@ func TestStopThresholdMustBeAbleToFire(t *testing.T) {
 		{math.Inf(-1), false},
 		{-1, false},
 	} {
-		_, errAug := NewAugmentedBO(AugmentedBOConfig{Objective: MinimizeCost, DeltaThreshold: tc.threshold})
-		_, errNaive := NewNaiveBO(NaiveBOConfig{Objective: MinimizeCost, EIStopFraction: tc.threshold})
-		_, errHybrid := NewHybridBO(HybridBOConfig{
-			Naive:     NaiveBOConfig{Objective: MinimizeCost, EIStopFraction: tc.threshold},
-			Augmented: AugmentedBOConfig{Objective: MinimizeCost, DeltaThreshold: tc.threshold},
-		})
+		_, errAug := New(Config{Method: MethodAugmentedBO, Objective: MinimizeCost, DeltaThreshold: tc.threshold})
+		_, errNaive := New(Config{Method: MethodNaiveBO, Objective: MinimizeCost, EIStopFraction: tc.threshold})
+		_, errHybrid := New(Config{Method: MethodHybridBO, Objective: MinimizeCost, EIStopFraction: tc.threshold, DeltaThreshold: tc.threshold})
 		for name, err := range map[string]error{"augmented": errAug, "naive": errNaive, "hybrid": errHybrid} {
 			if (err != nil) != tc.wantErr || (err != nil && !errors.Is(err, ErrBadConfig)) {
 				t.Errorf("%s, stop threshold %v: error %v, want ErrBadConfig: %v", name, tc.threshold, err, tc.wantErr)
@@ -69,20 +68,72 @@ func TestStopThresholdMustBeAbleToFire(t *testing.T) {
 	}
 }
 
+// TestNewHybridBOValidation: a hybrid validates its switch point and
+// what its two phases read, and nothing else — its opening phase never
+// EI-stops, so it does not validate EIStopFraction.
 func TestNewHybridBOValidation(t *testing.T) {
-	if _, err := NewHybridBO(HybridBOConfig{
-		Naive:       NaiveBOConfig{Objective: MinimizeTime},
-		Augmented:   AugmentedBOConfig{Objective: MinimizeCost},
-		SwitchAfter: 4,
-	}); !errors.Is(err, ErrBadConfig) {
-		t.Error("mismatched phase objectives should fail")
-	}
-	if _, err := NewHybridBO(HybridBOConfig{
-		Naive:       NaiveBOConfig{Objective: MinimizeTime},
-		Augmented:   AugmentedBOConfig{Objective: MinimizeTime},
-		SwitchAfter: 1,
-	}); !errors.Is(err, ErrBadConfig) {
+	if _, err := New(Config{Method: MethodHybridBO, Objective: MinimizeTime, SwitchAfter: 1}); !errors.Is(err, ErrBadConfig) {
 		t.Error("switch-after 1 should fail")
+	}
+	if _, err := New(Config{Method: MethodHybridBO, Objective: MinimizeTime, DeltaThreshold: 0.2}); !errors.Is(err, ErrBadConfig) {
+		t.Error("absurd delta threshold should fail")
+	}
+	if _, err := New(Config{Method: MethodHybridBO, Objective: MinimizeTime, EIStopFraction: math.NaN()}); err != nil {
+		t.Errorf("EI stop fraction the hybrid never reads rejected: %v", err)
+	}
+	if _, err := New(Config{Method: Method(0), Objective: MinimizeTime}); !errors.Is(err, ErrBadConfig) {
+		t.Error("unknown method should fail")
+	}
+}
+
+// TestCanonicalFollowsThePolicyTable: Canonical fills each default a
+// method reads, collapses every disabled stopping threshold to -1 and
+// zeroes what the method does not read, so configs that search alike
+// are equal once canonical.
+func TestCanonicalFollowsThePolicyTable(t *testing.T) {
+	every := Config{
+		Kernel: kernel.RBF, AutoKernel: true, Acquisition: acquisition.ProbabilityOfImprovement, ARD: true,
+		MaxTimeSLO: 50, EIStopFraction: -5, DeltaThreshold: -0.5, SwitchAfter: 6,
+		Design:          DesignConfig{Kind: DesignUniform, NumInitial: 4, Fixed: []int{1}},
+		DisableLowLevel: true, WarmStart: []PriorObservation{{Features: []float64{1}, Value: 1}},
+		Objective: MinimizeCost, MaxMeasurements: 7, Seed: 9,
+	}
+	for _, m := range []Method{MethodNaiveBO, MethodAugmentedBO, MethodHybridBO, MethodRandomSearch} {
+		c := every
+		c.Method = m
+		got := c.Canonical()
+		r := reads[m]
+		check := func(field string, set bool, read setting) {
+			t.Helper()
+			if set != (r&read != 0) {
+				t.Errorf("%v: %s set = %v, want it set only when read", m, field, set)
+			}
+		}
+		check("Kernel", got.Kernel != 0, readsGP)
+		check("AutoKernel", got.AutoKernel, readsGP)
+		check("Acquisition", got.Acquisition != 0, readsGP)
+		check("ARD", got.ARD, readsGP)
+		check("EIStopFraction", got.EIStopFraction == -1, readsEIStop)
+		check("DeltaThreshold", got.DeltaThreshold == -1, readsDelta)
+		check("SwitchAfter", got.SwitchAfter == 6, readsSwitch)
+		check("MaxTimeSLO", got.MaxTimeSLO == 50, readsSLO)
+		check("Design", got.Design.Kind == DesignUniform && got.Design.NumInitial == 4 && got.Design.Fixed == nil, readsDesign)
+		check("DisableLowLevel", got.DisableLowLevel, readsPairs)
+		check("WarmStart", got.WarmStart != nil, readsPairs)
+		check("forest", got.Forest().NumTrees == forest.DefaultNumTrees && got.Forest().SampleRate == defaultPairSampleRate, readsPairs)
+		if got.Objective != MinimizeCost || got.MaxMeasurements != 7 || got.Seed != 9 || got.Method != m {
+			t.Errorf("%v: canonical form dropped a field every method reads: %+v", m, got)
+		}
+	}
+	zero := Config{Method: MethodHybridBO}.Canonical()
+	want := Config{
+		Method: MethodHybridBO, Kernel: kernel.Matern52, Acquisition: acquisition.ExpectedImprovement,
+		DeltaThreshold: DefaultDeltaThreshold, SwitchAfter: DefaultSwitchAfter,
+		Design: DesignConfig{Kind: DesignQuasiRandom, NumInitial: DefaultNumInitial},
+		forest: forest.Config{NumTrees: forest.DefaultNumTrees, MinSamplesSplit: forest.DefaultMinSamplesSplit, SampleRate: defaultPairSampleRate},
+	}
+	if !reflect.DeepEqual(zero, want) {
+		t.Errorf("zero hybrid canonical = %+v, want %+v", zero, want)
 	}
 }
 
@@ -116,7 +167,8 @@ func steppedTarget() *fakeTarget {
 }
 
 func TestAugmentedBOStopsEarlyWithDelta(t *testing.T) {
-	aug, err := NewAugmentedBO(AugmentedBOConfig{
+	aug, err := New(Config{
+		Method:         MethodAugmentedBO,
 		Objective:      MinimizeTime,
 		DeltaThreshold: 1.1,
 		Seed:           3,
@@ -144,7 +196,8 @@ func TestAugmentedBOStopsEarlyWithDelta(t *testing.T) {
 }
 
 func TestNaiveBOStopsEarlyWithEI(t *testing.T) {
-	naive, err := NewNaiveBO(NaiveBOConfig{
+	naive, err := New(Config{
+		Method:         MethodNaiveBO,
 		Objective:      MinimizeTime,
 		EIStopFraction: 0.10,
 		Seed:           3,
@@ -169,7 +222,7 @@ func TestNaiveBOStopsEarlyWithEI(t *testing.T) {
 func TestNaiveBOAllKernels(t *testing.T) {
 	for _, k := range kernel.All() {
 		t.Run(k.String(), func(t *testing.T) {
-			naive, err := NewNaiveBO(NaiveBOConfig{Objective: MinimizeTime, Kernel: k, EIStopFraction: -1, Seed: 2})
+			naive, err := New(Config{Method: MethodNaiveBO, Objective: MinimizeTime, Kernel: k, EIStopFraction: -1, Seed: 2})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -184,25 +237,6 @@ func TestNaiveBOAllKernels(t *testing.T) {
 	}
 }
 
-func TestNaiveBODisableLogObjective(t *testing.T) {
-	naive, err := NewNaiveBO(NaiveBOConfig{
-		Objective:           MinimizeTime,
-		DisableLogObjective: true,
-		EIStopFraction:      -1,
-		Seed:                2,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := naive.Search(newFakeTarget(exhaustiveValues()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.BestValue != 1 {
-		t.Errorf("best = %v", res.BestValue)
-	}
-}
-
 // TestAugmentedBOExploitsLowLevelSignal is the paper's core claim in
 // miniature: when the response cliff is invisible in the instance space
 // but perfectly flagged by the low-level metrics of measured VMs, the
@@ -213,7 +247,8 @@ func TestAugmentedBOExploitsLowLevelSignal(t *testing.T) {
 	goodPicks, trials := 0, 0
 	for seed := int64(0); seed < 20; seed++ {
 		target := steppedTarget()
-		aug, err := NewAugmentedBO(AugmentedBOConfig{
+		aug, err := New(Config{
+			Method:         MethodAugmentedBO,
 			Objective:      MinimizeTime,
 			DeltaThreshold: -1,
 			Seed:           seed,
@@ -237,10 +272,11 @@ func TestAugmentedBOExploitsLowLevelSignal(t *testing.T) {
 }
 
 func TestAugmentedBOForestConfigRespected(t *testing.T) {
-	aug, err := NewAugmentedBO(AugmentedBOConfig{
+	aug, err := New(Config{
+		Method:         MethodAugmentedBO,
 		Objective:      MinimizeTime,
 		DeltaThreshold: -1,
-		Forest:         forest.Config{NumTrees: 10},
+		forest:         forest.Config{NumTrees: 10},
 		Seed:           1,
 	})
 	if err != nil {
@@ -255,15 +291,11 @@ func TestHybridSwitchAfter(t *testing.T) {
 	// With SwitchAfter = 6, the first 6 measurements must match Naive BO's
 	// choices exactly (same seed), since the hybrid runs Naive first.
 	seed := int64(9)
-	naive, err := NewNaiveBO(NaiveBOConfig{Objective: MinimizeTime, Seed: seed, EIStopFraction: -1})
+	naive, err := New(Config{Method: MethodNaiveBO, Objective: MinimizeTime, Seed: seed, EIStopFraction: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	hybrid, err := NewHybridBO(HybridBOConfig{
-		Naive:       NaiveBOConfig{Objective: MinimizeTime, Seed: seed},
-		Augmented:   AugmentedBOConfig{Objective: MinimizeTime, DeltaThreshold: -1},
-		SwitchAfter: 6,
-	})
+	hybrid, err := New(Config{Method: MethodHybridBO, Objective: MinimizeTime, Seed: seed, DeltaThreshold: -1, SwitchAfter: 6})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -283,10 +315,7 @@ func TestHybridSwitchAfter(t *testing.T) {
 }
 
 func TestHybridResultMethodName(t *testing.T) {
-	hybrid, err := NewHybridBO(HybridBOConfig{
-		Naive:     NaiveBOConfig{Objective: MinimizeTime},
-		Augmented: AugmentedBOConfig{Objective: MinimizeTime},
-	})
+	hybrid, err := New(Config{Method: MethodHybridBO, Objective: MinimizeTime})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -301,7 +330,7 @@ func TestHybridResultMethodName(t *testing.T) {
 
 func TestRandomSearchOrderVariesWithSeed(t *testing.T) {
 	order := func(seed int64) []int {
-		opt, err := NewRandomSearch(RandomSearchConfig{Objective: MinimizeTime, Seed: seed})
+		opt, err := New(Config{Method: MethodRandomSearch, Objective: MinimizeTime, Seed: seed})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -357,14 +386,14 @@ func TestAugmentedBONeedsTwoObservationsForPairs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	aug, err := NewAugmentedBO(AugmentedBOConfig{Objective: MinimizeTime})
+	aug, err := New(Config{Method: MethodAugmentedBO, Objective: MinimizeTime})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if ok, err := st.measure(0, 0, true); err != nil || !ok {
 		t.Fatalf("measure: ok=%v err=%v", ok, err)
 	}
-	if _, err := aug.fitPairModel(st, 1); !errors.Is(err, ErrBadConfig) {
+	if _, err := aug.(*optimizer).fitPairModel(st, 1); !errors.Is(err, ErrBadConfig) {
 		t.Errorf("error = %v, want ErrBadConfig with one observation", err)
 	}
 }

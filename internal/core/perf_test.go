@@ -22,11 +22,12 @@ func catalogValues() []float64 {
 // parallelism and returns the result.
 func augmentedResultAt(t *testing.T, parallelism int) *Result {
 	t.Helper()
-	opt, err := NewAugmentedBO(AugmentedBOConfig{
+	opt, err := New(Config{
+		Method:         MethodAugmentedBO,
 		Objective:      MinimizeCost,
 		Seed:           11,
 		DeltaThreshold: -1, // run the whole catalog: more iterations under comparison
-		Forest:         forest.Config{Parallelism: parallelism},
+		forest:         forest.Config{Parallelism: parallelism},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -65,10 +66,7 @@ func TestAugmentedSearchBitIdenticalAcrossParallelism(t *testing.T) {
 // cache built from observations it did not measure itself.
 func TestHybridSearchBitIdenticalAcrossParallelism(t *testing.T) {
 	runAt := func(parallelism int) *Result {
-		opt, err := NewHybridBO(HybridBOConfig{
-			Naive:     NaiveBOConfig{Objective: MinimizeCost, Seed: 5},
-			Augmented: AugmentedBOConfig{Objective: MinimizeCost, Seed: 5, Forest: forest.Config{Parallelism: parallelism}},
-		})
+		opt, err := New(Config{Method: MethodHybridBO, Objective: MinimizeCost, Seed: 5, forest: forest.Config{Parallelism: parallelism}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -105,10 +103,11 @@ func BenchmarkAugmentedIteration(b *testing.B) {
 			b.Fatalf("measure %d: ok=%v err=%v", idx, ok, err)
 		}
 	}
-	aug, err := NewAugmentedBO(AugmentedBOConfig{Objective: MinimizeCost})
+	opt, err := New(Config{Method: MethodAugmentedBO, Objective: MinimizeCost})
 	if err != nil {
 		b.Fatal(err)
 	}
+	aug := opt.(*optimizer)
 	remaining := st.unmeasured()
 	if len(remaining) != 9 {
 		b.Fatalf("%d remaining, want 9", len(remaining))

@@ -63,10 +63,11 @@ func TestIncrementalRefitBitIdenticalSearches(t *testing.T) {
 		{"random", func(tr telemetry.Tracer, disable bool) (Optimizer, error) {
 			// No surrogate, so nothing to refit — included so the contract
 			// is stated (and checked) for all four methods.
-			return NewRandomSearch(RandomSearchConfig{Objective: MinimizeCost, Seed: 17, Tracer: tr})
+			return New(Config{Method: MethodRandomSearch, Objective: MinimizeCost, Seed: 17, Tracer: tr})
 		}},
 		{"naive", func(tr telemetry.Tracer, disable bool) (Optimizer, error) {
-			return NewNaiveBO(NaiveBOConfig{
+			return New(Config{
+				Method:         MethodNaiveBO,
 				Objective:      MinimizeCost,
 				Seed:           9,
 				AutoKernel:     true,
@@ -77,7 +78,8 @@ func TestIncrementalRefitBitIdenticalSearches(t *testing.T) {
 			})
 		}},
 		{"augmented", func(tr telemetry.Tracer, disable bool) (Optimizer, error) {
-			return NewAugmentedBO(AugmentedBOConfig{
+			return New(Config{
+				Method:         MethodAugmentedBO,
 				Objective:      MinimizeCost,
 				Seed:           11,
 				MaxTimeSLO:     11, // second pairwise model rides the same cache
@@ -88,19 +90,13 @@ func TestIncrementalRefitBitIdenticalSearches(t *testing.T) {
 			})
 		}},
 		{"hybrid", func(tr telemetry.Tracer, disable bool) (Optimizer, error) {
-			return NewHybridBO(HybridBOConfig{
-				Naive: NaiveBOConfig{
-					Objective: MinimizeCost,
-					Seed:      5,
-					fullRefit: disable,
-				},
-				Augmented: AugmentedBOConfig{
-					Objective:      MinimizeCost,
-					Seed:           5,
-					DeltaThreshold: -1,
-					fullRefit:      disable,
-				},
-				Tracer: tr,
+			return New(Config{
+				Method:         MethodHybridBO,
+				Objective:      MinimizeCost,
+				Seed:           5,
+				DeltaThreshold: -1,
+				fullRefit:      disable,
+				Tracer:         tr,
 			})
 		}},
 	}
@@ -134,11 +130,7 @@ func TestIncrementalRefitBitIdenticalSearches(t *testing.T) {
 func TestIncrementalRefitActuallyIncremental(t *testing.T) {
 	run := func(disable bool) (incremental, full int) {
 		rec := telemetry.NewRecorder()
-		opt, err := NewHybridBO(HybridBOConfig{
-			Naive:     NaiveBOConfig{Objective: MinimizeCost, Seed: 5, fullRefit: disable},
-			Augmented: AugmentedBOConfig{Objective: MinimizeCost, Seed: 5, DeltaThreshold: -1, fullRefit: disable},
-			Tracer:    rec,
-		})
+		opt, err := New(Config{Method: MethodHybridBO, Objective: MinimizeCost, Seed: 5, DeltaThreshold: -1, fullRefit: disable, Tracer: rec})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -43,20 +43,21 @@ func (s *sloTarget) Measure(i int) (Outcome, error) {
 }
 
 func TestSLOValidation(t *testing.T) {
-	if _, err := NewNaiveBO(NaiveBOConfig{Objective: MinimizeCost, MaxTimeSLO: -1}); !errors.Is(err, ErrBadConfig) {
+	if _, err := New(Config{Method: MethodNaiveBO, Objective: MinimizeCost, MaxTimeSLO: -1}); !errors.Is(err, ErrBadConfig) {
 		t.Error("negative SLO should fail")
 	}
-	if _, err := NewNaiveBO(NaiveBOConfig{Objective: MinimizeCost, MaxTimeSLO: math.NaN()}); !errors.Is(err, ErrBadConfig) {
+	if _, err := New(Config{Method: MethodNaiveBO, Objective: MinimizeCost, MaxTimeSLO: math.NaN()}); !errors.Is(err, ErrBadConfig) {
 		t.Error("NaN SLO should fail")
 	}
-	if _, err := NewNaiveBO(NaiveBOConfig{
+	if _, err := New(Config{
+		Method:      MethodNaiveBO,
 		Objective:   MinimizeCost,
 		MaxTimeSLO:  50,
 		Acquisition: acquisition.UpperConfidenceBound,
 	}); !errors.Is(err, ErrBadConfig) {
 		t.Error("SLO with non-EI acquisition should fail")
 	}
-	if _, err := NewAugmentedBO(AugmentedBOConfig{Objective: MinimizeCost, MaxTimeSLO: -2}); !errors.Is(err, ErrBadConfig) {
+	if _, err := New(Config{Method: MethodAugmentedBO, Objective: MinimizeCost, MaxTimeSLO: -2}); !errors.Is(err, ErrBadConfig) {
 		t.Error("negative SLO should fail")
 	}
 }
@@ -66,12 +67,14 @@ func TestSLOConstrainedSearchFindsCheapestFeasible(t *testing.T) {
 	// index 3 (cost 2.8, time 45).
 	for name, mk := range map[string]func(seed int64) (Optimizer, error){
 		"naive": func(seed int64) (Optimizer, error) {
-			return NewNaiveBO(NaiveBOConfig{
+			return New(Config{
+				Method:    MethodNaiveBO,
 				Objective: MinimizeCost, MaxTimeSLO: 50, EIStopFraction: -1, Seed: seed,
 			})
 		},
 		"augmented": func(seed int64) (Optimizer, error) {
-			return NewAugmentedBO(AugmentedBOConfig{
+			return New(Config{
+				Method:    MethodAugmentedBO,
 				Objective: MinimizeCost, MaxTimeSLO: 50, DeltaThreshold: -1, Seed: seed,
 			})
 		},
@@ -101,7 +104,8 @@ func TestSLOConstrainedSearchFindsCheapestFeasible(t *testing.T) {
 func TestSLOUnsatisfiableFallsBackToFastest(t *testing.T) {
 	// SLO 5s: nothing qualifies; the result must say so and point at the
 	// fastest candidate (index 7, 8s).
-	naive, err := NewNaiveBO(NaiveBOConfig{
+	naive, err := New(Config{
+		Method:    MethodNaiveBO,
 		Objective: MinimizeCost, MaxTimeSLO: 5, EIStopFraction: -1, Seed: 1,
 	})
 	if err != nil {
@@ -123,7 +127,8 @@ func TestSLOUnsatisfiableFallsBackToFastest(t *testing.T) {
 }
 
 func TestSLOStoppingStillWorks(t *testing.T) {
-	aug, err := NewAugmentedBO(AugmentedBOConfig{
+	aug, err := New(Config{
+		Method:    MethodAugmentedBO,
 		Objective: MinimizeCost, MaxTimeSLO: 50, DeltaThreshold: 1.1, Seed: 2,
 	})
 	if err != nil {
@@ -146,7 +151,7 @@ func TestSLOStoppingStillWorks(t *testing.T) {
 
 func TestSLOUnconstrainedUnchanged(t *testing.T) {
 	// Without an SLO the same target's cost optimum is index 0.
-	naive, err := NewNaiveBO(NaiveBOConfig{Objective: MinimizeCost, EIStopFraction: -1, Seed: 3})
+	naive, err := New(Config{Method: MethodNaiveBO, Objective: MinimizeCost, EIStopFraction: -1, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,10 +165,7 @@ func TestSLOUnconstrainedUnchanged(t *testing.T) {
 }
 
 func TestSLOHybrid(t *testing.T) {
-	hybrid, err := NewHybridBO(HybridBOConfig{
-		Naive:     NaiveBOConfig{Objective: MinimizeCost, MaxTimeSLO: 50},
-		Augmented: AugmentedBOConfig{Objective: MinimizeCost, MaxTimeSLO: 50, DeltaThreshold: -1},
-	})
+	hybrid, err := New(Config{Method: MethodHybridBO, Objective: MinimizeCost, MaxTimeSLO: 50, DeltaThreshold: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,15 +178,5 @@ func TestSLOHybrid(t *testing.T) {
 	}
 	if res.BestIndex != 3 {
 		t.Errorf("best = %d, want 3 (cheapest feasible)", res.BestIndex)
-	}
-}
-
-func TestSLOHybridMismatchRejected(t *testing.T) {
-	_, err := NewHybridBO(HybridBOConfig{
-		Naive:     NaiveBOConfig{Objective: MinimizeCost, MaxTimeSLO: 50},
-		Augmented: AugmentedBOConfig{Objective: MinimizeCost, MaxTimeSLO: 60},
-	})
-	if !errors.Is(err, ErrBadConfig) {
-		t.Errorf("error = %v, want ErrBadConfig", err)
 	}
 }

@@ -64,7 +64,7 @@ func TestStepperMatchesBatchSearchAllOptimizers(t *testing.T) {
 }
 
 func TestStepperNextIsIdempotentWhilePending(t *testing.T) {
-	opt, err := NewRandomSearch(RandomSearchConfig{Objective: MinimizeTime, Seed: 1})
+	opt, err := New(Config{Method: MethodRandomSearch, Objective: MinimizeTime, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +88,7 @@ func TestStepperNextIsIdempotentWhilePending(t *testing.T) {
 }
 
 func TestStepperConcurrentNextReturnsOneSuggestion(t *testing.T) {
-	opt, err := NewRandomSearch(RandomSearchConfig{Objective: MinimizeTime, Seed: 3})
+	opt, err := New(Config{Method: MethodRandomSearch, Objective: MinimizeTime, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,7 +120,7 @@ func TestStepperConcurrentNextReturnsOneSuggestion(t *testing.T) {
 }
 
 func TestStepperObserveWithoutPending(t *testing.T) {
-	opt, err := NewRandomSearch(RandomSearchConfig{Objective: MinimizeTime, Seed: 1})
+	opt, err := New(Config{Method: MethodRandomSearch, Objective: MinimizeTime, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,7 +147,7 @@ func TestStepperObserveWithoutPending(t *testing.T) {
 }
 
 func TestStepperObserveIndexMismatch(t *testing.T) {
-	opt, err := NewRandomSearch(RandomSearchConfig{Objective: MinimizeTime, Seed: 1})
+	opt, err := New(Config{Method: MethodRandomSearch, Objective: MinimizeTime, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,7 +174,7 @@ func TestStepperObserveIndexMismatch(t *testing.T) {
 }
 
 func TestStepperResultBeforeDone(t *testing.T) {
-	opt, err := NewRandomSearch(RandomSearchConfig{Objective: MinimizeTime, Seed: 1})
+	opt, err := New(Config{Method: MethodRandomSearch, Objective: MinimizeTime, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,7 +190,7 @@ func TestStepperResultBeforeDone(t *testing.T) {
 }
 
 func TestStepperAbortSalvagesPartialResult(t *testing.T) {
-	opt, err := NewAugmentedBO(AugmentedBOConfig{Objective: MinimizeTime, Seed: 2, DeltaThreshold: -1})
+	opt, err := New(Config{Method: MethodAugmentedBO, Objective: MinimizeTime, Seed: 2, DeltaThreshold: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -235,7 +235,7 @@ func TestStepperAbortSalvagesPartialResult(t *testing.T) {
 }
 
 func TestStepperAbortWithPendingSuggestion(t *testing.T) {
-	opt, err := NewRandomSearch(RandomSearchConfig{Objective: MinimizeTime, Seed: 5})
+	opt, err := New(Config{Method: MethodRandomSearch, Objective: MinimizeTime, Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -264,7 +264,7 @@ func TestStepperAbortWithPendingSuggestion(t *testing.T) {
 }
 
 func TestStepperAbortAfterFinishReturnsFinishedResult(t *testing.T) {
-	opt, err := NewRandomSearch(RandomSearchConfig{Objective: MinimizeTime, Seed: 1})
+	opt, err := New(Config{Method: MethodRandomSearch, Objective: MinimizeTime, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -282,7 +282,7 @@ func TestStepperAbortAfterFinishReturnsFinishedResult(t *testing.T) {
 }
 
 func TestStepperObserveFailureQuarantines(t *testing.T) {
-	opt, err := NewRandomSearch(RandomSearchConfig{Objective: MinimizeTime, Seed: 4})
+	opt, err := New(Config{Method: MethodRandomSearch, Objective: MinimizeTime, Seed: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -645,7 +645,7 @@ func TestStepperCancelledNextDoesNotResume(t *testing.T) {
 // false and Result running until the Next that hands the last outcome to
 // the loop finds the search over.
 func TestStepperDoneChangesOnlyInNext(t *testing.T) {
-	opt, err := NewRandomSearch(RandomSearchConfig{Objective: MinimizeTime, Seed: 2, MaxMeasurements: 4})
+	opt, err := New(Config{Method: MethodRandomSearch, Objective: MinimizeTime, Seed: 2, MaxMeasurements: 4})
 	if err != nil {
 		t.Fatal(err)
 	}

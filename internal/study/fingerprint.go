@@ -1,9 +1,9 @@
 package study
 
 import (
+	"slices"
+
 	"repro/internal/core"
-	"repro/internal/forest"
-	"repro/internal/kernel"
 	"repro/internal/runcache"
 )
 
@@ -13,91 +13,38 @@ import (
 const fingerprintSchema = "arrow-run/1"
 
 // Fingerprint canonically identifies the search RunSearch(mc, w,
-// objective, seed) would execute, for cache addressing. Canonical means
-// two MethodConfigs that build behaviorally identical optimizers map to
-// the same fingerprint: defaulted zero values are resolved (a zero
+// objective, seed) would execute, for cache addressing. It maps the
+// canonical form of the optimizer configuration (core.Config.Canonical),
+// so two MethodConfigs that build behaviorally identical optimizers map
+// to the same fingerprint: defaulted zero values are resolved (a zero
 // kernel and an explicit Matérn 5/2 collide), every disabled stopping
-// threshold collapses to -1, and fields the method ignores are dropped —
-// including forest Seed (the optimizer overrides it) and Parallelism
-// (results are bit-identical at any worker count).
+// threshold collapses to -1, and fields the method ignores are dropped.
+// Unknown methods fail in Build before anything is cached.
 func (mc MethodConfig) Fingerprint(workloadID string, objective core.Objective, seed int64, substrate string) runcache.Fingerprint {
+	c := mc.config(objective, seed).Canonical()
+	forest := c.Forest()
 	fp := runcache.Fingerprint{
-		Schema:     fingerprintSchema,
-		Substrate:  substrate,
-		Method:     mc.Method.String(),
-		WorkloadID: workloadID,
-		Objective:  objective.String(),
-		Seed:       seed,
+		Schema:            fingerprintSchema,
+		Substrate:         substrate,
+		Method:            mc.Method.String(),
+		WorkloadID:        workloadID,
+		Objective:         objective.String(),
+		Seed:              seed,
+		EIStop:            c.EIStopFraction,
+		Delta:             c.DeltaThreshold,
+		SwitchAfter:       c.SwitchAfter,
+		ForestTrees:       forest.NumTrees,
+		ForestMinSplit:    forest.MinSamplesSplit,
+		ForestMaxFeatures: forest.MaxFeatures, // 0 = round(sqrt(d)), already canonical
+		ForestMaxDepth:    forest.MaxDepth,    // 0 = unbounded
 	}
-	design := func() {
-		kind := mc.Design.Kind
-		if kind == 0 {
-			kind = core.DesignQuasiRandom
-		}
-		size := mc.Design.NumInitial
-		if size == 0 {
-			size = core.DefaultNumInitial
-		}
-		fp.DesignKind = kind.String()
-		fp.DesignSize = size
-		if kind == core.DesignFixed {
-			fp.DesignFixed = append([]int(nil), mc.Design.Fixed...)
-		}
+	if c.Kernel != 0 {
+		fp.Kernel = c.Kernel.String()
 	}
-	forestCfg := func() {
-		fc := mc.Forest
-		if fc.NumTrees == 0 {
-			fc.NumTrees = forest.DefaultNumTrees
-		}
-		if fc.MinSamplesSplit == 0 {
-			fc.MinSamplesSplit = forest.DefaultMinSamplesSplit
-		}
-		fp.ForestTrees = fc.NumTrees
-		fp.ForestMinSplit = fc.MinSamplesSplit
-		fp.ForestMaxFeatures = fc.MaxFeatures // 0 = round(sqrt(d)), already canonical
-		fp.ForestMaxDepth = fc.MaxDepth       // 0 = unbounded
-	}
-	kernelName := func(k kernel.Kind) string {
-		if k == 0 {
-			k = kernel.Matern52
-		}
-		return k.String()
-	}
-	// canonStop resolves a stopping threshold: zero means the default,
-	// any negative value means disabled.
-	canonStop := func(v, def float64) float64 {
-		switch {
-		case v == 0:
-			return def
-		case v < 0:
-			return -1
-		default:
-			return v
-		}
-	}
-
-	switch mc.Method {
-	case MethodNaive:
-		fp.Kernel = kernelName(mc.Kernel)
-		fp.EIStop = canonStop(mc.EIStop, core.DefaultEIStopFraction)
-		design()
-	case MethodAugmented:
-		fp.Delta = canonStop(mc.Delta, core.DefaultDeltaThreshold)
-		forestCfg()
-		design()
-	case MethodHybrid:
-		// The hybrid's opening phase never EI-stops (the switch point
-		// decides the handover), so EIStop is cosmetic here.
-		fp.Kernel = kernelName(mc.Kernel)
-		fp.Delta = canonStop(mc.Delta, core.DefaultDeltaThreshold)
-		if fp.SwitchAfter = mc.SwitchAfter; fp.SwitchAfter == 0 {
-			fp.SwitchAfter = core.DefaultSwitchAfter
-		}
-		forestCfg()
-		design()
-	default:
-		// MethodRandom (and unknown methods, which fail in Build before
-		// anything is cached) depend only on workload, objective, seed.
+	if c.Design.Kind != 0 {
+		fp.DesignKind = c.Design.Kind.String()
+		fp.DesignSize = c.Design.NumInitial
+		fp.DesignFixed = slices.Clone(c.Design.Fixed)
 	}
 	return fp
 }

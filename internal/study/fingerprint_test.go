@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/cloud"
 	"repro/internal/core"
-	"repro/internal/forest"
 	"repro/internal/kernel"
 	"repro/internal/runcache"
 	"repro/internal/sim"
@@ -29,9 +28,6 @@ func TestFingerprintSemanticFieldsAlterKey(t *testing.T) {
 		{"naive ei-stop value", MethodConfig{Method: MethodNaive, EIStop: 0.05}, MethodConfig{Method: MethodNaive, EIStop: 0.2}},
 		{"naive ei-stop enabled vs disabled", MethodConfig{Method: MethodNaive, EIStop: 0.1}, MethodConfig{Method: MethodNaive, EIStop: -1}},
 		{"augmented delta", MethodConfig{Method: MethodAugmented, Delta: 1.05}, MethodConfig{Method: MethodAugmented, Delta: 1.2}},
-		{"augmented forest size", MethodConfig{Method: MethodAugmented, Forest: forest.Config{NumTrees: 50}}, MethodConfig{Method: MethodAugmented, Forest: forest.Config{NumTrees: 200}}},
-		{"augmented forest min-split", MethodConfig{Method: MethodAugmented, Forest: forest.Config{MinSamplesSplit: 4}}, MethodConfig{Method: MethodAugmented}},
-		{"augmented forest max-depth", MethodConfig{Method: MethodAugmented, Forest: forest.Config{MaxDepth: 4}}, MethodConfig{Method: MethodAugmented}},
 		{"hybrid switch point", MethodConfig{Method: MethodHybrid, SwitchAfter: 5}, MethodConfig{Method: MethodHybrid, SwitchAfter: 7}},
 		{"hybrid kernel", MethodConfig{Method: MethodHybrid, Kernel: kernel.RBF}, MethodConfig{Method: MethodHybrid}},
 		{"design kind", MethodConfig{Method: MethodNaive, Design: core.DesignConfig{Kind: core.DesignSobol}}, MethodConfig{Method: MethodNaive}},
@@ -78,14 +74,11 @@ func TestFingerprintCosmeticChangesKeepKey(t *testing.T) {
 		{"any negative ei-stop disables", MethodConfig{Method: MethodNaive, EIStop: -1}, MethodConfig{Method: MethodNaive, EIStop: -5}},
 		{"any negative delta disables", MethodConfig{Method: MethodAugmented, Delta: -1}, MethodConfig{Method: MethodAugmented, Delta: -0.5}},
 		{"zero delta is the default", MethodConfig{Method: MethodAugmented}, MethodConfig{Method: MethodAugmented, Delta: core.DefaultDeltaThreshold}},
-		{"zero forest is the default forest", MethodConfig{Method: MethodAugmented}, MethodConfig{Method: MethodAugmented, Forest: forest.Config{NumTrees: forest.DefaultNumTrees, MinSamplesSplit: forest.DefaultMinSamplesSplit}}},
-		{"forest parallelism is execution-only", MethodConfig{Method: MethodAugmented, Forest: forest.Config{Parallelism: 1}}, MethodConfig{Method: MethodAugmented, Forest: forest.Config{Parallelism: 8}}},
-		{"forest seed is optimizer-managed", MethodConfig{Method: MethodAugmented, Forest: forest.Config{Seed: 99}}, MethodConfig{Method: MethodAugmented}},
 		{"kernel ignored by augmented", MethodConfig{Method: MethodAugmented, Kernel: kernel.RBF}, MethodConfig{Method: MethodAugmented}},
 		{"delta ignored by naive", MethodConfig{Method: MethodNaive, Delta: 1.3}, MethodConfig{Method: MethodNaive}},
 		{"ei-stop ignored by hybrid", MethodConfig{Method: MethodHybrid, EIStop: 0.2}, MethodConfig{Method: MethodHybrid}},
 		{"zero switch point is the default", MethodConfig{Method: MethodHybrid}, MethodConfig{Method: MethodHybrid, SwitchAfter: core.DefaultSwitchAfter}},
-		{"everything ignored by random", MethodConfig{Method: MethodRandom, Kernel: kernel.RBF, EIStop: 0.2, Delta: 1.3, Forest: forest.Config{NumTrees: 7}}, MethodConfig{Method: MethodRandom}},
+		{"everything ignored by random", MethodConfig{Method: MethodRandom, Kernel: kernel.RBF, EIStop: 0.2, Delta: 1.3, SwitchAfter: 6, Design: core.DesignConfig{Kind: core.DesignSobol}}, MethodConfig{Method: MethodRandom}},
 		{"zero design is the quasi-random 3-point design", MethodConfig{Method: MethodNaive}, MethodConfig{Method: MethodNaive, Design: core.DesignConfig{Kind: core.DesignQuasiRandom, NumInitial: core.DefaultNumInitial}}},
 	}
 	for _, tc := range cases {

@@ -24,7 +24,6 @@ import (
 
 	"repro/internal/cloud"
 	"repro/internal/core"
-	"repro/internal/forest"
 	"repro/internal/kernel"
 	"repro/internal/parallel"
 	"repro/internal/runcache"
@@ -61,6 +60,23 @@ func (m Method) String() string {
 	}
 }
 
+// toCore maps the method onto internal/core's (zero for an unknown one,
+// which core.New rejects).
+func (m Method) toCore() core.Method {
+	switch m {
+	case MethodNaive:
+		return core.MethodNaiveBO
+	case MethodAugmented:
+		return core.MethodAugmentedBO
+	case MethodHybrid:
+		return core.MethodHybridBO
+	case MethodRandom:
+		return core.MethodRandomSearch
+	default:
+		return 0
+	}
+}
+
 // MethodConfig is a reusable optimizer specification; Build instantiates
 // it for a concrete objective and seed.
 type MethodConfig struct {
@@ -77,9 +93,6 @@ type MethodConfig struct {
 	Delta float64
 	// SwitchAfter applies to MethodHybrid; 0 means the default.
 	SwitchAfter int
-	// Forest overrides the Extra-Trees configuration (seed is managed by
-	// the optimizer).
-	Forest forest.Config
 	// Design configures the initial sample; the zero value is the
 	// 3-point quasi-random design.
 	Design core.DesignConfig
@@ -105,46 +118,20 @@ func (mc MethodConfig) Label() string {
 
 // Build instantiates the optimizer.
 func (mc MethodConfig) Build(objective core.Objective, seed int64) (core.Optimizer, error) {
-	switch mc.Method {
-	case MethodNaive:
-		return core.NewNaiveBO(core.NaiveBOConfig{
-			Objective:      objective,
-			Kernel:         mc.Kernel,
-			EIStopFraction: mc.EIStop,
-			Design:         mc.Design,
-			Seed:           seed,
-		})
-	case MethodAugmented:
-		return core.NewAugmentedBO(core.AugmentedBOConfig{
-			Objective:      objective,
-			DeltaThreshold: mc.Delta,
-			Forest:         mc.Forest,
-			Design:         mc.Design,
-			Seed:           seed,
-		})
-	case MethodHybrid:
-		return core.NewHybridBO(core.HybridBOConfig{
-			Naive: core.NaiveBOConfig{
-				Objective: objective,
-				Kernel:    mc.Kernel,
-				Design:    mc.Design,
-				Seed:      seed,
-			},
-			Augmented: core.AugmentedBOConfig{
-				Objective:      objective,
-				DeltaThreshold: mc.Delta,
-				Forest:         mc.Forest,
-				Seed:           seed,
-			},
-			SwitchAfter: mc.SwitchAfter,
-		})
-	case MethodRandom:
-		return core.NewRandomSearch(core.RandomSearchConfig{
-			Objective: objective,
-			Seed:      seed,
-		})
-	default:
-		return nil, fmt.Errorf("study: unknown method %d: %w", int(mc.Method), core.ErrBadConfig)
+	return core.New(mc.config(objective, seed))
+}
+
+// config is the optimizer configuration mc runs with.
+func (mc MethodConfig) config(objective core.Objective, seed int64) core.Config {
+	return core.Config{
+		Method:         mc.Method.toCore(),
+		Objective:      objective,
+		Kernel:         mc.Kernel,
+		EIStopFraction: mc.EIStop,
+		DeltaThreshold: mc.Delta,
+		SwitchAfter:    mc.SwitchAfter,
+		Design:         mc.Design,
+		Seed:           seed,
 	}
 }
 

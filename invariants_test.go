@@ -412,14 +412,14 @@ func TestSearchContextProgressSkipsInvalidOutcomes(t *testing.T) {
 func TestSearchContextNilSafetyOnConfigError(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	// New validates eagerly, so a search-time buildCore failure needs a
+	// New validates eagerly, so a search-time core.New failure needs a
 	// hand-built optimizer with an invalid config. Under an already
 	// canceled context the configuration error must win — the target
 	// wrapper was never built, and the salvage path must not touch it.
-	bad := &Optimizer{method: MethodNaiveBO, cfg: config{
-		method: MethodNaiveBO, objective: MinimizeCost, kernel: KernelMatern52,
-		eiStop: 2, // > 1 is rejected by the core constructor
-	}}
+	bad := &Optimizer{cfg: config{Config: core.Config{
+		Method: MethodNaiveBO, Objective: core.MinimizeCost,
+		EIStopFraction: 2, // > 1 is rejected by core.New
+	}}}
 	target, terr := NewSimulatedTarget("als/spark2.1/medium", 1)
 	if terr != nil {
 		t.Fatal(terr)

@@ -296,7 +296,7 @@ func (cfg config) wrapTarget(t Target) Target {
 			p.Timeout = cfg.measureTimeout
 		}
 		rt := NewRetryingTarget(t, p)
-		rt.SetObserver(cfg.tracer)
+		rt.SetObserver(cfg.Tracer)
 		return rt
 	}
 	if cfg.measureTimeout > 0 {

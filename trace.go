@@ -64,7 +64,7 @@ const (
 // nothing.
 func WithTracer(t Observer) Option {
 	return func(c *config) error {
-		c.tracer = t
+		c.Tracer = t
 		return nil
 	}
 }
