@@ -350,8 +350,9 @@ func (o *optimizer) Search(target Target) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	st.sloTime = o.cfg.MaxTimeSLO
-	st.setTracer(o.cfg.Tracer, o.Name())
+	// The tracer goes on before the initial design, so design
+	// measurements are traced too.
+	st.sloTime, st.tracer, st.method = o.cfg.MaxTimeSLO, o.cfg.Tracer, o.Name()
 	st.emitSearchStart()
 	rng := rand.New(rand.NewSource(o.cfg.Seed))
 	switch o.cfg.Method {

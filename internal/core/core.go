@@ -361,15 +361,6 @@ func newSearchState(target Target, objective Objective) (*searchState, error) {
 	return st, nil
 }
 
-// setTracer attaches the event sink (nil disables tracing) and the
-// method label stamped on every event. Optimizers call it right after
-// newSearchState, before the initial design, so design measurements are
-// traced too.
-func (s *searchState) setTracer(t telemetry.Tracer, method string) {
-	s.tracer = t
-	s.method = method
-}
-
 // emit stamps the method and forwards to the tracer. Callers must guard
 // with `s.tracer != nil` so untraced searches pay one branch and zero
 // allocations per site.
@@ -567,7 +558,7 @@ func (s *searchState) unmeasuredExcluding(excluded map[int]bool) []int {
 	return out
 }
 
-// result finalizes the search under the method label setTracer stamped.
+// result finalizes the search under the state's method label.
 func (s *searchState) result(stoppedEarly bool, reason string) *Result {
 	res := &Result{
 		Method:       s.method,

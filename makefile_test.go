@@ -32,12 +32,13 @@ func TestMakefileRunPatternsNameTests(t *testing.T) {
 			if pattern == "xxx" {
 				continue
 			}
-			i := slices.IndexFunc(strings.Fields(line[m[1]:]), func(f string) bool { return strings.HasPrefix(f, ".") })
+			rest := strings.Fields(line[m[1]:])
+			i := slices.IndexFunc(rest, func(f string) bool { return strings.HasPrefix(f, ".") })
 			if i < 0 {
 				t.Errorf("Makefile:%d: -%s %s names no package directory after it", no+1, kind, pattern)
 				continue
 			}
-			pkg := strings.Fields(line[m[1]:])[i]
+			pkg := rest[i]
 			prefix := "Test"
 			if kind == "bench" {
 				prefix = "Benchmark"
